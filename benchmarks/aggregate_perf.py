@@ -1,8 +1,8 @@
 """Aggregate BENCH_*.json reports into one perf-trajectory record.
 
-Every perf benchmark in this suite (``bench_engine.py``,
-``bench_polling.py``, ``bench_fabric.py``, ``bench_protocols.py``) writes
-a ``BENCH_<name>.json``
+Every perf benchmark in this suite (``bench_polling.py``,
+``bench_fabric.py``, ``bench_protocols.py``, ``bench_service.py``,
+``bench_faults.py``, ``bench_traffic.py``) writes a ``BENCH_<name>.json``
 report with ``--json``.  CI uploads each one, but a trajectory is only
 readable as *one* artifact per run: this script globs the reports, tags
 them with the commit and timestamp, distils the headline number from each,
@@ -39,14 +39,6 @@ def _commit() -> str:
 
 
 #: Per-benchmark headline extractors: report dict -> {metric: value}.
-def _engine_headline(report: dict) -> dict:
-    stress = report.get("stress", {})
-    return {
-        "kernel_speedup_vs_legacy": stress.get("speedup"),
-        "events_per_sec": stress.get("current_events_per_sec"),
-    }
-
-
 def _polling_headline(report: dict) -> dict:
     return {
         "cq_event_reduction": report.get("cq_event_reduction"),
@@ -92,7 +84,6 @@ def _service_headline(report: dict) -> dict:
 
 
 _HEADLINES = {
-    "engine": _engine_headline,
     "polling": _polling_headline,
     "fabric": _fabric_headline,
     "protocols": _protocols_headline,

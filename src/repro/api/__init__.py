@@ -4,8 +4,8 @@ This package is the single front door to the simulator.  A point in the
 evaluation space is an :class:`ExperimentSpec`; a family of points is a
 :class:`SweepSpec` (full cartesian product or an explicit point list); a
 :class:`SweepRunner` executes points serially or with ``multiprocessing``
-workers, memoising every point in an on-disk JSON cache keyed by the spec
-hash; results come back as a :class:`ResultSet` of :class:`RunResult`
+workers, memoising every point in the on-disk result store
+(:class:`repro.service.store.ResultStore`) keyed by the spec hash; results come back as a :class:`ResultSet` of :class:`RunResult`
 records that can be filtered, pivoted into figure panels, and serialised
 with ``to_json``/``from_json``.
 
@@ -22,7 +22,6 @@ Typical use::
     panel = results.pivot(series="device", x="message_bytes")
 """
 
-from repro.api.cache import ResultCache
 from repro.api.kinds import (
     KINDS,
     KindSpec,
@@ -42,7 +41,6 @@ from repro.api.presets import (
     bandwidth_sweep,
     fault_sweep,
     device_space_sweep,
-    engine_sweep,
     latency_sweep,
     macro_sweep,
     network_sensitivity_sweep,
@@ -63,7 +61,6 @@ __all__ = [
     "SpecError",
     "RunResult",
     "ResultSet",
-    "ResultCache",
     "SweepFailure",
     "SweepRunner",
     "run_point",
@@ -78,7 +75,6 @@ __all__ = [
     "bandwidth_sweep",
     "traffic_sweep",
     "macro_sweep",
-    "engine_sweep",
     "fault_sweep",
     "device_space_sweep",
     "scalability_sweep",

@@ -1,23 +1,21 @@
-"""On-disk JSON result cache keyed by experiment-spec hash.
+"""Entry codec for the on-disk result store.
 
-Each cached point is one small JSON file ``<kind>-<key>.json`` under the
-cache directory, so repeated figure regeneration skips the simulation
-entirely.  The key mixes the spec's own hash with the device-registry
-schema version (:data:`repro.ni.registry.DEVICE_SCHEMA_VERSION`) and the
-fabric-registry schema version
-(:data:`repro.network.registry.FABRIC_SCHEMA_VERSION`) and the coherence
-protocol schema version
-(:data:`repro.coherence.protocols.PROTOCOL_SCHEMA_VERSION`): a spec only
-*names* its device, fabric and protocol, so when the rules that assemble
-a device — or time a fabric, or transition a cache — change, every cached
-sweep result silently computed under the old rules must stop matching.  Corrupt or stale-schema entries
-are treated as misses and rewritten; the cache is safe to delete at any
-time.
+A stored point is one JSON payload: the :class:`RunResult` dict stamped
+with every schema version its validity depends on — the simulator
+version, the device-registry schema
+(:data:`repro.ni.registry.DEVICE_SCHEMA_VERSION`), the fabric-registry
+schema (:data:`repro.network.registry.FABRIC_SCHEMA_VERSION`) and the
+coherence protocol schema
+(:data:`repro.coherence.protocols.PROTOCOL_SCHEMA_VERSION`).  A spec only
+*names* its device, fabric and protocol, so when the rules that assemble a
+device — or time a fabric, or transition a cache — change, every entry
+computed under the old rules must stop matching.  Corrupt or stale-schema
+entries decode as misses.  The store itself (layout, keys, metadata,
+eviction) is :class:`repro.service.store.ResultStore`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -34,8 +32,8 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _repro_version() -> str:
-    """The simulator version entries are stamped with (lazy import: the
-    top-level package imports this module)."""
+    """The simulator version entries are stamped with (imported on use:
+    ``repro`` defines ``__version__`` only after importing its subpackages)."""
     from repro import __version__
 
     return __version__
@@ -137,74 +135,3 @@ def write_entry_atomic(path: str, payload: Dict) -> bytes:
             pass
         raise
     return data
-
-
-class ResultCache:
-    """A directory of memoised :class:`RunResult` records."""
-
-    def __init__(self, directory: str = DEFAULT_CACHE_DIR):
-        self.directory = directory
-        self.hits = 0
-        self.misses = 0
-        #: Entries written through this instance (surfaced by the service
-        #: store's ``stats()``; plain cache ``stats()`` stays hits/misses).
-        self.stores = 0
-
-    def cache_key(self, spec: ExperimentSpec) -> str:
-        """Spec hash widened with the device, fabric and protocol schema
-        versions — plus, for kinds whose results depend on how workloads
-        are *generated* (traffic, replay), the workload schema version and
-        any per-spec token (a trace-file digest).  Legacy kinds get the
-        exact historic key."""
-        from repro.api.kinds import cache_suffix
-
-        payload = (
-            f"{spec.spec_hash()}:device-schema-{DEVICE_SCHEMA_VERSION}"
-            f":fabric-schema-{FABRIC_SCHEMA_VERSION}"
-            f":protocol-schema-{PROTOCOL_SCHEMA_VERSION}"
-            f"{cache_suffix(spec)}"
-        )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-    def path_for(self, spec: ExperimentSpec) -> str:
-        return os.path.join(self.directory, f"{spec.kind}-{self.cache_key(spec)}.json")
-
-    def get(self, spec: ExperimentSpec) -> Optional[RunResult]:
-        """The cached result for ``spec``, or None on a miss."""
-        payload = read_entry(self.path_for(spec))
-        result = decode_entry(payload, spec) if payload is not None else None
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        result.cached = True
-        return result
-
-    def put(self, result: RunResult) -> str:
-        """Persist ``result``; returns the file path written."""
-        path = self.path_for(result.spec)
-        write_entry_atomic(path, encode_entry(result))
-        self.stores += 1
-        return path
-
-    def clear(self) -> int:
-        """Remove every cache entry; returns the number deleted."""
-        removed = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        for name in names:
-            if name.endswith(".json"):
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
-
-    def __repr__(self) -> str:
-        return f"<ResultCache {self.directory!r} hits={self.hits} misses={self.misses}>"

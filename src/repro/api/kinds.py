@@ -18,15 +18,11 @@ Each :class:`KindSpec` bundles the per-kind hooks:
     the human-readable "what" fragment of ``spec.describe()``.
 ``cost``
     rough relative wall-clock cost, used only to order parallel work.
-``cacheable``
-    ``False`` for wall-clock measurements (``engine``): serving them from
-    any memo would report stale throughput, so they always re-run and are
-    never written to a result store.
 ``folds_workload_schema`` / ``cache_token``
     widen the result-store key with :data:`WORKLOAD_SCHEMA_VERSION
     <repro.apps.registry.WORKLOAD_SCHEMA_VERSION>` (and an optional
     per-spec token, e.g. a trace-file digest).  Only the new kinds opt in;
-    the four legacy kinds keep their exact pre-registry cache identity.
+    the legacy kinds keep their exact pre-registry cache identity.
 
 ``KINDS`` stays importable from here (and re-exported by ``spec.py``) as a
 *live* sequence view of the registered names, so historic
@@ -56,14 +52,13 @@ def _spec_error(message: str):
 
 @dataclass(frozen=True)
 class KindSpec:
-    """One registered experiment kind: its hooks and cache policy."""
+    """One registered experiment kind: its hooks and cache identity."""
 
     name: str
     measure: MeasureFn
     validate: Optional[SpecHook] = None
     describe: Optional[Callable[["ExperimentSpec"], str]] = None
     cost: Optional[Callable[["ExperimentSpec"], float]] = None
-    cacheable: bool = True
     folds_workload_schema: bool = False
     cache_token: Optional[Callable[["ExperimentSpec"], str]] = None
     doc: str = ""
@@ -117,7 +112,6 @@ def register_kind(
     validate: Optional[SpecHook] = None,
     describe: Optional[Callable[["ExperimentSpec"], str]] = None,
     cost: Optional[Callable[["ExperimentSpec"], float]] = None,
-    cacheable: bool = True,
     folds_workload_schema: bool = False,
     cache_token: Optional[Callable[["ExperimentSpec"], str]] = None,
     doc: str = "",
@@ -133,6 +127,8 @@ def register_kind(
             return {"watts": ...}
 
     Direct form takes the measure function as the second argument.
+    ``measure`` must be a pure function of the spec: that is what lets every
+    kind's results be stored and served from the result store.
     Re-registering a name raises ``SpecError`` unless ``replace=True``;
     built-in kinds cannot be replaced or removed.
     """
@@ -155,7 +151,6 @@ def register_kind(
             validate=validate,
             describe=describe,
             cost=cost,
-            cacheable=cacheable,
             folds_workload_schema=folds_workload_schema,
             cache_token=cache_token,
             doc=doc or (measure_fn.__doc__ or "").strip().split("\n")[0],
@@ -195,14 +190,6 @@ def check_kind(name: str) -> None:
         raise _spec_error(f"unknown experiment kind {name!r}; choose from {KINDS}")
 
 
-def kind_cacheable(name: str) -> bool:
-    """Whether results of this kind may be served from / written to a
-    result store.  Unknown names default to cacheable (validation rejects
-    them long before any cache is consulted)."""
-    spec = _REGISTRY.get(name)
-    return True if spec is None else spec.cacheable
-
-
 def folds_workload_schema(name: Optional[str]) -> bool:
     """Whether this kind's cache identity includes the workload schema."""
     spec = _REGISTRY.get(name) if isinstance(name, str) else None
@@ -218,7 +205,7 @@ def workload_schema_version() -> int:
 
 
 def cache_suffix(spec: "ExperimentSpec") -> str:
-    """Extra cache-key components for ``spec``'s kind (empty for the four
+    """Extra cache-key components for ``spec``'s kind (empty for the
     legacy kinds, whose keys must stay bit-identical to pre-registry)."""
     kind = _REGISTRY.get(spec.kind)
     if kind is None or not kind.folds_workload_schema:
@@ -408,20 +395,6 @@ def _measure_macro(spec: "ExperimentSpec") -> Dict[str, float]:
     from repro.api.runner import _run_macro
 
     return _run_macro(spec)
-
-
-@register_kind(
-    "engine",
-    validate=_validate_macro,
-    describe=_describe_workload,
-    cost=_cost_workload,
-    cacheable=False,
-    doc="macro run measured for kernel throughput (wall-clock)",
-)
-def _measure_engine(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.api.runner import _run_engine
-
-    return _run_engine(spec)
 
 
 @register_kind(

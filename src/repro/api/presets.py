@@ -107,40 +107,6 @@ def macro_sweep(
     return SweepSpec.explicit(points, name=name)
 
 
-def engine_sweep(
-    workloads: Sequence[str],
-    configs: Sequence[Tuple[str, str]],
-    num_nodes: int = 8,
-    scale: float = 0.25,
-    workload_kwargs: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    name: str = "engine",
-) -> SweepSpec:
-    """Kernel-throughput sweep: workloads × (device, bus), kind="engine".
-
-    Each point runs the macro workload while profiling the simulation
-    kernel; metrics are events/sec and scheduling-structure statistics.
-    The metrics are wall-clock measurements, so run these points without
-    the on-disk result cache.
-    """
-    per_workload = dict(workload_kwargs or {})
-    points: List[ExperimentSpec] = []
-    for workload in workloads:
-        kwargs = dict(per_workload.get(workload, {}))
-        for device, bus in configs:
-            points.append(
-                ExperimentSpec(
-                    kind="engine",
-                    device=device,
-                    bus=bus,
-                    num_nodes=num_nodes,
-                    workload=workload,
-                    scale=scale,
-                    workload_kwargs=kwargs,
-                )
-            )
-    return SweepSpec.explicit(points, name=name)
-
-
 #: Device-name template per taxonomy family, used by
 #: :func:`device_space_sweep` (``{n}`` is the exposed size).
 DEVICE_FAMILIES: Dict[str, str] = {

@@ -5,24 +5,29 @@ simulator entry points (the Figure 6/7 microbenchmarks and the Figure 8
 macrobenchmark runner) and returns a :class:`RunResult`.
 
 :class:`SweepRunner` executes many points: it deduplicates repeated specs,
-consults the on-disk :class:`ResultCache`, fans the remaining points out to
-``multiprocessing`` workers when ``jobs > 1`` (each worker runs the same
-pure function, so serial and parallel execution give identical results),
-and reports progress through an optional callback.  Every result the
-runner produces is also appended to ``runner.history`` so a driver can
-serialise everything that was computed in a session.
+consults the on-disk :class:`~repro.service.store.ResultStore`, fans the
+remaining points out to ``multiprocessing`` workers when ``jobs > 1`` (each
+worker runs the same pure function, so serial and parallel execution give
+identical results), and reports progress through an optional callback.
+Every result the runner produces is also appended to ``runner.history`` so
+a caller can serialise everything computed through the runner.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
-from repro.api.cache import ResultCache
-from repro.api.kinds import kind_cacheable, measure_point, point_cost
+from repro.api.kinds import measure_point, point_cost
 from repro.api.results import ResultSet, RunResult
 from repro.api.spec import ExperimentSpec, SweepSpec, as_points
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.store import ResultStore
 
 #: Progress callback signature: ``(completed, total, result)``.
 ProgressFn = Callable[[int, int, RunResult], None]
@@ -134,52 +139,11 @@ def _run_macro(spec: ExperimentSpec) -> Dict[str, float]:
     return metrics
 
 
-def _run_engine(spec: ExperimentSpec) -> Dict[str, float]:
-    """Kernel-throughput metrics (wall-clock; do not cache these points)."""
-    from repro.experiments.enginebench import kernel_throughput
+def _open_store(directory: Union[str, "os.PathLike[str]"]) -> "ResultStore":
+    # Imported on use: ``import repro.api`` must not load the service layer.
+    from repro.service.store import ResultStore
 
-    workload_kwargs = dict(spec.workload_kwargs)
-    workload_kwargs.setdefault("seed", spec.resolved_seed())
-    overrides = _machine_overrides(spec)
-    overrides.setdefault("max_cycles", 2_000_000_000)
-    result = kernel_throughput(
-        spec.workload,
-        spec.device,
-        spec.bus,
-        num_nodes=spec.num_nodes,
-        scale=spec.scale,
-        snarfing=spec.snarfing,
-        workload_kwargs=workload_kwargs,
-        **overrides,
-    )
-    return {
-        "cycles": float(result.cycles),
-        "events": float(result.events),
-        "wall_s": result.wall_s,
-        "events_per_sec": result.events_per_sec,
-        "lane_events": float(result.lane_events),
-        "heap_events": float(result.heap_events),
-        "pool_reuses": float(result.pool_reuses),
-        "elided_events": float(result.elided_events),
-        "elided_cycles": float(result.elided_cycles),
-        "elided_fraction": result.elided_fraction,
-    }
-
-
-def _worker_cache(desc: Optional[Dict[str, Any]]) -> Optional[ResultCache]:
-    """Rebuild the runner's cache/store inside a worker process.
-
-    Workers never evict (``budget_bytes=None``): the owning process enforces
-    the byte budget once per sweep, so parallel writers cannot thrash each
-    other's fresh entries.
-    """
-    if desc is None:
-        return None
-    if desc.get("sharded"):
-        from repro.service.store import ResultStore
-
-        return ResultStore(desc["directory"], budget_bytes=None)
-    return ResultCache(desc["directory"])
+    return ResultStore(os.fspath(directory))
 
 
 def _run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -190,11 +154,14 @@ def _run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     sweep keeps its partial results) and a point another process finished
     meanwhile — e.g. a concurrent service batch sharing the store — is
     served instead of re-simulated.  The worker's cache traffic comes back
-    in ``"cache"`` so the parent can fold it into its own counters.
+    in ``"cache"`` so the parent can fold it into its own counters.  Worker
+    stores have no byte budget: the owning process enforces it once per
+    sweep, so parallel writers cannot evict each other's fresh entries.
     """
     spec = ExperimentSpec.from_dict(payload["spec"])
     counters = {"hits": 0, "stores": 0}
-    cache = _worker_cache(payload.get("cache")) if kind_cacheable(spec.kind) else None
+    desc = payload.get("cache")
+    cache = None if desc is None else _open_store(desc["directory"])
     if cache is not None:
         hit = cache.get(spec)
         if hit is not None:
@@ -348,8 +315,9 @@ class SweepRunner:
     jobs:
         Number of worker processes; ``1`` (the default) runs in-process.
     cache_dir:
-        Directory for the on-disk result cache, or ``None`` to disable
-        caching.  A string is turned into a :class:`ResultCache`.
+        The on-disk result store, or ``None`` to disable caching.  A
+        directory path builds a :class:`~repro.service.store.ResultStore`
+        there; a store instance is used as is.
     progress:
         Optional ``(completed, total, result)`` callback, invoked once per
         unique point as its result becomes available.
@@ -369,7 +337,7 @@ class SweepRunner:
     def __init__(
         self,
         jobs: int = 1,
-        cache_dir: Optional[Union[str, ResultCache]] = None,
+        cache_dir: Optional[Union[str, "os.PathLike[str]", "ResultStore"]] = None,
         progress: Optional[ProgressFn] = None,
         point_timeout_s: Optional[float] = None,
         max_retries: int = 0,
@@ -383,12 +351,9 @@ class SweepRunner:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.jobs = jobs
-        if isinstance(cache_dir, ResultCache):
-            self.cache: Optional[ResultCache] = cache_dir
-        elif cache_dir is not None:
-            self.cache = ResultCache(cache_dir)
-        else:
-            self.cache = None
+        if isinstance(cache_dir, (str, os.PathLike)):
+            cache_dir = _open_store(cache_dir)
+        self.cache: Optional["ResultStore"] = cache_dir
         self.progress = progress
         self.point_timeout_s = point_timeout_s
         self.max_retries = max_retries
@@ -424,17 +389,11 @@ class SweepRunner:
                 unique[key] = spec
 
         # Memo levels: results already produced through this runner (e.g. a
-        # previous figure's sweep sharing points), then the on-disk cache.
-        # Non-cacheable kinds (engine) are wall-clock measurements: serving
-        # them from any memo would report stale throughput, so they always
-        # re-run.
+        # previous figure's sweep sharing points), then the on-disk store.
         known = self.history.by_hash() if len(self.history) else {}
         resolved: Dict[str, RunResult] = {}
         pending: List[ExperimentSpec] = []
         for key, spec in unique.items():
-            if not kind_cacheable(spec.kind):
-                pending.append(spec)
-                continue
             hit = known.get(key)
             if hit is None and self.cache is not None:
                 hit = self.cache.get(spec)
@@ -462,7 +421,7 @@ class SweepRunner:
                 # Failed points are carried, never cached: a later run must
                 # recompute them rather than be served the failure.
                 self.failures += 1
-            elif self.cache is not None and kind_cacheable(spec.kind):
+            elif self.cache is not None:
                 if worker_stats is None:
                     # Serial execution: this process writes the entry.
                     self.cache.put(result)
@@ -481,7 +440,7 @@ class SweepRunner:
             if result.error is not None and self.fail_fast:
                 raise SweepFailure(result)
 
-        if self.cache is not None and hasattr(self.cache, "enforce_budget"):
+        if self.cache is not None:
             # Parallel workers never evict; settle the store's byte budget
             # once, here, with every fresh entry already landed.
             self.cache.enforce_budget()
@@ -510,13 +469,8 @@ class SweepRunner:
         return point_cost(spec)
 
     def _cache_descriptor(self) -> Optional[Dict[str, Any]]:
-        """How a worker process should rebuild this runner's cache."""
-        if self.cache is None:
-            return None
-        return {
-            "directory": self.cache.directory,
-            "sharded": hasattr(self.cache, "path_for_key"),
-        }
+        """How a worker process should rebuild this runner's store."""
+        return None if self.cache is None else {"directory": self.cache.directory}
 
     def _run_parallel(
         self, pending: Sequence[ExperimentSpec]

@@ -58,9 +58,7 @@ class ExperimentSpec:
     * ``"bandwidth"`` — Figure 7 streaming bandwidth microbenchmark
       (uses ``message_bytes``, ``messages``, ``warmup``);
     * ``"macro"`` — one Figure 8 macrobenchmark run (uses ``workload``,
-      ``scale``, ``workload_kwargs``);
-    * ``"engine"`` — a macro run measured for *kernel throughput*
-      (events/sec); same fields as ``"macro"``, wall-clock metrics.
+      ``scale``, ``workload_kwargs``).
 
     ``params`` holds :class:`~repro.common.params.MachineParams` overrides
     (e.g. ``{"sliding_window": 4}``), ``ni_kwargs`` device-constructor

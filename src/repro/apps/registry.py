@@ -15,8 +15,8 @@ working unchanged.
 :data:`WORKLOAD_SCHEMA_VERSION` is this registry's schema stamp.  It joins
 the device/fabric/protocol schema versions in the result-store key — but
 only for experiment kinds that declare they depend on it (traffic and
-trace replay); the four legacy kinds keep their exact pre-registry cache
-identity.
+trace replay); the latency, bandwidth and macro kinds keep their exact
+pre-registry cache identity.
 """
 
 from __future__ import annotations

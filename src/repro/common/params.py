@@ -166,7 +166,7 @@ class MachineParams:
     #: :mod:`repro.sim.spinwait`).  Bit-identical to spinning — simulated
     #: cycles, bus occupancies and device counters do not change — but the
     #: kernel executes far fewer events on poll-heavy runs.  The off path
-    #: is preserved for A/B measurement, like the legacy kernel.
+    #: is kept so the two can be compared (parity tests, wall-time A/B).
     spin_elision: bool = True
 
     # ------------------------------------------------------------------

@@ -49,8 +49,8 @@ The on-disk memo is a :class:`~repro.service.store.ResultStore` — the same
 sharded content-addressed store ``serve`` (the HTTP experiment service,
 see :mod:`repro.service`) reads and writes, so figures regenerated here are
 served warm over the wire and vice versa; ``cache`` administers it
-(``stats``/``ls``/``gc``/``pin``/``unpin``).  A legacy flat cache directory
-is adopted in place.
+(``stats``/``ls``/``gc``/``pin``/``unpin``).  Flat ``<kind>-<key>.json``
+files that older versions left in the cache directory are ignored.
 """
 
 from __future__ import annotations
@@ -399,17 +399,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
 
-    if args.no_cache:
-        cache = None
-    else:
-        # The CLI shares the sharded content-addressed store with the HTTP
-        # service (legacy flat cache directories are adopted in place).
-        from repro.service.store import ResultStore
-
-        cache = ResultStore(args.cache_dir)
     runner = SweepRunner(
         jobs=args.jobs,
-        cache_dir=cache,
+        cache_dir=None if args.no_cache else args.cache_dir,
         progress=_progress if args.progress else None,
         point_timeout_s=args.point_timeout,
         max_retries=args.max_retries,

@@ -4,9 +4,9 @@ The service layer turns :mod:`repro.api` from a library into a system:
 
 * :class:`~repro.service.store.ResultStore` — a concurrency-safe,
   content-addressed result store (sharded directories, atomic writes,
-  per-entry metadata, pinning, LRU eviction with a byte budget) that
-  subsumes the PR 1 :class:`~repro.api.cache.ResultCache` behind the same
-  interface,
+  per-entry metadata, pinning, LRU eviction with a byte budget) — the one
+  store the CLI, this service and every :class:`~repro.api.SweepRunner`
+  with a ``cache_dir`` read and write,
 * :class:`~repro.service.dedup.InFlightRegistry` — in-flight-run
   deduplication (thread events in-process, a lock-file + done-marker
   protocol across processes) so N concurrent identical requests trigger

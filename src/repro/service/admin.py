@@ -8,9 +8,7 @@ Subcommands::
     cache pin KEYPREFIX [...]     # mark golden results (never evicted)
     cache unpin KEYPREFIX [...]
 
-All subcommands take ``--dir`` (default: the CLI cache directory) and work
-on sharded stores and legacy flat :class:`~repro.api.ResultCache`
-directories alike.
+All subcommands take ``--dir`` (default: the CLI cache directory).
 """
 
 from __future__ import annotations
@@ -47,14 +45,12 @@ def cmd_stats(store: ResultStore, args: argparse.Namespace) -> int:
     infos = list(store.entries(include_invalid=True))
     kinds: dict = {}
     states = {"ok": 0, "stale": 0, "corrupt": 0}
-    total = pinned = legacy = 0
+    total = pinned = 0
     for info in infos:
         total += info.size
         states[info.state] = states.get(info.state, 0) + 1
         if info.pinned:
             pinned += 1
-        if info.legacy:
-            legacy += 1
         if info.state == "ok":
             kinds[info.kind] = kinds.get(info.kind, 0) + 1
     report = {
@@ -62,7 +58,6 @@ def cmd_stats(store: ResultStore, args: argparse.Namespace) -> int:
         "entries": len(infos),
         "bytes": total,
         "pinned": pinned,
-        "legacy_flat": legacy,
         "states": states,
         "kinds": kinds,
     }
@@ -71,7 +66,7 @@ def cmd_stats(store: ResultStore, args: argparse.Namespace) -> int:
         return 0
     print(f"store {store.directory!r}: {len(infos)} entries, {_human(total)}")
     print(f"  ok={states['ok']} stale={states['stale']} corrupt={states['corrupt']}"
-          f" pinned={pinned} legacy-flat={legacy}")
+          f" pinned={pinned}")
     for kind in sorted(kinds):
         print(f"  {kind}: {kinds[kind]}")
     if states["stale"] or states["corrupt"]:
@@ -86,7 +81,7 @@ def cmd_ls(store: ResultStore, args: argparse.Namespace) -> int:
     ):
         flags = "".join(
             flag for flag, on in (
-                ("P", info.pinned), ("L", info.legacy),
+                ("P", info.pinned),
                 ("S", info.state == "stale"), ("C", info.state == "corrupt"),
             ) if on
         ) or "-"

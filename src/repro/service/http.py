@@ -38,7 +38,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.api.kinds import kind_cacheable
 from repro.api.results import RunResult
 from repro.api.runner import SweepRunner, run_point, run_point_guarded
 from repro.api.spec import ExperimentSpec, SpecError, SweepSpec
@@ -197,8 +196,7 @@ class ExperimentService:
                 raise RuntimeError(result.error)
         else:
             result = run_point(spec)
-        if kind_cacheable(spec.kind):
-            self.store.put(result)
+        self.store.put(result)
         self.bump("runs_completed")
         return result
 
@@ -209,12 +207,6 @@ class ExperimentService:
         warm hit, ``"leader"`` for the caller that simulated, ``"follower"``
         / ``"remote"`` for deduplicated callers.
         """
-        if not kind_cacheable(spec.kind):
-            # Non-cacheable results are never stored, so dedup waiters could
-            # never fetch them; callers run wall-clock specs inline instead.
-            raise SpecError(
-                f"{spec.kind} specs are wall-clock measurements; run them inline"
-            )
         key = self.store.cache_key(spec)
         if self.store.get(spec) is not None:
             self.bump("store_served")
@@ -296,10 +288,9 @@ class ExperimentService:
             for key, spec in unique.items():
                 if self.store.peek(spec) is not None:
                     leaders.append(spec)  # warm: runner serves it from the store
-                elif not kind_cacheable(spec.kind) or self.registry.claim(key):
+                elif self.registry.claim(key):
                     leaders.append(spec)
-                    if kind_cacheable(spec.kind):
-                        claimed.append(key)
+                    claimed.append(key)
                 else:
                     waiters.append((key, spec))
 
@@ -572,39 +563,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         query = parse_qs(url.query)
         wait = query.get("wait", ["1"])[0].lower() not in ("0", "false", "no")
-        if not kind_cacheable(spec.kind):
-            # Wall-clock measurements are never stored or deduplicated
-            # (serving a memo would report stale throughput): run inline.
-            if not wait:
-                self._send_error_json(
-                    400, f"{spec.kind} (wall-clock) specs cannot run asynchronously"
-                )
-                return
-            self.service.bump("runs_started")
-            try:
-                if self.service.guarded:
-                    result, _ = run_point_guarded(
-                        spec,
-                        timeout_s=self.service.point_timeout_s,
-                        max_retries=self.service.max_retries,
-                    )
-                    if result.error is not None:
-                        if "timed out" in result.error:
-                            raise PointTimeoutError(result.error)
-                        raise RuntimeError(result.error)
-                else:
-                    result = run_point(spec)
-            except PointTimeoutError as exc:
-                self.service.bump("run_errors")
-                self._send_error_json(504, f"simulation timed out: {exc}")
-                return
-            except Exception as exc:
-                self.service.bump("run_errors")
-                self._send_error_json(500, f"simulation failed: {type(exc).__name__}: {exc}")
-                return
-            self.service.bump("runs_completed")
-            self._send_json(200, result.to_dict(), {"X-Repro-Role": "inline"})
-            return
         if not wait:
             key = self.service.start_async_run(spec)
             self._send_json(

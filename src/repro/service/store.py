@@ -1,10 +1,11 @@
 """Concurrency-safe content-addressed result store.
 
-:class:`ResultStore` is the serving-grade evolution of
-:class:`repro.api.cache.ResultCache` — same interface (``get``/``put``/
-``stats``/``clear`` keyed by the spec-hash × DEVICE/FABRIC/PROTOCOL
-schema-version key), so a :class:`~repro.api.SweepRunner` accepts either —
-plus the properties a store needs once many processes hammer it:
+:class:`ResultStore` is the one on-disk store every experiment kind goes
+through: the CLI, the HTTP service and any :class:`~repro.api.SweepRunner`
+given a ``cache_dir`` read and write it.  Entries are keyed by the spec hash
+widened with the DEVICE/FABRIC/PROTOCOL schema versions (see
+:meth:`ResultStore.cache_key`) and encoded by :mod:`repro.api.cache`.  The
+store has the properties needed once many processes hammer it:
 
 * **Sharded layout.**  Entries live under two-level fan-out directories
   (``ab/cd/<key>.json`` for key ``abcd…``), so a store holding hundreds of
@@ -25,10 +26,9 @@ plus the properties a store needs once many processes hammer it:
 * **Key-addressed reads.**  :meth:`read_entry` serves the raw entry bytes
   plus ETag for a bare key — the HTTP layer's pure read path, which never
   parses a spec or constructs a Machine.
-* **Legacy adoption.**  A flat ``<kind>-<key>.json`` cache written by
-  :class:`ResultCache` is readable in place; entries migrate to the sharded
-  layout on first hit, so pointing the service at an existing
-  ``.repro-cache`` serves it warm.
+
+Files outside the sharded layout (such as the flat ``<kind>-<key>.json``
+files older versions wrote to the store root) are never read.
 """
 
 from __future__ import annotations
@@ -44,22 +44,24 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.api.cache import (
     DEFAULT_CACHE_DIR,
-    ResultCache,
     decode_entry,
     encode_entry,
     read_entry,
     write_entry_atomic,
 )
+from repro.api.kinds import cache_suffix
 from repro.api.results import RunResult
 from repro.api.spec import ExperimentSpec
+from repro.coherence.protocols import PROTOCOL_SCHEMA_VERSION
+from repro.network.registry import FABRIC_SCHEMA_VERSION
+from repro.ni.registry import DEVICE_SCHEMA_VERSION
 
 _META_SUFFIX = ".meta.json"
 
 #: Subdirectory corrupt entries are moved into.  The name is deliberately
 #: longer than two characters so quarantined files escape the sharded
-#: ``??/??/*.json`` walk (and the legacy flat ``*-*.json`` glob never
-#: descends into subdirectories) — a quarantined entry is invisible to
-#: every read, eviction and gc path until an operator inspects it.
+#: ``??/??/*.json`` walk — a quarantined entry is invisible to every read,
+#: eviction and gc path until an operator inspects it.
 _QUARANTINE_DIR = "quarantine"
 
 
@@ -88,17 +90,15 @@ class EntryInfo:
     etag: str = ""
     #: "ok" | "stale" (old schema/simulator revision) | "corrupt"
     state: str = "ok"
-    legacy: bool = False
 
 
-class ResultStore(ResultCache):
+class ResultStore:
     """Sharded, metadata-tracked, budget-evicted result store.
 
     Parameters
     ----------
     directory:
-        Store root.  May point at a legacy flat :class:`ResultCache`
-        directory — its entries are adopted.
+        Store root; created on the first write.
     budget_bytes:
         Byte budget for LRU eviction, or ``None`` for unbounded.  Workers
         inside a sweep pass ``None`` and let the owning process enforce the
@@ -106,16 +106,33 @@ class ResultStore(ResultCache):
     """
 
     def __init__(self, directory: str = DEFAULT_CACHE_DIR, budget_bytes: Optional[int] = None):
-        super().__init__(directory)
+        self.directory = directory
         self.budget_bytes = budget_bytes
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
         self.evictions = 0
         self.evicted_bytes = 0
         self.quarantined = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Paths
+    # Keys and paths
     # ------------------------------------------------------------------
+    def cache_key(self, spec: ExperimentSpec) -> str:
+        """Spec hash widened with the device, fabric and protocol schema
+        versions — plus, for kinds whose results depend on how workloads
+        are *generated* (traffic, replay), the workload schema version and
+        any per-spec token (a trace-file digest).  Other kinds get the
+        exact historic key."""
+        payload = (
+            f"{spec.spec_hash()}:device-schema-{DEVICE_SCHEMA_VERSION}"
+            f":fabric-schema-{FABRIC_SCHEMA_VERSION}"
+            f":protocol-schema-{PROTOCOL_SCHEMA_VERSION}"
+            f"{cache_suffix(spec)}"
+        )
+        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
     def path_for_key(self, key: str) -> str:
         """Sharded entry path: ``<root>/<k[:2]>/<k[2:4]>/<key>.json``."""
         return os.path.join(self.directory, key[:2], key[2:4], f"{key}.json")
@@ -125,11 +142,6 @@ class ResultStore(ResultCache):
 
     def meta_path_for_key(self, key: str) -> str:
         return os.path.join(self.directory, key[:2], key[2:4], f"{key}{_META_SUFFIX}")
-
-    def _legacy_path(self, key: str) -> Optional[str]:
-        """A flat ``<kind>-<key>.json`` entry left by :class:`ResultCache`."""
-        matches = glob.glob(os.path.join(self.directory, f"*-{key}.json"))
-        return matches[0] if matches else None
 
     @property
     def quarantine_dir(self) -> str:
@@ -171,30 +183,18 @@ class ResultStore(ResultCache):
         )
 
     # ------------------------------------------------------------------
-    # The ResultCache interface
+    # Spec-addressed reads and writes
     # ------------------------------------------------------------------
     def get(self, spec: ExperimentSpec) -> Optional[RunResult]:
+        """The stored result for ``spec`` (marked ``cached``), or None on a
+        miss; counts the hit or miss and bumps the entry's last-hit time."""
         key = self.cache_key(spec)
         payload = read_entry(self.path_for_key(key))
-        migrated_from = None
-        if payload is None:
-            legacy = self._legacy_path(key)
-            if legacy is not None:
-                payload = read_entry(legacy)
-                migrated_from = legacy
         result = decode_entry(payload, spec) if payload is not None else None
         if result is None:
             with self._lock:
                 self.misses += 1
             return None
-        if migrated_from is not None:
-            # Adopt the legacy flat entry into the sharded layout.
-            data = write_entry_atomic(self.path_for_key(key), payload)
-            self._write_meta(key, result.spec.kind, data, preserve=True)
-            try:
-                os.unlink(migrated_from)
-            except OSError:
-                pass
         self._touch(key)
         with self._lock:
             self.hits += 1
@@ -207,18 +207,14 @@ class ResultStore(ResultCache):
         Dedup waiters poll this while a leader runs; a poll loop must not
         inflate miss counters or burn last-hit updates.
         """
-        key = self.cache_key(spec)
-        payload = read_entry(self.path_for_key(key))
-        if payload is None:
-            legacy = self._legacy_path(key)
-            if legacy is not None:
-                payload = read_entry(legacy)
+        payload = read_entry(self.path_for(spec))
         result = decode_entry(payload, spec) if payload is not None else None
         if result is not None:
             result.cached = True
         return result
 
     def put(self, result: RunResult, pinned: Optional[bool] = None) -> str:
+        """Persist ``result``; returns the entry path written."""
         key = self.cache_key(result.spec)
         path = self.path_for_key(key)
         data = write_entry_atomic(path, encode_entry(result))
@@ -230,7 +226,7 @@ class ResultStore(ResultCache):
         return path
 
     def clear(self) -> int:
-        """Remove every entry (sharded and legacy flat); returns the count."""
+        """Remove every entry; returns the count."""
         removed = 0
         for info in self.entries(include_invalid=True):
             try:
@@ -272,15 +268,7 @@ class ResultStore(ResultCache):
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
-            legacy = self._legacy_path(key)
-            if legacy is None:
-                return None
-            path = legacy
-            try:
-                with open(legacy, "rb") as handle:
-                    data = handle.read()
-            except OSError:
-                return None
+            return None
         try:
             json.loads(data)
         except ValueError:
@@ -352,19 +340,7 @@ class ResultStore(ResultCache):
         """Mark the entry as golden (never evicted); False if no such entry."""
         path = self.path_for_key(key)
         if not os.path.exists(path):
-            legacy = self._legacy_path(key)
-            if legacy is None:
-                return False
-            # Pins need metadata: adopt the legacy entry first.
-            payload = read_entry(legacy)
-            if payload is None:
-                return False
-            data = write_entry_atomic(path, payload)
-            self._write_meta(key, str(payload.get("spec", {}).get("kind", "?")), data)
-            try:
-                os.unlink(legacy)
-            except OSError:
-                pass
+            return False
         meta = self.read_meta(key)
         if not meta:
             with open(path, "rb") as handle:
@@ -386,31 +362,21 @@ class ResultStore(ResultCache):
     # Walks, eviction, gc
     # ------------------------------------------------------------------
     def entries(self, include_invalid: bool = False) -> Iterator[EntryInfo]:
-        """Every entry in the store (sharded and legacy flat).
+        """Every entry in the store.
 
         With ``include_invalid`` the walk also yields entries classified
         ``corrupt`` (unreadable/torn JSON) or ``stale`` (written under an
         old schema or simulator revision); by default only ``ok`` entries.
         """
-        seen = set()
         for path in glob.glob(os.path.join(self.directory, "??", "??", "*.json")):
             name = os.path.basename(path)
             if name.endswith(_META_SUFFIX):
                 continue
-            key = name[: -len(".json")]
-            seen.add(key)
-            info = self._classify(key, path, legacy=False)
-            if include_invalid or info.state == "ok":
-                yield info
-        for path in glob.glob(os.path.join(self.directory, "*-*.json")):
-            key = os.path.basename(path)[: -len(".json")].rsplit("-", 1)[-1]
-            if key in seen:
-                continue
-            info = self._classify(key, path, legacy=True)
+            info = self._classify(name[: -len(".json")], path)
             if include_invalid or info.state == "ok":
                 yield info
 
-    def _classify(self, key: str, path: str, legacy: bool) -> EntryInfo:
+    def _classify(self, key: str, path: str) -> EntryInfo:
         try:
             size = os.path.getsize(path)
         except OSError:
@@ -451,7 +417,6 @@ class ResultStore(ResultCache):
             pinned=bool(meta.get("pinned", False)) if meta else False,
             etag=str(meta.get("etag", "")) if meta else "",
             state=state,
-            legacy=legacy,
         )
 
     def _usage(self) -> Tuple[int, int, int]:
@@ -537,14 +502,13 @@ class ResultStore(ResultCache):
                         os.unlink(path)
                     except OSError:
                         pass
-        for pattern in ("*.tmp", os.path.join("??", "??", "*.tmp")):
-            for path in glob.glob(os.path.join(self.directory, pattern)):
-                report["tmp"] += 1
-                if not dry_run:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+        for path in glob.glob(os.path.join(self.directory, "??", "??", "*.tmp")):
+            report["tmp"] += 1
+            if not dry_run:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
         return report
 
     def __repr__(self) -> str:

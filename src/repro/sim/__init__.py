@@ -18,7 +18,7 @@ from repro.sim.spinwait import (
     SpinGuard,
     spin_wait,
 )
-from repro.sim.stats import Counter, Samples, StatsRegistry, safe_ratio
+from repro.sim.stats import Counter, Samples, safe_ratio
 from repro.sim.watchdog import (
     SimulationHangError,
     Watchdog,
@@ -48,6 +48,5 @@ __all__ = [
     "Resource",
     "Counter",
     "Samples",
-    "StatsRegistry",
     "safe_ratio",
 ]

@@ -132,10 +132,8 @@ class SpinGuard:
         sim = self.sim
         events = iterations * events_per_iter
         cycles = iterations * period
-        # The legacy A/B kernel does not initialise these counters; create
-        # them on first use so the hot-swap benchmark keeps working.
-        sim.elided_events = getattr(sim, "elided_events", 0) + events
-        sim.elided_cycles = getattr(sim, "elided_cycles", 0) + cycles
+        sim.elided_events += events
+        sim.elided_cycles += cycles
         stats = self.device_stats
         stats["elided_spins"] += iterations
         stats["elided_events"] += events

@@ -98,43 +98,6 @@ class Samples:
         self._values.clear()
 
 
-class StatsRegistry:
-    """A per-simulation registry of named counters and sample sets."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = defaultdict(Counter)
-        self.samples: Dict[str, Samples] = defaultdict(Samples)
-
-    def counter(self, group: str) -> Counter:
-        return self.counters[group]
-
-    def sample_set(self, group: str) -> Samples:
-        return self.samples[group]
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Flatten all statistics into a nested dict (for reports/tests)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name, counter in self.counters.items():
-            out[name] = dict(counter.as_dict())
-        for name, samples in self.samples.items():
-            out.setdefault(name, {})
-            out[name].update(
-                {
-                    "count": samples.count,
-                    "mean": samples.mean,
-                    "min": samples.minimum,
-                    "max": samples.maximum,
-                }
-            )
-        return out
-
-    def reset(self) -> None:
-        for counter in self.counters.values():
-            counter.reset()
-        for samples in self.samples.values():
-            samples.reset()
-
-
 def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
     """Return numerator/denominator guarding against a zero denominator."""
     if denominator == 0:

@@ -13,7 +13,6 @@ import pytest
 from repro import Machine
 from repro.api import (
     ExperimentSpec,
-    ResultCache,
     ResultSet,
     RunResult,
     SpecError,
@@ -30,6 +29,7 @@ from repro.api import (
 from repro.experiments.run import main as run_main
 from repro.ni.taxonomy import TaxonomyError
 from repro.node.node import NodeConfigError
+from repro.service.store import ResultStore
 
 #: A tiny latency spec used throughout (fast: 3 iterations, 1 warm-up).
 QUICK = dict(kind="latency", message_bytes=8, iterations=3, warmup=1)
@@ -228,12 +228,14 @@ class TestRunnerCache:
         cache_dir = str(tmp_path / "cache")
         first = SweepRunner(cache_dir=cache_dir)
         uncached = first.run(quick_sweep())
-        assert first.cache_stats() == {"hits": 0, "misses": 4}
+        stats = first.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (0, 4, 4)
         assert all(not r.cached for r in uncached)
 
         second = SweepRunner(cache_dir=cache_dir)
         cached = second.run(quick_sweep())
-        assert second.cache_stats() == {"hits": 4, "misses": 0}
+        stats = second.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (4, 0, 0)
         assert all(r.cached for r in cached)
         assert cached == uncached  # equality ignores provenance
 
@@ -242,7 +244,7 @@ class TestRunnerCache:
         spec = ExperimentSpec(**QUICK)
         runner = SweepRunner(cache_dir=cache_dir)
         result = runner.run_one(spec)
-        path = ResultCache(cache_dir).path_for(spec)
+        path = ResultStore(cache_dir).path_for(spec)
         with open(path, "w") as handle:
             handle.write("{not json")
         rerun = SweepRunner(cache_dir=cache_dir).run_one(spec)
@@ -257,7 +259,7 @@ class TestRunnerCache:
         cache_dir = str(tmp_path / "cache")
         spec = ExperimentSpec(**QUICK)
         result = SweepRunner(cache_dir=cache_dir).run_one(spec)
-        with open(ResultCache(cache_dir).path_for(spec), "w") as handle:
+        with open(ResultStore(cache_dir).path_for(spec), "w") as handle:
             handle.write(contents)
         rerun = SweepRunner(cache_dir=cache_dir).run_one(spec)
         assert rerun == result
@@ -269,8 +271,11 @@ class TestRunnerCache:
         other = ExperimentSpec(**QUICK, device="CNI4")
         runner = SweepRunner(cache_dir=cache_dir)
         other_result = runner.run_one(other)
-        # Plant the other spec's result under this spec's cache path.
-        with open(ResultCache(cache_dir).path_for(spec), "w") as handle:
+        # Plant the other spec's result under this spec's entry path; its
+        # shard directory does not exist yet, since only ``other`` ran.
+        path = ResultStore(cache_dir).path_for(spec)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as handle:
             handle.write(other_result.to_json())
         rerun = SweepRunner(cache_dir=cache_dir).run_one(spec)
         assert rerun.spec == spec
@@ -288,7 +293,7 @@ class TestRunnerCache:
         spec = ExperimentSpec(**QUICK)
         runner = SweepRunner(cache_dir=cache_dir)
         result = runner.run_one(spec)
-        path = ResultCache(cache_dir).path_for(spec)
+        path = ResultStore(cache_dir).path_for(spec)
         with open(path) as handle:
             payload = json.load(handle)
         payload["repro_version"] = "0.0.0-stale"
@@ -315,9 +320,123 @@ class TestRunnerCache:
     def test_cache_clear(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         SweepRunner(cache_dir=cache_dir).run(quick_sweep())
-        cache = ResultCache(cache_dir)
-        assert cache.clear() == 4
-        assert cache.clear() == 0
+        store = ResultStore(cache_dir)
+        assert store.clear() == 4
+        assert store.clear() == 0
+
+
+class TestStoreKeysAndLayout:
+    """Every kind goes through the one sharded result store."""
+
+    #: ``ResultStore.cache_key`` per kind.  A drift orphans every stored
+    #: entry, so a change here must be deliberate (and bump a schema).
+    PINNED_KEYS = [
+        (
+            dict(kind="latency", device="NI2w", bus="memory", message_bytes=64,
+                 iterations=10),
+            "22bc4f7b5b24f4f0044a409f373ffb440c7dd18494df201667483b0bf1737798",
+        ),
+        (
+            dict(kind="macro", device="CNI16Qm", bus="memory", workload="gauss",
+                 num_nodes=4, scale=0.25),
+            "e12ea68c8c5e431f44a45c33fc521a85fa0e933aaf8f453c3dd2381106db6674",
+        ),
+        (
+            dict(kind="traffic", device="CNI16Qm", bus="memory", workload="uniform",
+                 num_nodes=4, scale=0.25),
+            "6cb6f755f94c7d11ab927c71068eb3993778257c21c309ab202aa7a4c728323c",
+        ),
+    ]
+
+    @pytest.mark.parametrize("fields,key", PINNED_KEYS, ids=["latency", "macro", "traffic"])
+    def test_cache_key_pinned_value(self, tmp_path, fields, key):
+        assert ResultStore(str(tmp_path)).cache_key(ExperimentSpec(**fields)) == key
+
+    def test_cache_dir_string_writes_sharded_entry_and_sidecar(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        spec = ExperimentSpec(**QUICK)
+        SweepRunner(cache_dir=cache_dir).run_one(spec)
+        key = ResultStore(cache_dir).cache_key(spec)
+        shard = os.path.join(cache_dir, key[:2], key[2:4])
+        assert sorted(os.listdir(shard)) == [f"{key}.json", f"{key}.meta.json"]
+        assert sorted(os.listdir(cache_dir)) == [key[:2]]
+
+    def test_serial_and_parallel_leave_identical_entries(self, tmp_path):
+        """Entries match byte for byte once ``elapsed_s`` (the wall time the
+        simulation took, which every entry records) is set aside."""
+
+        def sweep_into(directory, jobs):
+            runner = SweepRunner(jobs=jobs, cache_dir=directory)
+            runner.run(quick_sweep())
+            return runner.cache_stats()
+
+        def entries(directory):
+            out = {}
+            for info in ResultStore(directory).entries():
+                with open(info.path, "rb") as handle:
+                    data = handle.read()
+                payload = json.loads(data)
+                # Entries are written as sorted-key JSON: re-encoding a
+                # loaded entry reproduces its bytes.
+                assert json.dumps(payload, sort_keys=True).encode("utf-8") == data
+                payload["elapsed_s"] = 0.0
+                out[info.key] = json.dumps(payload, sort_keys=True).encode("utf-8")
+            return out
+
+        serial_dir, parallel_dir = str(tmp_path / "serial"), str(tmp_path / "parallel")
+        serial_stats = sweep_into(serial_dir, jobs=1)
+        parallel_stats = sweep_into(parallel_dir, jobs=2)
+        counters = ("hits", "misses", "stores")
+        assert [serial_stats[c] for c in counters] == [0, 4, 4]
+        assert [parallel_stats[c] for c in counters] == [serial_stats[c] for c in counters]
+        serial_entries = entries(serial_dir)
+        assert len(serial_entries) == 4
+        assert entries(parallel_dir) == serial_entries
+
+        warm_serial = sweep_into(serial_dir, jobs=1)
+        warm_parallel = sweep_into(parallel_dir, jobs=2)
+        assert [warm_serial[c] for c in counters] == [4, 0, 0]
+        assert [warm_parallel[c] for c in counters] == [4, 0, 0]
+
+    def test_cache_dir_path_builds_store(self, tmp_path):
+        runner = SweepRunner(cache_dir=tmp_path / "cache")
+        assert isinstance(runner.cache, ResultStore)
+        assert runner.cache.directory == str(tmp_path / "cache")
+
+    def test_plugin_kind_results_are_stored_and_served(self, tmp_path):
+        from repro.api import register_kind, unregister_kind
+
+        calls = []
+
+        def measure(spec):
+            calls.append(spec.kind)
+            return {"value": 2.0}
+
+        register_kind("store-probe", measure)
+        try:
+            spec = ExperimentSpec(kind="store-probe")
+            cache_dir = str(tmp_path / "cache")
+            first = SweepRunner(cache_dir=cache_dir).run_one(spec)
+            again = SweepRunner(cache_dir=cache_dir).run_one(spec)
+        finally:
+            unregister_kind("store-probe")
+        assert calls == ["store-probe"]
+        assert again.cached and again == first
+
+    def test_import_api_does_not_load_service(self):
+        """``import repro.api`` stays light: the store is built on use."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys, repro.api; "
+            "sys.exit(any(m.startswith('repro.service') for m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestParallelExecution:
@@ -467,39 +586,8 @@ class TestCli:
 
 
 class TestEngineKind:
-    """The kind="engine" points that track kernel throughput."""
-
-    def test_engine_spec_requires_workload(self):
-        with pytest.raises(SpecError):
-            ExperimentSpec(kind="engine").validate()
-
-    def test_engine_spec_validates_with_workload(self):
-        spec = ExperimentSpec(kind="engine", workload="moldyn", scale=0.25)
-        assert spec.validate() is spec
-        assert "moldyn" in spec.describe()
-
-    def test_engine_sweep_builds_engine_points(self):
-        from repro.api import engine_sweep
-
-        sweep = engine_sweep(["moldyn"], [("NI2w", "memory"), ("CNI16Qm", "memory")],
-                             num_nodes=2, scale=0.1)
-        points = sweep.expand()
-        assert len(points) == 2
-        assert all(p.kind == "engine" for p in points)
-
-    def test_run_point_reports_kernel_throughput(self):
-        spec = ExperimentSpec(
-            kind="engine", workload="moldyn", device="CNI16Qm", bus="memory",
-            num_nodes=2, scale=0.1, workload_kwargs={"iterations": 1},
-        )
-        result = run_point(spec)
-        assert result.metrics["events"] > 0
-        assert result.metrics["events_per_sec"] > 0
-        assert result.metrics["cycles"] > 0
-        assert (
-            result.metrics["lane_events"] + result.metrics["heap_events"]
-            == result.metrics["events"]
-        )
+    """Simulation-engine checks: the run-profile hook and the machine's
+    rejection of inputs the engine cannot time."""
 
     def test_machine_run_programs_profile_hook(self):
         from repro.node.machine import Machine
@@ -512,19 +600,6 @@ class TestEngineKind:
         machine.run_programs({0: idle()}, max_cycles=10_000, profile=True)
         assert machine.last_profile is not None
         assert machine.last_profile["events"] == machine.sim.event_count
-
-    def test_engine_points_are_never_served_from_cache(self, tmp_path):
-        from repro.api import SweepRunner
-
-        spec = ExperimentSpec(
-            kind="engine", workload="moldyn", device="CNI16Qm", bus="memory",
-            num_nodes=2, scale=0.1, workload_kwargs={"iterations": 1},
-        )
-        runner = SweepRunner(cache_dir=str(tmp_path))
-        runner.run_one(spec)
-        runner.run_one(spec)
-        # Wall-clock measurements must re-run: no cache traffic at all.
-        assert runner.cache_stats() == {"hits": 0, "misses": 0}
 
     def test_cni4_rejects_messages_larger_than_its_cdr_window(self):
         from repro.common.params import DEFAULT_PARAMS

@@ -6,7 +6,6 @@ import pytest
 from conftest import build_machine, run_ping_pong, run_stream
 from repro.api import (
     ExperimentSpec,
-    ResultCache,
     SweepRunner,
     device_space_sweep,
     run_point,
@@ -15,6 +14,7 @@ from repro.api.spec import SpecError
 from repro.common.types import BusKind
 from repro.ni import ComposedNI, NI2w, register_device, unregister_device
 from repro.ni.primitives import UncachedRecvPort, UncachedSendPort
+from repro.service.store import ResultStore
 
 #: Taxonomy points the paper never evaluated, all synthesized by the registry.
 NEW_POINTS = ("NI16w", "NI128Q", "CNI64Q", "CNI16", "CNI4Qm")
@@ -269,15 +269,17 @@ class TestCacheSchemaInvalidation:
     def test_schema_bump_invalidates_entries(self, tmp_path, monkeypatch):
         spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
                               iterations=2, warmup=1)
-        cache = ResultCache(str(tmp_path))
+        cache = ResultStore(str(tmp_path))
         cache.put(run_point(spec))
         assert cache.get(spec) is not None
+        key = cache.cache_key(spec)
 
-        import repro.api.cache as cache_module
+        import repro.service.store as store_module
 
-        monkeypatch.setattr(cache_module, "DEVICE_SCHEMA_VERSION",
-                            cache_module.DEVICE_SCHEMA_VERSION + 1)
-        fresh = ResultCache(str(tmp_path))
+        monkeypatch.setattr(store_module, "DEVICE_SCHEMA_VERSION",
+                            store_module.DEVICE_SCHEMA_VERSION + 1)
+        fresh = ResultStore(str(tmp_path))
+        assert fresh.cache_key(spec) != key
         assert fresh.get(spec) is None  # key no longer matches
 
     def test_schema_version_stamped_in_payload(self, tmp_path):
@@ -287,7 +289,7 @@ class TestCacheSchemaInvalidation:
 
         spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
                               iterations=2, warmup=1)
-        cache = ResultCache(str(tmp_path))
+        cache = ResultStore(str(tmp_path))
         path = cache.put(run_point(spec))
         payload = json.loads(open(path).read())
         assert payload["device_schema_version"] == DEVICE_SCHEMA_VERSION
@@ -297,7 +299,7 @@ class TestCacheSchemaInvalidation:
 
         spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
                               iterations=2, warmup=1)
-        cache = ResultCache(str(tmp_path))
+        cache = ResultStore(str(tmp_path))
         path = cache.put(run_point(spec))
         payload = json.loads(open(path).read())
         payload["device_schema_version"] = -1

@@ -609,19 +609,19 @@ class TestMachineIntegration:
 
     def test_result_cache_key_tracks_protocol_schema(self, tmp_path):
         from repro.api import ExperimentSpec
-        from repro.api.cache import ResultCache
         from repro.coherence.protocols import PROTOCOL_SCHEMA_VERSION
+        from repro.service.store import ResultStore
 
-        cache = ResultCache(str(tmp_path))
+        cache = ResultStore(str(tmp_path))
         spec = ExperimentSpec(kind="latency", device="CNI16Qm", bus="memory")
         path = cache.path_for(spec)
         assert PROTOCOL_SCHEMA_VERSION == 1
         # The key is a hash; changing the schema version must change it.
-        import repro.api.cache as api_cache
+        import repro.service.store as store_module
 
-        old = api_cache.PROTOCOL_SCHEMA_VERSION
+        old = store_module.PROTOCOL_SCHEMA_VERSION
         try:
-            api_cache.PROTOCOL_SCHEMA_VERSION = old + 1
+            store_module.PROTOCOL_SCHEMA_VERSION = old + 1
             assert cache.path_for(spec) != path
         finally:
-            api_cache.PROTOCOL_SCHEMA_VERSION = old
+            store_module.PROTOCOL_SCHEMA_VERSION = old

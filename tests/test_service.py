@@ -21,7 +21,8 @@ import urllib.request
 
 import pytest
 
-from repro.api import ExperimentSpec, ResultCache, RunResult, SweepRunner, run_point
+from repro.api import ExperimentSpec, RunResult, SweepRunner, run_point
+from repro.api.cache import encode_entry, write_entry_atomic
 from repro.api.runner import _run_point_payload
 from repro.service import (
     DedupError,
@@ -78,23 +79,6 @@ class TestResultStore:
         assert store.peek(spec) is not None
         stats = store.stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
-
-    def test_adopts_legacy_flat_cache_entries(self, tmp_path):
-        cache_dir = str(tmp_path / "legacy")
-        spec = quick_spec()
-        legacy = ResultCache(cache_dir)
-        legacy.put(run_point(spec))
-        store = ResultStore(cache_dir)
-        result = store.get(spec)
-        assert result is not None
-        # Migrated into the sharded layout; the flat file is gone.
-        key = store.cache_key(spec)
-        assert os.path.exists(store.path_for_key(key))
-        assert not os.path.exists(legacy.path_for(spec))
-        # read_entry by bare key also finds (unmigrated) legacy entries.
-        legacy.put(run_point(quick_spec(message_bytes=32)))
-        other_key = store.cache_key(quick_spec(message_bytes=32))
-        assert store.read_entry(other_key) is not None
 
     def test_corrupt_entry_is_a_miss_and_gc_prunes_it(self, store):
         spec = quick_spec()
@@ -172,13 +156,25 @@ class TestResultStore:
         assert not store.read_meta(key)["pinned"]
         assert not store.pin("f" * 64)  # unknown key
 
-    def test_clear_removes_sharded_and_legacy(self, tmp_path):
+    def test_clear_removes_entries_and_ignores_flat_files(self, tmp_path):
+        """A flat ``<kind>-<key>.json`` file in the store root (the layout
+        older versions wrote) is never read, listed or removed."""
         cache_dir = str(tmp_path / "c")
-        ResultCache(cache_dir).put(run_point(quick_spec()))
         store = ResultStore(cache_dir)
+        flat_spec = quick_spec()
+        flat_key = store.cache_key(flat_spec)
+        flat = os.path.join(cache_dir, f"latency-{flat_key}.json")
+        write_entry_atomic(flat, encode_entry(run_point(flat_spec)))
+        assert store.get(flat_spec) is None
+        assert store.read_entry(flat_key) is None
+        assert not store.pin(flat_key)
         store.put(run_point(quick_spec(message_bytes=32)))
-        assert store.clear() == 2
+        assert [info.key for info in store.entries(include_invalid=True)] == [
+            store.cache_key(quick_spec(message_bytes=32))
+        ]
+        assert store.clear() == 1
         assert store.stats()["entries"] == 0
+        assert os.path.exists(flat)
 
     def test_read_entry_serves_bytes_and_stable_etag(self, store):
         spec = quick_spec()
@@ -466,6 +462,21 @@ class TestHttpService:
         assert service.counters["runs_completed"] == 1
         assert service.counters["store_served"] == 1
 
+    def test_post_run_plugin_kind_is_stored_then_served(self, service):
+        from repro.api import register_kind, unregister_kind
+
+        register_kind("store-probe", lambda spec: {"value": 3.0})
+        try:
+            body = json.dumps({"kind": "store-probe"}).encode()
+            status, headers, payload = _request(service.base_url + "/run", data=body)
+            status2, headers2, payload2 = _request(service.base_url + "/run", data=body)
+        finally:
+            unregister_kind("store-probe")
+        assert (status, headers["X-Repro-Role"]) == (200, "leader")
+        assert (status2, headers2["X-Repro-Role"]) == (200, "store")
+        assert payload2 == payload
+        assert json.loads(payload)["metrics"] == {"value": 3.0}
+
     def test_post_run_accepts_wrapped_spec(self, service):
         body = json.dumps({"spec": quick_spec().to_dict()}).encode()
         status, _, _ = _request(service.base_url + "/run", data=body)
@@ -701,11 +712,6 @@ class TestWorkerCacheAggregation:
         assert warm.cache_stats()["hits"] == 4
         assert again == results
 
-    def test_plain_cache_parallel_keeps_two_key_stats(self, tmp_path):
-        runner = SweepRunner(jobs=2, cache_dir=str(tmp_path / "flat"))
-        runner.run(self.sweep())
-        assert runner.cache_stats() == {"hits": 0, "misses": 4}
-
     def test_worker_reports_cross_process_fill_as_hit(self, tmp_path):
         """A point another process finished after the parent's pre-check is
         served by the worker (1 hit, 0 stores) — the parent reclassifies
@@ -714,7 +720,7 @@ class TestWorkerCacheAggregation:
         spec = quick_spec()
         ResultStore(directory).put(run_point(spec))
         out = _run_point_payload(
-            {"spec": spec.to_dict(), "cache": {"directory": directory, "sharded": True}}
+            {"spec": spec.to_dict(), "cache": {"directory": directory}}
         )
         assert out["cache"] == {"hits": 1, "stores": 0}
         assert RunResult.from_dict(out["result"]).cached

@@ -256,18 +256,6 @@ def test_run_profile_reports_elision_counters():
     assert machine2.last_profile["elided_cycles"] > 0
 
 
-def test_engine_metrics_expose_elision():
-    from repro.api import ExperimentSpec, run_point
-
-    spec = ExperimentSpec(
-        kind="engine", device="CNI16Qm", bus="memory",
-        workload="gauss", scale=0.25, num_nodes=4,
-    )
-    metrics = run_point(spec).metrics
-    assert metrics["elided_events"] > 0
-    assert 0.0 < metrics["elided_fraction"] < 1.0
-
-
 def test_machine_and_node_rollups_expose_elision():
     _, machine = _run_macro("CNI16Qm", "gauss", elide=True)
     rollup = machine.spin_elision_stats()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.run import main as run_main
-from repro.sim import Counter, Samples, StatsRegistry, safe_ratio
+from repro.sim import Counter, Samples, safe_ratio
 
 
 class TestCounter:
@@ -67,16 +67,6 @@ class TestSamples:
 
 
 class TestStatsRegistry:
-    def test_snapshot_merges_counters_and_samples(self):
-        registry = StatsRegistry()
-        registry.counter("bus").add("txns", 3)
-        registry.sample_set("latency").record(7)
-        snapshot = registry.snapshot()
-        assert snapshot["bus"]["txns"] == 3
-        assert snapshot["latency"]["count"] == 1
-        registry.reset()
-        assert registry.counter("bus").get("txns") == 0
-
     def test_safe_ratio(self):
         assert safe_ratio(4, 2) == 2
         assert safe_ratio(1, 0) == 0.0

@@ -20,13 +20,11 @@ from repro.api import (
     traffic_sweep,
     unregister_kind,
 )
-from repro.api.cache import ResultCache
 from repro.api.kinds import (
     KINDS,
     available_kinds,
     cache_suffix,
     folds_workload_schema,
-    kind_cacheable,
     kind_spec,
 )
 from repro.apps import (
@@ -40,6 +38,7 @@ from repro.apps import (
     workload_names,
 )
 from repro.apps.workload import Workload
+from repro.service.store import ResultStore
 from repro.trace import TraceError, read_trace, record_trace, trace_digest
 from repro.trace.replay import TraceReplayWorkload
 
@@ -51,7 +50,7 @@ TRAFFIC = dict(
     num_nodes=4, scale=0.25,
 )
 
-LEGACY_KINDS = ("latency", "bandwidth", "macro", "engine")
+LEGACY_KINDS = ("latency", "bandwidth", "macro")
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +112,6 @@ class TestKindRegistry:
             info = kind_spec(kind)
             assert info.name == kind
             assert callable(info.measure)
-        assert not kind_cacheable("engine")
-        assert kind_cacheable("latency")
 
     def test_only_new_kinds_fold_workload_schema(self):
         for kind in LEGACY_KINDS:
@@ -177,7 +174,7 @@ class TestWorkloadRegistry:
 # ----------------------------------------------------------------------
 class TestSchemaVersionCache:
     def test_schema_bump_invalidates_traffic_keys_only(self, tmp_path, monkeypatch):
-        cache = ResultCache(str(tmp_path))
+        cache = ResultStore(str(tmp_path))
         traffic = ExperimentSpec(**TRAFFIC).validate()
         legacy = ExperimentSpec(kind="latency", message_bytes=8, iterations=3, warmup=1)
         traffic_key = cache.cache_key(traffic)
@@ -208,7 +205,7 @@ class TestSchemaVersionCache:
                            workload="em3d", num_nodes=4, scale=0.25),
             trace_b,
         )
-        cache = ResultCache(str(tmp_path / "cache"))
+        cache = ResultStore(str(tmp_path / "cache"))
         key_a = cache.cache_key(_replay_spec(trace_a))
         key_b = cache.cache_key(_replay_spec(trace_b))
         assert key_a != key_b
