@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.partitions import EXTERNAL, PartitionResolver, partition_from_name
 from repro.sim.engine import Simulator
@@ -104,6 +104,15 @@ class ConflictTracker:
             self._accesses[(category, key)] = [entry]
         else:
             bucket.append(entry)
+
+    def run_as(self, partition: str, action: Callable[[], None]) -> None:
+        """Run ``action()`` with its accesses attributed to ``partition``."""
+        saved = self._current_partition
+        self._current_partition = partition
+        try:
+            action()
+        finally:
+            self._current_partition = saved
 
     # -- aggregation -----------------------------------------------------
     def _related(self, token_a: int, token_b: int) -> bool:
@@ -341,9 +350,55 @@ def _track_spin_guard(guard, tracker: ConflictTracker, keys) -> None:
     guard.probes = (tracked_first,) + tuple(guard.probes[1:])
 
 
+def _track_notices(fabric, tracker: ConflictTracker) -> None:
+    """Run each delivery notice as a fabric action.
+
+    A notice (``AbstractFabric.announce_to``) runs inside the source node's
+    injection event, but it is the fabric telling the destination NI that
+    a message is on its way: it counts the message in the NI's
+    ``announced`` and fires the NI's arrival signal.  Like a delivery, it
+    is attributed to the fabric partition, and its count update is a
+    ``fabric``-category write of the destination's announce key.
+    """
+    fabric = getattr(fabric, "inner", fabric)
+    notices = fabric._notices
+    for node_id, notice in list(notices.items()):
+
+        def tracked(_notice=notice, _key=f"node{node_id}.announced"):
+            def action():
+                tracker.access("fabric", _key, True)
+                _notice()
+
+            tracker.run_as(FABRIC_PARTITION, action)
+
+        notices[node_id] = tracked
+
+
+def _track_announced_reads(guard, tracker: ConflictTracker, key: str) -> None:
+    """Record a lead guard's ``steady()`` calls as reads of the announce key.
+
+    The steady predicate of an uncached-poll guard reads the NI's
+    ``announced`` count, which delivery notices from other nodes' injection
+    events write (see :func:`_track_notices`); whether a same-cycle notice
+    lands before or after the read flips the arming decision, so the read
+    must surface as a mediation edge, as :func:`_track_spin_guard` does for
+    the probes.
+    """
+    if guard is None or guard.lead is None:
+        return
+    steady = guard.steady
+
+    def tracked_steady(_steady=steady):
+        tracker.access("fabric", key, False)
+        return _steady()
+
+    guard.steady = tracked_steady
+
+
 def instrument_machine(machine, tracker: ConflictTracker) -> None:
     """Install tracked wrappers on every shared structure of ``machine``."""
     _track_fabric(machine.fabric, tracker)
+    _track_notices(machine.fabric, tracker)
     for node in machine.nodes:
         ni = node.ni
         ni._net_in = TrackedDeque(
@@ -375,6 +430,7 @@ def instrument_machine(machine, tracker: ConflictTracker) -> None:
         )
         _track_spin_guard(layer._recv_spin_guard, tracker, guard_keys)
         _track_spin_guard(layer._send_spin_guard, tracker, guard_keys)
+        _track_announced_reads(layer._recv_spin_guard, tracker, f"node{node_id}.announced")
 
 
 # ----------------------------------------------------------------------

@@ -102,8 +102,9 @@ class Workload(abc.ABC):
 def poll_until(ml, done_predicate, backoff: int = 20):
     """Poll the messaging layer until ``done_predicate()`` is true.
 
-    A blocking wait: on coherent-queue devices whose empty poll hits in the
-    processor cache, steady spins are elided into an event-driven sleep with
+    A blocking wait: where the device's empty poll is elidable (a cached
+    coherent-queue read, or an uncached status read woken by delivery
+    notices), steady spins are elided into an event-driven sleep with
     bit-identical simulated timing (see :meth:`MessagingLayer.poll_wait`).
     """
     yield from ml.poll_wait(done_predicate, backoff=backoff)

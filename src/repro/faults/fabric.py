@@ -123,6 +123,15 @@ class FaultyFabric:
     def ack_delay(self, from_node: int, to_node: int) -> int:
         return self.inner.ack_delay(from_node, to_node)
 
+    def min_delivery_delay(self) -> int:
+        # Jitter and reordering only ever add delay.
+        return self.inner.min_delivery_delay()
+
+    def announce_to(self, node_id: int, on_notice) -> None:
+        # Dropped messages never reach the inner inject, so they are never
+        # announced; a duplicate is a second inner inject, so it is.
+        self.inner.announce_to(node_id, on_notice)
+
     def send_ack(self, from_node: int, to_node: int) -> None:
         self.inner.send_ack(from_node, to_node)
 

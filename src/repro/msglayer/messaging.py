@@ -21,7 +21,9 @@ built from them).  This module provides that layer:
   barriers, the blocked-send retry) runs through
   :func:`repro.sim.spin_wait`, which elides steady cached-poll spins into
   event-driven sleeps on the device's arrival signal with bit-identical
-  simulated timing (the paper's virtual-polling argument, Sections 3-5).
+  simulated timing (the paper's virtual-polling argument, Sections 3-5),
+  and uncached status-poll spins into sleeps until the fabric announces
+  a message to the node.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ class MessagingLayer:
         #: one retransmission (the recovery-latency histogram).
         self.recovery_samples = Samples()
         # Spin-wait elision guards (None when disabled or the device's
-        # polls are not pure cached reads; see repro.sim.spinwait).
+        # polls are not elidable; see repro.sim.spinwait).
         self._recv_spin_guard, self._send_spin_guard = self._build_spin_guards()
         # Barrier state.
         self._barrier_seq = 0
@@ -185,9 +187,13 @@ class MessagingLayer:
         """Build the (receive, blocked-send) elision guards for this node.
 
         A guard exists only when ``params.spin_elision`` is on and the
-        device's port declares its spin iterations elidable (pure cached
-        polls — the CQ family).  Devices without ports (custom plugins) or
-        with uncached polls (NI2w, CNI4) get no guard and simply spin.
+        device's port declares its spin iterations elidable.  Cached polls
+        (the CQ family) elide as pure iterations.  Uncached-status polls
+        (the NI2w and CNI4 families) get a guard woken by delivery
+        notices, with the fabric's lead; it arms only where the poll body
+        is shorter than that lead.  Devices without ports (custom plugins)
+        get no guard and simply spin, and so do all blocked senders except
+        the drain-free CQ ones.
         """
         if not self.params.spin_elision:
             return None, None
@@ -230,7 +236,17 @@ class MessagingLayer:
             probes.append(lambda _c=window.stats.raw: _c.get("reservations", 0))
         recv_elidable = recv_port is not None and getattr(recv_port, "elidable", False)
         recv_guard = None
-        if recv_elidable:
+        if recv_elidable and getattr(recv_port, "polls_uncached", False):
+            # The poll's own bus transactions are part of the iteration:
+            # replay the interconnect counters and the buses' tallies too.
+            buses = (interconnect.membus, interconnect.iobus, interconnect.cachebus)
+            recv_guard = SpinGuard(
+                self.sim, signal, recv_port.spin_steady, counters + (txn_counts,),
+                txn_counts, device_stats, probes,
+                lead=ni.wire_delivery_notices(),
+                resources=[bus for bus in buses if bus is not None],
+            )
+        elif recv_elidable:
             recv_guard = SpinGuard(
                 self.sim, signal, recv_port.spin_steady, counters,
                 txn_counts, device_stats, probes,
@@ -442,8 +458,9 @@ class MessagingLayer:
         """Poll until ``predicate()`` is true (generator).
 
         The blocking-wait form of the classic poll/backoff spin: on devices
-        whose empty poll is a pure cached read, steady spins are elided
-        into an event-driven sleep on the device's arrival signal, with
+        whose empty poll is a pure cached read, or an uncached status read
+        woken by delivery notices, steady spins are elided into an
+        event-driven sleep on the device's arrival signal, with
         bit-identical simulated timing (see :mod:`repro.sim.spinwait`).
         """
         yield from spin_wait(self.sim, predicate, self.poll, backoff, self._recv_spin_guard)

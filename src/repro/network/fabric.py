@@ -57,6 +57,9 @@ class AbstractFabric(abc.ABC):
         self.spec = spec
         self._endpoints: Dict[int, Callable[[NetworkMessage], None]] = {}
         self._ack_handlers: Dict[int, Callable[[int], None]] = {}
+        #: Per destination: called at each injection addressed to it (see
+        #: :meth:`announce_to`).  Empty unless some node asked for notices.
+        self._notices: Dict[int, Callable[[], None]] = {}
         self.stats = Counter()
         self.latency_samples = Samples()
 
@@ -80,9 +83,20 @@ class AbstractFabric(abc.ABC):
         self._endpoints[node_id] = on_message
         self._ack_handlers[node_id] = on_ack
 
+    def announce_to(self, node_id: int, on_notice: Callable[[], None]) -> None:
+        """Call ``on_notice()`` whenever a message to ``node_id`` is injected.
+
+        The notice comes when the fabric fixes the message's delivery time,
+        at least :meth:`min_delivery_delay` cycles before the message
+        arrives.  Spin-wait elision of uncached-status polls sleeps until it
+        (see :mod:`repro.sim.spinwait`).
+        """
+        self._notices[node_id] = on_notice
+
     def detach(self, node_id: int) -> None:
         self._endpoints.pop(node_id, None)
         self._ack_handlers.pop(node_id, None)
+        self._notices.pop(node_id, None)
 
     @property
     def node_ids(self):
@@ -103,6 +117,14 @@ class AbstractFabric(abc.ABC):
     def ack_delay(self, from_node: int, to_node: int) -> int:
         """Cycles for a hardware ack from ``from_node`` back to ``to_node``."""
 
+    def min_delivery_delay(self) -> int:
+        """A lower bound on :meth:`delivery_delay` for any message.
+
+        The built-in models return their uncontended minimum; the default,
+        0, is safe for any fabric.
+        """
+        return 0
+
     # ------------------------------------------------------------------
     # Message transport
     # ------------------------------------------------------------------
@@ -116,6 +138,10 @@ class AbstractFabric(abc.ABC):
         self.stats.add("messages_injected")
         self.stats.add("payload_bytes", message.payload_bytes)
         self.sim.schedule_call(self.delivery_delay(message), self._deliver, (message,))
+        if self._notices:
+            notice = self._notices.get(message.dest)
+            if notice is not None:
+                notice()
 
     def _deliver(self, message: NetworkMessage) -> None:
         message.deliver_time = self.sim.now
@@ -174,6 +200,9 @@ class IdealFabric(AbstractFabric):
         return self.params.network_latency_cycles
 
     def ack_delay(self, from_node: int, to_node: int) -> int:
+        return self.params.network_latency_cycles
+
+    def min_delivery_delay(self) -> int:
         return self.params.network_latency_cycles
 
 

@@ -6,8 +6,9 @@ for the *path* it takes and for the traffic it shares that path with.
 All contention is resolved arithmetically at injection time — fabrics see
 injections in simulation-time order, so reserving a link's next-free time
 with ``max(now, busy)`` is causally sound and costs no extra kernel
-events (the spin-wait elision machinery is unaffected: deliveries remain
-ordinary scheduled events, whatever their latency).
+events (deliveries remain ordinary scheduled events, whatever their
+latency; spin-wait elision of uncached polls only needs each model's
+``min_delivery_delay`` lower bound).
 
 Common modelling choices, shared via :class:`.fabric.AbstractFabric`:
 
@@ -76,6 +77,9 @@ class CrossbarFabric(AbstractFabric):
 
     def ack_delay(self, from_node: int, to_node: int) -> int:
         return self._port_transit(from_node, to_node, self.params.network_header_bytes)
+
+    def min_delivery_delay(self) -> int:
+        return self.params.network_latency_cycles
 
 
 class MeshFabric(AbstractFabric):
@@ -172,6 +176,11 @@ class MeshFabric(AbstractFabric):
 
     def ack_delay(self, from_node: int, to_node: int) -> int:
         return self._grid_transit(from_node, to_node, self.params.network_header_bytes)
+
+    def min_delivery_delay(self) -> int:
+        # One hop (a self-send loops through the local router) plus at
+        # least one cycle of serialization.
+        return self.hop_cycles + 1
 
     def describe(self) -> str:
         return (

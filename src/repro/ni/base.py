@@ -124,6 +124,10 @@ class AbstractNI(abc.ABC):
         #: paper's coherent interfaces.  Spin-wait elision sleeps on this
         #: signal instead of busy-polling (see :mod:`repro.sim.spinwait`).
         self.arrival_signal = Signal(sim, name=f"{self.name}.arrival")
+        #: Messages the fabric has announced to this node that no poll can
+        #: see yet: in flight, in ``_net_in`` or still being accepted.
+        #: Stays 0 unless :meth:`wire_delivery_notices` was called.
+        self.announced = 0
         fabric.attach(node_id, self._on_network_message, self.window.on_ack)
 
         self._uncached_load_extra = params.uncached_load_extra_cycles.get(bus_kind, 0)
@@ -170,6 +174,28 @@ class AbstractNI(abc.ABC):
         self._net_in.append(message)
         self.stats.add("network_arrivals")
         self._net_in_signal.fire()
+
+    def wire_delivery_notices(self) -> int:
+        """Have the fabric announce each message to this node at injection.
+
+        Each notice counts the message in :attr:`announced` and fires the
+        arrival signal; the receive port uncounts it (:meth:`_note_visible`)
+        when it becomes visible to a poll.  Returns the lead: the fewest
+        cycles from a notice until the message can reach the device side,
+        and so until it can be visible or make the device use the bus.
+        """
+        self.fabric.announce_to(self.node_id, self._on_delivery_notice)
+        return self.fabric.min_delivery_delay() + DEVICE_PROCESSING_CYCLES
+
+    def _on_delivery_notice(self) -> None:
+        self.announced += 1
+        self.arrival_signal.fire()
+
+    def _note_visible(self) -> None:
+        """The receive port made a message visible to a poll: it no longer
+        counts as announced."""
+        if self.announced:  # 0 when no delivery notices are wired
+            self.announced -= 1
 
     def _wait_for_window(self, dest: int):
         """Generator: wait until the sliding window to ``dest`` has room."""

@@ -74,6 +74,16 @@ class SendPort(abc.ABC):
         """
         return False
 
+    def device_idle(self) -> bool:
+        """True while the injection side cannot use the node bus until the
+        processor hands it another message.
+
+        An uncached-status poller sleeps only while this holds (see
+        :class:`UncachedRecvPort` and :class:`CdrRecvPort`); the default,
+        never idle, keeps it spinning beside an unknown send port.
+        """
+        return False
+
     @abc.abstractmethod
     def proc_try_send(self, message: NetworkMessage):
         """Generator: processor-side send; returns True if accepted."""
@@ -92,11 +102,18 @@ class SendPort(abc.ABC):
 class RecvPort(abc.ABC):
     """Network→processor half of a device: accepts arrivals, hands them up."""
 
-    #: True when an *empty* poll is a pure cached read (the paper's virtual
-    #: polling), so the poll spin can be elided into a blocking wait on the
-    #: device's arrival signal.  Uncached-status polls occupy the bus on
-    #: every iteration and must keep spinning.
+    #: True when a steady *empty*-poll spin can be elided into a blocking
+    #: wait on the device's arrival signal (see :mod:`repro.sim.spinwait`).
+    #: A cached empty poll (the paper's virtual polling) touches no bus and
+    #: elides as it is.  An uncached status poll occupies the bus on every
+    #: iteration; it elides only with delivery notices (``polls_uncached``):
+    #: the wait sleeps until the fabric announces a message to the node,
+    #: and arms only when the poll observes sooner after its start than an
+    #: announced message can become visible.
     elidable = False
+    #: True when the empty poll is an uncached status-register read, so its
+    #: guard needs delivery notices and a lead (see above).
+    polls_uncached = False
 
     def __init__(self, ni):
         self.ni = ni
@@ -153,6 +170,10 @@ class UncachedSendPort(SendPort):
         self._word_cycles = ni.params.uncached_word_processing_cycles
         self.fifo_signal = Signal(ni.sim, name=f"{ni.name}.send-fifo")
 
+    def device_idle(self) -> bool:
+        # Injection moves words from the device FIFO to the wire: no bus.
+        return True
+
     def proc_try_send(self, message: NetworkMessage):
         ni = self.ni
         # 1. Check the send-status register for space in the hardware FIFO
@@ -199,6 +220,9 @@ class UncachedRecvPort(RecvPort):
     processor publishes the consumed head with one more uncached store.
     """
 
+    elidable = True
+    polls_uncached = True
+
     def __init__(
         self,
         ni,
@@ -215,6 +239,15 @@ class UncachedRecvPort(RecvPort):
         self.fifo: Deque[NetworkMessage] = deque()
         self._word_cycles = ni.params.uncached_word_processing_cycles
         self.space_signal = Signal(ni.sim, name=f"{ni.name}.recv-space")
+
+    def spin_steady(self) -> bool:
+        """An empty poll repeats identically while the FIFO is empty,
+        nothing announced to this node is still on its way (in the fabric,
+        in ``_net_in`` or being accepted) and the send side is idle.  The
+        device side then has no work, so the poller is the only agent on
+        its bus."""
+        ni = self.ni
+        return not self.fifo and not ni.announced and ni.send_port.device_idle()
 
     def proc_poll(self):
         ni = self.ni
@@ -252,6 +285,7 @@ class UncachedRecvPort(RecvPort):
             message = ni._net_in.popleft()
             yield DEVICE_PROCESSING_CYCLES
             self.fifo.append(message)
+            ni._note_visible()
             ni.stats.add("messages_accepted")
             ni._ack(message)
             ni.arrival_signal.fire()
@@ -344,6 +378,10 @@ class CdrSendPort(SendPort):
     def pending_count(self) -> int:
         return len(self._pending)
 
+    def device_idle(self) -> bool:
+        # A committed message stays pending until its pull has finished.
+        return not self._pending
+
 
 class CdrRecvPort(RecvPort):
     """Receive through cachable device registers with the explicit pop
@@ -355,6 +393,9 @@ class CdrRecvPort(RecvPort):
     an uncached status read confirming the device's invalidation — before
     the slot can carry the next message.
     """
+
+    elidable = True
+    polls_uncached = True
 
     def __init__(
         self,
@@ -379,6 +420,15 @@ class CdrRecvPort(RecvPort):
         self._next_slot = 0
         self.pop_signal = Signal(ni.sim, name=f"{ni.name}.recv-pop")
         self.drained_signal = Signal(ni.sim, name=f"{ni.name}.recv-drained")
+
+    def spin_steady(self) -> bool:
+        """An empty poll repeats identically while no message is exposed,
+        nothing announced to this node is still on its way and the send
+        side is idle.  The device side then has no bus work: the announced
+        count also covers a message sitting in the buffer or being written
+        into a CDR slot, since it drops only at exposure."""
+        ni = self.ni
+        return not self._exposed and not ni.announced and ni.send_port.device_idle()
 
     def uncached_write(self, address: int) -> None:
         if address == self.pop_reg:
@@ -432,6 +482,7 @@ class CdrRecvPort(RecvPort):
                     yield from self.cache.write_block_full(addr)
                 yield DEVICE_PROCESSING_CYCLES
                 self._exposed.append((message, slot))
+                ni._note_visible()
                 self._next_slot = (slot + 1) % self.slots
                 self.drained_signal.fire()
                 ni.arrival_signal.fire()
@@ -491,6 +542,11 @@ class CqSendPort(SendPort):
             cache.probe_state(sq.head_ptr_addr) is not CoherenceState.INVALID
             and cache.probe_state(sq.tail_ptr_addr) is not CoherenceState.INVALID
         )
+
+    def device_idle(self) -> bool:
+        # The device pulls every queued message over the bus, and _pulling
+        # covers the head-pointer write after the dequeue.
+        return not self._pulling and self.queue.empty()
 
     def uncached_write(self, address: int) -> None:
         if address == self.ready_reg:

@@ -35,15 +35,31 @@ happens in the same cycle (``resume - backoff``) the spinning loop would
 have scheduled it from, keeping same-cycle event ordering — and therefore
 bus-arbitration FIFO order — identical to the spinning simulation.
 
-Uncached polls (NI2w-style devices, and the CDR devices' uncached status
-registers) occupy the bus on every poll; they are never pure, and the loop
-simply keeps spinning for them — behaviour, cycle counts and bus
-occupancies are bit-identical either way.
+Uncached status polls (the NI2w and CNI4 families) occupy the bus on every
+iteration, so they are never pure.  They still elide exactly when the
+guard has a *lead*.  The fabric announces each message to its destination
+when it fixes the delivery time (``AbstractFabric.announce_to``), at least
+``lead`` cycles before the message can be visible to a poll or make the
+device side use the bus.  While nothing announced is pending and the
+device side is idle, the poller is the only agent on its bus, so an empty
+poll repeats identically: the guard accepts its bus transactions, replays
+the interconnect counters and the held buses' acquisition and busy-cycle
+tallies with the other deltas, and sleeps until a notice.  Resuming at the
+first boundary strictly after the notice means every elided iteration
+observes, and has released its bus, at most ``body < lead`` cycles after
+the notice, before anything announced can matter.  The resumed iteration
+may meet the device side at the bus in the same cycle; it still goes first,
+as when spinning, because the device schedules that request from the
+delivery, only ``DEVICE_PROCESSING_CYCLES`` (less than a backoff) ahead.
+Where the body is not shorter than the lead (memory-bus polls on the mesh
+and torus fabrics, whose minimum delivery is one hop) the guard never arms:
+the first clean iteration that shows it ends measuring for the rest of the
+wait, and the loop spins as it would without a guard.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 #: Body return values understood by :func:`spin_wait`.  ``SPIN_PROGRESS``
 #: and ``SPIN_EMPTY`` intentionally equal ``True`` and ``False`` so plain
@@ -75,8 +91,9 @@ class SpinGuard:
         device, messaging layer, processor); their per-iteration deltas are
         measured once and replayed arithmetically for elided iterations.
     txn_counts:
-        The node interconnect's raw counter dict; a changed ``txn_total``
-        across an iteration means the poll touched a bus and is not pure.
+        The node interconnect's raw counter dict; without a ``lead``, a
+        changed ``txn_total`` across an iteration means the poll touched a
+        bus and is not pure.
     device_stats:
         The NI's raw counter dict, where ``elided_spins`` /
         ``elided_events`` / ``elided_cycles`` are recorded.
@@ -94,14 +111,29 @@ class SpinGuard:
         and is elided.  ``1`` — the blocked-send case, whose head-pointer
         check executes one cycle into the iteration — means that iteration
         would already observe the change, so the wait resumes *at* the fire
-        boundary instead of one period past it.  A wait site whose
-        observation point sits deeper than one cycle into the iteration
-        cannot be elided exactly and must not get a guard at all.
+        boundary instead of one period past it.  Without a ``lead``, a wait
+        site whose observation point sits deeper than one cycle into the
+        iteration cannot be elided exactly and must not get a guard at all.
+    lead:
+        ``None`` for a poll that touches no bus.  For an uncached-status
+        poll woken by delivery notices, the fewest cycles from a notice
+        until the announced message can be visible or make the device side
+        use the bus (``AbstractNI.wire_delivery_notices``).  An iteration
+        then arms despite its bus transactions when ``steady()`` held at its
+        start and at its end, no probe moved, and its body (start to the
+        observation at its end) is shorter than the lead; an iteration
+        that passes the rest of these tests with a body not shorter than
+        the lead ends measuring for the rest of the wait.  ``counters``
+        must then include the interconnect's.
+    resources:
+        The buses a lead guard's poll may hold; their
+        ``total_acquisitions`` and ``busy_cycles`` deltas are replayed
+        with the counter deltas.
     """
 
     __slots__ = (
         "sim", "signal", "steady", "counters", "txn_counts", "device_stats",
-        "probes", "resume_margin",
+        "probes", "resume_margin", "lead", "resources",
     )
 
     def __init__(
@@ -114,6 +146,8 @@ class SpinGuard:
         device_stats: Dict[str, int],
         probes: Sequence[Callable[[], int]] = (),
         resume_margin: int = 0,
+        lead: Optional[int] = None,
+        resources: Sequence = (),
     ):
         self.sim = sim
         self.signal = signal
@@ -123,6 +157,8 @@ class SpinGuard:
         self.device_stats = device_stats
         self.probes = tuple(probes)
         self.resume_margin = resume_margin
+        self.lead = lead
+        self.resources = tuple(resources)
 
     def probe_state(self) -> tuple:
         return tuple(probe() for probe in self.probes)
@@ -161,11 +197,27 @@ def spin_wait(sim, predicate, body, backoff: int, guard: SpinGuard = None):
     steady = guard.steady
     txn_counts = guard.txn_counts
     counters = guard.counters
+    lead = guard.lead
+    resources = guard.resources
+    # Counter snapshots, refreshed in place each measured iteration (the
+    # counters only ever gain keys), so measuring allocates no dict copies.
+    before = [{} for _ in counters]
+    spin_only = False
     while not predicate():
+        if spin_only or (lead is not None and not steady()):
+            # Something is announced or visible, or the device side has
+            # work, or the poll observes too late for the lead: this
+            # iteration cannot arm, so it runs unmeasured.
+            result = yield from body()
+            if result != SPIN_PROGRESS:
+                yield backoff
+            continue
         start = sim.now
         txn_before = txn_counts.get("txn_total", 0)
         probes_before = guard.probe_state()
-        before = [dict(counter) for counter in counters]
+        for snapshot, counter in zip(before, counters):
+            snapshot.update(counter)
+        held_before = [(bus.total_acquisitions, bus.busy_cycles) for bus in resources]
         # Run one iteration for real, counting the kernel events it takes
         # (the generator is stepped manually so each resume is observable).
         gen = body()
@@ -181,23 +233,32 @@ def spin_wait(sim, predicate, body, backoff: int, guard: SpinGuard = None):
             value = yield command
         if result == SPIN_PROGRESS:
             continue
+        arm_time = sim.now
         if (
             result == SPIN_TRANSIENT
-            or txn_counts.get("txn_total", 0) != txn_before
+            # A poll that touched a bus (uncached or missed) is not pure.
+            or (lead is None and txn_counts.get("txn_total", 0) != txn_before)
             or guard.probe_state() != probes_before
             or not steady()
         ):
-            # The poll touched a bus (uncached or missed — not idempotent),
-            # the body is still settling, asynchronous activity (a fabric
-            # delivery, an ack, a device-side transition) overlapped the
-            # measurement, or the machine state moved under the poll: keep
-            # spinning for real.
+            # The poll is not repeatable, the body is still settling,
+            # asynchronous activity (a fabric delivery, an ack, a
+            # device-side transition) overlapped the measurement, or the
+            # machine state moved under the poll: keep spinning for real.
+            yield backoff
+            continue
+        if lead is not None and arm_time - start >= lead:
+            # The poll may observe up to its body's end, and that must come
+            # before an announced message can matter.  Nothing else ran
+            # on the bus during this iteration, so every empty poll of this
+            # wait takes as long: spin for the rest of it, unmeasured.
+            spin_only = True
             yield backoff
             continue
 
-        # --- Armed: the iteration just completed was a pure cached empty
-        # poll.  Repeating it with unchanged state reproduces it exactly, so
-        # measure it once and sleep instead of spinning.
+        # --- Armed: the iteration just completed was an empty poll that
+        # repeating with unchanged state reproduces exactly, so measure it
+        # once and sleep instead of spinning.
         deltas = []
         for snapshot, counter in zip(before, counters):
             deltas.append(
@@ -207,7 +268,10 @@ def spin_wait(sim, predicate, body, backoff: int, guard: SpinGuard = None):
                     if value_ != snapshot.get(key, 0)
                 }
             )
-        arm_time = sim.now
+        held_deltas = [
+            (bus.total_acquisitions - acquisitions, bus.busy_cycles - busy)
+            for bus, (acquisitions, busy) in zip(resources, held_before)
+        ]
         period = (arm_time - start) + backoff
         events_per_iter = events + 1  # the body's resumes plus the backoff wake
         first_boundary = arm_time + backoff
@@ -240,6 +304,9 @@ def spin_wait(sim, predicate, body, backoff: int, guard: SpinGuard = None):
             for counter, delta in zip(counters, deltas):
                 for key, increment in delta.items():
                     counter[key] += increment * elided
+            for bus, (acquisitions, busy) in zip(resources, held_deltas):
+                bus.total_acquisitions += acquisitions * elided
+                bus.busy_cycles += busy * elided
             guard.note_elided(elided, events_per_iter, period)
 
         # Resume in two hops so the final leg is scheduled from the same

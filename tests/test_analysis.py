@@ -210,6 +210,24 @@ def test_accesses_outside_events_are_ignored():
     assert sim.tracker.access_count == 0
 
 
+def test_delivery_notices_are_fabric_actions_read_by_steady():
+    """A notice runs inside the source node's injection event but belongs
+    to the fabric; an uncached-poll guard's steady() reads what it wrote.
+    A same-cycle pair must surface as a mediation edge, not vanish."""
+    sim = InstrumentedSimulator()
+    machine = Machine.build("NI2w", "memory", num_nodes=2, simulator=sim)
+    tracker = sim.bind_machine(machine)
+    tracker.begin_event(100, 1, "node0")  # node0's injection event
+    machine.fabric._notices[1]()
+    tracker.begin_event(100, 2, "node1")  # node1's poller, same cycle
+    assert machine.messaging[1]._recv_spin_guard.steady() is False
+    tracker.flush()
+    assert machine.nodes[1].ni.announced == 1
+    edge = tracker.edges[("fabric", "node1", "fabric")]
+    assert edge.example_key == "node1.announced"
+    assert tracker.non_mediation_edges() == []
+
+
 def test_instrumented_macro_matches_plain_kernel():
     tracker, result = analyze_spec(SMALL_SPEC)
     _machine, plain = run_spec_machine(SMALL_SPEC)

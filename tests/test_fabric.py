@@ -44,7 +44,7 @@ from repro.network import (
 )
 from repro.common.types import NetworkMessage
 from repro.node.machine import Machine
-from repro.sim import Simulator
+from repro.sim import Simulator, start_process
 
 
 # ----------------------------------------------------------------------
@@ -376,6 +376,61 @@ class TestMeshTiming:
         assert message.deliver_time == DEFAULT_PARAMS.fabric_hop_cycles + SER_64
 
 
+class TestDeliveryNotices:
+    """``announce_to`` and ``min_delivery_delay``: the early warning that
+    lets uncached-status polls sleep (see repro.sim.spinwait)."""
+
+    @pytest.mark.parametrize(
+        "kind,name,bound",
+        [("ideal", "ideal", 100), ("xbar", "xbar", 100), ("mesh", "mesh4x4", 9), ("torus", "torus4x4", 9)],
+    )
+    def test_min_delivery_delay_bounds_every_message(self, kind, name, bound):
+        sim, fabric, _ = _grid(kind, name, 16)
+        assert fabric.min_delivery_delay() == bound
+        for source in range(16):
+            for dest in range(16):
+                message = NetworkMessage(source=source, dest=dest, payload_bytes=0)
+                assert fabric.delivery_delay(message) >= bound
+
+    def test_inject_announces_to_the_destination_only(self):
+        sim, fabric, inboxes = _grid("mesh", "mesh4x4", 16)
+        notices = []
+        fabric.announce_to(5, lambda: notices.append(sim.now))
+
+        def sender():
+            yield 7
+            fabric.inject(NetworkMessage(source=0, dest=5, payload_bytes=64))
+            fabric.inject(NetworkMessage(source=0, dest=6, payload_bytes=64))
+
+        start_process(sim, sender(), name="sender")
+        sim.run()
+        assert notices == [7]
+        assert inboxes[5][0].deliver_time >= 7 + fabric.min_delivery_delay()
+        fabric.detach(5)
+        assert fabric._notices == {}
+
+    @pytest.mark.parametrize("plan,expected", [("drop=1", 0), ("dup=1", 2), ("jitter=40", 1)])
+    def test_faulty_fabric_announces_each_inner_injection(self, plan, expected):
+        """A drop never reaches the inner inject, a duplicate is a second
+        inner inject, and jitter only delays delivery past the bound."""
+        from repro.faults import wrap_fabric
+
+        params = MachineParams(num_nodes=2).validate()
+        sim = Simulator()
+        fabric = wrap_fabric(IdealFabric(sim, params), plan, seed=3)
+        inbox = []
+        fabric.attach(0, lambda m: None, lambda src: None)
+        fabric.attach(1, inbox.append, lambda src: None)
+        notices = []
+        fabric.announce_to(1, lambda: notices.append(sim.now))
+        fabric.inject(NetworkMessage(source=0, dest=1, payload_bytes=64))
+        sim.run()
+        assert notices == [0] * expected
+        assert len(inbox) == expected
+        assert fabric.min_delivery_delay() == params.network_latency_cycles
+        assert all(m.deliver_time >= fabric.min_delivery_delay() for m in inbox)
+
+
 class TestTorusTiming:
     def test_wraparound_shortens_rows(self):
         _, fabric, _ = _grid("torus", "torus4x4", 16)
@@ -470,20 +525,30 @@ class TestIdealEquivalence:
 # ----------------------------------------------------------------------
 # Spin-wait elision on variable-latency fabrics
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("fabric", ["mesh", "torus", "xbar"])
-def test_spin_elision_parity_on_topology_fabrics(fabric):
+@pytest.mark.parametrize(
+    "fabric,device",
+    [
+        pytest.param(fabric, device, id=fabric if device == "CNI16Qm" else f"{fabric}-{device}")
+        for device in ("CNI16Qm", "NI2w", "CNI4")
+        for fabric in ("mesh", "torus", "xbar")
+    ],
+)
+def test_spin_elision_parity_on_topology_fabrics(fabric, device):
     """Elision must stay bit-exact when message latencies vary per hop/load.
 
     The guard never assumes the 100-cycle constant: it sleeps on the
     device arrival signal and reconstructs the spin arithmetic from the
     measured poll period, so a mesh delivery arriving at any cycle must
-    produce identical physics with elision on and off.
+    produce identical physics with elision on and off.  The uncached
+    status polls of NI2w and CNI4 (a 43-cycle body on the memory bus) arm
+    only where the fabric's lead exceeds that body: on the crossbar, not on
+    the mesh or torus, whose one-hop lead is 13 cycles.
     """
     fingerprints = {}
     events = {}
     for elide in (True, False):
         params = MachineParams(fabric=fabric, spin_elision=elide).validate()
-        machine = Machine.build("CNI16Qm", "memory", num_nodes=8, params=params)
+        machine = Machine.build(device, "memory", num_nodes=8, params=params)
         wl = create_workload("gauss", scale=0.25, seed=12345)
         cycles = machine.run_programs(wl.programs(machine), max_cycles=2_000_000_000)
         fingerprints[elide] = {
@@ -496,8 +561,13 @@ def test_spin_elision_parity_on_topology_fabrics(fabric):
             ],
         }
         events[elide] = machine.sim.event_count
+        elided = machine.sim.elided_events
     assert fingerprints[True] == fingerprints[False]
-    assert events[True] < events[False]  # elision still removes kernel work
+    if device == "CNI16Qm" or fabric == "xbar":
+        assert events[True] < events[False]  # elision still removes kernel work
+    else:
+        assert events[True] == events[False]  # the guard never armed
+        assert elided == 0
 
 
 # ----------------------------------------------------------------------

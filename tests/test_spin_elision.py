@@ -8,21 +8,42 @@ shrinking.  These tests pin that equivalence at three levels:
 * kernel-level: a scripted producer/consumer pair swept over every fire
   alignment (before the first boundary, during the first measured
   iteration, exactly on a boundary, mid-backoff) completes at the same
-  simulated time with and without elision;
-* machine-level: an on/off grid over the coherent NI devices and two
-  macro workloads compares cycles, occupancies and poll counters;
-* policy-level: uncached-poll devices (NI2w, CNI4 — whose polls occupy
-  the bus) never elide, and ``max_cycles`` expiring mid-sleep still
-  raises :class:`WorkloadHangError` in both modes.
+  simulated time with and without elision; a second sweep does the same
+  for a poll that holds a bus, woken by a notice sent ahead of the
+  change, and also compares the bus's tallies;
+* machine-level: an on/off grid over the NI devices (the uncached-status
+  pollers NI2w and CNI4 included, on the memory and I/O buses and under
+  delay jitter) and two macro workloads compares cycles, occupancies and
+  poll counters;
+* policy-level: an uncached-poll guard refuses to arm where the fabric's
+  lead is too short for the poll body (memory-bus NI2w on a mesh), an
+  uncached poller stays awake while its own send port (CDR or coherent
+  queue, as in examples/custom_protocol.py's ``HybridNI``) has a pull to
+  make, no guard is built under reliable messaging, and ``max_cycles``
+  expiring mid-sleep still raises :class:`WorkloadHangError` in both modes.
 """
+
+import importlib.util
+import pathlib
 
 import pytest
 
 from conftest import build_machine
 from repro.apps import create_workload
 from repro.common.params import DEFAULT_PARAMS
+from repro.ni import unregister_device
+from repro.ni.base import DEVICE_PROCESSING_CYCLES
 from repro.node.machine import Machine, WorkloadHangError
-from repro.sim import SPIN_EMPTY, SPIN_PROGRESS, Signal, Simulator, SpinGuard, spin_wait, start_process
+from repro.sim import (
+    SPIN_EMPTY,
+    SPIN_PROGRESS,
+    Resource,
+    Signal,
+    Simulator,
+    SpinGuard,
+    spin_wait,
+    start_process,
+)
 
 ELIDED_KEYS = ("elided_spins", "elided_events", "elided_cycles")
 
@@ -140,11 +161,154 @@ def test_resume_margin_executes_the_fire_boundary():
 
 
 # ----------------------------------------------------------------------
+# Kernel-level sweep for a bus-holding poll woken by an early notice
+# ----------------------------------------------------------------------
+#: The scripted poll below: hold the bus, stall, then observe.
+HOLD, STALL, BACKOFF = 12, 5, 20
+BODY = HOLD + STALL
+PERIOD = BODY + BACKOFF
+
+
+def _scripted_bus_wait(notice_at: int, notice_lead: int, guard_lead=None, pull_at=None):
+    """A consumer polls a flag through a bus it shares with a producer.
+
+    Each poll iteration holds the bus for ``HOLD`` cycles, stalls ``STALL``
+    cycles and only then observes the flag (the shape of an uncached status
+    load).  The producer plays the fabric and the device side: it announces
+    the change at ``notice_at``, and ``notice_lead`` cycles later it takes
+    the same bus for a few cycles (a CDR write) and sets the flag.  Like the
+    NI's extraction process, it schedules that bus request from the
+    message's delivery, ``DEVICE_PROCESSING_CYCLES`` ahead.  ``guard_lead``
+    None runs the plain spinning loop; otherwise the consumer sleeps behind
+    a guard claiming that lead.  ``pull_at`` adds device-side work that is
+    pending from the start (a send pull): it keeps the port unsteady until
+    it has taken the bus at ``pull_at`` and released it, and fires the
+    signal only when it takes the bus, as a snooped transaction does.
+
+    Returns (done_at, producer bus grant time, bus tallies, poll counters,
+    executed events, elided events, steady() calls).
+    """
+    sim = Simulator()
+    bus = Resource(sim, "bus")
+    signal = Signal(sim, "arrival")
+    state = {
+        "announced": 0, "ready": False, "pulling": False, "done_at": None, "granted_at": None,
+    }
+    counts = {"txn_total": 0, "polls": 0, "empty_polls": 0}
+    steady_calls = [0]
+
+    def steady():
+        steady_calls[0] += 1
+        return not (state["announced"] or state["ready"] or state["pulling"])
+
+    def pull():
+        state["pulling"] = True
+        yield pull_at
+        yield bus
+        signal.fire()
+        yield HOLD + 9
+        bus.release()
+        state["pulling"] = False
+
+    def producer():
+        if notice_at:
+            yield notice_at
+        state["announced"] += 1
+        signal.fire()
+        yield notice_lead - DEVICE_PROCESSING_CYCLES  # in flight
+        yield DEVICE_PROCESSING_CYCLES  # accepted by the device side
+        yield bus
+        state["granted_at"] = sim.now
+        yield 3
+        bus.release()
+        state["announced"] -= 1
+        state["ready"] = True
+        signal.fire()
+
+    def body():
+        counts["polls"] += 1
+        yield bus
+        yield HOLD
+        bus.release()
+        counts["txn_total"] += 1
+        yield STALL
+        if state["ready"]:
+            return SPIN_PROGRESS
+        counts["empty_polls"] += 1
+        return SPIN_EMPTY
+
+    guard = None
+    if guard_lead is not None:
+        guard = SpinGuard(
+            sim, signal, steady, counters=(counts,), txn_counts=counts,
+            device_stats={"elided_spins": 0, "elided_events": 0, "elided_cycles": 0},
+            lead=guard_lead, resources=(bus,),
+        )
+
+    def consumer():
+        yield from spin_wait(sim, lambda: state["ready"], body, BACKOFF, guard)
+        state["done_at"] = sim.now
+
+    start_process(sim, producer(), name="producer")
+    start_process(sim, consumer(), name="consumer")
+    if pull_at is not None:
+        start_process(sim, pull(), name="pull")
+    sim.run()
+    return (
+        state["done_at"], state["granted_at"], (bus.total_acquisitions, bus.busy_cycles),
+        counts, sim.event_count, sim.elided_events, steady_calls[0],
+    )
+
+
+@pytest.mark.parametrize("notice_lead", [BODY + 1, BODY + 9, PERIOD + 7])
+def test_bus_holding_poll_resumes_exactly_for_every_notice_alignment(notice_lead):
+    """Sweep the notice over every cycle of five poll periods: with a lead
+    longer than the poll body the elided run must finish at the same cycle,
+    grant the producer the bus at the same cycle and leave the same bus
+    tallies and counters as the spinning run, while actually eliding."""
+    elided_total = 0
+    for notice_at in range(5 * PERIOD):
+        spin = _scripted_bus_wait(notice_at, notice_lead)
+        slept = _scripted_bus_wait(notice_at, notice_lead, guard_lead=notice_lead)
+        assert slept[:4] == spin[:4], notice_at
+        assert slept[4] <= spin[4] + 3, notice_at
+        elided_total += slept[5]
+    assert elided_total > 0
+
+
+def test_iteration_starting_while_the_device_holds_the_bus_never_arms():
+    """An iteration that waits out a device transaction measures a stretched
+    body; arming on it would replay the wrong period.  steady() must hold
+    at the iteration's start, not just at its end."""
+    for pull_at in range(1, 2 * PERIOD):
+        spin = _scripted_bus_wait(6 * PERIOD, PERIOD + 7, pull_at=pull_at)
+        slept = _scripted_bus_wait(6 * PERIOD, PERIOD + 7, guard_lead=PERIOD + 7, pull_at=pull_at)
+        assert slept[:4] == spin[:4], pull_at
+        assert slept[5] > 0
+
+
+@pytest.mark.parametrize("guard_lead", [1, BODY - 1, BODY])
+def test_guard_with_lead_not_beyond_the_body_never_arms(guard_lead):
+    """Where the lead does not exceed the body, a poll could still be on the
+    bus or observing when the announced change lands: the guard must keep
+    spinning, executing exactly the spinning run's events."""
+    for notice_at in range(0, 5 * PERIOD, 3):
+        spin = _scripted_bus_wait(notice_at, BODY)
+        guarded = _scripted_bus_wait(notice_at, BODY, guard_lead=guard_lead)
+        assert guarded[:5] == spin[:5], notice_at
+        assert guarded[5] == 0
+        if notice_at >= PERIOD:
+            # The first iteration is clean and shows the body is too long:
+            # the rest of the wait spins without measuring.
+            assert guarded[6] == 2, notice_at
+
+
+# ----------------------------------------------------------------------
 # Machine-level on/off equivalence grid
 # ----------------------------------------------------------------------
-def _run_macro(device: str, workload_name: str, elide: bool):
-    params = DEFAULT_PARAMS.with_overrides(spin_elision=elide)
-    machine = Machine.build(device, "memory", num_nodes=4, params=params)
+def _run_macro(device: str, workload_name: str, elide: bool, bus: str = "memory", **overrides):
+    params = DEFAULT_PARAMS.with_overrides(spin_elision=elide, **overrides)
+    machine = Machine.build(device, bus, num_nodes=4, params=params)
     workload = create_workload(workload_name, scale=0.25)
     cycles = machine.run_programs(workload.programs(machine), max_cycles=2_000_000_000)
     per_node = []
@@ -152,11 +316,17 @@ def _run_macro(device: str, workload_name: str, elide: bool):
         ni_stats = node.ni.stats.as_dict()
         for key in ELIDED_KEYS:
             ni_stats.pop(key, None)
+        interconnect = node.interconnect
+        buses = (interconnect.membus, interconnect.iobus, interconnect.cachebus)
         per_node.append(
             {
                 "ni": ni_stats,
                 "cache": node.proc_cache.stats.as_dict(),
-                "bus": node.interconnect.stats.as_dict(),
+                "bus": interconnect.stats.as_dict(),
+                "bus_tallies": [
+                    (bus.total_acquisitions, bus.busy_cycles) for bus in buses if bus is not None
+                ],
+                "processor": node.processor.stats.as_dict(),
             }
         )
     return {
@@ -165,51 +335,152 @@ def _run_macro(device: str, workload_name: str, elide: bool):
         "iobus": machine.total_io_bus_occupancy(),
         "nodes": per_node,
         "ml": [ml.stats.as_dict() for ml in machine.messaging],
+        "network": machine.network_stats(),
     }, machine
 
 
-@pytest.mark.parametrize("device", ["CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"])
-@pytest.mark.parametrize("workload_name", ["gauss", "em3d"])
-def test_elision_is_bit_identical(device, workload_name):
-    """Each coherent NI device x two workloads: cycles, occupancies, poll
-    counters and every other physics counter match the spinning run."""
-    on, machine_on = _run_macro(device, workload_name, elide=True)
-    off, machine_off = _run_macro(device, workload_name, elide=False)
+def _assert_bit_identical_and_elided(device, workload_name, bus="memory", **overrides):
+    on, machine_on = _run_macro(device, workload_name, True, bus, **overrides)
+    off, machine_off = _run_macro(device, workload_name, False, bus, **overrides)
     assert on == off
     assert machine_off.sim.elided_events == 0
-    if device != "CNI4":  # CQ devices actually elide on these workloads
-        assert machine_on.sim.elided_events > 0
-        assert machine_on.sim.event_count < machine_off.sim.event_count
+    assert machine_on.sim.elided_events > 0
+    assert machine_on.sim.event_count < machine_off.sim.event_count
 
 
-def test_cni4_uncached_status_polls_never_elide():
-    """CNI4 polls through an uncached status register — bus traffic every
-    iteration, so nothing may be elided even with the toggle on."""
-    _, machine = _run_macro("CNI4", "gauss", elide=True)
-    assert machine.sim.elided_events == 0
-    assert machine.spin_elision_stats() == {
-        "elided_events": 0, "elided_cycles": 0, "elided_spins": 0,
-    }
+@pytest.mark.parametrize("device", ["NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"])
+@pytest.mark.parametrize("workload_name", ["gauss", "em3d"])
+def test_elision_is_bit_identical(device, workload_name):
+    """Each paper NI device x two workloads: cycles, occupancies, bus
+    tallies, poll counters and every other physics counter match the
+    spinning run, and every device elides (the uncached-status pollers
+    NI2w and CNI4 through delivery notices)."""
+    _assert_bit_identical_and_elided(device, workload_name)
 
 
-def test_ni2w_is_never_elided():
-    _, machine = _run_macro("NI2w", "gauss", elide=True)
-    assert machine.sim.elided_events == 0
-    assert machine.sim.elided_cycles == 0
-    for node in machine.nodes:
-        for key in ELIDED_KEYS:
-            assert node.ni.stats.get(key) == 0
+@pytest.mark.parametrize("device", ["NI2w", "CNI4"])
+def test_io_bus_uncached_polls_elide_bit_identically(device):
+    """An I/O-bus status poll holds both buses for 73 cycles, still inside
+    the ideal fabric's 104-cycle lead."""
+    _assert_bit_identical_and_elided(device, "gauss", bus="io")
+
+
+@pytest.mark.parametrize("device", ["NI2w", "CNI4", "CNI16Qm"])
+def test_elision_is_bit_identical_under_delay_jitter(device):
+    """The non-lossy ``jitter`` plan keeps guards and delays when messages
+    become visible; jitter only ever adds to the announced lead."""
+    _assert_bit_identical_and_elided(device, "gauss", faults="jitter")
+
+
+def test_uncached_poll_guard_refuses_to_arm_when_lead_is_too_short():
+    """Memory-bus NI2w on mesh4x4: a 43-cycle poll body against a lead of
+    one hop plus device processing (13 cycles).  The guard exists but never
+    arms, so nothing is elided and the run executes the spinning events."""
+    runs = {}
+    for elide in (True, False):
+        params = DEFAULT_PARAMS.with_overrides(spin_elision=elide, fabric="mesh4x4")
+        machine = Machine.build("NI2w", "memory", num_nodes=16, params=params)
+        workload = create_workload("gauss", scale=0.1)
+        cycles = machine.run_programs(workload.programs(machine), max_cycles=2_000_000_000)
+        runs[elide] = (cycles, machine.sim.event_count, machine.total_memory_bus_occupancy())
+        if elide:
+            guard = machine.messaging[0]._recv_spin_guard
+            assert guard is not None
+            assert guard.lead == params.fabric_hop_cycles + 1 + DEVICE_PROCESSING_CYCLES
+            assert machine.spin_elision_stats() == {
+                "elided_events": 0, "elided_cycles": 0, "elided_spins": 0,
+            }
+    assert runs[True] == runs[False]
+
+
+@pytest.fixture
+def hybrid_device():
+    """``HybridNI`` from examples/custom_protocol.py: a coherent-queue send
+    port paired with an uncached-FIFO receive port, registered for the
+    test's duration."""
+    path = pathlib.Path(__file__).parent.parent / "examples" / "custom_protocol.py"
+    loader = importlib.util.spec_from_file_location("custom_protocol", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    yield "HybridNI"
+    unregister_device("HybridNI")
+
+
+def test_uncached_poller_beside_a_coherent_queue_sender_elides_bit_identically(hybrid_device):
+    _assert_bit_identical_and_elided(hybrid_device, "gauss")
+
+
+@pytest.mark.parametrize("device", ["CNI4", "HybridNI"])
+@pytest.mark.parametrize("compute", [20_000 + 7 * k for k in range(9)])
+def test_uncached_poller_stays_awake_while_its_own_send_waits_to_be_pulled(
+    hybrid_device, device, compute
+):
+    """Node 0 leaves a message in its send port behind a full window and
+    polls for the reply.  Its device pulls that message over node 0's bus as
+    soon as node 1 drains and acks, and no notice announces the pull, so the
+    poller must keep spinning until the send side is idle
+    (``SendPort.device_idle``): for a CDR sender (CNI4), and for the
+    coherent-queue sender of ``HybridNI``, whose pull's snoop wakes the
+    poller, which must then not sleep again."""
+    runs = {}
+    for elide in (True, False):
+        params = DEFAULT_PARAMS.with_overrides(spin_elision=elide)
+        machine = Machine.build(device, "memory", num_nodes=2, params=params)
+        ml0, ml1 = machine.messaging
+        got = {0: 0, 1: 0}
+        for node_id, ml in enumerate(machine.messaging):
+            ml.register_handler(
+                "msg", lambda m, src, n, b, node_id=node_id: got.__setitem__(node_id, got[node_id] + 1)
+            )
+
+        def sender():
+            for _ in range(12):
+                yield from ml0.send_active_message(1, "msg", 64)
+            yield from ml0.poll_wait(lambda: got[0] >= 1)
+
+        def receiver():
+            yield from ml1.processor.compute(compute)
+            yield from ml1.poll_wait(lambda: got[1] >= 12)
+            yield from ml1.send_active_message(0, "msg", 8)
+
+        cycles = machine.run_programs([sender(), receiver()], max_cycles=50_000_000)
+        runs[elide] = (
+            cycles,
+            machine.total_memory_bus_occupancy(),
+            [node.ni.stats.get("polls") for node in machine.nodes],
+            [node.interconnect.stats.as_dict() for node in machine.nodes],
+        )
+    assert runs[True] == runs[False]
+
+
+@pytest.mark.parametrize("device", ["NI2w", "CNI4"])
+def test_reliable_messaging_builds_no_uncached_poll_guard(device):
+    """Reliable messaging keeps every loop spinning (a parked poller would
+    miss its retransmission deadlines), so no guard and no notices."""
+    params = DEFAULT_PARAMS.with_overrides(reliable_messaging=True)
+    machine = Machine.build(device, "memory", num_nodes=2, params=params)
+    for ml in machine.messaging:
+        assert ml._recv_spin_guard is None
+        assert ml._send_spin_guard is None
+    assert machine.fabric._notices == {}
 
 
 # ----------------------------------------------------------------------
 # Edge cases
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("elide", [True, False])
-def test_max_cycles_expiring_mid_sleep_raises_hang_error(elide):
+@pytest.mark.parametrize(
+    "device,elide",
+    [
+        pytest.param(device, elide, id=str(elide) if device == "CNI16Qm" else f"{device}-{elide}")
+        for device in ("CNI16Qm", "NI2w")
+        for elide in (True, False)
+    ],
+)
+def test_max_cycles_expiring_mid_sleep_raises_hang_error(device, elide):
     """A wait whose message never comes must still surface as a hang —
     identically whether the waiter is spinning or sleeping on the signal."""
     params = DEFAULT_PARAMS.with_overrides(spin_elision=elide)
-    machine = Machine.build("CNI16Qm", "memory", num_nodes=2, params=params)
+    machine = Machine.build(device, "memory", num_nodes=2, params=params)
     ml0, ml1 = machine.messaging
 
     def sender():
