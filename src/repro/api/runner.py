@@ -5,16 +5,19 @@ simulator entry points (the Figure 6/7 microbenchmarks and the Figure 8
 macrobenchmark runner) and returns a :class:`RunResult`.
 
 :class:`SweepRunner` executes many points: it deduplicates repeated specs,
-consults the on-disk :class:`~repro.service.store.ResultStore`, fans the
-remaining points out to ``multiprocessing`` workers when ``jobs > 1`` (each
-worker runs the same pure function, so serial and parallel execution give
-identical results), and reports progress through an optional callback.
-Every result the runner produces is also appended to ``runner.history`` so
-a caller can serialise everything computed through the runner.
+consults the on-disk :class:`~repro.service.store.ResultStore`, runs the
+remaining points in this process or on worker processes that are reused
+from point to point (each runs the same pure function, so serial and
+parallel execution give identical results; a point that fails on a worker
+is carried as ``RunResult.error``), and reports progress through an
+optional callback.  Every result the runner produces is also appended to
+``runner.history`` so a caller can serialise everything computed through
+the runner.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
@@ -174,12 +177,6 @@ def _run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"result": result.to_dict(), "cache": counters}
 
 
-def _run_point_indexed(item: Tuple[int, Dict[str, Any]]) -> Tuple[int, Dict[str, Any]]:
-    """Indexed worker entry point for unordered parallel completion."""
-    index, payload = item
-    return index, _run_point_payload(payload)
-
-
 class SweepFailure(RuntimeError):
     """A point failed under ``fail_fast``; carries the failed result."""
 
@@ -188,132 +185,202 @@ class SweepFailure(RuntimeError):
         self.result = result
 
 
-def _guarded_child(conn: Any, payload: Dict[str, Any]) -> None:
-    """Child-process entry for guarded execution: ship outcome over a pipe.
+#: Base of the exponential backoff between attempts of a failing point:
+#: retry ``n`` waits ``RETRY_BACKOFF_S * 2 ** (n - 1)`` seconds.
+RETRY_BACKOFF_S = 0.25
 
-    Any exception (including simulator hangs surfaced as errors) comes back
-    as ``("error", message)`` instead of a traceback on stderr and a
-    nonzero exit the parent has to guess about.  A child that dies without
-    sending anything (segfault, ``os._exit``, OOM-kill) is diagnosed from
-    its exit code by the parent.
+
+def _worker_main(conn: Any) -> None:
+    """Worker process body: run point payloads from ``conn`` until a ``None``.
+
+    A point that raises (including simulator hangs surfaced as errors) is
+    answered with ``("error", message)`` and the worker takes the next
+    point.  A worker that dies without answering (segfault, ``os._exit``,
+    OOM-kill) is diagnosed from its exit code by the parent.
     """
-    try:
-        out = _run_point_payload(payload)
-        conn.send(("ok", out))
-    except BaseException as exc:  # noqa: BLE001 — the pipe is the report
+    for payload in iter(conn.recv, None):
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        conn.close()
+            reply = ("ok", _run_point_payload(payload))
+        except Exception as exc:  # noqa: BLE001 — the pipe is the report
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
 
 
-class _GuardedPoint:
-    """One in-flight guarded child process."""
+class _Worker:
+    """One long-lived worker process and the parent's end of its pipe."""
 
-    __slots__ = ("index", "proc", "conn", "deadline")
+    __slots__ = ("proc", "conn", "index", "deadline")
 
-    def __init__(self, index: int, proc: Any, conn: Any, deadline: Optional[float]):
-        self.index = index
-        self.proc = proc
-        self.conn = conn
-        self.deadline = deadline
+    def __init__(self, ctx: Any):
+        self.conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
+        self.proc.start()
+        child_conn.close()
+        #: Index of the point being run, or ``None`` while idle.
+        self.index: Optional[int] = None
+        self.deadline: Optional[float] = None
+
+    def stop(self, kill: bool = False) -> None:
+        """Retire the worker: a stop message, or SIGKILL when ``kill``.
+
+        Never SIGTERM: a worker forked from the service inherits its
+        draining SIGTERM handler.  Closing the pipe is no signal either,
+        because workers forked later hold copies of the parent's end.
+        """
+        if not kill:
+            try:
+                self.conn.send(None)
+                self.proc.join(1.0)
+            except OSError:
+                pass  # the worker is already gone
+        if self.proc.exitcode is None:
+            self.proc.kill()
+        self.proc.join()
+        self.conn.close()
 
 
-def _spawn_guarded(
-    index: int,
-    spec: ExperimentSpec,
+def _run_points(
+    pending: Sequence[ExperimentSpec],
+    jobs: int,
     cache_desc: Optional[Dict[str, Any]],
     timeout_s: Optional[float],
-) -> _GuardedPoint:
+    max_retries: int,
+) -> Iterator[Tuple[ExperimentSpec, RunResult, Optional[Dict[str, int]]]]:
+    """Run ``pending`` on up to ``jobs`` long-lived worker processes.
+
+    Yields ``(spec, result, worker_cache_stats)`` as points finish; the
+    stats are ``None`` for a failed point.  Points are dispatched most
+    expensive first: spec order tends to put the heavy macro points last,
+    and one picked up while the other workers drain serializes the tail.
+    The parent sleeps in ``multiprocessing.connection.wait`` on every
+    worker's pipe and process sentinel, until the nearest deadline or
+    retry time.  A point that raises comes back as an error from a worker
+    that stays in service; a point that kills its worker or overruns
+    ``timeout_s`` costs only that worker, which is replaced on demand.
+    Each failure is retried up to ``max_retries`` times, after
+    ``RETRY_BACKOFF_S * 2 ** (attempt - 1)`` seconds, before the point is
+    yielded with ``error`` set.
+    """
+    # Imported on use: ``import repro.api`` stays light, as for the store.
+    from multiprocessing import connection
+
     ctx = multiprocessing.get_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_guarded_child,
-        args=(child_conn, {"spec": spec.to_dict(), "cache": cache_desc}),
-        daemon=True,
-    )
-    proc.start()
-    child_conn.close()
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    return _GuardedPoint(index, proc, parent_conn, deadline)
-
-
-def _reap_guarded(point: _GuardedPoint, kill: bool = False) -> None:
-    """Shut a guarded child down hard and release its pipe."""
+    queue = sorted(range(len(pending)), key=lambda i: point_cost(pending[i]), reverse=True)
+    attempts = [0] * len(pending)
+    retry_at = [0.0] * len(pending)
+    workers: List[_Worker] = []
     try:
-        if kill and point.proc.is_alive():
-            point.proc.terminate()
-            point.proc.join(1.0)
-            if point.proc.is_alive():
-                point.proc.kill()
-        point.proc.join(1.0)
-    except (OSError, ValueError):
-        pass
-    try:
-        point.conn.close()
-    except OSError:
-        pass
+        while queue or any(w.index is not None for w in workers):
+            for index in [i for i in queue if retry_at[i] <= time.monotonic()]:
+                worker = next((w for w in workers if w.index is None), None)
+                if worker is None and len(workers) < jobs:
+                    worker = _Worker(ctx)
+                    workers.append(worker)
+                if worker is None:
+                    break
+                queue.remove(index)
+                worker.index = index
+                try:
+                    worker.conn.send({"spec": pending[index].to_dict(), "cache": cache_desc})
+                except OSError:
+                    pass  # died while idle: its sentinel reports the crash
+                if timeout_s is not None:
+                    worker.deadline = time.monotonic() + timeout_s
+
+            wakeups = [w.deadline for w in workers if w.deadline is not None]
+            if len(workers) < jobs or any(w.index is None for w in workers):
+                wakeups += [retry_at[i] for i in queue]
+            timeout = max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
+            ready = set(connection.wait(
+                [w.conn for w in workers] + [w.proc.sentinel for w in workers], timeout
+            ))
+
+            now = time.monotonic()
+            for worker in list(workers):
+                index, dead = worker.index, worker.proc.sentinel in ready
+                if worker.conn in ready or dead:
+                    status, reply = "crashed", None
+                    # Read the pipe before judging the exit: a worker that
+                    # answered and then died still finished its point.
+                    if worker.conn.poll():
+                        try:
+                            status, reply = worker.conn.recv()
+                        except (EOFError, OSError):
+                            pass
+                elif worker.deadline is not None and now >= worker.deadline:
+                    status, reply = "timed out", None
+                else:
+                    continue
+                worker.index = worker.deadline = None
+                if dead or status not in ("ok", "error"):
+                    workers.remove(worker)
+                    worker.stop(kill=True)
+                if index is None:
+                    continue  # an idle worker died; it is replaced on demand
+                if status == "ok":
+                    yield pending[index], RunResult.from_dict(reply["result"]), reply["cache"]
+                    continue
+                if status == "error":
+                    error = str(reply)
+                elif status == "timed out":
+                    error = f"point timed out after {timeout_s:g}s"
+                else:
+                    error = f"worker crashed (exit code {worker.proc.exitcode})"
+                attempts[index] += 1
+                if attempts[index] <= max_retries:
+                    backoff = RETRY_BACKOFF_S * 2 ** (attempts[index] - 1)
+                    retry_at[index] = time.monotonic() + backoff
+                    queue.append(index)
+                else:
+                    failed = RunResult(
+                        spec=pending[index], error=f"{error} (attempts={attempts[index]})"
+                    )
+                    yield pending[index], failed, None
+    finally:
+        # fail_fast (or a closed consumer) abandons the generator with
+        # points in flight: kill their workers rather than leak them.
+        for worker in workers:
+            worker.stop(kill=worker.index is not None)
 
 
 def run_point_guarded(
     spec: ExperimentSpec,
     timeout_s: Optional[float] = None,
     max_retries: int = 0,
-    retry_backoff_s: float = 0.25,
-    cache_desc: Optional[Dict[str, Any]] = None,
 ) -> Tuple[RunResult, Optional[Dict[str, int]]]:
-    """Run one point in a disposable child process, with timeout and retry.
+    """Run one point on one worker process, with timeout and retry.
 
-    The contract :class:`SweepRunner`'s robustness options and the HTTP
-    service's per-request timeout build on: the child either returns a
-    result, raises (error comes back over the pipe), crashes (diagnosed
-    from the exit code) or overruns ``timeout_s`` (killed).  Failures are
-    retried up to ``max_retries`` times with exponential backoff; the final
-    failure is reported as a :class:`RunResult` with ``error`` set — never
-    an exception — so one sick point cannot take down a sweep.
+    :class:`SweepRunner`'s scheduler for a single point, and the contract
+    the HTTP service's per-request timeout builds on: the worker either
+    returns a result, raises (error comes back over the pipe), crashes
+    (diagnosed from the exit code) or overruns ``timeout_s`` (killed).
+    Failures are retried up to ``max_retries`` times with exponential
+    backoff; the final failure is reported as a :class:`RunResult` with
+    ``error`` set — never an exception — so one sick point cannot take
+    down its caller.
 
     Returns ``(result, worker_cache_stats)``; the stats are ``None`` when
     the point failed (a failed point writes nothing to any cache).
     """
-    spec = spec.validate()
-    attempts = 0
-    error = "unknown failure"
-    while attempts <= max_retries:
-        if attempts:
-            time.sleep(retry_backoff_s * (2 ** (attempts - 1)))
-        attempts += 1
-        point = _spawn_guarded(0, spec, cache_desc, timeout_s)
-        try:
-            budget = None if point.deadline is None else max(0.0, point.deadline - time.monotonic())
-            if point.conn.poll(budget):
-                try:
-                    status, payload = point.conn.recv()
-                except (EOFError, OSError):
-                    status, payload = "error", f"worker crashed (exit code {point.proc.exitcode})"
-                if status == "ok":
-                    return RunResult.from_dict(payload["result"]), payload["cache"]
-                error = str(payload)
-            elif point.proc.is_alive():
-                error = f"point timed out after {timeout_s:g}s"
-            else:
-                error = f"worker crashed (exit code {point.proc.exitcode})"
-        finally:
-            _reap_guarded(point, kill=True)
-    return (
-        RunResult(spec=spec, error=f"{error} (attempts={attempts})"),
-        None,
-    )
+    [(_, result, stats)] = _run_points([spec.validate()], 1, None, timeout_s, max_retries)
+    return result, stats
 
 
 class SweepRunner:
-    """Runs sweeps of experiment points, serially or in parallel.
+    """Runs sweeps of experiment points, in this process or on workers.
+
+    ``jobs=1`` without a timeout or retries runs points in this process,
+    where an exception raised by a point propagates; that is the reference
+    path.  Otherwise up to ``jobs`` worker processes live for the sweep and
+    are reused from point to point; a point that fails on a worker (it
+    raises, crashes its worker or overruns the timeout) is carried as
+    ``RunResult.error``, never cached, and the rest of the sweep goes on.
 
     Parameters
     ----------
     jobs:
-        Number of worker processes; ``1`` (the default) runs in-process.
+        Number of worker processes; ``1`` (the default) runs in-process
+        unless a timeout or retries are set.
     cache_dir:
         The on-disk result store, or ``None`` to disable caching.  A
         directory path builds a :class:`~repro.service.store.ResultStore`
@@ -323,9 +390,9 @@ class SweepRunner:
         unique point as its result becomes available.
     point_timeout_s:
         Wall-clock budget per point.  Setting it (or ``max_retries``)
-        switches execution to *guarded* mode: every point runs in a
-        disposable child process that is killed on overrun, so a hung
-        simulation costs one point, not the sweep.
+        switches execution to *guarded* mode: points run on workers even
+        at ``jobs=1``, and a worker that overruns is killed and replaced,
+        so a hung simulation costs one point, not the sweep.
     max_retries:
         How many times a crashed/timed-out/raising point is re-run before
         it is recorded as failed (``RunResult.error``).
@@ -342,7 +409,6 @@ class SweepRunner:
         point_timeout_s: Optional[float] = None,
         max_retries: int = 0,
         fail_fast: bool = False,
-        retry_backoff_s: float = 0.25,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -358,7 +424,6 @@ class SweepRunner:
         self.point_timeout_s = point_timeout_s
         self.max_retries = max_retries
         self.fail_fast = fail_fast
-        self.retry_backoff_s = retry_backoff_s
         #: Failed points recorded across this runner's lifetime.
         self.failures = 0
         #: Every result produced through this runner, in completion order.
@@ -366,7 +431,7 @@ class SweepRunner:
 
     @property
     def guarded(self) -> bool:
-        """Whether points run in disposable child processes."""
+        """Whether points run on worker processes even at ``jobs=1``."""
         return self.point_timeout_s is not None or self.max_retries > 0
 
     # ------------------------------------------------------------------
@@ -409,36 +474,38 @@ class SweepRunner:
             if self.progress is not None:
                 self.progress(completed, total, result)
 
-        if self.guarded and pending:
-            completions = self._run_guarded(pending)
-        elif self.jobs > 1 and len(pending) > 1:
-            completions = self._run_parallel(pending)
+        if self.guarded or self.jobs > 1:
+            cache_desc = None if self.cache is None else {"directory": self.cache.directory}
+            completions = _run_points(
+                pending, self.jobs, cache_desc, self.point_timeout_s, self.max_retries
+            )
         else:
             completions = ((spec, run_point(spec), None) for spec in pending)
-        for spec, result, worker_stats in completions:
-            resolved[spec.spec_hash()] = result
-            if result.error is not None:
-                # Failed points are carried, never cached: a later run must
-                # recompute them rather than be served the failure.
-                self.failures += 1
-            elif self.cache is not None:
-                if worker_stats is None:
-                    # Serial execution: this process writes the entry.
-                    self.cache.put(result)
-                else:
-                    # The worker already wrote (or re-read) the entry; fold
-                    # its counters in.  A worker hit means another process
-                    # filled the key after our pre-check counted a miss —
-                    # reclassify, so hits+misses still sum to one event per
-                    # point and ``--jobs`` reports the same totals as serial.
-                    self.cache.hits += worker_stats.get("hits", 0)
-                    self.cache.misses -= worker_stats.get("hits", 0)
-                    self.cache.stores += worker_stats.get("stores", 0)
-            completed += 1
-            if self.progress is not None:
-                self.progress(completed, total, result)
-            if result.error is not None and self.fail_fast:
-                raise SweepFailure(result)
+        with contextlib.closing(completions):
+            for spec, result, worker_stats in completions:
+                resolved[spec.spec_hash()] = result
+                if result.error is not None:
+                    # Failed points are carried, never cached: a later run must
+                    # recompute them rather than be served the failure.
+                    self.failures += 1
+                elif self.cache is not None:
+                    if worker_stats is None:
+                        # Serial execution: this process writes the entry.
+                        self.cache.put(result)
+                    else:
+                        # The worker already wrote (or re-read) the entry; fold
+                        # its counters in.  A worker hit means another process
+                        # filled the key after our pre-check counted a miss —
+                        # reclassify, so hits+misses still sum to one event per
+                        # point and ``--jobs`` reports the same totals as serial.
+                        self.cache.hits += worker_stats.get("hits", 0)
+                        self.cache.misses -= worker_stats.get("hits", 0)
+                        self.cache.stores += worker_stats.get("stores", 0)
+                completed += 1
+                if self.progress is not None:
+                    self.progress(completed, total, result)
+                if result.error is not None and self.fail_fast:
+                    raise SweepFailure(result)
 
         if self.cache is not None:
             # Parallel workers never evict; settle the store's byte budget
@@ -457,133 +524,6 @@ class SweepRunner:
     def run_one(self, spec: ExperimentSpec) -> RunResult:
         """Run (or fetch from cache) a single point."""
         return self.run([spec])[0]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _point_cost(spec: ExperimentSpec) -> float:
-        """Rough relative wall-clock cost of one experiment point.
-
-        Delegates to the kind registry's per-kind cost hooks (the historic
-        heuristics live there); used only to order parallel work.
-        """
-        return point_cost(spec)
-
-    def _cache_descriptor(self) -> Optional[Dict[str, Any]]:
-        """How a worker process should rebuild this runner's store."""
-        return None if self.cache is None else {"directory": self.cache.directory}
-
-    def _run_parallel(
-        self, pending: Sequence[ExperimentSpec]
-    ) -> Iterator[Tuple[ExperimentSpec, RunResult, Dict[str, int]]]:
-        """Yield ``(spec, result, worker_cache_stats)`` as workers finish.
-
-        ``imap_unordered`` streams completions (so progress callbacks fire
-        per point, not after the whole batch); the caller re-keys results
-        by spec hash, so completion order does not matter.  Points are fed
-        to the pool most-expensive first: spec order tends to put the heavy
-        macro points last, and a straggler macro point picked up when the
-        rest of the pool is already draining serializes the whole tail.
-        """
-        cache_desc = self._cache_descriptor()
-        payloads = [
-            (index, {"spec": spec.to_dict(), "cache": cache_desc})
-            for index, spec in enumerate(pending)
-        ]
-        payloads.sort(key=lambda item: self._point_cost(pending[item[0]]), reverse=True)
-        workers = min(self.jobs, len(payloads))
-        with multiprocessing.Pool(processes=workers) as pool:
-            for index, data in pool.imap_unordered(_run_point_indexed, payloads):
-                yield (
-                    pending[index],
-                    RunResult.from_dict(data["result"]),
-                    data["cache"],
-                )
-
-    def _run_guarded(
-        self, pending: Sequence[ExperimentSpec]
-    ) -> Iterator[Tuple[ExperimentSpec, RunResult, Optional[Dict[str, int]]]]:
-        """Yield completions from disposable per-point child processes.
-
-        Unlike :meth:`_run_parallel`'s shared ``multiprocessing.Pool``, each
-        point gets its own process, so a crash or kill takes down exactly
-        one point; overruns of ``point_timeout_s`` are terminated; failures
-        are retried ``max_retries`` times with exponential backoff before a
-        failed :class:`RunResult` is yielded.  Up to ``jobs`` children run
-        concurrently (``jobs=1`` degrades to guarded serial execution).
-        """
-        cache_desc = self._cache_descriptor()
-        queue: List[int] = sorted(
-            range(len(pending)),
-            key=lambda index: self._point_cost(pending[index]),
-            reverse=True,
-        )
-        attempts: Dict[int, int] = {}
-        retry_at: Dict[int, float] = {}
-        active: Dict[int, _GuardedPoint] = {}
-        try:
-            while queue or active:
-                now = time.monotonic()
-                eligible = [i for i in queue if retry_at.get(i, 0.0) <= now]
-                while eligible and len(active) < self.jobs:
-                    index = eligible.pop(0)
-                    queue.remove(index)
-                    active[index] = _spawn_guarded(
-                        index, pending[index], cache_desc, self.point_timeout_s
-                    )
-                progressed = False
-                for index in list(active):
-                    point = active[index]
-                    error: Optional[str] = None
-                    if point.conn.poll(0):
-                        try:
-                            status, payload = point.conn.recv()
-                        except (EOFError, OSError):
-                            status, payload = (
-                                "error",
-                                f"worker crashed (exit code {point.proc.exitcode})",
-                            )
-                        if status == "ok":
-                            del active[index]
-                            _reap_guarded(point)
-                            progressed = True
-                            yield (
-                                pending[index],
-                                RunResult.from_dict(payload["result"]),
-                                payload["cache"],
-                            )
-                            continue
-                        error = str(payload)
-                    elif not point.proc.is_alive():
-                        error = f"worker crashed (exit code {point.proc.exitcode})"
-                    elif point.deadline is not None and now >= point.deadline:
-                        error = f"point timed out after {self.point_timeout_s:g}s"
-                    else:
-                        continue
-                    del active[index]
-                    _reap_guarded(point, kill=True)
-                    progressed = True
-                    attempts[index] = attempts.get(index, 0) + 1
-                    if attempts[index] <= self.max_retries:
-                        retry_at[index] = time.monotonic() + self.retry_backoff_s * (
-                            2 ** (attempts[index] - 1)
-                        )
-                        queue.append(index)
-                    else:
-                        yield (
-                            pending[index],
-                            RunResult(
-                                spec=pending[index],
-                                error=f"{error} (attempts={attempts[index]})",
-                            ),
-                            None,
-                        )
-                if not progressed:
-                    time.sleep(0.01)
-        finally:
-            # fail_fast (or a closed consumer) abandons the generator with
-            # children still running; kill them rather than leak them.
-            for point in active.values():
-                _reap_guarded(point, kill=True)
 
     def _record(self, result: RunResult) -> None:
         self.history.append(result)

@@ -34,12 +34,13 @@ nightly CI pipeline drives them with ``--json`` to archive the structured
 results).
 
 ``--point-timeout S``, ``--max-retries N`` and ``--fail-fast`` harden long
-sweeps: points run in disposable child processes, hung or crashed points
-are killed/retried, and at worst one point is recorded failed instead of
-wedging the sweep.
+sweeps: points run on workers even without ``--jobs``, a hung or crashed
+point costs only its own worker (killed and replaced) and is retried, and
+at worst one point is recorded failed instead of wedging the sweep.
 
 Every experiment goes through :mod:`repro.api`: ``--jobs N`` fans the sweep
-out over N worker processes, ``--cache-dir`` (default ``.repro-cache``)
+out over N worker processes (a point that fails on a worker is recorded
+failed, not raised), ``--cache-dir`` (default ``.repro-cache``)
 memoises every simulated point on disk so re-running a figure is
 near-instant, ``--no-cache`` disables that, and ``--json PATH`` writes the
 full structured :class:`~repro.api.ResultSet` (plus table rows, when tables

@@ -5,9 +5,9 @@ Examples::
     python -m repro.service --port 8042
     python -m repro.service --store-dir .repro-cache --budget-mb 512 --jobs 4
 
-The store directory is shared with (and adopts entries from) the CLI's
-``--cache-dir``, so results computed by ``python -m repro.experiments.run``
-are served warm and vice versa.
+The store directory is shared with the CLI's ``--cache-dir``, so results
+computed by ``python -m repro.experiments.run`` are served warm and vice
+versa.
 """
 
 from __future__ import annotations

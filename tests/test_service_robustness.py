@@ -11,18 +11,22 @@ drains batches and releases every owned lock before exit.
 from __future__ import annotations
 
 import json
+import multiprocessing.connection
 import os
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import urllib.error
 import urllib.request
+from multiprocessing.connection import Connection
 
 import pytest
 
 from repro.api import ExperimentSpec, RunResult, SweepFailure, SweepRunner, run_point_guarded
+from repro.api import runner as runner_module
 from repro.service import (
     CorruptEntryError,
     ExperimentService,
@@ -74,11 +78,13 @@ def _serve(svc: ExperimentService):
 
 
 @pytest.fixture()
-def guarded_service(tmp_path):
-    """A service with guarded execution on: hung points are contained."""
-    svc = ExperimentService(
-        ResultStore(str(tmp_path / "store")), jobs=1, point_timeout_s=120.0
-    )
+def guarded_service(tmp_path, request):
+    """A service with guarded execution on: hung points are contained.
+
+    Indirect parametrization passes other service options instead.
+    """
+    options = getattr(request, "param", {"jobs": 1, "point_timeout_s": 120.0})
+    svc = ExperimentService(ResultStore(str(tmp_path / "store")), **options)
     server = _serve(svc)
     try:
         yield svc
@@ -193,8 +199,9 @@ class TestGuardedExecution:
         assert not result.ok
         assert stats is None
 
-    def test_retries_are_counted_in_the_error(self):
-        result, _ = run_point_guarded(hang_spec(), max_retries=1, retry_backoff_s=0.01)
+    def test_retries_are_counted_in_the_error(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "RETRY_BACKOFF_S", 0.01)
+        result, _ = run_point_guarded(hang_spec(), max_retries=1)
         assert "(attempts=2)" in result.error
 
     def test_wall_clock_timeout_kills_the_point(self):
@@ -238,11 +245,142 @@ class TestSweepRunnerRecovery:
         runner.run([hang_spec()])
         assert store.peek(hang_spec()) is None
 
+    def test_unguarded_parallel_sweep_carries_a_hang(self, tmp_path):
+        """Regression: under plain ``--jobs 2`` the hang point's
+        ``SimulationHangError`` could not be unpickled in the parent and the
+        sweep waited forever.  A subprocess bounds the wait."""
+        probe = textwrap.dedent("""
+            import json, sys
+            from repro.api import ExperimentSpec, SweepRunner
+            from repro.service import ResultStore
+            specs = [ExperimentSpec.from_dict(d) for d in json.loads(sys.argv[1])]
+            store = ResultStore(sys.argv[2])
+            runner = SweepRunner(jobs=2, cache_dir=store)
+            results = runner.run(specs)
+            print(json.dumps({
+                "errors": [r.error for r in results],
+                "failures": runner.failures,
+                "hang_stored": store.peek(specs[1]) is not None,
+            }))
+        """)
+        specs = [quick_spec(), hang_spec(), quick_spec(message_bytes=32)]
+        done = subprocess.run(
+            [
+                sys.executable, "-c", probe,
+                json.dumps([spec.to_dict() for spec in specs]), str(tmp_path / "store"),
+            ],
+            env=dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        errors = report["errors"]
+        assert errors[0] is None and errors[2] is None
+        assert "SimulationHangError" in errors[1]
+        assert report["failures"] == 1
+        assert not report["hang_stored"]
+
+
+class TestWorkerScheduler:
+    """The one scheduler behind ``--jobs``, guarded sweeps and guarded runs."""
+
+    @pytest.fixture()
+    def probe_kinds(self):
+        """Plugin kinds for the worker processes; never run in-process."""
+        from repro.api import register_kind, unregister_kind
+
+        def exit_after_reply(spec):
+            threading.Timer(0.05, os._exit, args=(0,)).start()
+            return {"value": 1.0}
+
+        kinds = {
+            "crash-probe": lambda spec: os._exit(3),
+            "pid-probe": lambda spec: {"pid": float(os.getpid())},
+            "exit-after-reply": exit_after_reply,
+        }
+        for name, measure in kinds.items():
+            register_kind(name, measure)
+        try:
+            yield
+        finally:
+            for name in kinds:
+                unregister_kind(name)
+
+    def test_reply_then_exit_is_not_a_crash(self, probe_kinds, monkeypatch):
+        """Regression: the parent found the pipe empty, then found the worker
+        gone, and reported a finished point as crashed.  The wrappers make
+        the parent look only once the reply and the exit are both pending."""
+        real_poll = Connection.poll
+        real_wait = multiprocessing.connection.wait
+        looks = []
+
+        def late_poll(self, timeout=0.0):
+            if real_poll(self, timeout):
+                return True
+            if not timeout:
+                real_poll(self, 30.0)  # the reply lands...
+                time.sleep(0.3)  # ...and the worker exits
+            return False
+
+        def late_wait(objects, timeout=None):
+            ready = real_wait(objects, timeout)
+            sentinels = [obj for obj in objects if isinstance(obj, int)]
+            if ready and sentinels:
+                real_wait(sentinels, 30.0)  # the worker exits too
+                ready = real_wait(objects, 0)
+            looks.append({type(obj) for obj in ready})
+            return ready
+
+        monkeypatch.setattr(Connection, "poll", late_poll)
+        monkeypatch.setattr(multiprocessing.connection, "wait", late_wait)
+        runner = SweepRunner(point_timeout_s=60.0)
+        [result] = runner.run([ExperimentSpec(kind="exit-after-reply")])
+        assert result.ok, result.error
+        assert runner.failures == 0
+        assert {Connection, int} in looks  # the exit was pending too
+
+    def test_crash_costs_one_point_and_is_never_stored(self, probe_kinds, store):
+        crash = ExperimentSpec(kind="crash-probe")
+        runner = SweepRunner(jobs=2, cache_dir=store)
+        results = runner.run([crash, quick_spec(), quick_spec(message_bytes=32)])
+        assert results[0].error == "worker crashed (exit code 3) (attempts=1)"
+        assert store.peek(crash) is None
+        assert results[1].ok and results[2].ok
+        assert runner.failures == 1
+
+    def test_overrun_is_killed_and_the_next_point_gets_a_new_worker(self, monkeypatch):
+        started = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(self):
+            started.append(self)
+            real_start(self)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        runner = SweepRunner(jobs=1, point_timeout_s=0.5)
+        slow, quick = runner.run([slow_spec(), quick_spec()])
+        assert slow.error == "point timed out after 0.5s (attempts=1)"
+        assert quick.ok
+        assert len(started) == 2
+
+    def test_points_share_one_long_lived_worker(self, probe_kinds):
+        specs = [ExperimentSpec(kind="pid-probe", message_bytes=size) for size in (8, 16, 32)]
+        results = SweepRunner(jobs=1, point_timeout_s=60.0).run(specs)
+        pids = {result.metrics["pid"] for result in results}
+        assert len(pids) == 1
+        assert float(os.getpid()) not in pids
+
 
 # ---------------------------------------------------------------------------
 # Service: failed points, draining, SIGTERM
 # ---------------------------------------------------------------------------
 class TestServiceFailureHandling:
+    @pytest.mark.parametrize(
+        "guarded_service",
+        [{"jobs": 1, "point_timeout_s": 120.0}, {"jobs": 2}],
+        ids=["guarded-jobs1", "unguarded-jobs2"],
+        indirect=True,
+    )
     def test_batch_hang_fails_one_point_siblings_land(self, guarded_service):
         service = guarded_service
         sibling = quick_spec()
