@@ -507,11 +507,12 @@ class AnalysisError(RuntimeError):
 def run_spec_machine(spec, simulator: Optional[Simulator] = None):
     """Build and run one macro :class:`ExperimentSpec` point.
 
-    Returns ``(machine, workload_result)``.  Mirrors the api runner's
-    ``_run_macro`` path, but accepts an injected simulator so the
-    instrumented/shuffled kernels can drive the identical workload.
+    Returns ``(machine, workload_result)``.  The run is the macro kind's
+    own :func:`~repro.apps.workload.run_spec`, on a machine built around
+    the injected simulator so the instrumented/shuffled kernels drive the
+    identical workload.
     """
-    from repro.apps import create_workload
+    from repro.apps.workload import run_spec
     from repro.node.machine import Machine
 
     spec = spec.validate()
@@ -523,11 +524,7 @@ def run_spec_machine(spec, simulator: Optional[Simulator] = None):
     bind = getattr(simulator, "bind_machine", None)
     if bind is not None:
         bind(machine)
-    kwargs = dict(spec.workload_kwargs)
-    kwargs.setdefault("seed", spec.resolved_seed())
-    workload = create_workload(spec.workload, scale=spec.scale, **kwargs)
-    result = workload.run(machine, max_cycles=spec.max_cycles or 2_000_000_000)
-    return machine, result
+    return run_spec(spec, machine)
 
 
 def analyze_spec(spec) -> Tuple[ConflictTracker, object]:

@@ -367,9 +367,9 @@ def _replay_cache_token(spec: "ExperimentSpec") -> str:
     doc="Figure 6 round-trip latency microbenchmark",
 )
 def _measure_latency(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.api.runner import _run_latency
+    from repro.experiments.microbench import measure_latency
 
-    return _run_latency(spec)
+    return measure_latency(spec)
 
 
 @register_kind(
@@ -379,9 +379,9 @@ def _measure_latency(spec: "ExperimentSpec") -> Dict[str, float]:
     doc="Figure 7 streaming bandwidth microbenchmark",
 )
 def _measure_bandwidth(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.api.runner import _run_bandwidth
+    from repro.experiments.microbench import measure_bandwidth
 
-    return _run_bandwidth(spec)
+    return measure_bandwidth(spec)
 
 
 @register_kind(
@@ -392,9 +392,9 @@ def _measure_bandwidth(spec: "ExperimentSpec") -> Dict[str, float]:
     doc="Figure 8 macrobenchmark run",
 )
 def _measure_macro(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.api.runner import _run_macro
+    from repro.apps.workload import run_spec, workload_metrics
 
-    return _run_macro(spec)
+    return workload_metrics(*run_spec(spec))
 
 
 @register_kind(

@@ -2,9 +2,7 @@
 
 :class:`RunResult` pairs a spec with the metrics the simulator produced for
 it; :class:`ResultSet` is an ordered collection with filtering, pivoting
-into figure panels, and lossless JSON (de)serialisation.  Together they
-subsume the ad-hoc ``LatencyResult``/``BandwidthResult``/``MacroRunResult``
-records the per-experiment modules still expose for compatibility.
+into figure panels, and lossless JSON (de)serialisation.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Execution engine for experiment specs: one point, or whole sweeps.
 
-:func:`run_point` maps an :class:`ExperimentSpec` onto the underlying
-simulator entry points (the Figure 6/7 microbenchmarks and the Figure 8
-macrobenchmark runner) and returns a :class:`RunResult`.
+:func:`run_point` hands an :class:`ExperimentSpec` to its kind's measure
+function (see :mod:`repro.api.kinds`) and returns a :class:`RunResult`.
 
 :class:`SweepRunner` executes many points: it deduplicates repeated specs,
 consults the on-disk :class:`~repro.service.store.ResultStore`, runs the
@@ -49,97 +48,6 @@ def run_point(spec: ExperimentSpec) -> RunResult:
     started = time.perf_counter()
     metrics = measure_point(spec)
     return RunResult(spec=spec, metrics=metrics, elapsed_s=time.perf_counter() - started)
-
-
-def _machine_overrides(spec: ExperimentSpec) -> Dict[str, Any]:
-    """Machine-shape kwargs shared by every engine entry point."""
-    out: Dict[str, Any] = {"ni_kwargs": dict(spec.ni_kwargs)}
-    if spec.params:
-        out["params"] = spec.machine_params()
-    if spec.max_cycles is not None:
-        out["max_cycles"] = spec.max_cycles
-    return out
-
-
-def _run_latency(spec: ExperimentSpec) -> Dict[str, float]:
-    from repro.experiments.microbench import round_trip_latency
-
-    result = round_trip_latency(
-        spec.device,
-        spec.bus,
-        spec.message_bytes,
-        iterations=spec.iterations,
-        warmup=spec.resolved_warmup(),
-        snarfing=spec.snarfing,
-        num_nodes=spec.num_nodes,
-        **_machine_overrides(spec),
-    )
-    return {
-        "round_trip_cycles": result.round_trip_cycles,
-        "round_trip_us": result.round_trip_us,
-        "one_way_us": result.one_way_us,
-        "iterations": float(result.iterations),
-    }
-
-
-def _run_bandwidth(spec: ExperimentSpec) -> Dict[str, float]:
-    from repro.experiments.microbench import bandwidth
-
-    result = bandwidth(
-        spec.device,
-        spec.bus,
-        spec.message_bytes,
-        messages=spec.messages,
-        warmup=spec.resolved_warmup(),
-        snarfing=spec.snarfing,
-        num_nodes=spec.num_nodes,
-        **_machine_overrides(spec),
-    )
-    return {
-        "total_cycles": float(result.total_cycles),
-        "bandwidth_mbps": result.bandwidth_mbps,
-        "relative_bandwidth": result.relative_bandwidth,
-        "max_bandwidth_mbps": result.max_bandwidth_mbps,
-        "messages": float(result.messages),
-    }
-
-
-def _run_macro(spec: ExperimentSpec) -> Dict[str, float]:
-    from repro.experiments.macro import run_macrobenchmark
-
-    workload_kwargs = dict(spec.workload_kwargs)
-    workload_kwargs.setdefault("seed", spec.resolved_seed())
-    overrides = _machine_overrides(spec)
-    overrides.setdefault("max_cycles", 2_000_000_000)
-    result = run_macrobenchmark(
-        spec.workload,
-        spec.device,
-        spec.bus,
-        num_nodes=spec.num_nodes,
-        scale=spec.scale,
-        snarfing=spec.snarfing,
-        workload_kwargs=workload_kwargs,
-        **overrides,
-    )
-    metrics = {
-        "cycles": float(result.cycles),
-        "memory_bus_occupancy": float(result.memory_bus_occupancy),
-        "io_bus_occupancy": float(result.io_bus_occupancy),
-        "network_messages": float(result.network_messages),
-    }
-    if result.fault_stats:
-        # Only fault-plan runs grow these keys, so fault-free results (and
-        # their cache entries / goldens) are byte-identical to before the
-        # fault layer existed.
-        for key, value in result.fault_stats.items():
-            if key in ("plan", "seed"):
-                continue  # spec inputs, not measurements
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                metrics[f"fault_{key}"] = float(value)
-        recovery = result.fault_stats.get("recovery_latency")
-        if isinstance(recovery, dict):
-            metrics["fault_recovery_p95"] = float(recovery.get("p95", 0.0))
-    return metrics
 
 
 def _open_store(directory: Union[str, "os.PathLike[str]"]) -> "ResultStore":

@@ -103,6 +103,15 @@ class ExperimentSpec:
             raise SpecError(f"unknown bus {self.bus!r}") from None
         if self.num_nodes < 2:
             raise SpecError("experiments need at least two nodes")
+        if (
+            self.seed is not None
+            and "seed" in self.workload_kwargs
+            and self.workload_kwargs["seed"] != self.seed
+        ):
+            raise SpecError(
+                f"seed={self.seed} conflicts with "
+                f"workload_kwargs['seed']={self.workload_kwargs['seed']!r}; set one"
+            )
         # Per-kind checks come from the kind registry (the historic
         # latency/bandwidth/macro rules live on their KindSpecs now, with
         # identical messages); plugin kinds hook in the same way.
@@ -183,7 +192,8 @@ class ExperimentSpec:
         """The seed actually passed to workload construction.
 
         Explicit ``seed`` wins, then a ``seed`` inside ``workload_kwargs``,
-        then the canonical workload seed.  The default is deliberately NOT
+        then the canonical workload seed (:meth:`validate` rejects the two
+        explicit seeds disagreeing).  The default is deliberately NOT
         derived from the full spec hash: two specs that differ only in
         device/bus placement must run the *same* problem instance, or
         speedups over the baseline would compare different workloads.

@@ -31,10 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version of the workload-generation rules.  Bump when a registered
 #: workload's traffic pattern changes meaning (message sizes, schedules,
-#: pacing): cached traffic/trace results computed under the old rules must
-#: stop matching.  Legacy macro results are unaffected — their cache keys
-#: never included this stamp and must stay bit-identical.
-WORKLOAD_SCHEMA_VERSION = 1
+#: pacing), or when the traffic/replay kinds' metric set changes: cached
+#: traffic/trace results computed under the old rules must stop matching.
+#: Version 2: traffic and replay results under a fault plan carry the
+#: ``fault_*`` keys, as macro results always did.  Legacy macro results
+#: are unaffected — their cache keys never included this stamp and must
+#: stay bit-identical.
+WORKLOAD_SCHEMA_VERSION = 2
 
 #: Tags used by the shipped workloads.  Plugins may invent new tags; these
 #: are the ones presets, the CLI and the docs know about.

@@ -17,9 +17,13 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
+from repro.apps.registry import create_workload
 from repro.node.machine import Machine
+
+#: Cycle budget of a workload run whose spec pins no ``max_cycles``.
+DEFAULT_MAX_CYCLES = 2_000_000_000
 
 
 @dataclass
@@ -97,6 +101,55 @@ class Workload(abc.ABC):
     @staticmethod
     def scaled(value: int, scale: float, minimum: int = 1) -> int:
         return max(minimum, int(round(value * scale)))
+
+
+def run_spec(spec, machine: Optional[Machine] = None) -> Tuple[Machine, WorkloadResult]:
+    """Run the workload a validated ``macro``/``traffic``/``replay`` spec names.
+
+    This is the one build-and-run step of every workload kind.  The machine
+    comes from :meth:`Machine.from_spec` unless the caller passes in one it
+    built from the same spec and instrumented (trace recording, the
+    conflict analyzer).  The workload runs with ``spec.resolved_seed()``;
+    :meth:`~repro.api.spec.ExperimentSpec.validate` rejects a spec whose
+    ``seed`` and ``workload_kwargs["seed"]`` disagree.
+    """
+    if machine is None:
+        machine = Machine.from_spec(spec)
+    kwargs = {key: value for key, value in spec.workload_kwargs.items() if key != "seed"}
+    workload = create_workload(
+        spec.workload, scale=spec.scale, seed=spec.resolved_seed(), **kwargs
+    )
+    max_cycles = spec.max_cycles if spec.max_cycles is not None else DEFAULT_MAX_CYCLES
+    return machine, workload.run(machine, max_cycles=max_cycles)
+
+
+def workload_metrics(machine: Machine, result: WorkloadResult) -> Dict[str, float]:
+    """The metrics every workload kind reports for one run.
+
+    Cycles, both bus occupancies and the injected network messages, plus,
+    under a fault plan, the machine's fault-injection and recovery totals
+    as ``fault_*`` keys.
+    """
+    metrics = {
+        "cycles": float(result.cycles),
+        "memory_bus_occupancy": float(result.memory_bus_occupancy),
+        "io_bus_occupancy": float(result.io_bus_occupancy),
+        "network_messages": float(result.network_messages),
+    }
+    if machine.params.faults:
+        # Only fault-plan runs grow these keys, so fault-free results (and
+        # their stored entries and goldens) are byte-identical to before the
+        # fault layer existed.
+        fault_stats = machine.fault_stats()
+        for key, value in fault_stats.items():
+            if key in ("plan", "seed"):
+                continue  # spec inputs, not measurements
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                metrics[f"fault_{key}"] = float(value)
+        recovery = fault_stats.get("recovery_latency")
+        if isinstance(recovery, dict):
+            metrics["fault_recovery_p95"] = float(recovery.get("p95", 0.0))
+    return metrics
 
 
 def poll_until(ml, done_predicate, backoff: int = 20):

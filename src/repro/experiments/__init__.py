@@ -1,9 +1,10 @@
-"""Experiment harness: microbenchmarks, macro runs, tables and figures.
+"""Experiment harness: the paper's figures, tables and report formatting.
 
-New code should prefer the declarative layer in :mod:`repro.api`
-(``ExperimentSpec`` → ``SweepRunner`` → ``ResultSet``); the per-experiment
-entry points re-exported here remain the underlying engines and keep
-working as before.
+Every measurement runs through the declarative layer in :mod:`repro.api`
+(``ExperimentSpec`` → ``SweepRunner`` → ``ResultSet``).  This package keeps
+the paper's device lists and message sizes, the figure and table
+generators, the report formatting and the ``python -m
+repro.experiments.run`` command line.
 """
 
 from repro.api import ExperimentSpec, ResultSet, RunResult, SweepRunner, SweepSpec
@@ -12,19 +13,11 @@ from repro.experiments.macro import (
     BASELINE,
     IO_BUS_DEVICES,
     MEMORY_BUS_DEVICES,
-    MacroRunResult,
-    bus_occupancy_reduction,
-    run_macrobenchmark,
-    speedup_sweep,
 )
 from repro.experiments.microbench import (
     FIG6_MESSAGE_SIZES,
     FIG7_MESSAGE_SIZES,
-    BandwidthResult,
-    LatencyResult,
     MicrobenchmarkError,
-    bandwidth,
-    round_trip_latency,
 )
 
 __all__ = [
@@ -33,17 +26,9 @@ __all__ = [
     "SweepRunner",
     "RunResult",
     "ResultSet",
-    "round_trip_latency",
-    "bandwidth",
-    "LatencyResult",
-    "BandwidthResult",
     "MicrobenchmarkError",
     "FIG6_MESSAGE_SIZES",
     "FIG7_MESSAGE_SIZES",
-    "run_macrobenchmark",
-    "speedup_sweep",
-    "bus_occupancy_reduction",
-    "MacroRunResult",
     "MEMORY_BUS_DEVICES",
     "IO_BUS_DEVICES",
     "ALTERNATE_BUS_CONFIGS",

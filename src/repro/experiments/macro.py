@@ -1,15 +1,10 @@
-"""Macrobenchmark experiment runner (Figure 8 and the bus-occupancy claims)."""
+"""Device/bus configurations of Figure 8 and the bus-occupancy claims.
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
-
-from repro.apps import create_workload
-from repro.apps.workload import WorkloadResult
-from repro.common.types import BusKind
-from repro.node.machine import Machine
-
+A macro point runs through the ``macro`` experiment kind
+(:func:`repro.apps.workload.run_spec`); speedups and occupancy reductions
+are derived from its results by :func:`repro.api.speedups` and
+:func:`repro.api.occupancy_reductions`.
+"""
 
 #: Devices simulated on each bus in the paper (Section 5).
 MEMORY_BUS_DEVICES = ("NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm")
@@ -24,127 +19,3 @@ ALTERNATE_BUS_CONFIGS = (
 
 #: The baseline configuration every speedup is normalized to.
 BASELINE = ("NI2w", "memory")
-
-
-@dataclass
-class MacroRunResult:
-    """One workload run on one (device, bus) configuration."""
-
-    workload: str
-    ni_name: str
-    bus: str
-    cycles: int
-    memory_bus_occupancy: int
-    io_bus_occupancy: int
-    network_messages: int
-    #: Machine-wide fault-injection/recovery totals, present only when the
-    #: run had an active fault plan (``params.faults``); ``None`` otherwise
-    #: so fault-free results are byte-identical to pre-fault-layer ones.
-    fault_stats: Optional[Dict] = None
-
-    def speedup_over(self, baseline: "MacroRunResult") -> float:
-        if self.cycles <= 0:
-            return 0.0
-        return baseline.cycles / self.cycles
-
-
-def run_macrobenchmark(
-    workload_name: str,
-    ni_name: str,
-    bus: Union[str, BusKind] = "memory",
-    num_nodes: int = 16,
-    scale: float = 1.0,
-    snarfing: bool = False,
-    max_cycles: Optional[int] = 2_000_000_000,
-    workload_kwargs: Optional[Dict] = None,
-    params=None,
-    ni_kwargs: Optional[Dict] = None,
-) -> MacroRunResult:
-    """Run one macrobenchmark skeleton on one machine configuration."""
-    machine = Machine.build(
-        ni_name, bus, num_nodes=num_nodes, snarfing=snarfing,
-        params=params, ni_kwargs=ni_kwargs,
-    )
-    workload = create_workload(workload_name, scale=scale, **(workload_kwargs or {}))
-    result: WorkloadResult = workload.run(machine, max_cycles=max_cycles)
-    fault_stats = machine.fault_stats() if machine.params.faults else None
-    return MacroRunResult(
-        workload=workload_name,
-        ni_name=ni_name,
-        bus=str(bus if isinstance(bus, str) else bus.value),
-        cycles=result.cycles,
-        memory_bus_occupancy=result.memory_bus_occupancy,
-        io_bus_occupancy=result.io_bus_occupancy,
-        network_messages=result.network_messages,
-        fault_stats=fault_stats,
-    )
-
-
-def speedup_sweep(
-    workload_name: str,
-    configurations: Sequence,
-    num_nodes: int = 16,
-    scale: float = 1.0,
-    max_cycles: Optional[int] = 2_000_000_000,
-    workload_kwargs: Optional[Dict] = None,
-) -> Dict[str, Dict]:
-    """Run a workload on the baseline plus each configuration.
-
-    ``configurations`` is a sequence of ``(ni_name, bus)`` pairs.  Returns a
-    mapping ``"<ni>@<bus>" -> {"speedup": ..., "result": MacroRunResult}``,
-    always including the NI2w/memory baseline with speedup 1.0.
-    """
-    baseline = run_macrobenchmark(
-        workload_name,
-        *BASELINE,
-        num_nodes=num_nodes,
-        scale=scale,
-        max_cycles=max_cycles,
-        workload_kwargs=workload_kwargs,
-    )
-    out: Dict[str, Dict] = {
-        f"{BASELINE[0]}@{BASELINE[1]}": {"speedup": 1.0, "result": baseline}
-    }
-    for ni_name, bus in configurations:
-        if (ni_name, bus) == BASELINE:
-            continue
-        run = run_macrobenchmark(
-            workload_name,
-            ni_name,
-            bus,
-            num_nodes=num_nodes,
-            scale=scale,
-            max_cycles=max_cycles,
-            workload_kwargs=workload_kwargs,
-        )
-        out[f"{ni_name}@{bus}"] = {"speedup": run.speedup_over(baseline), "result": run}
-    return out
-
-
-def bus_occupancy_reduction(
-    workload_name: str,
-    devices: Sequence[str] = MEMORY_BUS_DEVICES,
-    num_nodes: int = 16,
-    scale: float = 1.0,
-    max_cycles: Optional[int] = 2_000_000_000,
-) -> Dict[str, float]:
-    """Memory-bus occupancy of each device relative to NI2w (Section 5.2).
-
-    Returns ``{device: fractional reduction}`` (e.g. 0.66 means the device
-    needs 66 % less memory-bus occupancy than NI2w for the same workload).
-    """
-    baseline = run_macrobenchmark(
-        workload_name, "NI2w", "memory", num_nodes=num_nodes, scale=scale, max_cycles=max_cycles
-    )
-    reductions: Dict[str, float] = {"NI2w": 0.0}
-    for device in devices:
-        if device == "NI2w":
-            continue
-        run = run_macrobenchmark(
-            workload_name, device, "memory", num_nodes=num_nodes, scale=scale, max_cycles=max_cycles
-        )
-        if baseline.memory_bus_occupancy <= 0:
-            reductions[device] = 0.0
-        else:
-            reductions[device] = 1.0 - run.memory_bus_occupancy / baseline.memory_bus_occupancy
-    return reductions

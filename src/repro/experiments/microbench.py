@@ -5,14 +5,17 @@ from a user buffer in the sending processor's cache, through the NI and the
 network, to a user buffer in the receiving processor's cache (so the
 numbers include the messaging-layer overhead, as in the paper).  Results
 are steady-state averages over many iterations after a warm-up period.
+
+:func:`measure_latency` and :func:`measure_bandwidth` are the measure
+functions of the ``latency`` and ``bandwidth`` experiment kinds: each
+builds the machine a validated spec describes, runs node 0 against node 1
+and returns the kind's metrics dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.common.types import BusKind
 from repro.node.machine import Machine
 
 
@@ -29,85 +32,12 @@ FIG7_MESSAGE_SIZES = (8, 16, 64, 256, 512, 1024, 2048, 4096)
 _POLL_BACKOFF = 10
 
 
-@dataclass
-class LatencyResult:
-    """Round-trip latency for one device/bus/message-size point."""
-
-    ni_name: str
-    bus: str
-    message_bytes: int
-    iterations: int
-    round_trip_cycles: float
-    snarfing: bool = False
-
-    @property
-    def round_trip_us(self) -> float:
-        return self.round_trip_cycles / 200.0
-
-    @property
-    def one_way_us(self) -> float:
-        return self.round_trip_us / 2.0
-
-
-@dataclass
-class BandwidthResult:
-    """Achievable bandwidth for one device/bus/message-size point."""
-
-    ni_name: str
-    bus: str
-    message_bytes: int
-    messages: int
-    total_cycles: int
-    max_bandwidth_mbps: float
-    snarfing: bool = False
-
-    @property
-    def bandwidth_mbps(self) -> float:
-        if self.total_cycles <= 0:
-            return 0.0
-        bytes_per_cycle = (self.message_bytes * self.messages) / self.total_cycles
-        return bytes_per_cycle * 200.0  # bytes/us == MB/s at 200 MHz
-
-    @property
-    def relative_bandwidth(self) -> float:
-        if self.max_bandwidth_mbps <= 0:
-            return 0.0
-        return self.bandwidth_mbps / self.max_bandwidth_mbps
-
-
-def _build_pair(
-    ni_name: str,
-    bus: Union[str, BusKind],
-    snarfing: bool,
-    num_nodes: int = 2,
-    params=None,
-    ni_kwargs: Optional[Dict] = None,
-) -> Machine:
-    """A machine with at least a sender (node 0) and receiver (node 1)."""
-    return Machine.build(
-        ni_name, bus, num_nodes=num_nodes, snarfing=snarfing,
-        params=params, ni_kwargs=ni_kwargs,
-    )
-
-
-def round_trip_latency(
-    ni_name: str,
-    bus: Union[str, BusKind] = "memory",
-    message_bytes: int = 64,
-    iterations: int = 40,
-    warmup: int = 8,
-    snarfing: bool = False,
-    max_cycles: int = 400_000_000,
-    num_nodes: int = 2,
-    params=None,
-    ni_kwargs: Optional[Dict] = None,
-) -> LatencyResult:
+def measure_latency(spec) -> Dict[str, float]:
     """Steady-state process-to-process round-trip latency (Figure 6)."""
-    if iterations < 1:
-        raise MicrobenchmarkError("need at least one measured iteration")
-    machine = _build_pair(ni_name, bus, snarfing, num_nodes, params, ni_kwargs)
+    machine = Machine.from_spec(spec)
     ml0, ml1 = machine.messaging[0], machine.messaging[1]
-    total_rounds = warmup + iterations
+    warmup = spec.resolved_warmup()
+    total_rounds = warmup + spec.iterations
 
     pongs = {"count": 0}
     pings = {"count": 0}
@@ -123,7 +53,7 @@ def round_trip_latency(
         sim = machine.sim
         for round_index in range(total_rounds):
             start = sim.now
-            yield from ml0.send_active_message(1, "ping", message_bytes)
+            yield from ml0.send_active_message(1, "ping", spec.message_bytes)
             yield from ml0.poll_wait(
                 lambda round_index=round_index: pongs["count"] > round_index,
                 backoff=_POLL_BACKOFF,
@@ -136,20 +66,20 @@ def round_trip_latency(
             lambda: pings["count"] >= total_rounds, backoff=_POLL_BACKOFF
         )
 
+    max_cycles = spec.max_cycles if spec.max_cycles is not None else 400_000_000
     machine.run_programs({0: sender(), 1: responder()}, max_cycles=max_cycles)
-    if len(samples) != iterations:
+    if len(samples) != spec.iterations:
         raise MicrobenchmarkError(
-            f"expected {iterations} samples, collected {len(samples)}"
+            f"expected {spec.iterations} samples, collected {len(samples)}"
         )
-    mean_cycles = sum(samples) / len(samples)
-    return LatencyResult(
-        ni_name=ni_name,
-        bus=str(bus if isinstance(bus, str) else bus.value),
-        message_bytes=message_bytes,
-        iterations=iterations,
-        round_trip_cycles=mean_cycles,
-        snarfing=snarfing,
-    )
+    round_trip_cycles = sum(samples) / len(samples)
+    round_trip_us = round_trip_cycles / 200.0  # 200 MHz processor clock
+    return {
+        "round_trip_cycles": round_trip_cycles,
+        "round_trip_us": round_trip_us,
+        "one_way_us": round_trip_us / 2.0,
+        "iterations": float(spec.iterations),
+    }
 
 
 def _count_and_reply(ml, source: int, nbytes: int, pings: dict):
@@ -157,36 +87,22 @@ def _count_and_reply(ml, source: int, nbytes: int, pings: dict):
     yield from ml.send_active_message(source, "pong", nbytes)
 
 
-def bandwidth(
-    ni_name: str,
-    bus: Union[str, BusKind] = "memory",
-    message_bytes: int = 256,
-    messages: int = 120,
-    warmup: int = 16,
-    snarfing: bool = False,
-    max_cycles: int = 800_000_000,
-    num_nodes: int = 2,
-    params=None,
-    ni_kwargs: Optional[Dict] = None,
-) -> BandwidthResult:
+def measure_bandwidth(spec) -> Dict[str, float]:
     """Steady-state process-to-process bandwidth (Figure 7).
 
-    Node 0 streams ``messages`` user messages of ``message_bytes`` each to
-    node 1 after a warm-up stream; the measured interval runs from the first
-    measured send to the receipt of the last message at node 1.
+    Node 0 streams ``spec.messages`` user messages of ``spec.message_bytes``
+    each to node 1 after a warm-up stream; the measured interval runs from
+    the first measured send to the receipt of the last message at node 1.
     """
-    if messages < 1:
-        raise MicrobenchmarkError("need at least one measured message")
-    machine = _build_pair(ni_name, bus, snarfing, num_nodes, params, ni_kwargs)
+    machine = Machine.from_spec(spec)
     ml0, ml1 = machine.messaging[0], machine.messaging[1]
-    total = warmup + messages
+    warmup = spec.resolved_warmup()
+    total = warmup + spec.messages
 
-    received = {"count": 0, "start": None, "end": None}
+    received = {"count": 0, "end": None}
 
     def on_data(ml, src, nbytes, body):
         received["count"] += 1
-        if received["count"] == warmup + 1:
-            received["start_recv"] = machine.sim.now
         if received["count"] == total:
             received["end"] = machine.sim.now
         return None
@@ -199,24 +115,27 @@ def bandwidth(
         for index in range(total):
             if index == warmup:
                 marks["start"] = machine.sim.now
-            yield from ml0.send_active_message(1, "data", message_bytes)
-        marks["send_done"] = machine.sim.now
+            yield from ml0.send_active_message(1, "data", spec.message_bytes)
 
     def receiver():
         yield from ml1.poll_wait(
             lambda: received["count"] >= total, backoff=_POLL_BACKOFF
         )
 
+    max_cycles = spec.max_cycles if spec.max_cycles is not None else 800_000_000
     machine.run_programs({0: sender(), 1: receiver()}, max_cycles=max_cycles)
     if received["end"] is None or "start" not in marks:
         raise MicrobenchmarkError("bandwidth run did not complete")
-    elapsed = received["end"] - marks["start"]
-    return BandwidthResult(
-        ni_name=ni_name,
-        bus=str(bus if isinstance(bus, str) else bus.value),
-        message_bytes=message_bytes,
-        messages=messages,
-        total_cycles=max(1, elapsed),
-        max_bandwidth_mbps=machine.params.max_local_cq_bandwidth_mbps(),
-        snarfing=snarfing,
-    )
+    total_cycles = max(1, received["end"] - marks["start"])
+    bytes_per_cycle = (spec.message_bytes * spec.messages) / total_cycles
+    bandwidth_mbps = bytes_per_cycle * 200.0  # bytes/us == MB/s at 200 MHz
+    max_bandwidth_mbps = machine.params.max_local_cq_bandwidth_mbps()
+    return {
+        "total_cycles": float(total_cycles),
+        "bandwidth_mbps": bandwidth_mbps,
+        "relative_bandwidth": (
+            bandwidth_mbps / max_bandwidth_mbps if max_bandwidth_mbps > 0 else 0.0
+        ),
+        "max_bandwidth_mbps": max_bandwidth_mbps,
+        "messages": float(spec.messages),
+    }

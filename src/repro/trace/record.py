@@ -19,9 +19,6 @@ from repro.trace.format import write_trace
 #: Spec kinds whose runs can be recorded: workload-driven simulations.
 RECORDABLE_KINDS = ("macro", "traffic")
 
-#: Cycle budget used when a spec does not pin ``max_cycles``.
-DEFAULT_MAX_CYCLES = 2_000_000_000
-
 
 @dataclass(frozen=True)
 class TraceSummary:
@@ -39,7 +36,7 @@ def record_trace(spec, path: str) -> TraceSummary:
     """Run ``spec``'s workload once, recording its message stream to
     ``path``.  Returns a :class:`TraceSummary` of what was captured."""
     from repro.api.spec import SpecError
-    from repro.apps import create_workload
+    from repro.apps.workload import run_spec
     from repro.node.machine import Machine
 
     spec = spec.validate()
@@ -72,11 +69,7 @@ def record_trace(spec, path: str) -> TraceSummary:
         # run — recording is pure observation).
         node.ni.proc_try_send = recording_send
 
-    kwargs = dict(spec.workload_kwargs)
-    kwargs.setdefault("seed", spec.resolved_seed())
-    workload = create_workload(spec.workload, scale=spec.scale, **kwargs)
-    max_cycles = spec.max_cycles if spec.max_cycles is not None else DEFAULT_MAX_CYCLES
-    result = workload.run(machine, max_cycles=max_cycles)
+    _, result = run_spec(spec, machine)
 
     header = write_trace(path, config=_recording_config(spec), events=events)
     return TraceSummary(

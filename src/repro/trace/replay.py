@@ -20,16 +20,14 @@ any target that accepts it (asserted in tests, gated in bench_traffic).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Generator, List, Sequence
 
 from repro.apps.registry import register_workload
-from repro.apps.workload import Workload
+from repro.apps.workload import Workload, run_spec, workload_metrics
 from repro.common.types import NetworkMessage
 from repro.node.machine import Machine
-from repro.trace.format import read_trace
-
-#: Cycle budget used when a spec does not pin ``max_cycles``.
-DEFAULT_MAX_CYCLES = 2_000_000_000
+from repro.trace.format import read_header, read_trace
 
 #: Retry delays when the NI refuses a send (window or queue full).  The
 #: first retry matches the messaging layer's software cadence; sustained
@@ -162,27 +160,16 @@ def run_replay_point(spec) -> Dict[str, float]:
     totals, so fidelity (`network_messages == trace_messages`,
     ``payload_bytes == trace_payload_bytes``) is visible in every result.
     """
-    from repro.trace.format import read_header
-
-    machine = Machine.from_spec(spec)
-    kwargs = {k: v for k, v in spec.workload_kwargs.items() if k != "seed"}
-    workload = TraceReplayWorkload(scale=spec.scale, seed=spec.resolved_seed(), **kwargs)
-    max_cycles = spec.max_cycles if spec.max_cycles is not None else DEFAULT_MAX_CYCLES
-    result = workload.run(machine, max_cycles=max_cycles)
-
+    # A replay point always runs the replay workload, whatever it names.
+    machine, result = run_spec(replace(spec, workload=TraceReplayWorkload.name))
+    metrics = workload_metrics(machine, result)
     header = read_header(spec.workload_kwargs["trace"])
     net = machine.network_stats()
-    cycles = float(result.cycles)
-    metrics = {
-        "cycles": cycles,
-        "memory_bus_occupancy": float(result.memory_bus_occupancy),
-        "io_bus_occupancy": float(result.io_bus_occupancy),
-        "network_messages": float(result.network_messages),
-        "messages_delivered": float(net.get("messages_delivered", 0)),
-        "payload_bytes": float(net.get("payload_bytes", 0)),
-        "trace_messages": float(header["messages"]),
-        "trace_payload_bytes": float(header["payload_bytes"]),
-    }
+    cycles = metrics["cycles"]
+    metrics["messages_delivered"] = float(net.get("messages_delivered", 0))
+    metrics["payload_bytes"] = float(net.get("payload_bytes", 0))
+    metrics["trace_messages"] = float(header["messages"])
+    metrics["trace_payload_bytes"] = float(header["payload_bytes"])
     if cycles > 0:
         metrics["messages_per_kcycle"] = 1000.0 * metrics["network_messages"] / cycles
     for key in ("hops", "contention_cycles"):

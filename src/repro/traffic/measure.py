@@ -1,19 +1,17 @@
 """Measure hook for ``kind="traffic"`` experiment points.
 
 Runs a registered traffic pattern on the machine a spec describes and
-reports network-centric metrics: beyond the macro run's cycles and bus
-occupancies, the fabric's delivered payload, the achieved message rate
-and (on grid fabrics) hop and contention totals — the numbers a
-contention study actually plots.
+reports network-centric metrics: beyond the macro run's cycles, bus
+occupancies and fault totals, the fabric's delivered payload, the
+achieved message rate and (on grid fabrics) hop and contention totals —
+the numbers a contention study actually plots.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-#: Cycle budget used when a spec does not pin ``max_cycles`` (matches the
-#: macro runner's default).
-DEFAULT_MAX_CYCLES = 2_000_000_000
+from repro.apps.workload import run_spec, workload_metrics
 
 #: Simulated processor clock in cycles per microsecond (200 MHz, the
 #: paper's machine; same constant the workload layer uses for display).
@@ -22,29 +20,13 @@ CYCLES_PER_US = 200.0
 
 def run_traffic_point(spec) -> Dict[str, float]:
     """Execute one traffic point; pure function of the validated spec."""
-    from repro.apps import create_workload
-    from repro.node.machine import Machine
-
-    import repro.traffic  # noqa: F401 — ensure patterns are registered
-
-    machine = Machine.from_spec(spec)
-    kwargs = dict(spec.workload_kwargs)
-    kwargs.setdefault("seed", spec.resolved_seed())
-    workload = create_workload(spec.workload, scale=spec.scale, **kwargs)
-    max_cycles = spec.max_cycles if spec.max_cycles is not None else DEFAULT_MAX_CYCLES
-    result = workload.run(machine, max_cycles=max_cycles)
-
+    machine, result = run_spec(spec)
+    metrics = workload_metrics(machine, result)
     net = machine.network_stats()
-    cycles = float(result.cycles)
-    metrics: Dict[str, float] = {
-        "cycles": cycles,
-        "memory_bus_occupancy": float(result.memory_bus_occupancy),
-        "io_bus_occupancy": float(result.io_bus_occupancy),
-        "user_messages": float(result.user_messages),
-        "network_messages": float(result.network_messages),
-        "messages_delivered": float(net.get("messages_delivered", 0)),
-        "payload_bytes": float(net.get("payload_bytes", 0)),
-    }
+    cycles = metrics["cycles"]
+    metrics["user_messages"] = float(result.user_messages)
+    metrics["messages_delivered"] = float(net.get("messages_delivered", 0))
+    metrics["payload_bytes"] = float(net.get("payload_bytes", 0))
     if cycles > 0:
         metrics["messages_per_kcycle"] = 1000.0 * metrics["network_messages"] / cycles
         # bytes/cycle x 200 cycles/us = bytes/us = MB/s.

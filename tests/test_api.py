@@ -111,6 +111,12 @@ class TestSpec:
         a = ExperimentSpec(kind="macro", workload="gauss", device="NI2w")
         b = ExperimentSpec(kind="macro", workload="gauss", device="CNI16Qm")
         assert a.resolved_seed() == b.resolved_seed()
+        # Two different explicit seeds: resolved_seed() would name one and a
+        # workload kind could run the other, so the spec is rejected.
+        em3d = dict(kind="macro", workload="em3d", device="CNI16Qm", num_nodes=4, scale=0.25)
+        with pytest.raises(SpecError, match="seed"):
+            ExperimentSpec(**em3d, seed=7, workload_kwargs={"seed": 9}).validate()
+        ExperimentSpec(**em3d, seed=9, workload_kwargs={"seed": 9}).validate()
 
 
 class TestSweepSpec:
@@ -179,6 +185,49 @@ class TestRunPoint:
     def test_run_point_is_deterministic(self):
         spec = ExperimentSpec(**QUICK, device="CNI4")
         assert run_point(spec) == run_point(spec)
+
+    #: Fault-free metric keys of each built-in kind.  Stored results and
+    #: downstream readers (figures, perfbench pins) rely on these sets.
+    WORKLOAD_KEYS = {"cycles", "memory_bus_occupancy", "io_bus_occupancy", "network_messages"}
+    DELIVERY_KEYS = {"messages_delivered", "payload_bytes", "messages_per_kcycle"}
+    TRAFFIC_KEYS = WORKLOAD_KEYS | DELIVERY_KEYS | {"user_messages", "delivered_mbps"}
+    METRIC_KEYS = [
+        (QUICK, {"round_trip_cycles", "round_trip_us", "one_way_us", "iterations"}),
+        (
+            dict(kind="bandwidth", message_bytes=64, messages=4, warmup=1),
+            {"total_cycles", "bandwidth_mbps", "relative_bandwidth",
+             "max_bandwidth_mbps", "messages"},
+        ),
+        (dict(kind="macro", workload="gauss", num_nodes=4, scale=0.15), WORKLOAD_KEYS),
+        (dict(kind="traffic", workload="uniform", num_nodes=4, scale=0.25), TRAFFIC_KEYS),
+        (
+            dict(kind="traffic", workload="uniform", num_nodes=16, scale=0.25,
+                 params={"fabric": "mesh4x4"}),
+            TRAFFIC_KEYS | {"fabric_hops", "fabric_contention_cycles"},
+        ),
+        (
+            dict(kind="replay", workload="replay", num_nodes=4),
+            WORKLOAD_KEYS | DELIVERY_KEYS | {"trace_messages", "trace_payload_bytes"},
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "fields,keys", METRIC_KEYS,
+        ids=["latency", "bandwidth", "macro", "traffic", "traffic-mesh4x4", "replay"],
+    )
+    def test_fault_free_metric_keys_per_kind(self, tmp_path, fields, keys):
+        fields = dict(fields, device="CNI16Qm")
+        if fields["kind"] == "replay":
+            from repro.trace import record_trace
+
+            trace = str(tmp_path / "gauss.trace.json.gz")
+            record_trace(
+                ExperimentSpec(kind="macro", workload="gauss", device="CNI16Qm",
+                               num_nodes=4, scale=0.15),
+                trace,
+            )
+            fields["workload_kwargs"] = {"trace": trace}
+        assert set(run_point(ExperimentSpec(**fields)).metrics) == keys
 
 
 class TestResultSet:
@@ -342,9 +391,10 @@ class TestStoreKeysAndLayout:
             "e12ea68c8c5e431f44a45c33fc521a85fa0e933aaf8f453c3dd2381106db6674",
         ),
         (
+            # Folds WORKLOAD_SCHEMA_VERSION, now 2 (fault keys on traffic).
             dict(kind="traffic", device="CNI16Qm", bus="memory", workload="uniform",
                  num_nodes=4, scale=0.25),
-            "6cb6f755f94c7d11ab927c71068eb3993778257c21c309ab202aa7a4c728323c",
+            "0ea4da2d894a5de4434a3f303a14d6fe71f8bb79e3115875e73bb412abb935e6",
         ),
     ]
 

@@ -2,19 +2,37 @@
 
 import pytest
 
+from repro.api import (
+    ExperimentSpec,
+    SpecError,
+    SweepRunner,
+    macro_sweep,
+    occupancy_reductions,
+    run_point,
+    speedups,
+)
+from repro.apps.workload import run_spec
 from repro.experiments import (
     ALTERNATE_BUS_CONFIGS,
     BASELINE,
     IO_BUS_DEVICES,
     MEMORY_BUS_DEVICES,
-    bandwidth,
-    bus_occupancy_reduction,
-    round_trip_latency,
-    run_macrobenchmark,
-    speedup_sweep,
 )
 from repro.experiments import figures, report, tables
-from repro.experiments.microbench import MicrobenchmarkError
+
+
+def _latency(device, bus, message_bytes, iterations, warmup):
+    return run_point(ExperimentSpec(
+        kind="latency", device=device, bus=bus, message_bytes=message_bytes,
+        iterations=iterations, warmup=warmup,
+    )).metrics
+
+
+def _bandwidth(device, bus, message_bytes, messages, warmup):
+    return run_point(ExperimentSpec(
+        kind="bandwidth", device=device, bus=bus, message_bytes=message_bytes,
+        messages=messages, warmup=warmup,
+    )).metrics
 
 
 class TestDeviceLists:
@@ -34,89 +52,128 @@ class TestDeviceLists:
 
 class TestRoundTripMicrobenchmark:
     def test_result_fields(self):
-        result = round_trip_latency("CNI512Q", "memory", 64, iterations=5, warmup=2)
-        assert result.iterations == 5
-        assert result.round_trip_cycles > 0
-        assert result.round_trip_us == result.round_trip_cycles / 200.0
-        assert result.one_way_us * 2 == pytest.approx(result.round_trip_us)
+        result = _latency("CNI512Q", "memory", 64, iterations=5, warmup=2)
+        assert result["iterations"] == 5
+        assert result["round_trip_cycles"] > 0
+        assert result["round_trip_us"] == result["round_trip_cycles"] / 200.0
+        assert result["one_way_us"] * 2 == pytest.approx(result["round_trip_us"])
 
     def test_latency_grows_with_message_size(self):
-        small = round_trip_latency("CNI512Q", "memory", 8, iterations=6, warmup=2)
-        large = round_trip_latency("CNI512Q", "memory", 256, iterations=6, warmup=2)
-        assert large.round_trip_cycles > small.round_trip_cycles
+        small = _latency("CNI512Q", "memory", 8, iterations=6, warmup=2)
+        large = _latency("CNI512Q", "memory", 256, iterations=6, warmup=2)
+        assert large["round_trip_cycles"] > small["round_trip_cycles"]
 
     def test_latency_includes_network_flight_time(self):
-        result = round_trip_latency("CNI512Q", "memory", 8, iterations=4, warmup=1)
-        assert result.round_trip_cycles > 2 * 100  # two network traversals
+        result = _latency("CNI512Q", "memory", 8, iterations=4, warmup=1)
+        assert result["round_trip_cycles"] > 2 * 100  # two network traversals
 
     def test_cni_beats_ni2w_at_64_bytes(self):
         """Headline Figure-6 claim at the 64-byte point."""
-        ni2w = round_trip_latency("NI2w", "memory", 64, iterations=10, warmup=4)
-        cni = round_trip_latency("CNI512Q", "memory", 64, iterations=10, warmup=4)
-        assert cni.round_trip_cycles < ni2w.round_trip_cycles
+        ni2w = _latency("NI2w", "memory", 64, iterations=10, warmup=4)
+        cni = _latency("CNI512Q", "memory", 64, iterations=10, warmup=4)
+        assert cni["round_trip_cycles"] < ni2w["round_trip_cycles"]
 
     def test_io_bus_slower_than_memory_bus(self):
-        mem = round_trip_latency("CNI512Q", "memory", 64, iterations=6, warmup=2)
-        io = round_trip_latency("CNI512Q", "io", 64, iterations=6, warmup=2)
-        assert io.round_trip_cycles > mem.round_trip_cycles
+        mem = _latency("CNI512Q", "memory", 64, iterations=6, warmup=2)
+        io = _latency("CNI512Q", "io", 64, iterations=6, warmup=2)
+        assert io["round_trip_cycles"] > mem["round_trip_cycles"]
 
     def test_zero_iterations_rejected(self):
-        with pytest.raises(MicrobenchmarkError):
-            round_trip_latency("NI2w", "memory", 64, iterations=0)
+        with pytest.raises(SpecError, match="at least one iteration"):
+            run_point(ExperimentSpec(kind="latency", device="NI2w", iterations=0))
 
 
 class TestBandwidthMicrobenchmark:
     def test_result_fields(self):
-        result = bandwidth("CNI512Q", "memory", 256, messages=20, warmup=5)
-        assert result.total_cycles > 0
-        assert result.bandwidth_mbps > 0
-        assert 0 < result.relative_bandwidth < 2.0
-        assert result.max_bandwidth_mbps > 0
+        result = _bandwidth("CNI512Q", "memory", 256, messages=20, warmup=5)
+        assert result["total_cycles"] > 0
+        assert result["bandwidth_mbps"] > 0
+        assert 0 < result["relative_bandwidth"] < 2.0
+        assert result["max_bandwidth_mbps"] > 0
 
     def test_cni_bandwidth_exceeds_ni2w(self):
         """Headline Figure-7 claim at the 256-byte point."""
-        ni2w = bandwidth("NI2w", "memory", 256, messages=25, warmup=5)
-        cni = bandwidth("CNI512Q", "memory", 256, messages=25, warmup=5)
-        assert cni.bandwidth_mbps > 1.5 * ni2w.bandwidth_mbps
+        ni2w = _bandwidth("NI2w", "memory", 256, messages=25, warmup=5)
+        cni = _bandwidth("CNI512Q", "memory", 256, messages=25, warmup=5)
+        assert cni["bandwidth_mbps"] > 1.5 * ni2w["bandwidth_mbps"]
 
     def test_bandwidth_grows_with_message_size_for_ni2w(self):
-        small = bandwidth("NI2w", "memory", 16, messages=25, warmup=5)
-        large = bandwidth("NI2w", "memory", 1024, messages=12, warmup=3)
-        assert large.bandwidth_mbps > small.bandwidth_mbps
+        small = _bandwidth("NI2w", "memory", 16, messages=25, warmup=5)
+        large = _bandwidth("NI2w", "memory", 1024, messages=12, warmup=3)
+        assert large["bandwidth_mbps"] > small["bandwidth_mbps"]
 
     def test_zero_messages_rejected(self):
-        with pytest.raises(MicrobenchmarkError):
-            bandwidth("NI2w", "memory", 64, messages=0)
+        with pytest.raises(SpecError, match="at least one message"):
+            run_point(ExperimentSpec(kind="bandwidth", device="NI2w", messages=0))
 
 
 class TestMacroExperiments:
-    def test_run_macrobenchmark_result(self):
-        result = run_macrobenchmark(
-            "em3d", "CNI16Qm", "memory", num_nodes=4, scale=0.2,
+    def test_macro_point_result(self):
+        spec = ExperimentSpec(
+            kind="macro", workload="em3d", device="CNI16Qm", bus="memory",
+            num_nodes=4, scale=0.2,
             workload_kwargs={"iterations": 1, "nodes_per_proc": 12},
         )
-        assert result.cycles > 0
-        assert result.ni_name == "CNI16Qm"
-        assert result.memory_bus_occupancy > 0
+        result = run_point(spec)
+        assert result.metrics["cycles"] > 0
+        assert result.metrics["memory_bus_occupancy"] > 0
+        # The kind's run path built the spec's machine: the workload ran on
+        # CNI16Qm, and run_point reports that very run.
+        _, run = run_spec(spec)
+        assert run.ni_name == "CNI16Qm"
+        assert run.cycles == result.metrics["cycles"]
 
-    def test_speedup_sweep_includes_baseline(self):
-        sweep = speedup_sweep(
-            "gauss",
-            [("CNI16Qm", "memory")],
-            num_nodes=4,
-            scale=0.15,
-            workload_kwargs={"elimination_cycles": 2000},
-        )
-        assert sweep["NI2w@memory"]["speedup"] == 1.0
+    def test_speedups_include_baseline(self):
+        results = SweepRunner().run(macro_sweep(
+            ["gauss"], [("CNI16Qm", "memory")], num_nodes=4, scale=0.15,
+            workload_kwargs={"gauss": {"elimination_cycles": 2000}},
+        ))
+        sweep = speedups(results, "gauss")
+        assert sweep["NI2w@memory"] == 1.0
         assert "CNI16Qm@memory" in sweep
-        assert sweep["CNI16Qm@memory"]["speedup"] > 0
+        assert sweep["CNI16Qm@memory"] > 0
 
-    def test_bus_occupancy_reduction_positive_for_cqs(self):
-        reductions = bus_occupancy_reduction(
-            "gauss", devices=("NI2w", "CNI512Q"), num_nodes=4, scale=0.15
-        )
+    def test_occupancy_reduction_positive_for_cqs(self):
+        results = SweepRunner().run(macro_sweep(
+            ["gauss"], [("NI2w", "memory"), ("CNI512Q", "memory")],
+            num_nodes=4, scale=0.15,
+        ))
+        reductions = occupancy_reductions(results, "gauss")
         assert reductions["NI2w"] == 0.0
         assert reductions["CNI512Q"] > 0.0
+
+
+@pytest.fixture(scope="module")
+def figure8_claims():
+    """Figure 8 speedups and §5.2 occupancy reductions of all five
+    workloads at 4 nodes, scale 0.15, from one shared runner (the
+    occupancy sweep is served from the figure sweep's history)."""
+    runner = SweepRunner()
+    speedup = figures.figure8_macro(num_nodes=4, scale=0.15, runner=runner)
+    occupancy = figures.occupancy_reduction(num_nodes=4, scale=0.15, runner=runner)
+    return speedup, occupancy
+
+
+@pytest.mark.parametrize("workload", figures.FIGURE8_WORKLOADS)
+class TestFigure8Claims:
+    def test_fig8a_best_cni_beats_ni2w_on_the_memory_bus(self, figure8_claims, workload):
+        panel = figure8_claims[0]["memory"][workload]
+        assert panel["NI2w@memory"] == 1.0
+        assert max(v for k, v in panel.items() if k.startswith("CNI")) > 1.0
+
+    def test_fig8b_cni512q_beats_ni2w_on_the_io_bus(self, figure8_claims, workload):
+        panel = figure8_claims[0]["io"][workload]
+        assert panel["CNI512Q@io"] > panel["NI2w@io"]
+
+    def test_fig8c_ni2w_on_the_cache_bus_beats_the_baseline(self, figure8_claims, workload):
+        # Whether it also beats CNI16Qm is workload-dependent (the paper's
+        # em3d is a case where it does not), so that is not asserted.
+        assert figure8_claims[0]["alternate"][workload]["NI2w@cache"] > 1.0
+
+    def test_sec52_cni512q_cuts_memory_bus_occupancy(self, figure8_claims, workload):
+        reductions = figure8_claims[1][workload]
+        assert reductions["CNI512Q"] > 0.2
+        assert reductions["CNI512Q"] > reductions["CNI4"]
 
 
 class TestFigureSeries:

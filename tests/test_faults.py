@@ -207,19 +207,23 @@ class TestFaultSweep:
         parallel = SweepRunner(jobs=2).run(sweep)
         assert [r.metrics for r in serial] == [r.metrics for r in parallel]
 
-    def test_fault_metrics_surface_only_under_a_plan(self):
+    @pytest.mark.parametrize(
+        "kind, workload, device",
+        [("macro", "gauss", "CNI4Q"), ("traffic", "uniform", "CNI16Qm")],
+    )
+    def test_fault_metrics_surface_only_under_a_plan(self, kind, workload, device):
         sweep = fault_sweep(
-            workloads=("gauss",), num_nodes=4, scale=0.25,
-            plans=("lossy1",), seeds=(0,),
+            workloads=(workload,), configs=((device, "memory"),), num_nodes=4,
+            scale=0.25, plans=("lossy1",), seeds=(0,),
         )
-        faulty = SweepRunner().run(sweep)[0]
+        faulty = SweepRunner().run([p.with_overrides(kind=kind) for p in sweep.points])[0]
         assert faulty.metrics["fault_retransmits"] > 0
         assert faulty.metrics["fault_drops"] > 0
         plain = SweepRunner().run(
             [
                 ExperimentSpec(
-                    kind="macro", device="CNI4Q", bus="memory", num_nodes=4,
-                    workload="gauss", scale=0.25, params={"fabric": "mesh"},
+                    kind=kind, device=device, bus="memory", num_nodes=4,
+                    workload=workload, scale=0.25, params={"fabric": "mesh"},
                 )
             ]
         )[0]

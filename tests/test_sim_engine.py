@@ -367,8 +367,10 @@ class TestCycleExactness:
 
     @pytest.mark.parametrize("config", sorted(FIG6_GOLDEN))
     def test_fig6_latency_bit_identical_to_seed_kernel(self, config):
-        from repro.experiments.microbench import round_trip_latency
+        from repro.api import ExperimentSpec, run_point
 
         device, bus = config
-        result = round_trip_latency(device, bus, message_bytes=64, iterations=10, warmup=4)
-        assert result.round_trip_cycles == self.FIG6_GOLDEN[config]
+        spec = ExperimentSpec(
+            kind="latency", device=device, bus=bus, message_bytes=64, iterations=10, warmup=4
+        )
+        assert run_point(spec).metrics["round_trip_cycles"] == self.FIG6_GOLDEN[config]
