@@ -22,6 +22,10 @@ beyond ``http.server``:
 * ``GET /stats`` — hit/miss/store/eviction counters, dedup counters,
   request counters, uptime.
 
+Every fixed-length response leaves in one write on a socket with
+``TCP_NODELAY`` set, and carries a ``Server-Timing`` header saying where the
+request's time went (see :class:`_RequestTrace`).
+
 Run it with ``python -m repro.service`` (see :mod:`repro.service.__main__`).
 """
 
@@ -32,10 +36,11 @@ import itertools
 import json
 import os
 import re
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.api.results import RunResult
@@ -205,10 +210,13 @@ class ExperimentService:
 
         Blocks until the result is in the store.  Role is ``"store"`` for a
         warm hit, ``"leader"`` for the caller that simulated, ``"follower"``
-        / ``"remote"`` for deduplicated callers.
+        / ``"remote"`` for deduplicated callers.  The warm check is counter-
+        neutral: the HTTP handler has already counted the request's hit or
+        miss in the one read that serves a warm key, and calls this only on
+        a miss.
         """
         key = self.store.cache_key(spec)
-        if self.store.get(spec) is not None:
+        if self.store.peek(spec) is not None:
             self.bump("store_served")
             return key, "store"
         try:
@@ -436,12 +444,47 @@ def _etag_matches(header: Optional[str], etag: str) -> bool:
     return False
 
 
+class _RequestTrace:
+    """Where one request's time went: its ``Server-Timing`` header and its
+    ``--verbose`` log line."""
+
+    __slots__ = ("started", "store_s", "run_s", "status", "role", "key")
+
+    def __init__(self) -> None:
+        self.started = time.perf_counter()
+        #: Time in store reads.
+        self.store_s = 0.0
+        #: Time inside ``run_spec`` on a cold key, simulating or waiting on
+        #: dedup; ``None`` when the request ran nothing.
+        self.run_s: Optional[float] = None
+        self.status: Optional[int] = None
+        self.role: Optional[str] = None
+        self.key: Optional[str] = None
+
+    def server_timing(self) -> str:
+        """``store``, ``run`` (cold keys only) and ``total`` so far, in ms.
+
+        Each part is truncated to whole microseconds, so ``store + run <=
+        total`` holds in the header as it does in time.
+        """
+        parts = [("store", self.store_s)]
+        if self.run_s is not None:
+            parts.append(("run", self.run_s))
+        parts.append(("total", time.perf_counter() - self.started))
+        return ", ".join(f"{name};dur={int(s * 1e6) / 1000:.3f}" for name, s in parts)
+
+
 class ServiceHandler(BaseHTTPRequestHandler):
     """Routes requests into the bound :class:`ExperimentService`."""
 
     service: ExperimentService  # bound by make_server()
     protocol_version = "HTTP/1.1"
     server_version = "repro-service/1.0"
+    # Keep-alive clients delay their ACKs, so with Nagle's algorithm on a
+    # response written in two parts waits ~40 ms for its second part.
+    # Fixed-length responses are written whole (_send_bytes); the NDJSON
+    # stream wants each event on the wire as soon as it is written.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -449,6 +492,29 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         if self.service.verbose:
             BaseHTTPRequestHandler.log_message(self, format, *args)
+
+    def log_request(self, code: Any = "-", size: Any = "-") -> None:
+        pass  # a routed request logs one JSON line instead, in _serve()
+
+    def _serve(self, route: Callable[[Any], None]) -> None:
+        self.service.bump("requests")
+        self.trace = _RequestTrace()
+        try:
+            route(urlparse(self.path))
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
+        if self.service.verbose:
+            trace = self.trace
+            line = {
+                "method": self.command,
+                "path": self.path,
+                "status": trace.status,
+                "role": trace.role,
+                "ms": round(1000.0 * (time.perf_counter() - trace.started), 3),
+            }
+            if trace.key is not None:
+                line["key"] = trace.key
+            sys.stderr.write(json.dumps(line, sort_keys=True) + "\n")
 
     def _send_json(
         self, code: int, payload: Any, headers: Optional[Dict[str, str]] = None
@@ -459,13 +525,38 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _send_bytes(
         self, code: int, body: bytes, headers: Optional[Dict[str, str]] = None
     ) -> None:
+        """A fixed-length response, status line to body, in one write."""
+        self.trace.status = code
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        if body:
+            self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
+        self.send_header("Server-Timing", self.trace.server_timing())
+        # end_headers() would write the header block on its own.  An
+        # HTTP/0.9 request has no header block, only the body.
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            body = b"".join(self._headers_buffer) + body
+            self._headers_buffer = []
         self.wfile.write(body)
+
+    def _read_entry(
+        self, key: str, spec: Optional[ExperimentSpec] = None
+    ) -> Optional[Tuple[bytes, str]]:
+        started = time.perf_counter()
+        try:
+            return self.service.store.read_entry(key, spec)
+        finally:
+            self.trace.store_s += time.perf_counter() - started
+
+    def _run_spec(self, spec: ExperimentSpec) -> Tuple[str, str]:
+        started = time.perf_counter()
+        try:
+            return self.service.run_spec(spec)
+        finally:
+            self.trace.run_s = time.perf_counter() - started
 
     def _send_error_json(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
@@ -486,37 +577,33 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # Routing
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self.service.bump("requests")
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        try:
-            if url.path in ("/stats", "/stats/"):
-                self._send_json(200, self.service.stats())
-            elif url.path in ("/", "/healthz"):
-                self._send_json(200, {"status": "ok", "uptime_s": time.time() - self.service.started})
-            elif len(parts) == 2 and parts[0] == "result":
-                self._get_result(parts[1])
-            elif len(parts) == 2 and parts[0] == "batch":
-                self._get_batch(parts[1])
-            elif len(parts) == 3 and parts[0] == "batch" and parts[2] == "stream":
-                self._stream_batch(parts[1])
-            else:
-                self._send_error_json(404, f"no such endpoint: GET {url.path}")
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
+        self._serve(self._route_get)
 
     def do_POST(self) -> None:  # noqa: N802
-        self.service.bump("requests")
-        url = urlparse(self.path)
-        try:
-            if url.path in ("/run", "/run/"):
-                self._post_run(url)
-            elif url.path in ("/batch", "/batch/"):
-                self._post_batch()
-            else:
-                self._send_error_json(404, f"no such endpoint: POST {url.path}")
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
+        self._serve(self._route_post)
+
+    def _route_get(self, url: Any) -> None:
+        parts = [p for p in url.path.split("/") if p]
+        if url.path in ("/stats", "/stats/"):
+            self._send_json(200, self.service.stats())
+        elif url.path in ("/", "/healthz"):
+            self._send_json(200, {"status": "ok", "uptime_s": time.time() - self.service.started})
+        elif len(parts) == 2 and parts[0] == "result":
+            self._get_result(parts[1])
+        elif len(parts) == 2 and parts[0] == "batch":
+            self._get_batch(parts[1])
+        elif len(parts) == 3 and parts[0] == "batch" and parts[2] == "stream":
+            self._stream_batch(parts[1])
+        else:
+            self._send_error_json(404, f"no such endpoint: GET {url.path}")
+
+    def _route_post(self, url: Any) -> None:
+        if url.path in ("/run", "/run/"):
+            self._post_run(url)
+        elif url.path in ("/batch", "/batch/"):
+            self._post_batch()
+        else:
+            self._send_error_json(404, f"no such endpoint: POST {url.path}")
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -525,8 +612,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if not _KEY_RE.match(key):
             self._send_error_json(400, "result keys are 64 hex characters")
             return
+        self.trace.key = key
         try:
-            entry = self.service.store.read_entry(key)
+            entry = self._read_entry(key)
         except CorruptEntryError as exc:
             # The entry was torn on disk; it has been quarantined, so a
             # retry recomputes the point instead of re-reading garbage.
@@ -534,12 +622,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         if entry is not None:
             data, etag = entry
+            self.trace.role = "store"
             if _etag_matches(self.headers.get("If-None-Match"), etag):
                 self.service.bump("responses_304")
-                self.send_response(304)
-                self.send_header("ETag", f'"{etag}"')
-                self.send_header("Content-Length", "0")
-                self.end_headers()
+                self._send_bytes(304, b"", {"ETag": f'"{etag}"'})
                 return
             self._send_bytes(200, data, {"ETag": f'"{etag}"', "Cache-Control": "max-age=0, must-revalidate"})
             return
@@ -564,29 +650,37 @@ class ServiceHandler(BaseHTTPRequestHandler):
         query = parse_qs(url.query)
         wait = query.get("wait", ["1"])[0].lower() not in ("0", "false", "no")
         if not wait:
-            key = self.service.start_async_run(spec)
+            key = self.trace.key = self.service.start_async_run(spec)
             self._send_json(
                 202,
                 {"status": "running", "key": key, "location": f"/result/{key}"},
                 {"Location": f"/result/{key}"},
             )
             return
-        try:
-            key, role = self.service.run_spec(spec)
-        except PointTimeoutError as exc:
-            self._send_error_json(504, f"simulation timed out: {exc}")
-            return
-        except DedupError as exc:
-            self._send_error_json(503, str(exc))
-            return
-        except Exception as exc:
-            self._send_error_json(500, f"simulation failed: {type(exc).__name__}: {exc}")
-            return
-        try:
-            entry = self.service.store.read_entry(key)
-        except CorruptEntryError as exc:
-            self._send_json(503, {"error": str(exc)}, {"Retry-After": "1"})
-            return
+        key = self.trace.key = self.service.store.cache_key(spec)
+        # A warm key is served from this one read; a miss is counted here.
+        entry = self._read_entry(key, spec)
+        if entry is not None:
+            self.service.bump("store_served")
+            role = "store"
+        else:
+            try:
+                key, role = self._run_spec(spec)
+            except PointTimeoutError as exc:
+                self._send_error_json(504, f"simulation timed out: {exc}")
+                return
+            except DedupError as exc:
+                self._send_error_json(503, str(exc))
+                return
+            except Exception as exc:
+                self._send_error_json(500, f"simulation failed: {type(exc).__name__}: {exc}")
+                return
+            try:
+                entry = self._read_entry(key)
+            except CorruptEntryError as exc:
+                self._send_json(503, {"error": str(exc)}, {"Retry-After": "1"})
+                return
+        self.trace.role = role
         if entry is None:
             self._send_error_json(503, "result evicted before it could be served; retry")
             return
@@ -635,10 +729,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if batch is None:
             self._send_error_json(404, f"no such batch {batch_id!r}")
             return
+        self.trace.status = 200
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-store")
         self.send_header("Connection", "close")
+        self.send_header("Server-Timing", self.trace.server_timing())
         self.end_headers()
         self.close_connection = True
         sent = 0

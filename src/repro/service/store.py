@@ -25,7 +25,9 @@ store has the properties needed once many processes hammer it:
   pinned set alone exceeds the budget.
 * **Key-addressed reads.**  :meth:`read_entry` serves the raw entry bytes
   plus ETag for a bare key — the HTTP layer's pure read path, which never
-  parses a spec or constructs a Machine.
+  parses a spec or constructs a Machine.  Given the spec too, the same one
+  read makes every check :meth:`get` makes, so a warm ``POST /run`` is
+  answered from a single read of its entry.
 
 Files outside the sharded layout (such as the flat ``<kind>-<key>.json``
 files older versions wrote to the store root) are never read.
@@ -252,31 +254,51 @@ class ResultStore:
         }
 
     # ------------------------------------------------------------------
-    # Key-addressed read path (no spec, no Machine)
+    # Key-addressed read path (no Machine)
     # ------------------------------------------------------------------
-    def read_entry(self, key: str) -> Optional[Tuple[bytes, str]]:
+    def read_entry(
+        self, key: str, spec: Optional[ExperimentSpec] = None
+    ) -> Optional[Tuple[bytes, str]]:
         """The raw entry bytes and strong ETag for ``key``, or ``None``.
 
         This is the serving read path: one file read plus a JSON
-        well-formedness check (no result decode, no spec validation, and
-        definitely no Machine construction).  A torn entry is moved to
-        quarantine and surfaces as :class:`CorruptEntryError` so the HTTP
-        layer can answer 503 instead of shipping garbage bytes.
+        well-formedness check (no spec validation, and definitely no Machine
+        construction).  A torn entry is moved to quarantine and surfaces as
+        :class:`CorruptEntryError` so the HTTP layer can answer 503 instead
+        of shipping garbage bytes.
+
+        Given the ``spec`` that ``key`` was derived from, the same read is
+        :meth:`get` returning bytes: the entry must decode as ``spec``'s
+        result under the live schema stamps, it counts as a hit or a miss,
+        and a torn, stale or mismatched entry is a miss (``None``) for the
+        caller to recompute rather than an error.
         """
         path = self.path_for_key(key)
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
+            payload = json.loads(data)
         except OSError:
-            return None
-        try:
-            json.loads(data)
+            data = payload = None
         except ValueError:
-            self.quarantine(key, path)
-            raise CorruptEntryError(f"store entry {key[:12]}… is corrupt; quarantined")
+            if spec is None:
+                self.quarantine(key, path)
+                raise CorruptEntryError(f"store entry {key[:12]}… is corrupt; quarantined")
+            payload = None
+        if spec is not None:
+            hit = payload is not None and decode_entry(payload, spec) is not None
+            with self._lock:
+                if hit:
+                    self.hits += 1
+                else:
+                    self.misses += 1
+            if not hit:
+                return None
+        elif data is None:
+            return None
         meta = self.read_meta(key)
         etag = meta.get("etag") or hashlib.sha256(data).hexdigest()
-        self._touch(key)
+        self._touch(key, meta)
         return data, etag
 
     # ------------------------------------------------------------------
@@ -314,16 +336,18 @@ class ResultStore:
         }
         write_entry_atomic(self.meta_path_for_key(key), meta)
 
-    def _touch(self, key: str) -> None:
-        """Best-effort last-hit bump; losing a racing update is harmless."""
-        path = self.meta_path_for_key(key)
-        meta = read_entry(path)
-        if not isinstance(meta, dict):
+    def _touch(self, key: str, meta: Optional[Dict] = None) -> None:
+        """Best-effort last-hit bump; losing a racing update is harmless.
+
+        ``meta`` is the sidecar as the caller just read it, if it did.
+        """
+        meta = self.read_meta(key) if meta is None else meta
+        if not meta:
             return
         meta["last_hit"] = time.time()
         meta["hits"] = int(meta.get("hits", 0)) + 1
         try:
-            write_entry_atomic(path, meta)
+            write_entry_atomic(self.meta_path_for_key(key), meta)
         except OSError:
             pass
 

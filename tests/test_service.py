@@ -6,14 +6,21 @@ simulation and all receive the same bit-identical result, the warm read
 path serves without constructing a Machine and honours ``If-None-Match``
 with 304, LRU eviction never touches pinned entries, worker cache counters
 aggregate back into the parent runner, and the admin CLI prunes dead
-entries.
+entries.  Over one keep-alive connection, each fixed-length response leaves
+in one send on a ``TCP_NODELAY`` socket and says where its time went in
+``Server-Timing``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import http.client
 import json
 import multiprocessing
 import os
+import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -416,19 +423,25 @@ class TestCrossProcessDedup:
 # ---------------------------------------------------------------------------
 # HTTP service
 # ---------------------------------------------------------------------------
-@pytest.fixture()
-def service(tmp_path):
-    svc = ExperimentService(ResultStore(str(tmp_path / "store")), jobs=1)
+@contextlib.contextmanager
+def _serving(svc, wrap_handler=lambda handler: handler):
     server = make_server(svc)
+    server.RequestHandlerClass = wrap_handler(server.RequestHandlerClass)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    host, port = server.server_address[:2]
-    svc.base_url = f"http://{host}:{port}"
+    svc.address = server.server_address[:2]
+    svc.base_url = "http://%s:%d" % svc.address
     try:
         yield svc
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture()
+def service(tmp_path):
+    with _serving(ExperimentService(ResultStore(str(tmp_path / "store")), jobs=1)) as svc:
+        yield svc
 
 
 def _request(
@@ -455,10 +468,14 @@ class TestHttpService:
         assert headers["X-Repro-Role"] == "leader"
         served = RunResult.from_dict(json.loads(payload))
         assert served == run_point(spec)  # bit-identical to a direct run
+        key = service.store.cache_key(spec)
+        hits = service.store.read_meta(key)["hits"]
         status2, headers2, payload2 = _request(service.base_url + "/run", data=body)
         assert status2 == 200
         assert headers2["X-Repro-Role"] == "store"
         assert payload2 == payload
+        # One warm POST /run is one hit on its entry: one store read.
+        assert service.store.read_meta(key)["hits"] == hits + 1
         assert service.counters["runs_completed"] == 1
         assert service.counters["store_served"] == 1
 
@@ -630,6 +647,208 @@ class TestHttpService:
     def test_unknown_batch_is_404(self, service):
         assert _request(service.base_url + "/batch/bogus")[0] == 404
         assert _request(service.base_url + "/batch/bogus/stream")[0] == 404
+
+
+class _CountingSocket:
+    """The server's end of a connection, counting each send that reaches it."""
+
+    def __init__(self, sock, sends):
+        self._sock = sock
+        self._sends = sends
+
+    def send(self, data, *args):
+        self._sends.append(len(data))
+        return self._sock.send(data, *args)
+
+    def sendall(self, data, *args):
+        self._sends.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@contextlib.contextmanager
+def _probed(svc):
+    """Serve ``svc`` through a handler that counts the sends on each accepted
+    socket and records its ``TCP_NODELAY`` setting."""
+    sends, nodelay = [], []
+
+    def probe(handler):
+        class Probe(handler):
+            def setup(self):
+                self.request = _CountingSocket(self.request, sends)
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+
+        return Probe
+
+    with _serving(svc, probe):
+        svc.sends, svc.nodelay = sends, nodelay
+        yield svc
+
+
+@pytest.fixture()
+def probed_service(tmp_path):
+    with _probed(ExperimentService(ResultStore(str(tmp_path / "store")), jobs=1)) as svc:
+        yield svc
+
+
+def _keepalive_sequence(svc):
+    """One ``http.client`` connection carrying a cold and a warm ``POST
+    /run``, ``GET /result``, a conditional GET, a bad key and an unknown
+    endpoint.  Returns ``(label, response, body, sends)`` per request."""
+    spec = quick_spec(message_bytes=40)
+    key = svc.store.cache_key(spec)
+    run = json.dumps(spec.to_dict()).encode()
+    conn = http.client.HTTPConnection(*svc.address, timeout=60)
+    out, etag = [], None
+    try:
+        for label, method, path, body in (
+            ("cold run", "POST", "/run", run),
+            ("warm run", "POST", "/run", run),
+            ("get", "GET", f"/result/{key}", None),
+            ("304", "GET", f"/result/{key}", None),
+            ("bad key", "GET", "/result/shorty", None),
+            ("unknown", "GET", "/nope", None),
+        ):
+            headers = {"If-None-Match": etag} if label == "304" else {}
+            before = len(svc.sends)
+            conn.request(method, path, body=body, headers=headers)
+            response = conn.getresponse()
+            payload = response.read()
+            out.append((label, response, payload, len(svc.sends) - before))
+            etag = etag or response.getheader("ETag")
+    finally:
+        conn.close()
+    return out
+
+
+def _server_timing(response):
+    """``Server-Timing`` as ``{name: ms}``."""
+    parts = {}
+    for part in response.getheader("Server-Timing").split(","):
+        name, _, duration = part.strip().partition(";dur=")
+        parts[name] = float(duration)
+    return parts
+
+
+class TestKeepAliveTransport:
+    def test_accepted_socket_has_tcp_nodelay(self, probed_service):
+        assert _request(probed_service.base_url + "/healthz")[0] == 200
+        assert len(probed_service.nodelay) == 1
+        assert probed_service.nodelay[0] != 0
+
+    def test_each_fixed_length_response_is_one_send(self, probed_service):
+        replies = _keepalive_sequence(probed_service)
+        assert {label: sends for label, _, _, sends in replies} == {
+            label: 1 for label, _, _, _ in replies
+        }
+
+    def test_one_connection_carries_a_request_sequence(self, probed_service):
+        replies = {label: rest for label, *rest in _keepalive_sequence(probed_service)}
+        assert len(probed_service.nodelay) == 1  # one accepted connection
+        cold, cold_body, _ = replies["cold run"]
+        assert (cold.status, cold.getheader("X-Repro-Role")) == (200, "leader")
+        etag = cold.getheader("ETag")
+        assert etag == f'"{hashlib.sha256(cold_body).hexdigest()}"'
+        assert RunResult.from_dict(json.loads(cold_body)) == run_point(
+            quick_spec(message_bytes=40)
+        )
+        warm, warm_body, _ = replies["warm run"]
+        assert (warm.status, warm.getheader("X-Repro-Role")) == (200, "store")
+        assert (warm_body, warm.getheader("ETag")) == (cold_body, etag)
+        got, got_body, _ = replies["get"]
+        assert (got.status, got_body, got.getheader("ETag")) == (200, cold_body, etag)
+        revalidated, revalidated_body, _ = replies["304"]
+        assert (revalidated.status, revalidated_body) == (304, b"")
+        assert revalidated.getheader("ETag") == etag
+        for label, status in (("bad key", 400), ("unknown", 404)):
+            response, body, _ = replies[label]
+            assert response.status == status
+            assert response.getheader("Content-Type") == "application/json"
+            assert "error" in json.loads(body)
+
+    def test_http09_request_gets_the_bare_body(self, service):
+        with socket.create_connection(service.address) as client:
+            client.sendall(b"GET /healthz\r\n\r\n")
+            reply = client.makefile("rb").read()
+        assert json.loads(reply)["status"] == "ok"
+
+    def test_client_reset_before_reading_is_quiet(self, service, monkeypatch, capfd):
+        """The response to a client that reset its socket dies in the
+        handler: no traceback, and the server goes on serving."""
+        import repro.service.http as service_http
+
+        entered, release = threading.Event(), threading.Event()
+        real_run_point = service_http.run_point
+
+        def gated_run_point(spec):
+            entered.set()
+            assert release.wait(30), "test gate never released"
+            return real_run_point(spec)
+
+        monkeypatch.setattr(service_http, "run_point", gated_run_point)
+        body = json.dumps(quick_spec().to_dict()).encode()
+        client = socket.create_connection(service.address)
+        client.sendall(
+            b"POST /run HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n"
+            % len(body) + body
+        )
+        assert entered.wait(30), "the request never reached the simulation"
+        # Linger off: close() sends RST, so the response write must fail.
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client.close()
+        release.set()
+        deadline = time.time() + 30
+        while service.counters["runs_completed"] < 1 and time.time() < deadline:
+            time.sleep(0.01)
+        status, headers, _ = _request(service.base_url + "/run", data=body)
+        assert (status, headers["X-Repro-Role"]) == (200, "store")
+        time.sleep(0.2)  # let the reset connection's handler finish
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "Exception occurred" not in err, err
+
+
+class TestServerTiming:
+    def test_parts_add_up_and_run_only_on_a_cold_key(self, probed_service):
+        replies = {label: response for label, response, _, _ in _keepalive_sequence(
+            probed_service)}
+        for label, response in replies.items():
+            parts = _server_timing(response)
+            expected = {"store", "run", "total"} if label == "cold run" else {"store", "total"}
+            assert set(parts) == expected, label
+            assert round(parts["store"] + parts.get("run", 0.0), 3) <= parts["total"], label
+        assert _server_timing(replies["cold run"])["run"] > 0
+        for label in ("warm run", "get", "304"):
+            assert _server_timing(replies[label])["store"] > 0, label
+
+    def test_verbose_logs_one_json_line_per_request(self, tmp_path, capsys):
+        svc = ExperimentService(ResultStore(str(tmp_path / "store")), verbose=True)
+        with _probed(svc):
+            capsys.readouterr()
+            replies = _keepalive_sequence(svc)
+            err, deadline = "", time.time() + 10
+            while err.count("\n") < len(replies) and time.time() < deadline:
+                time.sleep(0.01)
+                err += capsys.readouterr().err
+        lines = [json.loads(line) for line in err.splitlines()]
+        key = svc.store.cache_key(quick_spec(message_bytes=40))
+        assert [
+            (line["method"], line["status"], line["role"], line.get("key"))
+            for line in lines
+        ] == [
+            ("POST", 200, "leader", key),
+            ("POST", 200, "store", key),
+            ("GET", 200, "store", key),
+            ("GET", 304, "store", key),
+            ("GET", 400, None, None),
+            ("GET", 404, None, None),
+        ]
+        assert [line["path"] for line in lines[-2:]] == ["/result/shorty", "/nope"]
+        assert all(line["ms"] >= 0 for line in lines)
 
 
 class TestHttpDedupFanIn:
