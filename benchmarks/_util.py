@@ -1,8 +1,8 @@
 """Helpers shared by the benchmark suite.
 
-Each benchmark regenerates one of the paper's tables or figures at a reduced
-sweep size (so the whole suite runs in minutes on a laptop) and prints the
-series it produced.  Run with::
+Each pytest-benchmark script runs one experiment at a reduced sweep size
+(so the whole suite runs in minutes on a laptop) and prints what it
+produced.  Run with::
 
     pytest benchmarks/ --benchmark-only
 
@@ -16,15 +16,7 @@ on-disk cache is enabled here).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-from repro.api import (
-    ExperimentSpec,
-    SweepRunner,
-    bandwidth_sweep,
-    latency_sweep,
-    run_point,
-)
+from repro.api import ExperimentSpec, SweepRunner, run_point
 
 
 def single_run(benchmark, func, *args, **kwargs):
@@ -40,38 +32,6 @@ def single_run(benchmark, func, *args, **kwargs):
 def runner() -> SweepRunner:
     """A fresh serial, uncached runner (benchmarks time the simulation)."""
     return SweepRunner(jobs=1, cache_dir=None)
-
-
-def latency_series(
-    device: str,
-    bus: str,
-    sizes: Sequence[int],
-    iterations: int,
-    warmup: int,
-    snarfing: bool = False,
-) -> Dict[int, float]:
-    """Round-trip latency (µs) by message size for one (device, bus)."""
-    results = runner().run(
-        latency_sweep([(device, bus)], sizes, iterations=iterations, warmup=warmup,
-                      snarfing=snarfing)
-    )
-    return results.pivot(series="device", x="message_bytes", value="round_trip_us")[device]
-
-
-def bandwidth_series(
-    device: str,
-    bus: str,
-    sizes: Sequence[int],
-    messages: int,
-    warmup: int,
-    snarfing: bool = False,
-) -> Dict[int, float]:
-    """Relative bandwidth by message size for one (device, bus)."""
-    results = runner().run(
-        bandwidth_sweep([(device, bus)], sizes, messages=messages, warmup=warmup,
-                        snarfing=snarfing)
-    )
-    return results.pivot(series="device", x="message_bytes", value="relative_bandwidth")[device]
 
 
 def latency_point(device: str, bus: str, size: int, iterations: int, warmup: int):

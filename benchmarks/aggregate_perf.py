@@ -2,8 +2,8 @@
 
 Every perf benchmark in this suite (``bench_polling.py``,
 ``bench_fabric.py``, ``bench_protocols.py``, ``bench_service.py``,
-``bench_faults.py``, ``bench_traffic.py``) writes a ``BENCH_<name>.json``
-report with ``--json``.  CI uploads each one, but a trajectory is only
+``bench_faults.py``) writes a ``BENCH_<name>.json`` report with
+``--json``.  CI uploads each one, but a trajectory is only
 readable as *one* artifact per run: this script globs the reports, tags
 them with the commit and timestamp, distils the headline number from each,
 and writes ``perf-trajectory.json`` next to them::
@@ -65,14 +65,6 @@ def _protocols_headline(report: dict) -> dict:
     }
 
 
-def _traffic_headline(report: dict) -> dict:
-    return {
-        "best_replay_event_speedup": report.get("best_event_speedup"),
-        "trace_messages": report.get("trace_messages"),
-        "all_fidelity_exact": report.get("all_fidelity_exact"),
-    }
-
-
 def _service_headline(report: dict) -> dict:
     dedup = report.get("dedup", {})
     return {
@@ -88,7 +80,6 @@ _HEADLINES = {
     "fabric": _fabric_headline,
     "protocols": _protocols_headline,
     "service": _service_headline,
-    "traffic": _traffic_headline,
 }
 
 

@@ -1,11 +1,11 @@
 """Benchmarks over the *generative* device space of the taxonomy.
 
-Where ``bench_fig6_latency``/``bench_fig7_bandwidth`` reproduce the paper's
-five point designs, these sweeps exercise the composable device kit: queue
-sizes scale 4 → 512 blocks across both the uncoherent explicit-queue
-(``NI{n}Q``) and coherent cachable-queue (``CNI{n}Q``) families, and a
-macro workload runs on taxonomy points the paper never built (Alewife's
-``NI16w``, *T-NG's ``NI128Q``, ``CNI64Q``, ``CNI16``).
+Where Figures 6 and 7 cover the paper's five point designs, these sweeps
+exercise the composable device kit: queue sizes scale 4 → 512 blocks
+across both the uncoherent explicit-queue (``NI{n}Q``) and coherent
+cachable-queue (``CNI{n}Q``) families, and a macro workload runs on
+taxonomy points the paper never built (Alewife's ``NI16w``, *T-NG's
+``NI128Q``, ``CNI64Q``, ``CNI16``).
 
 Everything is expressed through :func:`repro.api.device_space_sweep` and
 plain :class:`repro.api.ExperimentSpec` points — no device-specific code.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Synthetic traffic, trace replay, and the plugin path for both registries.
+"""Synthetic traffic, trace recording, and the plugin path for both registries.
 
 Three things in one script:
 
@@ -8,10 +8,9 @@ Three things in one script:
    fine-grain patterns (allreduce, halo, psrpc, kv) across device cells
    with the same declarative sweep API the paper figures use.
 
-2. **Trace record/replay** — capture one pattern's NI message stream to a
-   trace file, then replay it through other devices as a cheap sweep
-   accelerator, checking the fidelity contract (message and byte counts
-   reproduce exactly on the recorded configuration).
+2. **Trace recording** — capture one pattern's NI message stream to a
+   trace file and read it back: an export of who sent how many bytes to
+   whom, for looking into a run's traffic.
 
 3. **The plugin path** — registries are open: a custom workload
    (``@register_workload``) and a custom experiment kind
@@ -32,7 +31,7 @@ from repro.api.runner import run_point
 from repro.apps import available_workloads, register_workload, unregister_workload
 from repro.experiments.report import format_table
 from repro.traffic import TrafficWorkload, Phase, Send
-from repro.trace import record_trace
+from repro.trace import read_trace, record_trace
 
 import repro.traffic  # noqa: F401 — registers the shipped patterns
 
@@ -55,8 +54,8 @@ def traffic_table(args) -> None:
     print(format_table(rows, "Shipped traffic patterns x device"))
 
 
-def replay_demo(args) -> None:
-    """Part 2: record a hotspot run once, replay it on other devices."""
+def record_demo(args) -> None:
+    """Part 2: record a hotspot run's message stream and summarise it."""
     spec = ExperimentSpec(
         kind="traffic",
         device="CNI16Qm",
@@ -65,36 +64,18 @@ def replay_demo(args) -> None:
         num_nodes=args.nodes,
         scale=args.scale,
     )
-    trace = os.path.join(tempfile.gettempdir(), f"repro-example-{os.getpid()}.json.gz")
-    try:
-        summary = record_trace(spec, trace)
-        rows = []
-        for device, bus in (("CNI16Qm", "memory"), ("NI2w", "memory"), ("CNI4Q", "memory")):
-            replay = ExperimentSpec(
-                kind="replay",
-                device=device,
-                bus=bus,
-                workload="replay",
-                num_nodes=args.nodes,
-                workload_kwargs={"trace": trace},
-            )
-            metrics = run_point(replay).metrics
-            exact = (
-                metrics["network_messages"] == summary.messages
-                and metrics["payload_bytes"] == summary.payload_bytes
-            )
-            rows.append(
-                {
-                    "config": replay.config,
-                    "cycles": f"{metrics['cycles']:,.0f}",
-                    "messages": f"{metrics['network_messages']:,.0f}",
-                    "fidelity": "exact" if exact else "DIVERGED",
-                }
-            )
-        print(format_table(rows, f"Replaying {summary.messages} recorded hotspot messages"))
-    finally:
-        if os.path.exists(trace):
-            os.unlink(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        summary = record_trace(spec, os.path.join(tmp, "hotspot.json.gz"))
+        _, events = read_trace(summary.path)
+    received = [0] * summary.num_nodes
+    for stream in events:
+        for _dt, dest, _nbytes in stream:
+            received[dest] += 1
+    print(
+        f"recorded {summary.messages:,} messages / {summary.payload_bytes:,} payload "
+        f"bytes of {spec.describe()} ({summary.cycles:,} cycles, digest "
+        f"{summary.digest[:12]})\nmessages received per node: {received}\n"
+    )
 
 
 def plugin_demo(args) -> None:
@@ -164,7 +145,7 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
     traffic_table(args)
-    replay_demo(args)
+    record_demo(args)
     plugin_demo(args)
 
 

@@ -43,8 +43,8 @@ def encode_entry(result: RunResult) -> Dict:
     """``result`` as a cache-entry payload, stamped with every schema version
     the entry's validity depends on.
 
-    Kinds that opt in via the kind registry (traffic, replay) additionally
-    carry the workload schema stamp; legacy kinds do not grow the field, so
+    Kinds that opt in via the kind registry (traffic) additionally carry
+    the workload schema stamp; legacy kinds do not grow the field, so
     their entries stay byte-identical to pre-registry ones.
     """
     from repro.api.kinds import folds_workload_schema, workload_schema_version

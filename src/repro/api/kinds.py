@@ -4,9 +4,9 @@ An experiment *kind* is one measurement recipe: how a validated
 :class:`~repro.api.spec.ExperimentSpec` turns into metrics.  Kinds used to
 be a frozen tuple in ``spec.py`` plus if/elif chains in ``runner.py``; this
 module replaces that with a dispatch table so new scenario classes
-(synthetic traffic, trace replay, plugins) register instead of editing the
-core API — the same generative move the device (PR 3), fabric (PR 5),
-protocol (PR 6) and workload registries make.
+(synthetic traffic, plugins) register instead of editing the core API,
+the same generative move the device, fabric, protocol and workload
+registries make.
 
 Each :class:`KindSpec` bundles the per-kind hooks:
 
@@ -18,11 +18,11 @@ Each :class:`KindSpec` bundles the per-kind hooks:
     the human-readable "what" fragment of ``spec.describe()``.
 ``cost``
     rough relative wall-clock cost, used only to order parallel work.
-``folds_workload_schema`` / ``cache_token``
+``folds_workload_schema``
     widen the result-store key with :data:`WORKLOAD_SCHEMA_VERSION
-    <repro.apps.registry.WORKLOAD_SCHEMA_VERSION>` (and an optional
-    per-spec token, e.g. a trace-file digest).  Only the new kinds opt in;
-    the legacy kinds keep their exact pre-registry cache identity.
+    <repro.apps.registry.WORKLOAD_SCHEMA_VERSION>`.  Only the traffic kind
+    opts in; the legacy kinds keep their exact pre-registry cache
+    identity.
 
 ``KINDS`` stays importable from here (and re-exported by ``spec.py``) as a
 *live* sequence view of the registered names, so historic
@@ -60,7 +60,6 @@ class KindSpec:
     describe: Optional[Callable[["ExperimentSpec"], str]] = None
     cost: Optional[Callable[["ExperimentSpec"], float]] = None
     folds_workload_schema: bool = False
-    cache_token: Optional[Callable[["ExperimentSpec"], str]] = None
     doc: str = ""
 
 
@@ -113,7 +112,6 @@ def register_kind(
     describe: Optional[Callable[["ExperimentSpec"], str]] = None,
     cost: Optional[Callable[["ExperimentSpec"], float]] = None,
     folds_workload_schema: bool = False,
-    cache_token: Optional[Callable[["ExperimentSpec"], str]] = None,
     doc: str = "",
     replace: bool = False,
 ):
@@ -152,7 +150,6 @@ def register_kind(
             describe=describe,
             cost=cost,
             folds_workload_schema=folds_workload_schema,
-            cache_token=cache_token,
             doc=doc or (measure_fn.__doc__ or "").strip().split("\n")[0],
         )
         return measure_fn
@@ -207,15 +204,9 @@ def workload_schema_version() -> int:
 def cache_suffix(spec: "ExperimentSpec") -> str:
     """Extra cache-key components for ``spec``'s kind (empty for the
     legacy kinds, whose keys must stay bit-identical to pre-registry)."""
-    kind = _REGISTRY.get(spec.kind)
-    if kind is None or not kind.folds_workload_schema:
+    if not folds_workload_schema(spec.kind):
         return ""
-    suffix = f":workload-schema-{workload_schema_version()}"
-    if kind.cache_token is not None:
-        token = kind.cache_token(spec)
-        if token:
-            suffix += f":{token}"
-    return suffix
+    return f":workload-schema-{workload_schema_version()}"
 
 
 def measure_point(spec: "ExperimentSpec") -> Dict[str, float]:
@@ -305,35 +296,8 @@ def _validate_traffic(spec: "ExperimentSpec") -> None:
         raise _spec_error("scale must be positive")
 
 
-def _validate_replay(spec: "ExperimentSpec") -> None:
-    import repro.trace  # noqa: F401 — registers the replay workload
-
-    from repro.trace.format import TraceError, read_header
-
-    trace_path = spec.workload_kwargs.get("trace")
-    if not trace_path or not isinstance(trace_path, str):
-        raise _spec_error(
-            "replay experiments need workload_kwargs['trace'] "
-            "(path to a recorded trace file)"
-        )
-    try:
-        header = read_header(trace_path)
-    except TraceError as exc:
-        raise _spec_error(f"unreadable trace {trace_path!r}: {exc}") from None
-    if header["num_nodes"] != spec.num_nodes:
-        raise _spec_error(
-            f"trace {trace_path!r} was recorded on {header['num_nodes']} nodes; "
-            f"spec has num_nodes={spec.num_nodes}"
-        )
-
-
 def _describe_workload(spec: "ExperimentSpec") -> str:
     return f"{spec.workload} x{spec.scale:g} on {spec.num_nodes} nodes"
-
-
-def _describe_replay(spec: "ExperimentSpec") -> str:
-    trace_path = spec.workload_kwargs.get("trace", "?")
-    return f"trace {trace_path} on {spec.num_nodes} nodes"
 
 
 def _cost_latency(spec: "ExperimentSpec") -> float:
@@ -346,18 +310,6 @@ def _cost_bandwidth(spec: "ExperimentSpec") -> float:
 
 def _cost_workload(spec: "ExperimentSpec") -> float:
     return 1_000_000.0 * spec.scale * max(1, spec.num_nodes)
-
-
-def _cost_replay(spec: "ExperimentSpec") -> float:
-    # Replay skips the messaging-layer software path: markedly cheaper
-    # than a fresh workload run of the same shape.
-    return 100_000.0 * spec.scale * max(1, spec.num_nodes)
-
-
-def _replay_cache_token(spec: "ExperimentSpec") -> str:
-    from repro.trace.format import trace_digest
-
-    return f"trace-{trace_digest(spec.workload_kwargs['trace'])}"
 
 
 @register_kind(
@@ -409,21 +361,6 @@ def _measure_traffic(spec: "ExperimentSpec") -> Dict[str, float]:
     from repro.traffic.measure import run_traffic_point
 
     return run_traffic_point(spec)
-
-
-@register_kind(
-    "replay",
-    validate=_validate_replay,
-    describe=_describe_replay,
-    cost=_cost_replay,
-    folds_workload_schema=True,
-    cache_token=_replay_cache_token,
-    doc="message-level trace replay (sweep accelerator)",
-)
-def _measure_replay(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.trace.replay import run_replay_point
-
-    return run_replay_point(spec)
 
 
 _BUILTIN = tuple(_REGISTRY)

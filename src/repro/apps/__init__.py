@@ -3,9 +3,8 @@
 Workloads are looked up through the generative registry in
 :mod:`repro.apps.registry`; ``MACROBENCHMARKS`` and
 ``DIAGNOSTIC_WORKLOADS`` remain importable as live, read-only views of
-the ``macro`` / ``diagnostic`` tags.  Synthetic traffic generators and
-trace replay register under their own tags from :mod:`repro.traffic` and
-:mod:`repro.trace`.
+the ``macro`` / ``diagnostic`` tags.  Synthetic traffic generators
+register under their own tags from :mod:`repro.traffic`.
 """
 
 from repro.apps.appbt import AppbtWorkload

@@ -14,9 +14,9 @@ working unchanged.
 
 :data:`WORKLOAD_SCHEMA_VERSION` is this registry's schema stamp.  It joins
 the device/fabric/protocol schema versions in the result-store key — but
-only for experiment kinds that declare they depend on it (traffic and
-trace replay); the latency, bandwidth and macro kinds keep their exact
-pre-registry cache identity.
+only for experiment kinds that declare they depend on it (traffic); the
+latency, bandwidth and macro kinds keep their exact pre-registry cache
+identity.
 """
 
 from __future__ import annotations
@@ -31,17 +31,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version of the workload-generation rules.  Bump when a registered
 #: workload's traffic pattern changes meaning (message sizes, schedules,
-#: pacing), or when the traffic/replay kinds' metric set changes: cached
-#: traffic/trace results computed under the old rules must stop matching.
-#: Version 2: traffic and replay results under a fault plan carry the
-#: ``fault_*`` keys, as macro results always did.  Legacy macro results
+#: pacing), or when the traffic kind's metric set changes: cached traffic
+#: results computed under the old rules must stop matching.
+#: Version 2: traffic results under a fault plan carry the ``fault_*``
+#: keys, as macro results always did.  Legacy macro results
 #: are unaffected — their cache keys never included this stamp and must
 #: stay bit-identical.
 WORKLOAD_SCHEMA_VERSION = 2
 
 #: Tags used by the shipped workloads.  Plugins may invent new tags; these
 #: are the ones presets, the CLI and the docs know about.
-WORKLOAD_TAGS = ("macro", "diagnostic", "traffic", "fine-grain", "trace")
+WORKLOAD_TAGS = ("macro", "diagnostic", "traffic", "fine-grain")
 
 
 class WorkloadError(ValueError):

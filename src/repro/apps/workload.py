@@ -104,7 +104,7 @@ class Workload(abc.ABC):
 
 
 def run_spec(spec, machine: Optional[Machine] = None) -> Tuple[Machine, WorkloadResult]:
-    """Run the workload a validated ``macro``/``traffic``/``replay`` spec names.
+    """Run the workload a validated ``macro``/``traffic`` spec names.
 
     This is the one build-and-run step of every workload kind.  The machine
     comes from :meth:`Machine.from_spec` unless the caller passes in one it

@@ -12,7 +12,6 @@ Usage::
     python -m repro.experiments.run protocols [--quick] [--jobs 4]
     python -m repro.experiments.run faults [--quick] [--jobs 4]
     python -m repro.experiments.run traffic [--quick] [--jobs 4]
-    python -m repro.experiments.run replay [--trace t.json.gz] [--quick]
     python -m repro.experiments.run all [--quick] [--json results.json]
     python -m repro.experiments.run analyze {lint,statkeys,conflicts,determinism} [...]
     python -m repro.experiments.run serve [--port 8042] [--jobs 4] [...]
@@ -27,9 +26,7 @@ re-runs the macro trio under every shipped coherence rule table, and
 with the reliable messaging layer recovering lost traffic, ``traffic``
 sweeps the registered synthetic traffic generators (uniform, hotspot,
 transpose, bursty) and fine-grain patterns (allreduce, halo, psrpc, kv)
-over device x bus cells, and ``replay`` records one macro run's message
-stream (or takes ``--trace``) and replays it across device points as a
-cheap sweep accelerator (all powered by the :mod:`repro.api` presets; the
+over device x bus cells (all powered by the :mod:`repro.api` presets; the
 nightly CI pipeline drives them with ``--json`` to archive the structured
 results).
 
@@ -58,7 +55,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import List, Optional
@@ -271,70 +267,6 @@ def run_traffic(quick: bool, runner: SweepRunner) -> None:
     _print(report.format_table(rows, "Synthetic traffic: delivered load per pattern x configuration"))
 
 
-def run_replay(
-    quick: bool,
-    trace: Optional[str],
-    scale: float,
-    nodes: int,
-    runner: SweepRunner,
-) -> None:
-    """Trace record/replay: capture one run, re-issue it across devices."""
-    import tempfile
-
-    from repro.api import ExperimentSpec, SweepSpec
-    from repro.trace import read_header, record_trace
-
-    if quick:
-        scale, nodes = min(scale, 0.25), min(nodes, 8)
-    if trace is None:
-        spec = ExperimentSpec(
-            kind="macro",
-            device="CNI16Qm",
-            bus="memory",
-            workload="gauss",
-            scale=scale,
-            num_nodes=nodes,
-        )
-        trace = os.path.join(tempfile.gettempdir(), f"repro-replay-{os.getpid()}.json.gz")
-        summary = record_trace(spec, trace)
-        _print(
-            f"(recorded {summary.messages} messages / {summary.payload_bytes} "
-            f"payload bytes from {spec.describe()} to {trace})\n"
-        )
-    header = read_header(trace)
-    points = [
-        ExperimentSpec(
-            kind="replay",
-            device=device,
-            bus=bus,
-            num_nodes=header["num_nodes"],
-            workload="replay",
-            workload_kwargs={"trace": trace},
-        )
-        for device, bus in (("NI2w", "memory"), ("NI2w", "io"), ("CNI4Q", "memory"), ("CNI16Qm", "memory"))
-    ]
-    results = runner.run(SweepSpec.explicit(points, name="replay"))
-    rows = []
-    for result in results:
-        row = {"config": result.spec.config}
-        if result.error is not None:
-            row["cycles"] = "FAILED"
-            row["error"] = result.error
-        else:
-            metrics = result.metrics
-            row["cycles"] = f"{metrics['cycles']:,.0f}"
-            row["messages"] = f"{metrics['network_messages']:,.0f}"
-            row["trace msgs"] = f"{metrics['trace_messages']:,.0f}"
-            row["fidelity"] = (
-                "exact"
-                if metrics["network_messages"] == metrics["trace_messages"]
-                and metrics["payload_bytes"] == metrics["trace_payload_bytes"]
-                else "DIVERGED"
-            )
-        rows.append(row)
-    _print(report.format_table(rows, f"Trace replay across devices ({header['messages']} recorded messages)"))
-
-
 def _progress(completed: int, total: int, result) -> None:
     sys.stderr.write(f"\r  [{completed}/{total}] {result.spec.describe():<60}")
     if completed == total:
@@ -362,7 +294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(
         "experiment",
-        choices=["tables", "fig6", "fig7", "fig8", "occupancy", "scalability", "netsense", "protocols", "faults", "traffic", "replay", "all"],
+        choices=["tables", "fig6", "fig7", "fig8", "occupancy", "scalability", "netsense", "protocols", "faults", "traffic", "all"],
         help="which experiment to regenerate",
     )
     parser.add_argument("--quick", action="store_true", help="smaller, faster sweep")
@@ -377,10 +309,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--no-cache", action="store_true", help="disable the on-disk result cache")
     parser.add_argument("--progress", action="store_true", help="report per-point progress on stderr")
-    parser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="replay: an existing trace file to replay (default: record one first)",
-    )
     parser.add_argument(
         "--point-timeout", type=float, default=None, metavar="S",
         help="wall-clock budget per point in seconds; overruns are killed and "
@@ -431,8 +359,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         run_faults(args.quick, runner)
     if args.experiment == "traffic":
         run_traffic(args.quick, runner)
-    if args.experiment == "replay":
-        run_replay(args.quick, args.trace, args.scale, args.nodes, runner)
     elapsed = time.time() - start
 
     if args.json:

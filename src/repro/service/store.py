@@ -124,9 +124,8 @@ class ResultStore:
     def cache_key(self, spec: ExperimentSpec) -> str:
         """Spec hash widened with the device, fabric and protocol schema
         versions — plus, for kinds whose results depend on how workloads
-        are *generated* (traffic, replay), the workload schema version and
-        any per-spec token (a trace-file digest).  Other kinds get the
-        exact historic key."""
+        are *generated* (traffic), the workload schema version.  Other
+        kinds get the exact historic key."""
         payload = (
             f"{spec.spec_hash()}:device-schema-{DEVICE_SCHEMA_VERSION}"
             f":fabric-schema-{FABRIC_SCHEMA_VERSION}"

@@ -1,42 +1,30 @@
-"""Message-level trace record/replay.
+"""Message-level trace recording.
 
 Capture one run's NI-level message stream to a compact trace file
-(:mod:`repro.trace.record`), then replay it through *any* device x fabric
-point (:mod:`repro.trace.replay`) as a cheap sweep accelerator: replay
-drives recorded network messages straight through the NI hardware model,
-skipping the messaging layer's software path (per-message overhead
-cycles, handler dispatch, fragment reassembly, poll loops), so a sweep
-over devices and fabrics costs a fraction of fresh simulation while
-exercising the identical wire traffic.
-
-Fidelity contract: replaying a trace through the *same* configuration it
-was recorded on reproduces the fabric's message and byte counts exactly
-(checked in tests and gated in ``benchmarks/bench_traffic.py``).
+(:mod:`repro.trace.record`, format in :mod:`repro.trace.format`): an
+export of who sent how many bytes to whom, and when, for looking into a
+run's traffic; no experiment kind takes a trace as input.  Recording is
+pure observation: a recorded run takes exactly the cycles an unrecorded
+one does, and the trace's message count equals the run's
+``network_messages``.
 """
 
 from repro.trace.format import (
     TRACE_FORMAT,
     TRACE_VERSION,
     TraceError,
-    read_header,
     read_trace,
-    trace_digest,
     write_trace,
 )
 from repro.trace.record import RECORDABLE_KINDS, TraceSummary, record_trace
-from repro.trace.replay import TraceReplayWorkload, run_replay_point
 
 __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "TraceError",
-    "read_header",
     "read_trace",
-    "trace_digest",
     "write_trace",
     "RECORDABLE_KINDS",
     "TraceSummary",
     "record_trace",
-    "TraceReplayWorkload",
-    "run_replay_point",
 ]

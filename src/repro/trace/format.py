@@ -8,9 +8,9 @@ triple: cycles since the node's previous accepted send, destination node,
 and payload bytes of one network message.  Delta-encoded times keep the
 JSON small and compress extremely well.
 
-The digest is the trace's identity: the replay kind folds it into the
-result-store cache key, so two different traces at the same path can
-never serve each other's cached results.
+The digest lets a reader check that the event stream is the one the
+header describes: :func:`read_trace` rejects a trace whose events do not
+match it.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ Events = List[List[List[int]]]
 
 class TraceError(ValueError):
     """Raised for unreadable, corrupt or incompatible trace files."""
-
-
-_HEADER_CACHE: Dict[str, Tuple[Tuple[int, int], Dict[str, Any]]] = {}  # repro: allow[MUTSTATE] header memo keyed by (mtime, size), validation re-reads on change
 
 
 def events_digest(events: Events) -> str:
@@ -73,7 +70,6 @@ def write_trace(path: str, config: Dict[str, Any], events: Events) -> Dict[str, 
         except OSError:
             pass
         raise
-    _HEADER_CACHE.pop(os.path.abspath(path), None)
     return header
 
 
@@ -96,28 +92,24 @@ def _load_document(path: str) -> Dict[str, Any]:
     return document
 
 
-def _header_of(document: Dict[str, Any]) -> Dict[str, Any]:
-    return {key: document[key] for key in (
-        "format",
-        "version",
-        "num_nodes",
-        "messages",
-        "payload_bytes",
-        "digest",
-        "config",
-    )}
-
-
 def read_trace(path: str) -> Tuple[Dict[str, Any], Events]:
     """Load and verify a trace; returns ``(header, events)``.
 
     Structural and integrity problems (wrong node count, digest mismatch)
-    raise :class:`TraceError` — a truncated or hand-edited trace must not
-    silently replay as something else.
+    raise :class:`TraceError`: a truncated or hand-edited trace must not
+    pass for the recorded stream.
     """
     document = _load_document(path)
     try:
-        header = _header_of(document)
+        header = {key: document[key] for key in (
+            "format",
+            "version",
+            "num_nodes",
+            "messages",
+            "payload_bytes",
+            "digest",
+            "config",
+        )}
         events = document["events"]
     except KeyError as exc:
         raise TraceError(f"{path!r} is missing trace field {exc}") from None
@@ -126,33 +118,3 @@ def read_trace(path: str) -> Tuple[Dict[str, Any], Events]:
     if events_digest(events) != header["digest"]:
         raise TraceError(f"{path!r}: event stream does not match its digest")
     return header, events
-
-
-def read_header(path: str) -> Dict[str, Any]:
-    """The trace's header only, memoised on ``(mtime, size)``.
-
-    Validation and cache-key construction call this repeatedly for the
-    same file; the memo makes those calls cheap without ever serving a
-    stale header after the file changes.
-    """
-    key = os.path.abspath(path)
-    try:
-        stat = os.stat(key)
-        stamp = (stat.st_mtime_ns, stat.st_size)
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {path!r}: {exc}") from None
-    hit = _HEADER_CACHE.get(key)
-    if hit is not None and hit[0] == stamp:
-        return dict(hit[1])
-    document = _load_document(path)
-    try:
-        header = _header_of(document)
-    except KeyError as exc:
-        raise TraceError(f"{path!r} is missing trace field {exc}") from None
-    _HEADER_CACHE[key] = (stamp, header)
-    return dict(header)
-
-
-def trace_digest(path: str) -> str:
-    """The trace's content digest (replay's cache-key token)."""
-    return read_header(path)["digest"]

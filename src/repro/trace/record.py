@@ -1,12 +1,13 @@
 """Record the NI-level message stream of one workload run.
 
 The hook point is each node's ``ni.proc_try_send``: the moment the NI
-*accepts* a network message from the processor side.  That stream is
-exactly what replay re-issues — it includes every fragment the messaging
-layer produced (data, requests, replies, barrier traffic) and excludes
-what the wire never carries (local deliveries, hardware acks, elided
-spins).  Times are recorded as per-node deltas between accepted sends,
-so replay can approximate the original pacing on any target device.
+*accepts* a network message from the processor side.  The stream
+includes every fragment the messaging layer produced (data, requests,
+replies, barrier traffic) and excludes what the wire never carries
+(local deliveries, hardware acks, elided spins).  Times are recorded as
+per-node deltas between accepted sends.  They are when each send was
+accepted on the recording device, not what the send waited for, so a
+trace describes the run it came from and predicts no other device.
 """
 
 from __future__ import annotations
@@ -83,11 +84,7 @@ def record_trace(spec, path: str) -> TraceSummary:
 
 
 def _recording_config(spec) -> Dict[str, Any]:
-    """Provenance stored in the trace header: where the stream came from.
-
-    Informational except for ``num_nodes`` (validated against replay
-    specs); replay deliberately accepts any device/bus/fabric target.
-    """
+    """Provenance stored in the trace header: where the stream came from."""
     return {
         "kind": spec.kind,
         "workload": spec.workload,

@@ -205,28 +205,14 @@ class TestRunPoint:
                  params={"fabric": "mesh4x4"}),
             TRAFFIC_KEYS | {"fabric_hops", "fabric_contention_cycles"},
         ),
-        (
-            dict(kind="replay", workload="replay", num_nodes=4),
-            WORKLOAD_KEYS | DELIVERY_KEYS | {"trace_messages", "trace_payload_bytes"},
-        ),
     ]
 
     @pytest.mark.parametrize(
         "fields,keys", METRIC_KEYS,
-        ids=["latency", "bandwidth", "macro", "traffic", "traffic-mesh4x4", "replay"],
+        ids=["latency", "bandwidth", "macro", "traffic", "traffic-mesh4x4"],
     )
-    def test_fault_free_metric_keys_per_kind(self, tmp_path, fields, keys):
+    def test_fault_free_metric_keys_per_kind(self, fields, keys):
         fields = dict(fields, device="CNI16Qm")
-        if fields["kind"] == "replay":
-            from repro.trace import record_trace
-
-            trace = str(tmp_path / "gauss.trace.json.gz")
-            record_trace(
-                ExperimentSpec(kind="macro", workload="gauss", device="CNI16Qm",
-                               num_nodes=4, scale=0.15),
-                trace,
-            )
-            fields["workload_kwargs"] = {"trace": trace}
         assert set(run_point(ExperimentSpec(**fields)).metrics) == keys
 
 

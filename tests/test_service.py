@@ -193,6 +193,25 @@ class TestResultStore:
         assert RunResult.from_dict(json.loads(data)) == run_point(spec)
         assert store.read_entry("f" * 64) is None
 
+    def test_entry_of_a_removed_kind_stays_readable_by_key(self, store):
+        # No migration: an entry whose kind is no longer registered (a
+        # stored replay result, say) is served by key until it is evicted
+        # or cleared, though no spec of that kind validates any more.
+        spec = ExperimentSpec(kind="replay", workload="replay", num_nodes=4)
+        key = "ab" * 32
+        write_entry_atomic(
+            store.path_for_key(key),
+            encode_entry(RunResult(spec=spec, metrics={"cycles": 1234.0})),
+        )
+        data, _ = store.read_entry(key)
+        assert json.loads(data)["metrics"] == {"cycles": 1234.0}
+        [info] = store.entries(include_invalid=True)
+        assert (info.kind, info.state) == ("replay", "ok")
+        store.gc()
+        assert store.read_entry(key) is not None
+        assert store.clear() == 1
+        assert store.read_entry(key) is None
+
     def test_hit_updates_last_hit_metadata(self, store):
         spec = quick_spec()
         store.put(run_point(spec))
@@ -510,6 +529,17 @@ class TestHttpService:
             )
             assert status == 400, payload
             assert b"invalid spec" in payload
+
+    def test_post_run_replay_spec_is_400(self, service):
+        # The replay kind is deleted; its specs are unknown kinds now.
+        body = json.dumps(
+            {"kind": "replay", "workload": "replay", "num_nodes": 4,
+             "workload_kwargs": {"trace": "gauss.json.gz"}}
+        ).encode()
+        status, _, payload = _request(service.base_url + "/run", data=body)
+        assert status == 400, payload
+        assert b"unknown experiment kind" in payload
+        assert service.counters["runs_completed"] == 0
 
     def test_post_run_non_json_body_is_400(self, service):
         status, _, _ = _request(service.base_url + "/run", data=b"not json {")

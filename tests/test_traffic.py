@@ -3,8 +3,8 @@
 Covers the registry redesign (register/unregister round-trips, unknown
 names, schema-version cache invalidation, legacy kinds dispatching through
 the table unchanged), the seeded traffic generators (determinism serially,
-under ``--jobs`` workers, and through the service dedup path), and the
-trace record/replay fidelity contract.
+under ``--jobs`` workers, and through the service dedup path), and trace
+recording.
 """
 
 import json
@@ -39,8 +39,7 @@ from repro.apps import (
 )
 from repro.apps.workload import Workload
 from repro.service.store import ResultStore
-from repro.trace import TraceError, read_trace, record_trace, trace_digest
-from repro.trace.replay import TraceReplayWorkload
+from repro.trace import TRACE_VERSION, TraceError, read_trace, record_trace, write_trace
 
 import repro.traffic  # noqa: F401 — register the shipped patterns
 
@@ -58,13 +57,15 @@ LEGACY_KINDS = ("latency", "bandwidth", "macro")
 # ----------------------------------------------------------------------
 class TestKindRegistry:
     def test_builtin_kinds_registered(self):
-        for kind in LEGACY_KINDS + ("traffic", "replay"):
+        for kind in LEGACY_KINDS + ("traffic",):
             assert kind in KINDS
             assert kind in available_kinds()
 
     def test_unknown_kind_is_spec_error(self):
         with pytest.raises(SpecError, match="unknown experiment kind"):
             ExperimentSpec(kind="nope").validate()
+        with pytest.raises(SpecError, match="unknown experiment kind"):
+            ExperimentSpec(kind="replay", workload="replay", num_nodes=4).validate()
 
     def test_register_unregister_round_trip(self):
         calls = []
@@ -118,7 +119,6 @@ class TestKindRegistry:
             assert not folds_workload_schema(kind)
             assert cache_suffix(ExperimentSpec(kind=kind)) == ""
         assert folds_workload_schema("traffic")
-        assert folds_workload_schema("replay")
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +130,6 @@ class TestWorkloadRegistry:
         assert "hang" in workload_names("diagnostic")
         assert set(workload_names("traffic")) == {"uniform", "hotspot", "transpose", "bursty"}
         assert set(workload_names("fine-grain")) == {"allreduce", "halo", "psrpc", "kv"}
-        assert "replay" in workload_names("trace")
 
     def test_legacy_dict_views_are_live_and_read_only(self):
         assert set(MACROBENCHMARKS) == {"spsolve", "gauss", "em3d", "moldyn", "appbt"}
@@ -194,31 +193,6 @@ class TestSchemaVersionCache:
         assert not rerun.cached  # key widened: old entry unreachable
         assert rerun.metrics == first.metrics
 
-    def test_replay_key_folds_trace_digest(self, tmp_path):
-        trace_a = str(tmp_path / "a.json")
-        trace_b = str(tmp_path / "b.json")
-        base = ExperimentSpec(kind="macro", device="CNI16Qm", bus="memory",
-                              workload="gauss", num_nodes=4, scale=0.25)
-        record_trace(base, trace_a)
-        record_trace(
-            ExperimentSpec(kind="macro", device="CNI16Qm", bus="memory",
-                           workload="em3d", num_nodes=4, scale=0.25),
-            trace_b,
-        )
-        cache = ResultStore(str(tmp_path / "cache"))
-        key_a = cache.cache_key(_replay_spec(trace_a))
-        key_b = cache.cache_key(_replay_spec(trace_b))
-        assert key_a != key_b
-        # Same digest at a different path -> same identity suffix.
-        assert trace_digest(trace_a) in cache_suffix(_replay_spec(trace_a))
-
-
-def _replay_spec(trace, **overrides):
-    base = dict(kind="replay", device="CNI16Qm", bus="memory", workload="replay",
-                num_nodes=4, workload_kwargs={"trace": trace})
-    base.update(overrides)
-    return ExperimentSpec(**base)
-
 
 # ----------------------------------------------------------------------
 # Seeded traffic determinism
@@ -270,49 +244,65 @@ class TestTrafficDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Trace record/replay
+# Trace recording
 # ----------------------------------------------------------------------
 class TestTraceRoundTrip:
     def _record(self, tmp_path, workload="gauss", **spec_kwargs):
-        spec = ExperimentSpec(kind="macro", device="CNI16Qm", bus="memory",
-                              workload=workload, num_nodes=4, scale=0.25,
-                              **spec_kwargs)
+        fields = dict(kind="macro", device="CNI16Qm", bus="memory",
+                      workload=workload, num_nodes=4, scale=0.25)
+        spec = ExperimentSpec(**{**fields, **spec_kwargs})
         trace = str(tmp_path / f"{workload}.json.gz")
         return spec, trace, record_trace(spec, trace)
-
-    def test_same_config_replay_is_exact(self, tmp_path):
-        spec, trace, summary = self._record(tmp_path)
-        metrics = run_point(_replay_spec(trace)).metrics
-        assert metrics["network_messages"] == summary.messages
-        assert metrics["payload_bytes"] == summary.payload_bytes
-        assert metrics["trace_messages"] == summary.messages
-        assert metrics["trace_payload_bytes"] == summary.payload_bytes
-
-    def test_cross_device_replay_keeps_counts(self, tmp_path):
-        _, trace, summary = self._record(tmp_path)
-        for device, bus in (("NI2w", "memory"), ("CNI4Q", "memory")):
-            metrics = run_point(_replay_spec(trace, device=device, bus=bus)).metrics
-            assert metrics["network_messages"] == summary.messages
-            assert metrics["payload_bytes"] == summary.payload_bytes
 
     def test_traffic_runs_are_recordable_too(self, tmp_path):
         spec = ExperimentSpec(**TRAFFIC).validate()
         trace = str(tmp_path / "uniform.json")
         summary = record_trace(spec, trace)
-        assert summary.messages == run_point(spec).metrics["network_messages"]
-        metrics = run_point(_replay_spec(trace)).metrics
-        assert metrics["network_messages"] == summary.messages
+        metrics = run_point(spec).metrics
+        assert summary.messages == metrics["network_messages"]
+        assert summary.payload_bytes == metrics["payload_bytes"]
 
     def test_recording_is_pure_observation(self, tmp_path):
         # A recorded run finishes in exactly the cycles an unrecorded one does.
         spec, trace, summary = self._record(tmp_path)
         assert summary.cycles == run_point(spec).metrics["cycles"]
 
+    @pytest.mark.parametrize(
+        "device,bus",
+        [("NI2w", "memory"), ("NI2w", "io"), ("CNI4", "memory"), ("CNI512Q", "io")],
+    )
+    def test_recording_is_pure_observation_on_every_ni(self, tmp_path, device, bus):
+        # NI2w and CNI4 elide their uncached-status spins; wrapping
+        # proc_try_send must leave that timing exact too.
+        spec, _, summary = self._record(tmp_path, device=device, bus=bus)
+        metrics = run_point(spec).metrics
+        assert summary.cycles == metrics["cycles"]
+        assert summary.messages == metrics["network_messages"]
+
+    def test_only_the_send_times_depend_on_the_ni(self, tmp_path):
+        # Each node sends the same messages in the same order on every NI;
+        # the gaps between sends are the recording device's own.
+        _, fast, _ = self._record(tmp_path / "cni", device="CNI16Qm", bus="memory")
+        _, slow, _ = self._record(tmp_path / "ni2w", device="NI2w", bus="io")
+        (_, fast_events), (_, slow_events) = read_trace(fast), read_trace(slow)
+
+        def sends(events):
+            return [[event[1:] for event in stream] for stream in events]
+
+        assert sends(fast_events) == sends(slow_events)
+        assert fast_events != slow_events
+
+    def test_recording_is_deterministic(self, tmp_path):
+        _, first, _ = self._record(tmp_path / "first")
+        _, second, _ = self._record(tmp_path / "second")
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
     def test_trace_file_round_trips(self, tmp_path):
         _, trace, summary = self._record(tmp_path)
         header, events = read_trace(trace)
         assert header["messages"] == summary.messages == sum(len(s) for s in events)
-        assert header["digest"] == summary.digest == trace_digest(trace)
+        assert header["digest"] == summary.digest
         assert header["config"]["workload"] == "gauss"
 
     def test_tampered_trace_is_rejected(self, tmp_path):
@@ -326,28 +316,46 @@ class TestTraceRoundTrip:
         with pytest.raises(TraceError, match="digest"):
             read_trace(trace)
 
-    def test_replay_validates_node_count_and_pacing(self, tmp_path):
-        _, trace, _ = self._record(tmp_path)
-        with pytest.raises(SpecError, match="4 nodes"):
-            _replay_spec(trace, num_nodes=8).validate()
-        with pytest.raises(ValueError, match="pacing"):
-            TraceReplayWorkload(trace=trace, pacing="warp")
-        with pytest.raises(ValueError, match="trace"):
-            TraceReplayWorkload()
+    def test_plain_and_gzip_traces_read_alike(self, tmp_path):
+        events = [[[0, 1, 64], [12, 1, 8]], [[5, 0, 64]]]
+        plain, packed = str(tmp_path / "t.json"), str(tmp_path / "t.json.gz")
+        header = write_trace(plain, {"workload": "probe"}, events)
+        assert write_trace(packed, {"workload": "probe"}, events) == header
+        assert (header["messages"], header["payload_bytes"]) == (3, 136)
+        assert read_trace(plain) == read_trace(packed) == (header, events)
 
-    def test_replay_spec_requires_readable_trace(self, tmp_path):
-        with pytest.raises(SpecError, match="trace"):
-            _replay_spec(str(tmp_path / "missing.json")).validate()
-        with pytest.raises(SpecError, match="trace"):
-            ExperimentSpec(kind="replay", workload="replay", num_nodes=4).validate()
+    def test_unreadable_file_is_trace_error(self, tmp_path):
+        with pytest.raises(TraceError, match="cannot read"):
+            read_trace(str(tmp_path / "missing.json"))
+        garbage = tmp_path / "garbage.json.gz"
+        garbage.write_bytes(b"not gzip at all")
+        with pytest.raises(TraceError, match="cannot read"):
+            read_trace(str(garbage))
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("format", "other-trace", "not a repro-trace file"),
+            ("version", TRACE_VERSION + 1, "trace version"),
+            ("num_nodes", 3, "num_nodes"),
+            ("events", None, "missing trace field"),
+        ],
+        ids=["format", "version", "num_nodes", "events"],
+    )
+    def test_malformed_trace_is_trace_error(self, tmp_path, field, value, match):
+        trace = str(tmp_path / "t.json")
+        write_trace(trace, {"workload": "probe"}, [[[0, 1, 64]], [[3, 0, 8]]])
+        with open(trace) as fh:
+            document = json.load(fh)
+        if value is None:
+            del document[field]
+        else:
+            document[field] = value
+        with open(trace, "w") as fh:
+            json.dump(document, fh)
+        with pytest.raises(TraceError, match=match):
+            read_trace(trace)
 
     def test_non_recordable_kind_is_rejected(self):
         with pytest.raises(SpecError, match="record"):
             record_trace(ExperimentSpec(kind="latency"), "/tmp/never-written.json")
-
-    def test_asap_pacing_preserves_counts(self, tmp_path):
-        _, trace, summary = self._record(tmp_path)
-        spec = _replay_spec(trace, workload_kwargs={"trace": trace, "pacing": "asap"})
-        metrics = run_point(spec).metrics
-        assert metrics["network_messages"] == summary.messages
-        assert metrics["payload_bytes"] == summary.payload_bytes
