@@ -8,15 +8,10 @@ produced.  Run with::
 
 For the full-size sweeps use ``python -m repro.experiments.run all``.
 
-The benchmarks drive the simulator through :mod:`repro.api`: sweeps are
-spec lists executed by a shared serial :class:`~repro.api.SweepRunner`
-(timing must measure the simulation, so neither parallelism nor the
-on-disk cache is enabled here).
+The benchmarks drive the simulator through :mod:`repro.api`.
 """
 
 from __future__ import annotations
-
-from repro.api import ExperimentSpec, SweepRunner, run_point
 
 
 def single_run(benchmark, func, *args, **kwargs):
@@ -27,26 +22,3 @@ def single_run(benchmark, func, *args, **kwargs):
     fast while still recording a wall-clock figure per experiment.
     """
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def runner() -> SweepRunner:
-    """A fresh serial, uncached runner (benchmarks time the simulation)."""
-    return SweepRunner(jobs=1, cache_dir=None)
-
-
-def latency_point(device: str, bus: str, size: int, iterations: int, warmup: int):
-    """One latency point as a :class:`~repro.api.RunResult`."""
-    return run_point(
-        ExperimentSpec(kind="latency", device=device, bus=bus, message_bytes=size,
-                       iterations=iterations, warmup=warmup)
-    )
-
-
-def bandwidth_point(
-    device: str, bus: str, size: int, messages: int, warmup: int, snarfing: bool = False
-):
-    """One bandwidth point as a :class:`~repro.api.RunResult`."""
-    return run_point(
-        ExperimentSpec(kind="bandwidth", device=device, bus=bus, message_bytes=size,
-                       messages=messages, warmup=warmup, snarfing=snarfing)
-    )

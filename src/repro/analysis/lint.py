@@ -21,16 +21,20 @@ The rules encode the simulator's partition discipline (see
 Rules are pluggable through :func:`register_rule` (mirroring the protocol
 and device registries), findings can be waived per line with
 ``# repro: allow[RULE] reason`` comments, and :func:`report_to_dict` gives
-the JSON shape the CLI and CI emit.
+the JSON shape the CLI and CI emit.  A waiver comment that suppresses no
+finding on its line is itself a finding (``WAIVER``), so a waiver cannot
+outlive the code it excused.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.ownership import (
     KERNEL_CLIENT_DOMAINS,
@@ -82,15 +86,22 @@ _WAIVER_RE = re.compile(
 
 
 def parse_waivers(lines: List[str]) -> Dict[int, Tuple[frozenset, str]]:
-    """Per-line waivers: ``lineno -> (rule ids, reason)`` (1-based)."""
+    """Per-line waivers: ``lineno -> (rule ids, reason)`` (1-based).
+
+    Only comments are read: waiver syntax inside a string, such as a
+    docstring that shows it, waives nothing.
+    """
     waivers: Dict[int, Tuple[frozenset, str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        match = _WAIVER_RE.search(line)
+    source = io.StringIO("\n".join(lines) + "\n")
+    for token in tokenize.generate_tokens(source.readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _WAIVER_RE.search(token.string)
         if match is not None:
             rules = frozenset(
                 part.strip().upper() for part in match.group(1).split(",") if part.strip()
             )
-            waivers[lineno] = (rules, match.group(2).strip())
+            waivers[token.start[0]] = (rules, match.group(2).strip())
     return waivers
 
 
@@ -408,6 +419,7 @@ def _check_module(
     module: ModuleFile, context: LintContext, rules: Iterable[Rule]
 ) -> List[Finding]:
     waivers = parse_waivers(module.lines)
+    used: Set[Tuple[int, str]] = set()
     findings: List[Finding] = []
     for rule in rules:
         if not rule.applies_to(module):
@@ -418,7 +430,15 @@ def _check_module(
             if waiver is not None and rule.id.upper() in waiver[0]:
                 finding.waived = True
                 finding.waiver_reason = waiver[1]
+                used.add((lineno, rule.id.upper()))
             findings.append(finding)
+    for lineno, (rule_ids, _) in waivers.items():
+        unused = sorted(rule_id for rule_id in rule_ids if (lineno, rule_id) not in used)
+        if unused:
+            findings.append(Finding(
+                "WAIVER", module.relpath, lineno, 0,
+                f"waiver for {', '.join(unused)} suppresses no finding on this line",
+            ))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -495,7 +515,8 @@ FIXTURES: Dict[str, Tuple[str, str, int]] = {
 
 
 def self_test(verbose: bool = False) -> List[str]:
-    """Prove every built-in rule fires on its fixture and every waiver works.
+    """Prove every built-in rule fires on its fixture, every waiver works,
+    and a waiver that suppresses nothing is reported.
 
     Returns a list of failure descriptions (empty means the engine passed).
     """
@@ -522,4 +543,11 @@ def self_test(verbose: bool = False) -> List[str]:
             failures.append(f"{rule_id}: waiver comment did not suppress the finding")
         elif verbose:
             print(f"  {rule_id}: waiver suppressed")
+    # A planted waiver on a line no rule flags must come back as a finding.
+    planted = "x = 1  # repro: allow[MUTSTATE] planted unused waiver\n"
+    unused = lint_source(planted, "ni/_fixture.py", context=context)
+    if not [f for f in unused if f.rule == "WAIVER" and f.line == 1 and not f.waived]:
+        failures.append("WAIVER: an unused waiver comment was not reported")
+    elif verbose:
+        print("  WAIVER: unused waiver flagged")
     return failures

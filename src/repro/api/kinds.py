@@ -63,8 +63,8 @@ class KindSpec:
     doc: str = ""
 
 
-_REGISTRY: Dict[str, KindSpec] = {}  # repro: allow[MUTSTATE] import-time experiment-kind plugin registry
-_BUILTIN: Tuple[str, ...] = ()  # repro: allow[MUTSTATE] sealed once at the end of this module
+_REGISTRY: Dict[str, KindSpec] = {}
+_BUILTIN: Tuple[str, ...] = ()  # sealed once at the end of this module
 
 
 class _KindsView(Sequence):

@@ -7,11 +7,10 @@ function (see :mod:`repro.api.kinds`) and returns a :class:`RunResult`.
 consults the on-disk :class:`~repro.service.store.ResultStore`, runs the
 remaining points in this process or on worker processes that are reused
 from point to point (each runs the same pure function, so serial and
-parallel execution give identical results; a point that fails on a worker
-is carried as ``RunResult.error``), and reports progress through an
-optional callback.  Every result the runner produces is also appended to
-``runner.history`` so a caller can serialise everything computed through
-the runner.
+parallel execution give identical results; a point that fails is carried as
+``RunResult.error``), and reports progress through an optional callback.
+Every result the runner produces is also appended to ``runner.history`` so
+a caller can serialise everything computed through the runner.
 """
 
 from __future__ import annotations
@@ -110,8 +109,22 @@ def _worker_main(conn: Any) -> None:
         try:
             reply = ("ok", _run_point_payload(payload))
         except Exception as exc:  # noqa: BLE001 — the pipe is the report
-            reply = ("error", f"{type(exc).__name__}: {exc}")
+            reply = ("error", _error_text(exc))
         conn.send(reply)
+
+
+def _error_text(exc: Exception) -> str:
+    """How a point that raised reports it, in this process or on a worker."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_point_here(spec: ExperimentSpec) -> RunResult:
+    """:func:`run_point` in this process; an exception it raises is carried
+    as ``error``, worded as a worker words its one failed attempt."""
+    try:
+        return run_point(spec)
+    except Exception as exc:  # noqa: BLE001 — carried in the result set
+        return RunResult(spec=spec, error=f"{_error_text(exc)} (attempts=1)")
 
 
 class _Worker:
@@ -277,12 +290,12 @@ def run_point_guarded(
 class SweepRunner:
     """Runs sweeps of experiment points, in this process or on workers.
 
-    ``jobs=1`` without a timeout or retries runs points in this process,
-    where an exception raised by a point propagates; that is the reference
-    path.  Otherwise up to ``jobs`` worker processes live for the sweep and
-    are reused from point to point; a point that fails on a worker (it
-    raises, crashes its worker or overruns the timeout) is carried as
-    ``RunResult.error``, never cached, and the rest of the sweep goes on.
+    ``jobs=1`` without a timeout or retries runs points in this process;
+    that is the reference path.  Otherwise up to ``jobs`` worker processes
+    live for the sweep and are reused from point to point.  Either way a
+    point that fails (it raises, or on a worker crashes it or overruns the
+    timeout) is carried as ``RunResult.error``, never cached, and the rest
+    of the sweep goes on.
 
     Parameters
     ----------
@@ -388,7 +401,7 @@ class SweepRunner:
                 pending, self.jobs, cache_desc, self.point_timeout_s, self.max_retries
             )
         else:
-            completions = ((spec, run_point(spec), None) for spec in pending)
+            completions = ((spec, _run_point_here(spec), None) for spec in pending)
         with contextlib.closing(completions):
             for spec, result, worker_stats in completions:
                 resolved[spec.spec_hash()] = result

@@ -62,7 +62,7 @@ class WorkloadInfo:
     doc: str = ""
 
 
-_REGISTRY: Dict[str, WorkloadInfo] = {}  # repro: allow[MUTSTATE] import-time workload plugin registry
+_REGISTRY: Dict[str, WorkloadInfo] = {}
 
 
 def _first_doc_line(cls: type) -> str:

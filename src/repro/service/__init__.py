@@ -8,9 +8,8 @@ The service layer turns :mod:`repro.api` from a library into a system:
   store the CLI, this service and every :class:`~repro.api.SweepRunner`
   with a ``cache_dir`` read and write,
 * :class:`~repro.service.dedup.InFlightRegistry` — in-flight-run
-  deduplication (thread events in-process, a lock-file + done-marker
-  protocol across processes) so N concurrent identical requests trigger
-  exactly one simulation,
+  deduplication in the server's memory, so N concurrent identical requests
+  trigger exactly one simulation,
 * :class:`~repro.service.http.ExperimentService` and
   :func:`~repro.service.http.make_server` — a stdlib-only HTTP API
   (``POST /run``, ``GET /result/<key>`` with strong ETags and 304s,

@@ -102,11 +102,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         signal.signal(signal.SIGTERM, previous)
         report = service.drain(grace_s=args.grace_s)
         server.server_close()
-        print(
-            f"drained: {report['unfinished_batches']} unfinished batches, "
-            f"{report['released_locks']} locks released",
-            flush=True,
-        )
+        print(f"drained: {report['unfinished_batches']} unfinished batches", flush=True)
     return 0
 
 

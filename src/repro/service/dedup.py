@@ -1,365 +1,138 @@
 """In-flight-run deduplication: N identical requests, one simulation.
 
-:class:`InFlightRegistry` arbitrates concurrent requests for the same
-store key so that exactly one caller (the *leader*) runs the simulation and
-every other caller (the *followers*) blocks until the leader's result is
-available, then reads it from the store.  It layers two mechanisms:
+:class:`InFlightRegistry` arbitrates the concurrent requests of one process
+for the same store key, so that exactly one caller (the *leader*) runs the
+simulation and every other caller (a *follower*) blocks until the leader
+ends it.  It is a ``key -> Flight`` table guarded by a mutex: the first
+caller to join a key creates its flight and leads it; later callers wait on
+the flight's :class:`threading.Event` and receive the leader's result, or
+its error as a :class:`DedupError`.  A flight leaves the table when its
+leader ends it, so the table holds only keys being computed right now.
 
-* **In-process** — a ``key -> _Flight`` table guarded by a mutex.  The
-  first thread to claim a key creates the flight; later threads wait on its
-  :class:`threading.Event` and receive the leader's result (or exception)
-  directly, with no filesystem traffic.
-* **Cross-process** — a lock-file + done-marker protocol under
-  ``<directory>/``:
-
-  1. The leader atomically creates ``<key>.lock`` (``O_CREAT | O_EXCL``)
-     recording its pid and start time.
-  2. On success it writes the result to the store, drops a ``<key>.done``
-     marker, then removes the lock (marker **before** lock release, so a
-     waiter that sees the lock vanish can distinguish "completed" from
-     "leader died").  On failure it drops ``<key>.fail`` with the error.
-  3. A process that loses the ``O_EXCL`` race polls: result appears in the
-     store → done; ``.fail`` marker → raise the leader's error; lock
-     vanished with neither → the leader crashed, so the waiter re-claims.
-     Locks whose owner pid is dead (or older than ``stale_after``) are
-     broken.
-
-  Markers are janitored opportunistically once they are older than
-  ``stale_after``.
-
-The store entry itself is the payload; the markers only carry protocol
-state, so the whole thing works over any shared filesystem.
+Two processes serving one store do not deduplicate each other: each
+simulates a key that both miss, and the store's tempfile + atomic rename
+keeps every entry whole, the last rename winning with an identical document.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-import time
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.api.results import RunResult
 
 
 class DedupError(RuntimeError):
-    """A leader failed (or vanished) and no result can be produced."""
+    """The leader of a flight failed, so its followers have no result."""
 
 
-class _Flight:
-    """One in-flight key inside this process."""
+class Flight:
+    """One key being computed in this process."""
 
-    __slots__ = ("event", "result", "error", "remote")
+    __slots__ = ("event", "result", "error")
 
-    def __init__(self, remote: bool = False):
+    def __init__(self) -> None:
         self.event = threading.Event()
         self.result: Optional[RunResult] = None
         self.error: Optional[BaseException] = None
-        #: True when the leader is another *process*; local waiters then
-        #: poll the filesystem protocol instead of a thread event.
-        self.remote = remote
+
+    def wait(self) -> RunResult:
+        """Follower: block until the leader ends the flight, then return its
+        result.
+
+        Raises :class:`DedupError`, chained to the leader's error, if the
+        leader failed.
+        """
+        self.event.wait()
+        if self.error is not None:
+            raise DedupError(f"in-flight leader failed: {self.error!r}") from self.error
+        return self.result
 
 
 class InFlightRegistry:
-    """Cross-thread and cross-process exactly-one-computation registry."""
+    """Exactly-one-computation registry for the threads of one process."""
 
-    def __init__(
-        self,
-        directory: str,
-        poll_interval: float = 0.02,
-        stale_after: float = 600.0,
-    ):
-        self.directory = directory
-        self.poll_interval = poll_interval
-        self.stale_after = stale_after
+    def __init__(self) -> None:
         self._mutex = threading.Lock()
-        self._flights: Dict[str, _Flight] = {}
-        #: Keys this process currently leads (claimed, not yet completed or
-        #: failed).  A graceful shutdown walks this via :meth:`release_all`
-        #: so no ``.lock`` file outlives the process.
-        self._owned: set = set()
+        self._flights: Dict[str, Flight] = {}
         self.leaders = 0
         self.followers = 0
-        self.remote_followers = 0
-        self.lock_breaks = 0
         self.failures = 0
 
-    # ------------------------------------------------------------------
-    # Marker paths
-    # ------------------------------------------------------------------
-    def _lock_path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.lock")
+    def join(self, key: str) -> Optional[Flight]:
+        """Lead or follow the flight for ``key``.
 
-    def _done_path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.done")
-
-    def _fail_path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.fail")
-
-    @staticmethod
-    def _unlink(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def _sweep_markers(self, key: str) -> None:
-        """Remove completion markers from a previous run of this key."""
-        for path in (self._done_path(key), self._fail_path(key)):
-            self._unlink(path)
-
-    def _lock_is_stale(self, path: str) -> bool:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                owner = json.load(handle)
-        except (OSError, ValueError):
-            # Unreadable lock: stale only once old enough (it may be
-            # mid-write by a racing claimant).
-            try:
-                return time.time() - os.path.getmtime(path) > self.stale_after
-            except OSError:
-                return False
-        created = float(owner.get("created", 0.0))
-        if time.time() - created > self.stale_after:
-            return True
-        pid = int(owner.get("pid", 0))
-        if pid and owner.get("host") == os.uname().nodename:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True
-            except PermissionError:
-                pass
-        return False
-
-    # ------------------------------------------------------------------
-    # Claim / complete / fail / wait
-    # ------------------------------------------------------------------
-    def claim(self, key: str) -> bool:
-        """True if the caller is now the leader for ``key``.
-
-        False means another thread or process already owns the key; recover
-        the result with :meth:`wait`.
+        Returns ``None`` when the caller now leads it and must end it with
+        :meth:`complete` or :meth:`fail`; otherwise the flight in progress,
+        whose :meth:`Flight.wait` gives its outcome even if it ends first.
         """
         with self._mutex:
             flight = self._flights.get(key)
-            if flight is not None:
-                self.followers += 1 if not flight.remote else 0
-                self.remote_followers += 1 if flight.remote else 0
-                return False
-            # Reserve locally before touching the filesystem so same-process
-            # threads serialise on the mutex, not on O_EXCL.
-            self._flights[key] = _Flight()
-        if self._claim_lockfile(key):
-            with self._mutex:
-                self._owned.add(key)
-            self.leaders += 1
-            return True
-        with self._mutex:
-            self._flights[key].remote = True
-        self.remote_followers += 1
-        return False
+            if flight is None:
+                self._flights[key] = Flight()
+                self.leaders += 1
+            else:
+                self.followers += 1
+            return flight
 
-    def _claim_lockfile(self, key: str) -> bool:
-        os.makedirs(self.directory, exist_ok=True)
-        path = self._lock_path(key)
-        payload = json.dumps(
-            {"pid": os.getpid(), "host": os.uname().nodename, "created": time.time()}
-        ).encode("ascii")
-        for attempt in (0, 1):
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if attempt == 0 and self._lock_is_stale(path):
-                    self._unlink(path)
-                    self.lock_breaks += 1
-                    continue
-                return False
-            try:
-                os.write(fd, payload)
-            finally:
-                os.close(fd)
-            self._sweep_markers(key)
-            return True
-        return False
+    def claim(self, key: str) -> bool:
+        """True if the caller now leads ``key`` (see :meth:`join`)."""
+        return self.join(key) is None
 
-    def complete(self, key: str, result: Optional[RunResult] = None) -> None:
-        """Leader: publish success and wake every waiter."""
-        try:
-            with open(self._done_path(key), "w", encoding="utf-8") as handle:
-                json.dump({"completed": time.time(), "pid": os.getpid()}, handle)
-        except OSError:
-            pass
-        self._unlink(self._lock_path(key))
+    def _end(self, key: str, result: Optional[RunResult], error: Optional[BaseException]) -> None:
         with self._mutex:
-            self._owned.discard(key)
             flight = self._flights.pop(key, None)
+            if error is not None:
+                self.failures += 1
         if flight is not None:
-            flight.result = result
+            flight.result, flight.error = result, error
             flight.event.set()
+
+    def complete(self, key: str, result: RunResult) -> None:
+        """Leader: publish the result and wake every follower."""
+        self._end(key, result, None)
 
     def fail(self, key: str, error: BaseException) -> None:
-        """Leader: publish failure and wake every waiter with the error."""
-        self.failures += 1
-        try:
-            with open(self._fail_path(key), "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"failed": time.time(), "pid": os.getpid(), "error": repr(error)},
-                    handle,
-                )
-        except OSError:
-            pass
-        self._unlink(self._lock_path(key))
-        with self._mutex:
-            self._owned.discard(key)
-            flight = self._flights.pop(key, None)
-        if flight is not None:
-            flight.error = error
-            flight.event.set()
+        """Leader: publish the failure and wake every follower with it."""
+        self._end(key, None, error)
 
-    def owned_keys(self) -> list:
-        """Keys this process currently leads (snapshot)."""
-        with self._mutex:
-            return sorted(self._owned)
-
-    def release_all(self, error: Optional[BaseException] = None) -> int:
-        """Fail every key this process still leads; returns how many.
-
-        The graceful-shutdown path: a terminating service must not leave
-        ``.lock`` files behind for other processes to poll against until
-        they go stale.  Waiters observe a ``.fail`` marker (or the flight
-        error) and re-claim.
-        """
-        keys = self.owned_keys()
-        for key in keys:
-            self.fail(key, error or RuntimeError("service shutting down"))
-        return len(keys)
-
-    def wait(
-        self,
-        key: str,
-        fetch: Callable[[], Optional[RunResult]],
-        timeout: Optional[float] = None,
-    ) -> Optional[RunResult]:
-        """Follower: block until the in-flight run for ``key`` resolves.
-
-        ``fetch`` re-reads the store (it is the done payload).  Returns the
-        result, or ``None`` if the leader vanished without completing — the
-        caller should then re-claim.  Raises :class:`DedupError` if the
-        leader published a failure.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._mutex:
-            flight = self._flights.get(key)
-        if flight is not None and not flight.remote:
-            budget = None if deadline is None else max(0.0, deadline - time.monotonic())
-            if not flight.event.wait(budget):
-                raise TimeoutError(f"in-flight wait for {key[:12]}… timed out")
-            if flight.error is not None:
-                raise DedupError(f"in-flight leader failed: {flight.error!r}") from flight.error
-            return flight.result if flight.result is not None else fetch()
-        # Remote leader (or no local flight at all): poll the protocol.
-        lock = self._lock_path(key)
-        while True:
-            if os.path.exists(self._fail_path(key)):
-                raise DedupError(f"in-flight leader for {key[:12]}… reported failure")
-            result = fetch()
-            if result is not None:
-                self._resolve_remote(key, result)
-                return result
-            if not os.path.exists(lock):
-                # Lock gone: completed (entry may still be landing) or dead.
-                result = fetch()
-                if result is None and os.path.exists(self._done_path(key)):
-                    # Completed but already evicted from the store between
-                    # the leader's put and our fetch; one more read, then
-                    # give up and let the caller recompute.
-                    result = fetch()
-                if result is not None:
-                    self._resolve_remote(key, result)
-                self._drop_remote(key)
-                return result
-            if self._lock_is_stale(lock):
-                # The leader died *while we were waiting* (its pid is gone or
-                # the lock aged out).  Checking only at claim time would park
-                # every follower here until the timeout; break the lock now
-                # and hand control back so the caller re-claims.
-                self._unlink(lock)
-                self.lock_breaks += 1
-                self._drop_remote(key)
-                return fetch()
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(f"in-flight wait for {key[:12]}… timed out")
-            time.sleep(self.poll_interval)
-
-    def _resolve_remote(self, key: str, result: RunResult) -> None:
-        with self._mutex:
-            flight = self._flights.pop(key, None)
-        if flight is not None:
-            flight.result = result
-            flight.event.set()
-
-    def _drop_remote(self, key: str) -> None:
-        with self._mutex:
-            flight = self._flights.pop(key, None)
-        if flight is not None:
-            flight.event.set()
-
-    # ------------------------------------------------------------------
-    # The one-call wrapper
-    # ------------------------------------------------------------------
     def run_or_wait(
         self,
         key: str,
         compute: Callable[[], RunResult],
         fetch: Callable[[], Optional[RunResult]],
-        timeout: Optional[float] = None,
-        max_attempts: int = 3,
     ) -> Tuple[RunResult, str]:
-        """Produce the result for ``key`` exactly once across all callers.
+        """Produce the result for ``key`` once across this process's callers.
 
-        Returns ``(result, role)`` with role ``"leader"``, ``"follower"``
-        (same process) or ``"remote"`` (another process computed it).  A
-        waiter whose leader dies re-claims, so the call only fails if every
-        attempt's leader fails.
+        Returns ``(result, role)``: ``"store"`` when ``fetch`` already has
+        it, ``"leader"`` for the caller that ran ``compute``, ``"follower"``
+        for one that waited on the leader.  A leader's exception propagates
+        to it and reaches its followers as :class:`DedupError`.
         """
-        for _ in range(max_attempts):
-            cached = fetch()
-            if cached is not None:
-                return cached, "store"
-            if self.claim(key):
-                try:
-                    result = compute()
-                except BaseException as exc:
-                    self.fail(key, exc)
-                    raise
-                self.complete(key, result)
-                return result, "leader"
-            with self._mutex:
-                flight = self._flights.get(key)
-            remote = flight is None or flight.remote
-            result = self.wait(key, fetch, timeout=timeout)
-            if result is not None:
-                return result, ("remote" if remote else "follower")
-            # Leader vanished without a result: loop and try to lead.
-        raise DedupError(f"no leader produced a result for {key[:12]}…")
+        cached = fetch()
+        if cached is not None:
+            return cached, "store"
+        flight = self.join(key)
+        if flight is not None:
+            return flight.wait(), "follower"
+        try:
+            result = compute()
+        except BaseException as exc:
+            self.fail(key, exc)
+            raise
+        self.complete(key, result)
+        return result, "leader"
 
-    # ------------------------------------------------------------------
     def in_flight(self, key: str) -> bool:
         with self._mutex:
-            if key in self._flights:
-                return True
-        return os.path.exists(self._lock_path(key))
+            return key in self._flights
 
     def stats(self) -> Dict[str, int]:
         with self._mutex:
-            active = len(self._flights)
-        return {
-            "in_flight": active,
-            "leaders": self.leaders,
-            "followers": self.followers,
-            "remote_followers": self.remote_followers,
-            "deduped": self.followers + self.remote_followers,
-            "lock_breaks": self.lock_breaks,
-            "failures": self.failures,
-        }
+            return {
+                "in_flight": len(self._flights),
+                "leaders": self.leaders,
+                "followers": self.followers,
+                "deduped": self.followers,
+                "failures": self.failures,
+            }

@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 import re
 import sys
 import threading
@@ -47,7 +46,7 @@ from repro.api.results import RunResult
 from repro.api.runner import SweepRunner, run_point, run_point_guarded
 from repro.api.spec import ExperimentSpec, SpecError, SweepSpec
 from repro.ni.taxonomy import TaxonomyError
-from repro.service.dedup import DedupError, InFlightRegistry
+from repro.service.dedup import DedupError, Flight, InFlightRegistry
 from repro.service.store import CorruptEntryError, ResultStore
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -124,7 +123,7 @@ class ExperimentService:
         max_retries: int = 0,
     ):
         self.store = store
-        self.registry = InFlightRegistry(os.path.join(store.directory, ".inflight"))
+        self.registry = InFlightRegistry()
         self.jobs = jobs
         self.verbose = verbose
         #: Wall-clock budget per simulated point; ``None`` means unbounded.
@@ -210,10 +209,10 @@ class ExperimentService:
 
         Blocks until the result is in the store.  Role is ``"store"`` for a
         warm hit, ``"leader"`` for the caller that simulated, ``"follower"``
-        / ``"remote"`` for deduplicated callers.  The warm check is counter-
-        neutral: the HTTP handler has already counted the request's hit or
-        miss in the one read that serves a warm key, and calls this only on
-        a miss.
+        for a caller that waited on this process's leader for the key.  The
+        warm check is counter-neutral: the HTTP handler has already counted
+        the request's hit or miss in the one read that serves a warm key,
+        and calls this only on a miss.
         """
         key = self.store.cache_key(spec)
         if self.store.peek(spec) is not None:
@@ -228,7 +227,7 @@ class ExperimentService:
         except BaseException:
             self.bump("run_errors")
             raise
-        if role in ("follower", "remote", "store"):
+        if role in ("follower", "store"):
             self.bump("dedup_served")
         return key, role
 
@@ -287,28 +286,30 @@ class ExperimentService:
             return self._batches.get(batch_id)
 
     def _run_batch(self, batch: _Batch, unique: Dict[str, ExperimentSpec]) -> None:
-        """Execute a batch: claim cold keys, run them through a SweepRunner,
-        and wait out keys another process is already computing."""
+        """Execute a batch: lead cold keys through a SweepRunner, and take the
+        outcome of keys another request of this process is computing."""
         claimed: List[str] = []
         try:
             leaders: List[ExperimentSpec] = []
-            waiters: List[Tuple[str, ExperimentSpec]] = []
+            followed: List[Tuple[str, Flight]] = []
             for key, spec in unique.items():
                 if self.store.peek(spec) is not None:
-                    leaders.append(spec)  # warm: runner serves it from the store
-                elif self.registry.claim(key):
+                    leaders.append(spec)  # warm: the runner serves it from the store
+                    continue
+                flight = self.registry.join(key)
+                if flight is None:
                     leaders.append(spec)
                     claimed.append(key)
                 else:
-                    waiters.append((key, spec))
+                    followed.append((key, flight))
 
             def progress(completed: int, total: int, result: RunResult) -> None:
                 key = self.store.cache_key(result.spec)
                 if result.error is not None:
                     # The point crashed, hung past the timeout, or raised —
-                    # every retry exhausted.  Release the key as failed so
-                    # cross-process waiters re-claim instead of parking, and
-                    # report it; sibling points proceed untouched.
+                    # every retry exhausted.  Fail its flight so followers get
+                    # the error, and report it; sibling points proceed
+                    # untouched.
                     if key in claimed:
                         self.registry.fail(key, RuntimeError(result.error))
                         claimed.remove(key)
@@ -336,15 +337,14 @@ class ExperimentService:
                     max_retries=self.max_retries,
                 )
                 runner.run(leaders)
-            for key, spec in waiters:
-                result = self.registry.wait(key, fetch=lambda s=spec: self.store.peek(s))
-                if result is None:
-                    # The other process's leader died: run it ourselves.
-                    result, _ = self.registry.run_or_wait(
-                        key,
-                        compute=lambda s=spec: self._simulate(s),
-                        fetch=lambda s=spec: self.store.peek(s),
-                    )
+            for key, flight in followed:
+                try:
+                    result = flight.wait()
+                except DedupError as exc:
+                    # The leader's failure is this point's failure; the
+                    # leader counted the failed simulation.
+                    self.bump("run_errors")
+                    result = RunResult(spec=unique[key], error=str(exc))
                 else:
                     self.bump("dedup_served")
                 batch.record(_point_event(key, result))
@@ -359,14 +359,12 @@ class ExperimentService:
     # Graceful shutdown
     # ------------------------------------------------------------------
     def drain(self, grace_s: float = 30.0) -> Dict[str, Any]:
-        """Stop accepting work, wait out running batches, release locks.
+        """Stop accepting work and wait out running batches.
 
         The SIGTERM path: new ``POST /run``/``POST /batch`` requests are
         refused with 503 the moment draining starts; batches already
-        running get up to ``grace_s`` seconds to finish; any key this
-        process still leads afterwards is failed (removing its ``.lock``
-        so cross-process waiters re-claim immediately rather than timing
-        out against a dead pid).  Returns a small report for logging.
+        running get up to ``grace_s`` seconds to finish.  Returns a small
+        report for logging.
         """
         self.draining = True
         deadline = time.monotonic() + max(0.0, grace_s)
@@ -384,8 +382,7 @@ class ExperimentService:
                         batch.cond.wait(min(0.25, budget))
         with self._batch_lock:
             unfinished = sum(1 for b in self._batches.values() if not b.done)
-        released = self.registry.release_all(RuntimeError("service shutting down"))
-        return {"unfinished_batches": unfinished, "released_locks": released}
+        return {"unfinished_batches": unfinished}
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -205,8 +205,9 @@ class ResultStore:
     def peek(self, spec: ExperimentSpec) -> Optional[RunResult]:
         """Like :meth:`get` but counter- and metadata-neutral.
 
-        Dedup waiters poll this while a leader runs; a poll loop must not
-        inflate miss counters or burn last-hit updates.
+        The service checks for a warm key with this before it leads or
+        follows a flight; that check must not inflate miss counters or burn
+        last-hit updates.
         """
         payload = read_entry(self.path_for(spec))
         result = decode_entry(payload, spec) if payload is not None else None

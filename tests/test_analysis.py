@@ -23,7 +23,7 @@ from repro.analysis.determinism import (
     sanitize_spec,
     strip_elided,
 )
-from repro.analysis.lint import FIXTURES, Finding, Rule, lint_source, lint_tree, parse_waivers, register_rule
+from repro.analysis.lint import FIXTURES, Rule, lint_source, lint_tree, parse_waivers, register_rule
 from repro.analysis.partitions import EXTERNAL, PartitionResolver, partition_from_name
 from repro.analysis.statkeys import generate_registry
 from repro.api import ExperimentSpec
@@ -86,6 +86,28 @@ def test_waiver_parser_handles_multiple_rules():
     rules, reason = waivers[1]
     assert rules == frozenset({"MUTSTATE", "SLOTS"})
     assert reason == "two rules at once"
+
+
+def test_unused_waiver_is_a_finding():
+    # MUTSTATE fires on the fixture's `_PENDING = {}`, never on `x = 1`.
+    findings = lint_source(
+        "_PENDING = {}  # repro: allow[MUTSTATE, SLOTS] one used, one not\n"
+        "x = 1  # repro: allow[MUTSTATE] nothing here to waive\n",
+        "ni/_fixture.py",
+    )
+    unused = [(f.line, f.message) for f in findings if f.rule == "WAIVER"]
+    assert unused == [
+        (1, "waiver for SLOTS suppresses no finding on this line"),
+        (2, "waiver for MUTSTATE suppresses no finding on this line"),
+    ]
+    assert not any(f.waived for f in findings if f.rule == "WAIVER")
+
+
+def test_waiver_syntax_inside_a_string_waives_nothing():
+    source = '"""Waive with ``x = {}  # repro: allow[MUTSTATE] reason``."""\n_PENDING = {}\n'
+    assert parse_waivers(source.splitlines()) == {}
+    findings = lint_source(source, "ni/_fixture.py")
+    assert [(f.rule, f.waived) for f in findings] == [("MUTSTATE", False)]
 
 
 def test_register_rule_plugin():

@@ -31,6 +31,16 @@ class TestNewTaxonomyPointsRun:
         assert metrics["cycles"] > 0
         assert metrics["network_messages"] > 0
 
+    def test_coherent_queue_beats_word_exposed_ni_on_em3d(self):
+        cycles = {
+            device: run_point(ExperimentSpec(
+                kind="macro", device=device, bus="memory",
+                workload="em3d", scale=0.25, num_nodes=4,
+            )).metrics["cycles"]
+            for device in ("NI16w", "CNI64Q")
+        }
+        assert cycles["CNI64Q"] < cycles["NI16w"]
+
     @pytest.mark.parametrize("device", NEW_POINTS)
     def test_ping_pong_completes(self, device):
         machine = build_machine(device, "memory", num_nodes=2)
@@ -263,6 +273,28 @@ class TestDeviceSpaceSweep:
         by_device = {r.spec.device: r.metrics["bandwidth_mbps"] for r in results}
         assert set(by_device) == {"NI4w", "CNI4Q"}
         assert by_device["CNI4Q"] > by_device["NI4w"]
+
+    def test_coherent_queues_outstream_uncached_queues_at_every_size(self):
+        sizes = (4, 16, 64, 512)
+        results = SweepRunner().run(
+            device_space_sweep(
+                kind="bandwidth", families=("NIQ", "CNIQ"), sizes=sizes,
+                message_bytes=244, messages=40, warmup=10,
+            )
+        )
+        panel = results.pivot(series="device", x="message_bytes", value="bandwidth_mbps")
+        for size in sizes:
+            assert panel[f"CNI{size}Q"][244] > panel[f"NI{size}Q"][244], size
+
+    def test_coherent_queue_round_trip_beats_uncached_queue(self):
+        results = SweepRunner().run(
+            device_space_sweep(
+                kind="latency", families=("NIQ", "CNIQ"), sizes=(16,),
+                message_bytes=64, iterations=15, warmup=8,
+            )
+        )
+        rtt = {r.spec.device: r.metrics["round_trip_us"] for r in results}
+        assert rtt["CNI16Q"] < rtt["NI16Q"]
 
 
 class TestCacheSchemaInvalidation:

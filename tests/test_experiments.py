@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import run_stream
 from repro.api import (
     ExperimentSpec,
     SpecError,
@@ -19,6 +20,7 @@ from repro.experiments import (
     MEMORY_BUS_DEVICES,
 )
 from repro.experiments import figures, report, tables
+from repro.node.machine import Machine
 
 
 def _latency(device, bus, message_bytes, iterations, warmup):
@@ -28,11 +30,19 @@ def _latency(device, bus, message_bytes, iterations, warmup):
     )).metrics
 
 
-def _bandwidth(device, bus, message_bytes, messages, warmup):
+def _bandwidth(device, bus, message_bytes, messages, warmup, snarfing=False):
     return run_point(ExperimentSpec(
         kind="bandwidth", device=device, bus=bus, message_bytes=message_bytes,
-        messages=messages, warmup=warmup,
+        messages=messages, warmup=warmup, snarfing=snarfing,
     )).metrics
+
+
+def _stream_cycles(spec):
+    """Cycles for node 0 of ``spec``'s machine to stream 60 244-byte
+    messages to node 1."""
+    machine = Machine.from_spec(spec)
+    assert run_stream(machine, payload_bytes=244, count=60) == 60
+    return machine.sim.now
 
 
 class TestDeviceLists:
@@ -106,6 +116,39 @@ class TestBandwidthMicrobenchmark:
     def test_zero_messages_rejected(self):
         with pytest.raises(SpecError, match="at least one message"):
             run_point(ExperimentSpec(kind="bandwidth", device="NI2w", messages=0))
+
+
+class TestDesignKnobClaims:
+    """Receive-queue capacity, data snarfing (Section 5.1.2) and the
+    hardware sliding window, each varied on one device."""
+
+    def test_deeper_cachable_queues_stream_no_slower(self):
+        cycles = {
+            blocks: _stream_cycles(ExperimentSpec(
+                device="CNI16Q", num_nodes=2,
+                ni_kwargs={"send_queue_blocks": blocks, "recv_queue_blocks": blocks},
+            ))
+            for blocks in (8, 64)
+        }
+        assert cycles[64] <= cycles[8]
+
+    def test_snarfing_keeps_cni16qm_bandwidth(self):
+        plain = _bandwidth("CNI16Qm", "memory", 2048, messages=40, warmup=10)
+        snarf = _bandwidth("CNI16Qm", "memory", 2048, messages=40, warmup=10, snarfing=True)
+        assert snarf["bandwidth_mbps"] >= 0.95 * plain["bandwidth_mbps"]
+
+    def test_wider_sliding_window_streams_faster(self):
+        # At the default 100-cycle network latency every ack is back before
+        # the next message is ready, so all windows take the same cycles; at
+        # 1,000 cycles the window bounds the messages in flight.
+        cycles = [
+            _stream_cycles(ExperimentSpec(
+                device="CNI512Q", num_nodes=2,
+                params={"sliding_window": window, "network_latency_cycles": 1000},
+            ))
+            for window in (1, 2, 4, 8)
+        ]
+        assert all(wider < narrower for narrower, wider in zip(cycles, cycles[1:])), cycles
 
 
 class TestMacroExperiments:

@@ -21,6 +21,7 @@ import multiprocessing
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -269,8 +270,8 @@ class TestConcurrentWriters:
 # InFlightRegistry
 # ---------------------------------------------------------------------------
 class TestInFlightRegistry:
-    def test_hundred_waiters_one_compute(self, tmp_path):
-        registry = InFlightRegistry(str(tmp_path / "inflight"))
+    def test_hundred_waiters_one_compute(self):
+        registry = InFlightRegistry()
         spec = quick_spec()
         expected = run_point(spec)
         calls = []
@@ -312,12 +313,9 @@ class TestInFlightRegistry:
         assert stats["leaders"] == 1
         assert stats["deduped"] == 99
         assert stats["in_flight"] == 0
-        # The done-marker protocol left its marker and released the lock.
-        assert os.path.exists(registry._done_path("a" * 64))
-        assert not os.path.exists(registry._lock_path("a" * 64))
 
-    def test_leader_failure_propagates_to_followers(self, tmp_path):
-        registry = InFlightRegistry(str(tmp_path / "inflight"))
+    def test_leader_failure_propagates_to_followers(self):
+        registry = InFlightRegistry()
         started = threading.Event()
         release = threading.Event()
 
@@ -351,92 +349,48 @@ class TestInFlightRegistry:
         t1.join(10)
         t2.join(10)
         assert len(errors) == 2
-        assert os.path.exists(registry._fail_path("b" * 64))
+        assert registry.stats()["failures"] == 1
 
-    def test_stale_lock_from_dead_pid_is_broken(self, tmp_path):
-        directory = str(tmp_path / "inflight")
-        registry = InFlightRegistry(directory)
-        os.makedirs(directory, exist_ok=True)
-        # A lock owned by a pid that cannot exist anymore on this host.
-        with open(registry._lock_path("c" * 64), "w") as handle:
-            json.dump(
-                {"pid": 2**22 + 1, "host": os.uname().nodename, "created": time.time()},
-                handle,
-            )
-        assert registry.claim("c" * 64)
-        assert registry.stats()["lock_breaks"] == 1
+    def test_counters_and_results_hold_under_fast_thread_switching(self):
+        """16 threads x 50 calls on 4 keys, none ever stored, so every call
+        leads or follows a flight; the interpreter switches threads as often
+        as it can.  A lost update to the table or a counter breaks the sums."""
+        registry = InFlightRegistry()
+        lock = threading.Lock()
+        computed, outcomes = [], []
 
-    def test_fresh_foreign_lock_is_respected(self, tmp_path):
-        directory = str(tmp_path / "inflight")
-        registry = InFlightRegistry(directory)
-        os.makedirs(directory, exist_ok=True)
-        with open(registry._lock_path("d" * 64), "w") as handle:
-            json.dump(
-                {"pid": os.getpid(), "host": os.uname().nodename, "created": time.time()},
-                handle,
-            )
-        assert not registry.claim("d" * 64)
+        def compute(key):
+            with lock:
+                computed.append(key)
+            return key
 
+        def client(key):
+            for _ in range(50):
+                result, role = registry.run_or_wait(key, lambda: compute(key), lambda: None)
+                with lock:
+                    outcomes.append((key, result, role))
 
-def _process_contender(directory: str, key: str, barrier, queue) -> None:
-    registry = InFlightRegistry(directory)
-    barrier.wait()
-    queue.put(("leader" if registry.claim(key) else "follower", os.getpid()))
-
-
-class TestCrossProcessDedup:
-    def test_exactly_one_process_claims_the_lock(self, tmp_path):
-        directory = str(tmp_path / "inflight")
-        key = "e" * 64
-        barrier = multiprocessing.Barrier(4)
-        queue: multiprocessing.Queue = multiprocessing.Queue()
-        procs = [
-            multiprocessing.Process(
-                target=_process_contender, args=(directory, key, barrier, queue)
-            )
-            for _ in range(4)
+        threads = [
+            threading.Thread(target=client, args=("%064x" % (index % 4),))
+            for index in range(16)
         ]
-        for proc in procs:
-            proc.start()
-        outcomes = [queue.get(timeout=30) for _ in procs]
-        for proc in procs:
-            proc.join()
-        roles = [role for role, _ in outcomes]
-        assert roles.count("leader") == 1
-        assert roles.count("follower") == 3
-
-    def test_remote_waiter_fetches_after_lock_release(self, tmp_path):
-        """A waiter in one process observes the other process's completion
-        through the lock-file + done-marker protocol and the shared store."""
-        store_dir = str(tmp_path / "store")
-        inflight = os.path.join(store_dir, ".inflight")
-        spec = quick_spec()
-        store = ResultStore(store_dir)
-        key = store.cache_key(spec)
-
-        reg_a = InFlightRegistry(inflight, poll_interval=0.01)
-        assert reg_a.claim(key)  # "the other process" holds the lock
-
-        reg_b = InFlightRegistry(inflight, poll_interval=0.01)
-        got = {}
-
-        def waiter():
-            got["result"], got["role"] = reg_b.run_or_wait(
-                key,
-                compute=lambda: pytest.fail("waiter must not simulate"),
-                fetch=lambda: store.peek(spec),
-            )
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.05)
-        result = run_point(spec)
-        store.put(result)
-        reg_a.complete(key, result)
-        thread.join(10)
-        assert got["result"] == result
-        assert got["role"] == "remote"
-        assert reg_b.stats()["remote_followers"] == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 16 * 50
+        assert all(result == key for key, result, _ in outcomes)
+        roles = [role for _, _, role in outcomes]
+        stats = registry.stats()
+        assert stats["in_flight"] == 0
+        assert stats["leaders"] == len(computed) == roles.count("leader")
+        assert stats["followers"] == roles.count("follower") == 16 * 50 - len(computed)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +546,7 @@ class TestHttpService:
             assert status == 202
             assert json.loads(payload)["status"] == "running"
         finally:
-            service.registry.complete(key)
+            service.registry.complete(key, RunResult(spec=spec))
 
     def test_post_run_async_returns_202_then_polls_to_200(self, service):
         spec = quick_spec(message_bytes=48)
@@ -611,6 +565,29 @@ class TestHttpService:
             time.sleep(0.02)
         assert status == 200
         assert RunResult.from_dict(json.loads(payload)) == run_point(spec)
+
+    def test_cold_runs_leave_only_shards_in_the_store(self, service):
+        """Deduplication lives in the process's memory: a cold ``POST /run``,
+        a ``?wait=0`` run and a batch write entries and nothing else."""
+        url = service.base_url
+        status, _, _ = _request(url + "/run", data=json.dumps(quick_spec().to_dict()).encode())
+        assert status == 200
+        status, _, payload = _request(
+            url + "/run?wait=0", data=json.dumps(quick_spec(message_bytes=48).to_dict()).encode()
+        )
+        assert status == 202
+        location = json.loads(payload)["location"]
+        deadline = time.time() + 30
+        while _request(url + location)[0] != 200 and time.time() < deadline:
+            time.sleep(0.02)
+        sweep = {"base": dict(QUICK), "axes": {"message_bytes": [8, 32]}}
+        status, _, payload = _request(url + "/batch", data=json.dumps(sweep).encode())
+        assert status == 202
+        _request(url + json.loads(payload)["stream"])  # returns once the batch is done
+        assert service.store.stats()["entries"] == 4
+        # Every top-level name is a two-character key shard.
+        names = os.listdir(service.store.directory)
+        assert names and all(len(name) == 2 for name in names), names
 
     def test_unknown_endpoints_404(self, service):
         assert _request(service.base_url + "/nope")[0] == 404
@@ -938,6 +915,37 @@ class TestHttpDedupFanIn:
         assert stats["deduped"] + stats["service"]["dedup_served"] >= self.N - 1
         assert stats["dedup"]["leaders"] == 1
         assert stats["service"]["runs_completed"] == 1
+
+
+class TestBatchFollowers:
+    def test_failed_leader_fails_only_its_point(self, tmp_path):
+        """A batch point whose key another request of this process leads
+        takes that leader's outcome: a failure is one failed point carrying
+        the leader's error, and the sibling still lands."""
+        service = ExperimentService(ResultStore(str(tmp_path / "store")))
+        failing, landing = quick_spec(message_bytes=8), quick_spec(message_bytes=24)
+        key_f, key_l = service.store.cache_key(failing), service.store.cache_key(landing)
+        # Two concurrent POST /run leaders, standing in.
+        assert service.registry.claim(key_f) and service.registry.claim(key_l)
+        batch = service.submit_batch([failing, landing])
+        deadline = time.time() + 30
+        while service.registry.stats()["followers"] < 2 and time.time() < deadline:
+            time.sleep(0.005)
+        assert service.registry.stats()["followers"] == 2
+        service.registry.fail(key_f, RuntimeError("leader crashed"))
+        result = run_point(landing)
+        service.store.put(result)
+        service.registry.complete(key_l, result)
+        with batch.cond:
+            assert batch.cond.wait_for(lambda: batch.done, timeout=30)
+        progress = batch.snapshot()
+        assert progress["error"] is None
+        assert (progress["completed"], progress["failed"]) == (2, 1)
+        events = {event["key"]: event for event in batch.events}
+        assert "RuntimeError('leader crashed')" in events[key_f]["error"]
+        assert "failed" not in events[key_l]
+        assert service.store.peek(landing) == result
+        assert service.counters["dedup_served"] == 1
 
 
 # ---------------------------------------------------------------------------

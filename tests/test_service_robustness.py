@@ -3,9 +3,8 @@
 Covers the robustness PR's service half: ``run_point_guarded`` kills and
 reports hung or crashed points instead of wedging the caller, a batch with
 a hanging spec fails only that point while siblings land normally, corrupt
-store entries are quarantined and answered 503 + Retry-After, stale dedup
-locks are broken by waiting followers (not just claimants), and SIGTERM
-drains batches and releases every owned lock before exit.
+store entries are quarantined and answered 503 + Retry-After, and SIGTERM
+drains batches before exit.
 """
 
 from __future__ import annotations
@@ -27,13 +26,7 @@ import pytest
 
 from repro.api import ExperimentSpec, RunResult, SweepFailure, SweepRunner, run_point_guarded
 from repro.api import runner as runner_module
-from repro.service import (
-    CorruptEntryError,
-    ExperimentService,
-    InFlightRegistry,
-    ResultStore,
-    make_server,
-)
+from repro.service import CorruptEntryError, ExperimentService, ResultStore, make_server
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -101,31 +94,6 @@ def _request(url, data=None, headers=None, method=None):
             return resp.status, dict(resp.headers), resp.read()
     except urllib.error.HTTPError as err:
         return err.code, dict(err.headers), err.read()
-
-
-# ---------------------------------------------------------------------------
-# Dedup: waiting followers break stale locks
-# ---------------------------------------------------------------------------
-class TestStaleLockWait:
-    def test_wait_breaks_a_dead_leaders_lock(self, tmp_path):
-        """Regression: a follower parked in wait() must notice the leader's
-        pid is gone and break the lock instead of polling until timeout."""
-        directory = str(tmp_path / "inflight")
-        registry = InFlightRegistry(directory, poll_interval=0.01)
-        os.makedirs(directory, exist_ok=True)
-        key = "c" * 64
-        with open(registry._lock_path(key), "w") as handle:
-            json.dump(
-                {"pid": 2**22 + 1, "host": os.uname().nodename, "created": time.time()},
-                handle,
-            )
-        started = time.monotonic()
-        result = registry.wait(key, fetch=lambda: None, timeout=30.0)
-        elapsed = time.monotonic() - started
-        assert result is None  # caller re-claims and computes
-        assert elapsed < 5.0
-        assert registry.stats()["lock_breaks"] == 1
-        assert not os.path.exists(registry._lock_path(key))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +201,16 @@ class TestSweepRunnerRecovery:
         by_kind = {r.spec.kind: r for r in results}
         assert by_kind["macro"].error is not None
         assert all(r.ok for r in results if r.spec.kind == "latency")
+
+    def test_in_process_failure_reads_as_on_a_worker(self):
+        serial = SweepRunner()
+        quick, hang = serial.run([quick_spec(), hang_spec()])
+        assert quick.ok and serial.failures == 1
+        [on_worker] = SweepRunner(point_timeout_s=120.0).run([hang_spec()])
+        assert hang.error == on_worker.error
+        assert hang.error.startswith("SimulationHangError: ")
+        with pytest.raises(SweepFailure):
+            SweepRunner(fail_fast=True).run([hang_spec()])
 
     def test_fail_fast_raises_sweep_failure(self):
         runner = SweepRunner(point_timeout_s=120.0, fail_fast=True)
@@ -377,8 +355,8 @@ class TestWorkerScheduler:
 class TestServiceFailureHandling:
     @pytest.mark.parametrize(
         "guarded_service",
-        [{"jobs": 1, "point_timeout_s": 120.0}, {"jobs": 2}],
-        ids=["guarded-jobs1", "unguarded-jobs2"],
+        [{"jobs": 1, "point_timeout_s": 120.0}, {"jobs": 2}, {"jobs": 1}],
+        ids=["guarded-jobs1", "unguarded-jobs2", "unguarded-jobs1"],
         indirect=True,
     )
     def test_batch_hang_fails_one_point_siblings_land(self, guarded_service):
@@ -403,9 +381,6 @@ class TestServiceFailureHandling:
         # The sibling landed in the store; the hang point did not.
         assert service.store.peek(sibling) is not None
         assert service.store.peek(hang_spec()) is None
-        # No .lock survives a failed point — cross-process waiters re-claim.
-        inflight = service.registry.directory
-        assert not [n for n in os.listdir(inflight) if n.endswith(".lock")]
         assert service.counters["failed_points"] == 1
 
     def test_post_run_times_out_with_504(self, tmp_path):
@@ -435,15 +410,6 @@ class TestServiceFailureHandling:
             assert status == 503
         finally:
             service.draining = False
-
-    def test_drain_releases_owned_locks(self, tmp_path):
-        svc = ExperimentService(ResultStore(str(tmp_path / "store")), jobs=1)
-        key = "a" * 64
-        assert svc.registry.claim(key)
-        report = svc.drain(grace_s=0.2)
-        assert report["released_locks"] == 1
-        assert not os.path.exists(svc.registry._lock_path(key))
-        assert os.path.exists(svc.registry._fail_path(key))
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         env = dict(os.environ)
