@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import signal
 import time
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
@@ -104,7 +105,14 @@ def _worker_main(conn: Any) -> None:
     answered with ``("error", message)`` and the worker takes the next
     point.  A worker that dies without answering (segfault, ``os._exit``,
     OOM-kill) is diagnosed from its exit code by the parent.
+
+    SIGTERM kills the worker, whatever handler it inherited from the
+    process that forked it (the service's only starts a drain): interpreter
+    exit terminates daemonic workers with SIGTERM and then joins them, so a
+    worker that outlived the signal would hold its parent open until its
+    point ended.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for payload in iter(conn.recv, None):
         try:
             reply = ("ok", _run_point_payload(payload))
@@ -144,9 +152,8 @@ class _Worker:
     def stop(self, kill: bool = False) -> None:
         """Retire the worker: a stop message, or SIGKILL when ``kill``.
 
-        Never SIGTERM: a worker forked from the service inherits its
-        draining SIGTERM handler.  Closing the pipe is no signal either,
-        because workers forked later hold copies of the parent's end.
+        Closing the pipe is no signal, because workers forked later hold
+        copies of the parent's end.
         """
         if not kill:
             try:

@@ -161,10 +161,3 @@ def poll_until(ml, done_predicate, backoff: int = 20):
     bit-identical simulated timing (see :meth:`MessagingLayer.poll_wait`).
     """
     yield from ml.poll_wait(done_predicate, backoff=backoff)
-
-
-def drain_completed(ml, backoff: int = 20):
-    """Drain any straggler messages without blocking (one poll pass)."""
-    got = yield from ml.poll()
-    if not got:
-        yield backoff

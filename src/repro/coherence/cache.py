@@ -213,16 +213,6 @@ class CoherentCache:
             return entry.state
         return CoherenceState.INVALID
 
-    def resident_blocks(self) -> List[int]:
-        """Addresses of all valid blocks (mainly for tests)."""
-        blocks = []
-        for index, entry in enumerate(self._sets):
-            if entry is None:
-                continue
-            if entry.state is not CoherenceState.INVALID and entry.tag is not None:
-                blocks.append(self._block_base(index, entry.tag))
-        return blocks
-
     # ------------------------------------------------------------------
     # Home protocol (caches are never a home)
     # ------------------------------------------------------------------

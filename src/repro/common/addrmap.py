@@ -108,7 +108,3 @@ class RegionAllocator:
 
     def allocate_blocks(self, num_blocks: int) -> int:
         return self.allocate(num_blocks * self._block_bytes, align_to_block=True)
-
-    @property
-    def bytes_remaining(self) -> int:
-        return self._region.end - self._next

@@ -149,10 +149,6 @@ class AbstractNI(abc.ABC):
         """Allocate one 8-byte uncached device register address."""
         return self._uncached_alloc.allocate(self.params.uncached_access_bytes, align_to_block=False)
 
-    def set_dram_allocator(self, allocator: RegionAllocator) -> None:
-        """Provide a main-memory allocator (used by memory-homed queues)."""
-        self._dram_alloc = allocator
-
     def allocate_dram_blocks(self, num_blocks: int) -> int:
         if self._dram_alloc is None:
             raise NIError(f"{self.name}: no DRAM allocator configured")

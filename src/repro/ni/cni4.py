@@ -99,15 +99,6 @@ class CdrNI(ComposedNI):
             ),
         )
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def recv_buffer_depth(self) -> int:
-        return self.recv_port.buffer_depth()
-
-    def send_busy(self) -> bool:
-        return self.send_port.pending_count() >= self.send_port.slots
-
 
 class CNI4(CdrNI):
     """The paper's CDR device: four cache blocks (one message) per direction."""

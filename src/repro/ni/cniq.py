@@ -131,16 +131,6 @@ class CoherentQueueNI(ComposedNI):
             CqRecvPort(self, self.recv_q, self.recv_cache, self.ptr_cache),
         )
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def queue_occupancies(self) -> dict:
-        return {
-            "send": self.send_q.occupancy,
-            "recv": self.recv_q.occupancy,
-            "net_in": len(self._net_in),
-        }
-
 
 class CNI16Q(CoherentQueueNI):
     """16-block (4-message) device-homed cachable queues."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.types import NetworkMessage
 from repro.ni.base import ComposedNI, NIError
 from repro.ni.primitives import UncachedRecvPort, UncachedSendPort
 
@@ -101,19 +100,6 @@ class UncachedNI(ComposedNI):
                 fifo_messages, head_ptr_reg=head_ptr_reg,
             ),
         )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def send_fifo_depth(self) -> int:
-        return len(self.send_port.fifo)
-
-    def recv_fifo_depth(self) -> int:
-        return len(self.recv_port.fifo)
-
-    def pending_receive(self) -> Optional[NetworkMessage]:
-        fifo = self.recv_port.fifo
-        return fifo[0] if fifo else None
 
 
 class NI2w(UncachedNI):

@@ -76,8 +76,6 @@ class Machine:
         for layer in self.messaging:
             layer.num_nodes = len(self.nodes)
         self._started = False
-        #: Kernel-throughput dict of the last ``run_programs(profile=True)``.
-        self.last_profile: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -150,17 +148,12 @@ class Machine:
         self,
         programs: Union[Sequence[Generator], Dict[int, Generator]],
         max_cycles: Optional[int] = None,
-        profile: bool = False,
     ) -> int:
         """Run one workload program per node and return the completion time.
 
         ``programs`` is either a sequence with one generator per node or a
         mapping from node id to generator (nodes without a program idle).
         Raises :class:`WorkloadHangError` if the programs do not all finish.
-
-        With ``profile=True`` the run goes through
-        :meth:`~repro.sim.Simulator.run_profile` and the kernel-throughput
-        dict is stored on :attr:`last_profile`.
         """
         self.start()
         if isinstance(programs, dict):
@@ -184,23 +177,13 @@ class Machine:
             self.nodes[node_id].processor.run_program(program, name=f"workload-cpu{node_id}")
             for node_id, program in items
         ]
-        watchdog = Watchdog(
+        end_time = Watchdog(
             self.sim,
             processes,
             max_cycles=max_cycles,
             progress=self._progress_fingerprint,
             partitions=self.partition_map,
-        )
-        if profile:
-            self.last_profile = watchdog.run(profile=True)
-            end_time = int(self.last_profile["end_time"])
-            # Fold the protocol activity of the run into the profile so
-            # kernel-throughput consumers see coherence work alongside it.
-            for key, value in self.coherence_stats().items():
-                if key != "protocol":
-                    self.last_profile[key] = value
-        else:
-            end_time = watchdog.run()
+        ).run()
         unfinished = [p.name for p in processes if not p.finished]
         if unfinished:
             raise WorkloadHangError(

@@ -44,7 +44,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes per batch sweep (default: 1)",
+        help="points a batch runs at a time; above 1, every point, a cold "
+        "POST /run's too, runs on its own worker process (default: 1)",
     )
     parser.add_argument(
         "--point-timeout-s", type=float, default=None,

@@ -4,9 +4,10 @@
 for the same store key, so that exactly one caller (the *leader*) runs the
 simulation and every other caller (a *follower*) blocks until the leader
 ends it.  It is a ``key -> Flight`` table guarded by a mutex: the first
-caller to join a key creates its flight and leads it; later callers wait on
-the flight's :class:`threading.Event` and receive the leader's result, or
-its error as a :class:`DedupError`.  A flight leaves the table when its
+caller to join a key creates its flight and runs it through :meth:`lead`,
+the one place a flight ends; later callers wait on the flight's
+:class:`threading.Event` and receive the leader's result, or its error as a
+:class:`DedupError` chained to it.  A flight leaves the table when its
 leader ends it, so the table holds only keys being computed right now.
 
 Two processes serving one store do not deduplicate each other: each
@@ -62,9 +63,9 @@ class InFlightRegistry:
     def join(self, key: str) -> Optional[Flight]:
         """Lead or follow the flight for ``key``.
 
-        Returns ``None`` when the caller now leads it and must end it with
-        :meth:`complete` or :meth:`fail`; otherwise the flight in progress,
-        whose :meth:`Flight.wait` gives its outcome even if it ends first.
+        Returns ``None`` when the caller now leads it and must run it with
+        :meth:`lead`; otherwise the flight in progress, whose
+        :meth:`Flight.wait` gives its outcome even if it ends first.
         """
         with self._mutex:
             flight = self._flights.get(key)
@@ -74,10 +75,6 @@ class InFlightRegistry:
             else:
                 self.followers += 1
             return flight
-
-    def claim(self, key: str) -> bool:
-        """True if the caller now leads ``key`` (see :meth:`join`)."""
-        return self.join(key) is None
 
     def _end(self, key: str, result: Optional[RunResult], error: Optional[BaseException]) -> None:
         with self._mutex:
@@ -95,6 +92,17 @@ class InFlightRegistry:
     def fail(self, key: str, error: BaseException) -> None:
         """Leader: publish the failure and wake every follower with it."""
         self._end(key, None, error)
+
+    def lead(self, key: str, compute: Callable[[], RunResult]) -> RunResult:
+        """Leader: run ``compute`` and end the flight with its result, or
+        with its exception, which then propagates to the caller."""
+        try:
+            result = compute()
+        except BaseException as exc:
+            self.fail(key, exc)
+            raise
+        self.complete(key, result)
+        return result
 
     def run_or_wait(
         self,
@@ -115,13 +123,7 @@ class InFlightRegistry:
         flight = self.join(key)
         if flight is not None:
             return flight.wait(), "follower"
-        try:
-            result = compute()
-        except BaseException as exc:
-            self.fail(key, exc)
-            raise
-        self.complete(key, result)
-        return result, "leader"
+        return self.lead(key, compute), "leader"
 
     def in_flight(self, key: str) -> bool:
         with self._mutex:

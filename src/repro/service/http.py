@@ -8,7 +8,8 @@ beyond ``http.server``:
   straight from the store; cold keys are arbitrated through the
   :class:`~repro.service.dedup.InFlightRegistry` so N concurrent identical
   requests trigger exactly one simulation.  ``?wait=0`` returns ``202`` with
-  a ``Location: /result/<key>`` to poll instead of blocking.
+  a ``Location: /result/<key>`` to poll instead of blocking.  A follower
+  fails as its leader did: ``504`` after a timeout, ``500`` otherwise.
 * ``GET /result/<key>`` — the pure read path: one store file read, a strong
   ETag (sha256 of the entry bytes), and ``304 Not Modified`` under
   ``If-None-Match``.  No spec parsing, no Machine construction.  ``202``
@@ -16,11 +17,15 @@ beyond ``http.server``:
 * ``POST /batch`` — a :class:`~repro.api.SweepSpec` (or explicit point
   list); returns ``202`` with a batch id.  ``GET /batch/<id>`` reports
   progress; ``GET /batch/<id>/stream`` streams one NDJSON line per
-  completed point until the batch finishes.  The write path delegates to
-  the existing :class:`~repro.api.SweepRunner` (``--jobs`` worker
-  processes, store-backed memoisation).
+  completed point until the batch finishes.  Its points run ``--jobs`` at
+  a time, each cold key led or followed as a ``POST /run`` would be.
 * ``GET /stats`` — hit/miss/store/eviction counters, dedup counters,
   request counters, uptime.
+
+A cold key is led one way, whoever asks: ``InFlightRegistry.lead`` around
+``ExperimentService._simulate``, which runs, stores and counts the point.
+A point runs on a worker process when ``--jobs`` is above 1 or a timeout or
+retries are set, and in this process otherwise.
 
 Every fixed-length response leaves in one write on a socket with
 ``TCP_NODELAY`` set, and carries a ``Server-Timing`` header saying where the
@@ -38,18 +43,23 @@ import re
 import sys
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.api.kinds import point_cost
 from repro.api.results import RunResult
-from repro.api.runner import SweepRunner, run_point, run_point_guarded
+from repro.api.runner import run_point, run_point_guarded
 from repro.api.spec import ExperimentSpec, SpecError, SweepSpec
 from repro.ni.taxonomy import TaxonomyError
-from repro.service.dedup import DedupError, Flight, InFlightRegistry
+from repro.service.dedup import DedupError, InFlightRegistry
 from repro.service.store import CorruptEntryError, ResultStore
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
+
+#: The order a batch settles its points in, by how each key was joined.
+_BATCH_ORDER = {"store": 0, "leader": 1, "follower": 2}
 
 
 class PointTimeoutError(RuntimeError):
@@ -66,7 +76,6 @@ class _Batch:
         self.failed = 0
         self.events: List[Dict[str, Any]] = []
         self.done = False
-        self.error: Optional[str] = None
         self.keys: List[str] = []
         self.cond = threading.Condition()
         self.started = time.time()
@@ -80,13 +89,9 @@ class _Batch:
             event["completed"] = self.completed
             event["total"] = self.total
             self.events.append(event)
-            self.cond.notify_all()
-
-    def finish(self, error: Optional[str] = None) -> None:
-        with self.cond:
-            self.done = True
-            self.error = error
-            self.elapsed_s = time.time() - self.started
+            if self.completed == self.total:
+                self.done = True
+                self.elapsed_s = time.time() - self.started
             self.cond.notify_all()
 
     def snapshot(self) -> Dict[str, Any]:
@@ -97,7 +102,8 @@ class _Batch:
                 "completed": self.completed,
                 "failed": self.failed,
                 "done": self.done,
-                "error": self.error,
+                # A point fails on its own (``failed``); the batch never does.
+                "error": None,
                 "keys": list(self.keys),
                 "elapsed_s": (
                     self.elapsed_s if self.elapsed_s is not None
@@ -124,6 +130,8 @@ class ExperimentService:
     ):
         self.store = store
         self.registry = InFlightRegistry()
+        #: Points a batch runs at a time; above 1, every point (a cold
+        #: ``POST /run`` too) runs on a worker process.
         self.jobs = jobs
         self.verbose = verbose
         #: Wall-clock budget per simulated point; ``None`` means unbounded.
@@ -137,6 +145,9 @@ class ExperimentService:
         #: Set during graceful shutdown: new work is refused with 503 while
         #: running batches drain.
         self.draining = False
+        #: Set when the drain's grace has run out: batches start no further
+        #: point, since the process exits and would orphan its worker.
+        self.closed = False
         self.started = time.time()
         self._counter_lock = threading.Lock()
         self.counters: Dict[str, int] = {
@@ -181,25 +192,32 @@ class ExperimentService:
         return SweepSpec.from_dict(body).expand()
 
     # ------------------------------------------------------------------
-    # Single runs
+    # Runs: every cold key is led by InFlightRegistry.lead around _simulate
     # ------------------------------------------------------------------
-    @property
-    def guarded(self) -> bool:
-        return self.point_timeout_s is not None or self.max_retries > 0
-
     def _simulate(self, spec: ExperimentSpec) -> RunResult:
+        """Run one point, store it and count it; the only code that does.
+
+        The point runs on a worker process when ``jobs`` is above 1 or a
+        timeout or retries are set, as a sweep's points would, otherwise in
+        this process.  A failure from either is counted and raised alike:
+        :class:`PointTimeoutError` for an overrun, else ``RuntimeError``
+        with the worker's wording of the error.
+        """
         self.bump("runs_started")
-        if self.guarded:
+        if self.jobs > 1 or self.point_timeout_s is not None or self.max_retries > 0:
             result, _ = run_point_guarded(
                 spec, timeout_s=self.point_timeout_s, max_retries=self.max_retries
             )
-            if result.error is not None:
-                self.bump("failed_points")
-                if "timed out" in result.error:
-                    raise PointTimeoutError(result.error)
-                raise RuntimeError(result.error)
         else:
-            result = run_point(spec)
+            try:
+                result = run_point(spec)
+            except Exception as exc:  # noqa: BLE001 — raised below as a worker's failure
+                result = RunResult(spec=spec, error=f"{type(exc).__name__}: {exc} (attempts=1)")
+        if result.error is not None:
+            self.bump("failed_points")
+            if "timed out" in result.error:
+                raise PointTimeoutError(result.error)
+            raise RuntimeError(result.error)
         self.store.put(result)
         self.bump("runs_completed")
         return result
@@ -215,9 +233,6 @@ class ExperimentService:
         and calls this only on a miss.
         """
         key = self.store.cache_key(spec)
-        if self.store.peek(spec) is not None:
-            self.bump("store_served")
-            return key, "store"
         try:
             _, role = self.registry.run_or_wait(
                 key,
@@ -227,40 +242,73 @@ class ExperimentService:
         except BaseException:
             self.bump("run_errors")
             raise
-        if role in ("follower", "store"):
-            self.bump("dedup_served")
+        self._count_served(role)
         return key, role
 
+    def _join(self, key: str, spec: ExperimentSpec) -> Tuple[str, Any]:
+        """Claim ``key`` before a 202 names it, so a poll that lands ahead
+        of the work finds it stored or in flight, never a 404.
+
+        Counts the store hit or miss.  Returns ``("store", result)``,
+        ``("leader", None)`` when the caller now leads the key's flight, or
+        ``("follower", flight)``.
+        """
+        result = self.store.get(spec)
+        if result is not None:
+            return "store", result
+        flight = self.registry.join(key)
+        return ("leader", None) if flight is None else ("follower", flight)
+
+    def _settle(self, key: str, spec: ExperimentSpec, role: str, held: Any) -> RunResult:
+        """The result of a joined key: stored, led here, or its leader's.
+
+        Counts it; a failure comes back as ``RunResult.error``.
+        """
+        try:
+            if role == "leader":
+                result = self.registry.lead(key, lambda: self._simulate(spec))
+            else:
+                result = held.wait() if role == "follower" else held
+        except Exception as exc:
+            self.bump("run_errors")
+            return RunResult(spec=spec, error=str(exc))
+        self._count_served(role)
+        return result
+
+    def _count_served(self, role: str) -> None:
+        if role != "leader":  # a leader's run is counted by _simulate
+            self.bump("store_served" if role == "store" else "dedup_served")
+
     def start_async_run(self, spec: ExperimentSpec) -> str:
-        """Kick off a background run (deduplicated); returns the key."""
+        """Kick off a background run (deduplicated); returns the key.
+
+        Only a leader starts a thread; a warm key or a follower is counted
+        once, here, and polled like any other.
+        """
         key = self.store.cache_key(spec)
         self.bump("async_runs")
-        # Claim before the 202 goes out: a poll that lands ahead of the
-        # worker thread must see the run in flight, never a transient 404.
-        leading = self.store.peek(spec) is None and self.registry.claim(key)
-
-        def work() -> None:
-            try:
-                if leading:
-                    try:
-                        result = self._simulate(spec)
-                    except BaseException as exc:
-                        self.bump("run_errors")
-                        self.registry.fail(key, exc)
-                        return
-                    self.registry.complete(key, result)
-                else:
-                    self.run_spec(spec)
-            except Exception:
-                pass  # recorded in run_errors; surfaced as 404/202 on poll
-
-        threading.Thread(target=work, name=f"run-{key[:8]}", daemon=True).start()
+        role, held = self._join(key, spec)
+        if role == "leader":
+            threading.Thread(
+                target=self._settle, args=(key, spec, role, held),
+                name=f"run-{key[:8]}", daemon=True,
+            ).start()
+        else:
+            self._count_served(role)
         return key
 
     # ------------------------------------------------------------------
     # Batches
     # ------------------------------------------------------------------
     def submit_batch(self, points: List[ExperimentSpec]) -> _Batch:
+        """Join every point's key, then settle them on ``jobs`` threads.
+
+        Warm keys go first, then the keys the batch leads, most expensive
+        first, then the ones it follows.  A lead never waits, so batches
+        following each other's keys cannot deadlock.  The threads are
+        daemons, so a point still running cannot hold the process open
+        past the SIGTERM grace period.
+        """
         unique: Dict[str, ExperimentSpec] = {}
         for spec in points:
             unique.setdefault(self.store.cache_key(spec), spec)
@@ -271,89 +319,32 @@ class ExperimentService:
         ).hexdigest()[:12]
         batch = _Batch(f"b{seq:04d}-{digest}", total=len(unique))
         batch.keys = list(unique)
+        claims = deque(sorted(
+            ((key, spec, *self._join(key, spec)) for key, spec in unique.items()),
+            key=lambda claim: (_BATCH_ORDER[claim[2]], -point_cost(claim[1])),
+        ))
         with self._batch_lock:
             self._batches[batch.id] = batch
         self.bump("batches")
-        thread = threading.Thread(
-            target=self._run_batch, args=(batch, unique), name=f"batch-{batch.id}",
-            daemon=True,
-        )
-        thread.start()
+        for n in range(min(self.jobs, len(claims))):
+            threading.Thread(
+                target=self._run_batch, args=(batch, claims),
+                name=f"batch-{batch.id}-{n}", daemon=True,
+            ).start()
         return batch
 
     def get_batch(self, batch_id: str) -> Optional[_Batch]:
         with self._batch_lock:
             return self._batches.get(batch_id)
 
-    def _run_batch(self, batch: _Batch, unique: Dict[str, ExperimentSpec]) -> None:
-        """Execute a batch: lead cold keys through a SweepRunner, and take the
-        outcome of keys another request of this process is computing."""
-        claimed: List[str] = []
-        try:
-            leaders: List[ExperimentSpec] = []
-            followed: List[Tuple[str, Flight]] = []
-            for key, spec in unique.items():
-                if self.store.peek(spec) is not None:
-                    leaders.append(spec)  # warm: the runner serves it from the store
-                    continue
-                flight = self.registry.join(key)
-                if flight is None:
-                    leaders.append(spec)
-                    claimed.append(key)
-                else:
-                    followed.append((key, flight))
-
-            def progress(completed: int, total: int, result: RunResult) -> None:
-                key = self.store.cache_key(result.spec)
-                if result.error is not None:
-                    # The point crashed, hung past the timeout, or raised —
-                    # every retry exhausted.  Fail its flight so followers get
-                    # the error, and report it; sibling points proceed
-                    # untouched.
-                    if key in claimed:
-                        self.registry.fail(key, RuntimeError(result.error))
-                        claimed.remove(key)
-                    self.bump("runs_started")
-                    self.bump("run_errors")
-                    self.bump("failed_points")
-                    batch.record(_point_event(key, result))
-                    return
-                if key in claimed:
-                    self.registry.complete(key, result)
-                    claimed.remove(key)
-                if result.cached:
-                    self.bump("store_served")
-                else:
-                    self.bump("runs_started")
-                    self.bump("runs_completed")
-                batch.record(_point_event(key, result))
-
-            if leaders:
-                runner = SweepRunner(
-                    jobs=self.jobs,
-                    cache_dir=self.store,
-                    progress=progress,
-                    point_timeout_s=self.point_timeout_s,
-                    max_retries=self.max_retries,
-                )
-                runner.run(leaders)
-            for key, flight in followed:
-                try:
-                    result = flight.wait()
-                except DedupError as exc:
-                    # The leader's failure is this point's failure; the
-                    # leader counted the failed simulation.
-                    self.bump("run_errors")
-                    result = RunResult(spec=unique[key], error=str(exc))
-                else:
-                    self.bump("dedup_served")
-                batch.record(_point_event(key, result))
-            batch.finish()
-        except Exception as exc:  # surfaced through the progress endpoints
-            for key in claimed:
-                self.registry.fail(key, exc)
-            self.bump("run_errors")
-            batch.finish(error=f"{type(exc).__name__}: {exc}")
+    def _run_batch(self, batch: _Batch, claims: Deque[tuple]) -> None:
+        """One of a batch's threads: settle its joined keys until none is left."""
+        while not self.closed:
+            try:
+                key, spec, role, held = claims.popleft()
+            except IndexError:
+                return
+            batch.record(_point_event(key, self._settle(key, spec, role, held)))
 
     # ------------------------------------------------------------------
     # Graceful shutdown
@@ -363,8 +354,8 @@ class ExperimentService:
 
         The SIGTERM path: new ``POST /run``/``POST /batch`` requests are
         refused with 503 the moment draining starts; batches already
-        running get up to ``grace_s`` seconds to finish.  Returns a small
-        report for logging.
+        running get up to ``grace_s`` seconds to finish, and start no point
+        after that.  Returns a small report for logging.
         """
         self.draining = True
         deadline = time.monotonic() + max(0.0, grace_s)
@@ -380,6 +371,7 @@ class ExperimentService:
                         break
                     if not batch.done:
                         batch.cond.wait(min(0.25, budget))
+        self.closed = True
         with self._batch_lock:
             unfinished = sum(1 for b in self._batches.values() if not b.done)
         return {"unfinished_batches": unfinished}
@@ -663,14 +655,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         else:
             try:
                 key, role = self._run_spec(spec)
-            except PointTimeoutError as exc:
-                self._send_error_json(504, f"simulation timed out: {exc}")
-                return
-            except DedupError as exc:
-                self._send_error_json(503, str(exc))
-                return
             except Exception as exc:
-                self._send_error_json(500, f"simulation failed: {type(exc).__name__}: {exc}")
+                # A follower answers as its leader did: 504 or 500.
+                cause = exc.__cause__ if isinstance(exc, DedupError) else exc
+                if isinstance(cause, PointTimeoutError):
+                    self._send_error_json(504, f"simulation timed out: {exc}")
+                else:
+                    self._send_error_json(500, f"simulation failed: {type(exc).__name__}: {exc}")
                 return
             try:
                 entry = self._read_entry(key)

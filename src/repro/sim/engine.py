@@ -25,7 +25,6 @@ whose handle escapes through the public :meth:`Simulator.schedule` /
 
 from __future__ import annotations
 
-import time as _time
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Optional
@@ -84,8 +83,7 @@ class Simulator:
     * :meth:`schedule` / :meth:`cancel` for raw callbacks,
     * :meth:`schedule_call` — the allocation-light fast path used by the
       process layer and other kernel clients (no handle, not cancellable),
-    * :meth:`run` to drain the event queue, :meth:`run_profile` to drain it
-      while measuring kernel throughput,
+    * :meth:`run` to drain the event queue,
     * :attr:`now` for the current simulated time.
 
     Processes are layered on top in :mod:`repro.sim.process`.
@@ -99,11 +97,6 @@ class Simulator:
         self._now = 0
         self._running = False
         self.event_count = 0
-        # Kernel statistics (reported by run_profile): events executed from
-        # the same-cycle lane vs. the heap, and event-pool reuses.
-        self.lane_executed = 0
-        self.heap_executed = 0
-        self.pool_reuses = 0
         # Spin-wait elision statistics (accumulated by repro.sim.spinwait):
         # kernel events and simulated cycles that provably idempotent
         # busy-poll iterations would have executed but did not, because the
@@ -132,7 +125,6 @@ class Simulator:
     def _new_event(self) -> _ScheduledEvent:
         free = self._free
         if free:
-            self.pool_reuses += 1
             event = free.pop()
             event.cancelled = False
             return event
@@ -194,7 +186,6 @@ class Simulator:
         # neither flag needs rewriting on reuse.
         free = self._free
         if free:
-            self.pool_reuses += 1
             event = free.pop()
         else:
             event = _ScheduledEvent()
@@ -290,7 +281,6 @@ class Simulator:
         time_limit = until if until is not None else float("inf")
         event_limit = max_events if max_events is not None else float("inf")
         executed = 0
-        heap_executed = 0
         try:
             while True:
                 # --- select the next live event across lane and heap ------
@@ -337,7 +327,6 @@ class Simulator:
                 # --- execute ----------------------------------------------
                 if from_heap:
                     heappop(queue)
-                    heap_executed += 1
                 else:
                     lane.popleft()
                 self._now = event.time
@@ -355,8 +344,6 @@ class Simulator:
                 callback(*args)
         finally:
             self.event_count += executed
-            self.heap_executed += heap_executed
-            self.lane_executed += executed - heap_executed
             if len(free) > _POOL_MAX:
                 del free[_POOL_MAX:]
         return executed
@@ -424,7 +411,6 @@ class Simulator:
         batch = self._batch
         parent = self._current_event
         pulled = 0
-        from_heap = 0
         while lane and lane[0].time == t:
             event = lane.popleft()
             if event.cancelled:
@@ -449,12 +435,7 @@ class Simulator:
                 dq = batch[group] = deque()
             dq.append(event)
             pulled += 1
-            from_heap += 1
         self._batch_count += pulled
-        # Lane/heap split is accounted at pull time on this path (an event
-        # cancelled after being batched is a negligible, analysis-only skew).
-        self.heap_executed += from_heap
-        self.lane_executed += pulled - from_heap
 
     def _recycle_one(self, event: _ScheduledEvent) -> None:
         if event.recyclable and len(self._free) < _POOL_MAX:
@@ -522,39 +503,3 @@ class Simulator:
             self._current_event = None
             self.event_count += executed
         return executed
-
-    # ------------------------------------------------------------------
-    # Profiling
-    # ------------------------------------------------------------------
-    def run_profile(
-        self, until: Optional[int] = None, max_events: Optional[int] = None
-    ) -> Dict[str, float]:
-        """Run like :meth:`run` while measuring kernel throughput.
-
-        Returns a dict with the simulated ``end_time``, the number of
-        ``events`` executed, wall-clock ``wall_s``, the resulting
-        ``events_per_sec``, scheduling-structure statistics for the
-        interval (``lane_events``, ``heap_events``, ``pool_reuses``) and the
-        spin-wait elision totals (``elided_events``, ``elided_cycles``).
-        """
-        events_before = self.event_count
-        lane_before = self.lane_executed
-        heap_before = self.heap_executed
-        pool_before = self.pool_reuses
-        elided_ev_before = self.elided_events
-        elided_cy_before = self.elided_cycles
-        start = _time.perf_counter()  # repro: allow[WALLCLOCK] run_profile measures wall throughput
-        end_time = self.run(until=until, max_events=max_events)
-        wall_s = _time.perf_counter() - start  # repro: allow[WALLCLOCK] run_profile measures wall throughput
-        events = self.event_count - events_before
-        return {
-            "end_time": float(end_time),
-            "events": float(events),
-            "wall_s": wall_s,
-            "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
-            "lane_events": float(self.lane_executed - lane_before),
-            "heap_events": float(self.heap_executed - heap_before),
-            "pool_reuses": float(self.pool_reuses - pool_before),
-            "elided_events": float(self.elided_events - elided_ev_before),
-            "elided_cycles": float(self.elided_cycles - elided_cy_before),
-        }

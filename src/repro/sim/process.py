@@ -138,10 +138,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._wait_queue)
-
     def _request(self, process: "Process") -> None:
         if self._in_use < self.capacity:
             self._grant(process)
@@ -243,7 +239,6 @@ class Process:
             sim = self._sim
             free = sim._free
             if free:
-                sim.pool_reuses += 1
                 event = free.pop()
             else:
                 event = _ScheduledEvent()

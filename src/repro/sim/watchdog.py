@@ -161,14 +161,13 @@ class Watchdog:
         self.partitions = partitions
 
     # ------------------------------------------------------------------
-    def run(self, profile: bool = False):
-        """Run to completion; returns the end time (or the merged profile
-        dict when ``profile=True``).  Raises :class:`SimulationHangError`
-        on a diagnosed hang; hitting ``max_cycles`` with events pending
-        returns normally (the caller owns the classic cycle-limit check).
+    def run(self) -> int:
+        """Run to completion; returns the end time.  Raises
+        :class:`SimulationHangError` on a diagnosed hang; hitting
+        ``max_cycles`` with events pending returns normally (the caller
+        owns the classic cycle-limit check).
         """
         sim = self.sim
-        merged: Optional[Dict[str, float]] = None
         last_fp: Optional[Tuple] = None
         stalled_for = 0
         while True:
@@ -177,10 +176,7 @@ class Watchdog:
             if self.max_cycles is not None:
                 target = min(target, self.max_cycles)
             events_before = sim.event_count
-            if profile:
-                merged = _merge_profiles(merged, sim.run_profile(until=target))
-            else:
-                sim.run(until=target)
+            sim.run(until=target)
             executed = sim.event_count - events_before
             if sim.peek() is None:
                 break  # drained — same stop condition as one long run()
@@ -199,7 +195,7 @@ class Watchdog:
         unfinished = [p for p in self.processes if not p.finished]
         if unfinished and sim.peek() is None:
             self._raise_quiescent(unfinished)
-        return merged if profile else sim.now
+        return sim.now
 
     # ------------------------------------------------------------------
     def _raise_quiescent(self, unfinished: Sequence[Process]) -> None:
@@ -234,21 +230,3 @@ class Watchdog:
             "unfinished processes; likely an unelided spin or retry storm)",
             report,
         )
-
-
-def _merge_profiles(
-    merged: Optional[Dict[str, float]], chunk: Dict[str, float]
-) -> Dict[str, float]:
-    """Fold one chunk's ``run_profile`` dict into the running totals."""
-    if merged is None:
-        return dict(chunk)
-    for key, value in chunk.items():
-        if key == "end_time":
-            merged[key] = value
-        elif key == "events_per_sec":
-            continue  # recomputed below from the summed totals
-        else:
-            merged[key] = merged.get(key, 0.0) + value
-    wall = merged.get("wall_s", 0.0)
-    merged["events_per_sec"] = merged.get("events", 0.0) / wall if wall > 0 else 0.0
-    return merged

@@ -622,20 +622,8 @@ class TestCli:
 
 
 class TestEngineKind:
-    """Simulation-engine checks: the run-profile hook and the machine's
-    rejection of inputs the engine cannot time."""
-
-    def test_machine_run_programs_profile_hook(self):
-        from repro.node.machine import Machine
-
-        machine = Machine.build("CNI16Qm", "memory", num_nodes=2)
-
-        def idle():
-            yield 5
-
-        machine.run_programs({0: idle()}, max_cycles=10_000, profile=True)
-        assert machine.last_profile is not None
-        assert machine.last_profile["events"] == machine.sim.event_count
+    """Simulation-engine checks: the machine's rejection of inputs the
+    engine cannot time."""
 
     def test_cni4_rejects_messages_larger_than_its_cdr_window(self):
         from repro.common.params import DEFAULT_PARAMS

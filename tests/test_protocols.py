@@ -561,18 +561,6 @@ class TestModelCheck:
 # Machine and API surfacing
 # ----------------------------------------------------------------------
 class TestMachineIntegration:
-    def _one_write_programs(self, machine):
-        def writer(cache):
-            yield from cache.write_block(ADDR)
-            yield from cache.read_block(ADDR)
-
-        def idle():
-            yield 1
-
-        return [writer(machine.nodes[0].proc_cache)] + [
-            idle() for _ in machine.nodes[1:]
-        ]
-
     def test_coherence_stats_sum_protocol_activity(self):
         from tests.conftest import build_machine, run_ping_pong
 
@@ -582,13 +570,6 @@ class TestMachineIntegration:
         assert stats["protocol"] == "moesi"
         assert stats["protocol_transitions"] > 0
         assert stats["protocol_snoop_transitions"] >= stats["protocol_invalidations"]
-
-    def test_run_profile_carries_protocol_counters(self):
-        machine = Machine.build("CNI16Qm", "memory", num_nodes=2)
-        machine.run_programs(self._one_write_programs(machine), profile=True)
-        assert machine.last_profile is not None
-        assert machine.last_profile["protocol_transitions"] > 0
-        assert "protocol" not in machine.last_profile  # names stay numeric
 
     def test_describe_names_non_default_protocols(self):
         params = DEFAULT_PARAMS.with_overrides(protocol="msi")

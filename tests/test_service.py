@@ -540,7 +540,7 @@ class TestHttpService:
     def test_get_result_in_flight_is_202(self, service):
         spec = quick_spec(message_bytes=24)
         key = service.store.cache_key(spec)
-        assert service.registry.claim(key)
+        assert service.registry.join(key) is None
         try:
             status, _, payload = _request(service.base_url + f"/result/{key}")
             assert status == 202
@@ -926,7 +926,7 @@ class TestBatchFollowers:
         failing, landing = quick_spec(message_bytes=8), quick_spec(message_bytes=24)
         key_f, key_l = service.store.cache_key(failing), service.store.cache_key(landing)
         # Two concurrent POST /run leaders, standing in.
-        assert service.registry.claim(key_f) and service.registry.claim(key_l)
+        assert service.registry.join(key_f) is None and service.registry.join(key_l) is None
         batch = service.submit_batch([failing, landing])
         deadline = time.time() + 30
         while service.registry.stats()["followers"] < 2 and time.time() < deadline:
@@ -946,6 +946,77 @@ class TestBatchFollowers:
         assert "failed" not in events[key_l]
         assert service.store.peek(landing) == result
         assert service.counters["dedup_served"] == 1
+
+
+class TestOneLeadPath:
+    """``POST /run``, ``?wait=0`` and batches lead and follow a cold key the
+    same way, so they count it the same way."""
+
+    def test_async_follower_is_counted_once(self, tmp_path):
+        service = ExperimentService(ResultStore(str(tmp_path / "store")))
+        spec = quick_spec(message_bytes=24)
+        key = service.store.cache_key(spec)
+        assert service.registry.join(key) is None  # a POST /run leads it
+        assert service.start_async_run(spec) == key
+        service.registry.complete(key, RunResult(spec=spec))
+        deadline = time.time() + 30
+        while service.counters["dedup_served"] < 1 and time.time() < deadline:
+            time.sleep(0.005)
+        assert service.registry.stats()["followers"] == 1 == service.counters["dedup_served"]
+
+    def test_batch_keys_are_in_flight_when_its_202_arrives(self, service, monkeypatch):
+        import repro.service.http as service_http
+
+        release = threading.Event()
+        real_run_point = service_http.run_point
+
+        def gated_run_point(spec):
+            assert release.wait(30), "test gate never released"
+            return real_run_point(spec)
+
+        monkeypatch.setattr(service_http, "run_point", gated_run_point)
+        sweep = {"base": dict(QUICK), "axes": {"message_bytes": [8, 16, 32]}}
+        try:
+            status, _, payload = _request(
+                service.base_url + "/batch", data=json.dumps(sweep).encode()
+            )
+            assert status == 202
+            submitted = json.loads(payload)
+            polls = [
+                _request(service.base_url + f"/result/{key}")[0] for key in submitted["keys"]
+            ]
+            assert polls == [202, 202, 202]
+        finally:
+            release.set()
+        _request(service.base_url + submitted["stream"])  # returns once the batch is done
+        for key in submitted["keys"]:
+            assert _request(service.base_url + f"/result/{key}")[0] == 200
+
+    def test_batch_threads_settle_each_point_once(self, tmp_path, monkeypatch):
+        """More batch threads than cores, switching often, share one queue
+        of joined keys: every point is led, stored and recorded once."""
+        import repro.service.http as service_http
+
+        # Points run in this process, so the threads race on the queue only.
+        monkeypatch.setattr(
+            service_http, "run_point_guarded", lambda spec, **_: (run_point(spec), None)
+        )
+        service = ExperimentService(ResultStore(str(tmp_path / "store")), jobs=4)
+        points = [quick_spec(message_bytes=size) for size in range(8, 104, 8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = service.submit_batch(points)
+            with batch.cond:
+                assert batch.cond.wait_for(lambda: batch.done, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (batch.completed, batch.failed) == (12, 0)
+        assert sorted(event["key"] for event in batch.events) == sorted(batch.keys)
+        assert service.counters["runs_completed"] == 12
+        assert service.registry.stats() == {
+            "in_flight": 0, "leaders": 12, "followers": 0, "deduped": 0, "failures": 0,
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ drains batches before exit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing.connection
 import os
@@ -94,6 +95,24 @@ def _request(url, data=None, headers=None, method=None):
             return resp.status, dict(resp.headers), resp.read()
     except urllib.error.HTTPError as err:
         return err.code, dict(err.headers), err.read()
+
+
+def _concurrent_runs(svc: ExperimentService, spec: ExperimentSpec, clients: int):
+    """Statuses of ``clients`` identical ``POST /run`` sent at once."""
+    body = json.dumps(spec.to_dict()).encode()
+    barrier = threading.Barrier(clients)
+    statuses = []
+
+    def post():
+        barrier.wait()
+        statuses.append(_request(svc.base_url + "/run", data=body)[0])
+
+    threads = [threading.Thread(target=post) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    return statuses
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +417,54 @@ class TestServiceFailureHandling:
             server.shutdown()
             server.server_close()
 
+    def test_followers_of_a_timed_out_leader_answer_504(self, tmp_path):
+        """A follower answers as its leader: the leader's overrun is 504 for
+        every request that waited on it, not 503."""
+        svc = ExperimentService(ResultStore(str(tmp_path / "store")), point_timeout_s=0.3)
+        server = _serve(svc)
+        try:
+            assert _concurrent_runs(svc, slow_spec(), 3) == [504, 504, 504]
+            assert svc.registry.stats()["leaders"] >= 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_followers_of_a_failed_leader_answer_500(self, tmp_path, monkeypatch):
+        from repro.service import http as service_http
+
+        svc = ExperimentService(ResultStore(str(tmp_path / "store")))
+
+        def failing_run_point(spec):
+            deadline = time.time() + 30
+            while svc.registry.stats()["followers"] < 2 and time.time() < deadline:
+                time.sleep(0.005)
+            raise RuntimeError("simulator exploded")
+
+        monkeypatch.setattr(service_http, "run_point", failing_run_point)
+        server = _serve(svc)
+        try:
+            assert _concurrent_runs(svc, quick_spec(), 3) == [500, 500, 500]
+            assert svc.registry.stats()["followers"] == 2
+            assert svc.counters["failed_points"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_post_run_failure_counts_a_failed_point_in_process(self, tmp_path):
+        """Under the service defaults the point runs in this process, and its
+        failure is counted as a batch point's or a worker's is."""
+        svc = ExperimentService(ResultStore(str(tmp_path / "store")))
+        server = _serve(svc)
+        try:
+            body = json.dumps(hang_spec().to_dict()).encode()
+            status, _, payload = _request(svc.base_url + "/run", data=body)
+            assert status == 500
+            assert b"SimulationHangError" in payload
+            assert svc.counters["failed_points"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_draining_refuses_new_work(self, guarded_service):
         service = guarded_service
         service.draining = True
@@ -410,6 +477,58 @@ class TestServiceFailureHandling:
             assert status == 503
         finally:
             service.draining = False
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sigterm_with_batch_points_simulating_exits_in_grace(self, tmp_path, jobs):
+        """The batch's threads are daemons, start no point once the grace has
+        run out, and a worker dies with SIGTERM: points still simulating (in
+        this process at ``--jobs 1``, on workers at ``--jobs 2``) hold the
+        process for the grace period only, and no worker outlives it."""
+        grace_s = 1.0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.service", "--port", "0",
+                "--store-dir", str(tmp_path / "store"),
+                "--grace-s", str(grace_s), "--jobs", str(jobs),
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            base = "http://" + banner.split("service on http://", 1)[1].split()[0]
+            # About 12 s of simulation each on a 2-core host, far past the grace.
+            points = [
+                ExperimentSpec(
+                    kind="macro", device="CNI4Q", bus="memory", num_nodes=16,
+                    workload="gauss", scale=scale,
+                ).to_dict()
+                for scale in (4.0, 4.1, 4.2)
+            ]
+            status, _, _ = _request(base + "/batch", data=json.dumps({"points": points}).encode())
+            assert status == 202
+            deadline = time.time() + 30
+            while time.time() < deadline:
+                stats = json.loads(_request(base + "/stats")[2])["service"]
+                if stats["runs_started"] == jobs:
+                    break
+                time.sleep(0.05)
+            assert (stats["runs_started"], stats["runs_completed"]) == (jobs, 0)
+            started = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=60)
+            elapsed = time.monotonic() - started
+            # A worker left behind would hold the output pipe open.
+            output, _ = proc.communicate(timeout=10)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        assert proc.returncode == 0
+        assert "drained: 1 unfinished batches" in output
+        assert elapsed < grace_s + 5, elapsed
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         env = dict(os.environ)

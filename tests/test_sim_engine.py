@@ -263,27 +263,20 @@ class TestSameCycleLane:
 
 
 class TestRunProfile:
-    def test_profile_reports_events_and_throughput(self):
+    """Kernel bookkeeping across runs: the event pool and ``event_count``."""
+
+    def test_event_pool_is_reused(self, monkeypatch):
         from repro.sim import start_process
+        from repro.sim.engine import _ScheduledEvent
 
-        sim = Simulator()
+        created = []
+        init = _ScheduledEvent.__init__
 
-        def program():
-            for _ in range(10):
-                yield 3
-                yield 0
+        def counting_init(event):
+            created.append(event)
+            init(event)
 
-        start_process(sim, program())
-        profile = sim.run_profile()
-        assert profile["events"] == sim.event_count
-        assert profile["events_per_sec"] > 0
-        assert profile["lane_events"] + profile["heap_events"] == profile["events"]
-        assert profile["lane_events"] >= 10  # the zero-delay yields + start
-        assert profile["end_time"] == sim.now
-
-    def test_event_pool_is_reused(self):
-        from repro.sim import start_process
-
+        monkeypatch.setattr(_ScheduledEvent, "__init__", counting_init)
         sim = Simulator()
 
         def program():
@@ -291,17 +284,19 @@ class TestRunProfile:
                 yield 1
 
         start_process(sim, program())
-        profile = sim.run_profile()
-        assert profile["pool_reuses"] > 0
+        sim.run()
+        # One event is in flight at a time, so a record or two serve all 51.
+        assert sim.event_count == 51
+        assert len(created) <= 2
+        assert sim._free
 
     def test_profile_composes_across_runs(self):
         sim = Simulator()
         sim.schedule(1, lambda: None)
-        first = sim.run_profile()
+        assert sim.run() == 1
+        assert sim.event_count == 1
         sim.schedule(1, lambda: None)
-        second = sim.run_profile()
-        assert first["events"] == 1
-        assert second["events"] == 1
+        assert sim.run() == 2
         assert sim.event_count == 2
 
 

@@ -515,18 +515,6 @@ def test_device_home_drain_keeps_spinning():
 # ----------------------------------------------------------------------
 # Stats surfacing
 # ----------------------------------------------------------------------
-def test_run_profile_reports_elision_counters():
-    _, machine = _run_macro("CNI16Qm", "gauss", elide=True)
-    profile = machine.sim.run_profile(max_events=0)
-    assert "elided_events" in profile and "elided_cycles" in profile
-
-    workload = create_workload("gauss", scale=0.25)
-    machine2 = Machine.build("CNI16Qm", "memory", num_nodes=4)
-    machine2.run_programs(workload.programs(machine2), profile=True)
-    assert machine2.last_profile["elided_events"] > 0
-    assert machine2.last_profile["elided_cycles"] > 0
-
-
 def test_machine_and_node_rollups_expose_elision():
     _, machine = _run_macro("CNI16Qm", "gauss", elide=True)
     rollup = machine.spin_elision_stats()
