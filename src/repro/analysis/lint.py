@@ -17,6 +17,10 @@ The rules encode the simulator's partition discipline (see
 * ``STATKEY`` — stat-key literals a module *consumes* must exist in the
   generated producer registry (:mod:`repro.analysis.statkeys`); a typo'd
   key reads as a silent zero otherwise.
+* ``ENUMATTR`` — no ``BusOp``/``BusKind``/``AgentKind``/``CoherenceState``
+  member loads inside function bodies on the per-transaction path (``sim/``,
+  ``ni/``, the bus, the caches, the directory); compare against the
+  module-level names :mod:`repro.common.types` binds instead.
 
 Rules are pluggable through :func:`register_rule` (mirroring the protocol
 and device registries), findings can be waived per line with
@@ -375,6 +379,84 @@ class StatKeyRule(Rule):
                 )
 
 
+#: Enumerations whose members the per-transaction path compares against.
+_HOT_ENUMS = frozenset({"BusOp", "BusKind", "AgentKind", "CoherenceState"})
+_ENUM_MEMBER_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
+#: Modules on the per-transaction path.  Protocol tables, the model checker
+#: and node assembly build once per machine, so they stay out of scope.
+_ENUMATTR_PREFIXES = ("sim/", "ni/")
+_ENUMATTR_MODULES = frozenset(
+    {"coherence/bus.py", "coherence/cache.py", "coherence/directory.py"}
+)
+
+
+class _FunctionBodyEnumLoads(ast.NodeVisitor):
+    """Collects ``<Enum>.<MEMBER>`` loads that run each time a function does.
+
+    Default argument values and decorators are evaluated once, when the
+    function is defined, so they are visited as outside any body.
+    """
+
+    def __init__(self, enum_names: Set[str]):
+        self.enum_names = enum_names
+        self.depth = 0
+        self.loads: List[ast.Attribute] = []
+
+    def _visit_function(self, node) -> None:
+        once = list(getattr(node, "decorator_list", []))
+        once += node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+        for expr in once:
+            self.visit(expr)
+        self.depth += 1
+        for part in node.body if isinstance(node.body, list) else [node.body]:
+            self.visit(part)
+        self.depth -= 1
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _visit_function
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            self.depth
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self.enum_names
+            and _ENUM_MEMBER_RE.match(node.attr)
+        ):
+            self.loads.append(node)
+        self.generic_visit(node)
+
+
+@register_rule
+class EnumAttrRule(Rule):
+    id = "ENUMATTR"
+    summary = (
+        "no BusOp/BusKind/AgentKind/CoherenceState member loads inside function "
+        "bodies on the per-transaction path (sim/, ni/, bus, caches, directory)"
+    )
+
+    def applies_to(self, module: ModuleFile) -> bool:
+        return (
+            module.relpath.startswith(_ENUMATTR_PREFIXES)
+            or module.relpath in _ENUMATTR_MODULES
+        )
+
+    def check(self, module, context):
+        # Follow ``from ... import BusOp as Op`` aliases too.
+        names = set(_HOT_ENUMS)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update(a.asname for a in node.names if a.asname and a.name in _HOT_ENUMS)
+        visitor = _FunctionBodyEnumLoads(names)
+        visitor.visit(module.tree)
+        for node in visitor.loads:
+            yield (
+                node.lineno,
+                node.col_offset,
+                f"enum member '{node.value.id}.{node.attr}' loaded in a function "
+                "body (EnumType.__getattr__ makes it ~10x a global load; use the "
+                "name repro.common.types binds)",
+            )
+
+
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
@@ -510,6 +592,12 @@ FIXTURES: Dict[str, Tuple[str, str, int]] = {
         "node/_fixture.py",
         "def read(stats):\n    return stats.get('no_such_stat_key_xyz')\n",
         2,
+    ),
+    "ENUMATTR": (
+        "coherence/bus.py",
+        "from repro.common.types import BusOp\n\n"
+        "def is_read(txn):\n    return txn.op is BusOp.READ_SHARED\n",
+        4,
     ),
 }
 

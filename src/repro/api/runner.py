@@ -98,7 +98,7 @@ class SweepFailure(RuntimeError):
 RETRY_BACKOFF_S = 0.25
 
 
-def _worker_main(conn: Any) -> None:
+def _worker_main(conn: Any, parent_end: Any) -> None:
     """Worker process body: run point payloads from ``conn`` until a ``None``.
 
     A point that raises (including simulator hangs surfaced as errors) is
@@ -111,14 +111,23 @@ def _worker_main(conn: Any) -> None:
     exit terminates daemonic workers with SIGTERM and then joins them, so a
     worker that outlived the signal would hold its parent open until its
     point ended.
+
+    ``parent_end`` is the copy of the parent's end of the pipe that the
+    fork handed this worker; it is closed first, so a parent that dies
+    without stopping the worker (SIGKILL) reads here as EOF, or as a broken
+    pipe on the reply, and the worker returns instead of outliving it.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    for payload in iter(conn.recv, None):
-        try:
-            reply = ("ok", _run_point_payload(payload))
-        except Exception as exc:  # noqa: BLE001 — the pipe is the report
-            reply = ("error", _error_text(exc))
-        conn.send(reply)
+    parent_end.close()
+    try:
+        for payload in iter(conn.recv, None):
+            try:
+                reply = ("ok", _run_point_payload(payload))
+            except Exception as exc:  # noqa: BLE001 — the pipe is the report
+                reply = ("error", _error_text(exc))
+            conn.send(reply)
+    except (EOFError, BrokenPipeError):
+        return  # the parent is gone
 
 
 def _error_text(exc: Exception) -> str:
@@ -142,7 +151,9 @@ class _Worker:
 
     def __init__(self, ctx: Any):
         self.conn, child_conn = ctx.Pipe()
-        self.proc = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
+        self.proc = ctx.Process(
+            target=_worker_main, args=(child_conn, self.conn), daemon=True
+        )
         self.proc.start()
         child_conn.close()
         #: Index of the point being run, or ``None`` while idle.
@@ -152,8 +163,11 @@ class _Worker:
     def stop(self, kill: bool = False) -> None:
         """Retire the worker: a stop message, or SIGKILL when ``kill``.
 
-        Closing the pipe is no signal, because workers forked later hold
-        copies of the parent's end.
+        Closing the pipe is no stop signal: a worker closes its own copy of
+        the parent's end, but workers forked after it hold copies too, and
+        release them only when they exit.  (So when the parent dies, the
+        last-forked worker reads EOF first, and each exit lets the worker
+        forked before it read EOF in turn.)
         """
         if not kill:
             try:

@@ -19,7 +19,20 @@ from typing import Iterable, List, Optional
 
 from repro.common.addrmap import AddressMap
 from repro.common.params import MachineParams
-from repro.common.types import AgentKind, BusKind, BusOp, BusTransaction
+from repro.common.types import (
+    AGENT_MEMORY,
+    AGENT_PROCESSOR,
+    BUS_CACHE,
+    BUS_IO,
+    BUS_MEMORY,
+    OP_READ_EXCLUSIVE,
+    OP_READ_SHARED,
+    OP_UNCACHED_READ,
+    OP_UNCACHED_WRITE,
+    BusKind,
+    BusOp,
+    BusTransaction,
+)
 from repro.sim import Counter, Resource, Simulator
 
 #: Cycles an I/O-side initiator waits after being NACKed by the bridge.
@@ -71,12 +84,12 @@ class NodeInterconnect:
         # Preallocated (timing_bus, resources) pairs: the resource lists are
         # only ever iterated by transaction(), never mutated, so every
         # transaction can share them instead of allocating its own.
-        self._mem_buses = (BusKind.MEMORY, [self.membus])
+        self._mem_buses = (BUS_MEMORY, [self.membus])
         self._io_buses = (
-            (BusKind.IO, [self.membus, self.iobus]) if self.iobus is not None else None
+            (BUS_IO, [self.membus, self.iobus]) if self.iobus is not None else None
         )
         self._cache_buses = (
-            (BusKind.CACHE, [self.cachebus]) if self.cachebus is not None else None
+            (BUS_CACHE, [self.cachebus]) if self.cachebus is not None else None
         )
         # Home-node directory, when the active protocol asks for one.  The
         # default protocol short-circuits so the common path never imports
@@ -92,6 +105,7 @@ class NodeInterconnect:
                 self.directory = HomeDirectory()
                 self._dir_lookup_cycles = params.directory_lookup_cycles
         self.stats = Counter()
+        self._counts = self.stats.raw
         self.nack_count = 0
         #: Optional observer called once per completed transaction, while
         #: the buses are still held: ``access_probe(txn, timing_bus)``.
@@ -147,9 +161,9 @@ class NodeInterconnect:
     # ------------------------------------------------------------------
     def _buses_for(self, txn: BusTransaction, home: object) -> tuple:
         """Return (bus_kind_for_timing, resources_to_hold)."""
-        initiator_bus = getattr(txn.initiator, "bus_kind", BusKind.MEMORY)
+        initiator_bus = getattr(txn.initiator, "bus_kind", BUS_MEMORY)
         home_bus = home.bus_kind
-        if initiator_bus is BusKind.CACHE or home_bus is BusKind.CACHE:
+        if initiator_bus is BUS_CACHE or home_bus is BUS_CACHE:
             # NI on the dedicated cache bus: private fast path between the
             # processor and the NI that does not occupy the memory bus.
             if self._cache_buses is None:
@@ -157,7 +171,7 @@ class NodeInterconnect:
                 # transactions run with no mutual exclusion at all.
                 raise BusError(f"{self.name} has no cache bus but agent requires one")
             return self._cache_buses
-        if initiator_bus is BusKind.IO or home_bus is BusKind.IO:
+        if initiator_bus is BUS_IO or home_bus is BUS_IO:
             if self._io_buses is None:
                 raise BusError(f"{self.name} has no I/O bus but agent requires one")
             return self._io_buses
@@ -192,21 +206,24 @@ class NodeInterconnect:
         transaction can invalidate the premise during the bus wait, and the
         stale request must then not appear on the bus at all.
         """
-        home, block_address, cachable = self._addr_info(address)
+        info = self._addr_cache.get(address)
+        if info is None:
+            info = self._addr_info(address)
+        home, block_address, cachable = info
         # Positional construction: this runs for every bus transaction.
         txn = BusTransaction(
             op,
             address,
             size,
             initiator,
-            getattr(initiator, "agent_kind", AgentKind.PROCESSOR),
-            self.sim._now,
+            getattr(initiator, "agent_kind", AGENT_PROCESSOR),
+            self.sim.now,
             block_address,
             cachable,
             home,
         )
-        initiator_bus = getattr(initiator, "bus_kind", BusKind.MEMORY)
-        if initiator_bus is BusKind.MEMORY and home.bus_kind is BusKind.MEMORY:
+        initiator_bus = getattr(initiator, "bus_kind", BUS_MEMORY)
+        if initiator_bus is BUS_MEMORY and home.bus_kind is BUS_MEMORY:
             timing_bus, resources = self._mem_buses
         else:
             timing_bus, resources = self._buses_for(txn, home)
@@ -216,9 +233,10 @@ class NodeInterconnect:
         # exception at any yield point (NACK backoff, a bus wait, the snoop
         # phase) can neither leak a bus nor release one we never owned.
         held = []
+        counts = self._counts
         try:
             # --- Arbitration ---------------------------------------------
-            io_side_initiator = initiator_bus is BusKind.IO
+            io_side_initiator = initiator_bus is BUS_IO
             if io_side_initiator and self.membus in resources:
                 # The I/O bridge NACKs the I/O-side transaction if the memory
                 # bus is busy at the moment the transaction is initiated.
@@ -226,7 +244,7 @@ class NodeInterconnect:
                     held.append(self.membus)
                 else:
                     self.nack_count += 1
-                    self.stats.add("bridge_nacks")
+                    counts["bridge_nacks"] += 1
                     yield NACK_BACKOFF_CYCLES
                     yield self.membus
                     held.append(self.membus)
@@ -243,11 +261,11 @@ class NodeInterconnect:
 
             # --- Guard ----------------------------------------------------
             if guard is not None and not guard():
-                self.stats.add("txn_aborted")
+                counts["txn_aborted"] += 1
                 return None
 
             # --- Snoop phase ----------------------------------------------
-            if op is BusOp.UNCACHED_READ or op is BusOp.UNCACHED_WRITE:
+            if op is OP_UNCACHED_READ or op is OP_UNCACHED_WRITE:
                 # Uncached register accesses terminate at the home device:
                 # caches and memory ignore them without any state change, so
                 # only the home's snoop hook can have an effect.
@@ -259,7 +277,6 @@ class NodeInterconnect:
                 directory = self.directory
                 if directory is not None and cachable:
                     snoopers = directory.holders(txn, home)
-                    counts = self.stats.raw
                     counts["dir_lookups"] += 1
                     counts["dir_agents_consulted"] += len(snoopers)
                 else:
@@ -281,11 +298,11 @@ class NodeInterconnect:
                     if response.shared:
                         txn.shared = True
                 if txn.supplier is None and (
-                    op is BusOp.READ_SHARED or op is BusOp.READ_EXCLUSIVE
+                    op is OP_READ_SHARED or op is OP_READ_EXCLUSIVE
                 ):
                     txn.supplier = home
                     txn.supplier_kind = home.agent_kind
-                    txn.data_from_memory = home.agent_kind is AgentKind.MEMORY
+                    txn.data_from_memory = home.agent_kind is AGENT_MEMORY
                 if directory is not None and cachable:
                     directory.record(txn)
 
@@ -308,7 +325,6 @@ class NodeInterconnect:
                 self._occupancy_cache[occ_key] = occupancy
             if self.access_probe is not None:
                 self.access_probe(txn, timing_bus)
-            counts = self.stats.raw
             counts[_TXN_OP_KEY[op]] += 1
             counts[_TXN_BUS_KEY[timing_bus]] += 1
             counts["txn_total"] += 1

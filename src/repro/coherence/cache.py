@@ -23,9 +23,19 @@ from repro.coherence.protocols import ProtocolSpec, protocol_spec
 from repro.common.addrmap import AddressMap
 from repro.common.params import MachineParams
 from repro.common.types import (
+    AGENT_MEMORY,
+    AGENT_PROCESSOR,
+    BUS_MEMORY,
+    OP_READ_EXCLUSIVE,
+    OP_READ_SHARED,
+    OP_UNCACHED_READ,
+    OP_UNCACHED_WRITE,
+    OP_UPGRADE,
+    OP_WRITEBACK,
+    STATE_INVALID,
+    STATE_SHARED,
     AgentKind,
     BusKind,
-    BusOp,
     BusTransaction,
     CoherenceState,
     SnoopResponse,
@@ -44,10 +54,10 @@ class _BlockEntry:
 
     def __init__(self) -> None:
         self.tag: Optional[int] = None
-        self.state = CoherenceState.INVALID
+        self.state = STATE_INVALID
 
     def matches(self, tag: int) -> bool:
-        return self.tag == tag and self.state is not CoherenceState.INVALID
+        return self.tag == tag and self.state is not STATE_INVALID
 
     def tag_matches(self, tag: int) -> bool:
         """Tag match regardless of validity (used for data snarfing)."""
@@ -64,7 +74,7 @@ def _compile_fill(rules) -> Callable[[BusTransaction], CoherenceState]:
         return lambda txn: state
 
     def _memory_unshared(txn: BusTransaction) -> bool:
-        return txn.supplier_kind is AgentKind.MEMORY and not txn.shared
+        return txn.supplier_kind is AGENT_MEMORY and not txn.shared
 
     def _unshared(txn: BusTransaction) -> bool:
         return not txn.shared
@@ -111,9 +121,7 @@ class _CompiledProtocol:
             if rule.supplies_data or rule.shared:
                 response = SnoopResponse(rule.supplies_data, rule.shared)
             self.snoop_table[key] = (rule.next_state, response, rule.forbidden, rule.writes_back)
-        self.snarf_state = (
-            CoherenceState.SHARED if CoherenceState.SHARED in spec.states else None
-        )
+        self.snarf_state = STATE_SHARED if STATE_SHARED in spec.states else None
 
 
 #: Compiled engines memoised per protocol name; re-registering a name (the
@@ -211,7 +219,7 @@ class CoherentCache:
         entry = self._sets[index]
         if entry is not None and entry.matches(tag):
             return entry.state
-        return CoherenceState.INVALID
+        return STATE_INVALID
 
     # ------------------------------------------------------------------
     # Home protocol (caches are never a home)
@@ -246,14 +254,14 @@ class CoherentCache:
         entry = self._sets[index]
         if entry is None:
             entry = self._sets[index] = _BlockEntry()
-        if entry.matches(tag):
+        if entry.tag == tag and entry.state is not STATE_INVALID:
             self._counts["read_hits"] += 1
             yield self._hit_cycles
             return
         self._counts["read_misses"] += 1
         yield from self._evict_if_needed(entry, index)
         txn = yield from self.interconnect.transaction(
-            self, BusOp.READ_SHARED, block_addr, self.block_bytes
+            self, OP_READ_SHARED, block_addr, block_bytes
         )
         entry.tag = tag
         entry.state = self._read_fill(txn)
@@ -270,7 +278,7 @@ class CoherentCache:
         entry = self._sets[index]
         if entry is None:
             entry = self._sets[index] = _BlockEntry()
-        if entry.matches(tag):
+        if entry.tag == tag and entry.state is not STATE_INVALID:
             next_state = self._write_hit_next.get(entry.state)
             if next_state is not None:
                 # Silent store hit (M stays M, MESI-style E->M, ...).
@@ -285,9 +293,9 @@ class CoherentCache:
             # concurrent transaction invalidated it while we arbitrated, the
             # upgrade would claim ownership of data we no longer hold, so it
             # aborts and the write falls back to a full write miss.
-            self.stats.add("write_upgrades")
+            self._counts["write_upgrades"] += 1
             txn = yield from self.interconnect.transaction(
-                self, BusOp.UPGRADE, block_addr, self.block_bytes,
+                self, OP_UPGRADE, block_addr, block_bytes,
                 guard=lambda: entry.matches(tag),
             )
             if txn is not None:
@@ -295,14 +303,14 @@ class CoherentCache:
                 if next_state is not entry.state:
                     entry.state = next_state
                     self._counts["state_transitions"] += 1
-                yield self.params.cache_hit_cycles
+                yield self._hit_cycles
                 return
             self._counts["upgrade_races"] += 1
         else:
-            self.stats.add("write_misses")
+            self._counts["write_misses"] += 1
         yield from self._evict_if_needed(entry, index)
         txn = yield from self.interconnect.transaction(
-            self, self._write_miss_op, block_addr, self.block_bytes
+            self, self._write_miss_op, block_addr, block_bytes
         )
         entry.tag = tag
         entry.state = self._write_miss_fill(txn)
@@ -311,7 +319,7 @@ class CoherentCache:
 
     def _miss_extra_cycles(self) -> int:
         """Latency a miss sees beyond the bus occupancy (processor caches only)."""
-        if self.agent_kind is AgentKind.PROCESSOR:
+        if self.agent_kind is AGENT_PROCESSOR:
             return self.params.processor_miss_extra_cycles
         return 0
 
@@ -336,9 +344,9 @@ class CoherentCache:
                     self._counts["state_transitions"] += 1
                 yield self._hit_cycles
                 return
-            self.stats.add("write_upgrades")
+            self._counts["write_upgrades"] += 1
             txn = yield from self.interconnect.transaction(
-                self, BusOp.UPGRADE, block_addr, self.block_bytes,
+                self, OP_UPGRADE, block_addr, self.block_bytes,
                 guard=lambda: entry.matches(tag),
             )
             if txn is not None:
@@ -346,19 +354,19 @@ class CoherentCache:
                 if next_state is not entry.state:
                     entry.state = next_state
                     self._counts["state_transitions"] += 1
-                yield self.params.cache_hit_cycles
+                yield self._hit_cycles
                 return
             self._counts["upgrade_races"] += 1
         else:
-            self.stats.add("write_misses_full_block")
+            self._counts["write_misses_full_block"] += 1
         yield from self._evict_if_needed(entry, index)
         txn = yield from self.interconnect.transaction(
-            self, BusOp.UPGRADE, block_addr, self.block_bytes
+            self, OP_UPGRADE, block_addr, self.block_bytes
         )
         entry.tag = tag
         entry.state = self._upgrade_fill(txn)
         self._counts["state_transitions"] += 1
-        yield self.params.cache_hit_cycles
+        yield self._hit_cycles
 
     def flush_block(self, block_addr: int):
         """Write a dirty block back to its home and drop it (explicit flush)."""
@@ -369,17 +377,17 @@ class CoherentCache:
             return
         if entry.state in self._dirty:
             txn = yield from self.interconnect.transaction(
-                self, BusOp.WRITEBACK, block_addr, self.block_bytes,
+                self, OP_WRITEBACK, block_addr, self.block_bytes,
                 guard=lambda: entry.state in self._dirty,
             )
             if txn is not None:
-                self.stats.add("explicit_flushes")
+                self._counts["explicit_flushes"] += 1
             else:
                 # Invalidated while arbitrating: the data is no longer ours
                 # to write back (the new owner carries it).
                 self._counts["flush_races"] += 1
-        if entry.state is not CoherenceState.INVALID:
-            entry.state = CoherenceState.INVALID
+        if entry.state is not STATE_INVALID:
+            entry.state = STATE_INVALID
             self._counts["state_transitions"] += 1
 
     def invalidate_block(self, block_addr: int) -> None:
@@ -388,11 +396,11 @@ class CoherentCache:
         index, tag = self._locate(block_addr)
         entry = self._sets[index]
         if entry is not None and entry.matches(tag):
-            entry.state = CoherenceState.INVALID
+            entry.state = STATE_INVALID
             self._counts["state_transitions"] += 1
 
     def _evict_if_needed(self, entry: _BlockEntry, index: int):
-        if entry.state is CoherenceState.INVALID or entry.tag is None:
+        if entry.state is STATE_INVALID or entry.tag is None:
             # Clear any stale tag before the frame is refilled.  An
             # invalidated frame keeps its tag so data snarfing can
             # resurrect the block — but once a miss starts repurposing the
@@ -408,17 +416,17 @@ class CoherentCache:
             # the only dirty copy and our writeback must not happen (it
             # would look like two dirty owners to the new owner's snooper).
             txn = yield from self.interconnect.transaction(
-                self, BusOp.WRITEBACK, victim_addr, self.block_bytes,
+                self, OP_WRITEBACK, victim_addr, self.block_bytes,
                 guard=lambda: entry.state in self._dirty,
             )
             if txn is not None:
-                self.stats.add("writebacks")
+                self._counts["writebacks"] += 1
             else:
                 self._counts["writeback_races"] += 1
         else:
-            self.stats.add("clean_evictions")
-        if entry.state is not CoherenceState.INVALID:
-            entry.state = CoherenceState.INVALID
+            self._counts["clean_evictions"] += 1
+        if entry.state is not STATE_INVALID:
+            entry.state = STATE_INVALID
             self._counts["state_transitions"] += 1
         entry.tag = None
 
@@ -435,7 +443,7 @@ class CoherentCache:
         protocol's ``(state, op)`` snoop rules.
         """
         op = txn.op
-        if op is BusOp.UNCACHED_READ or op is BusOp.UNCACHED_WRITE:
+        if op is OP_UNCACHED_READ or op is OP_UNCACHED_WRITE:
             return None
         if not txn.cachable:
             return None
@@ -443,8 +451,9 @@ class CoherentCache:
         index = block_number % self.num_sets
         tag = block_number // self.num_sets
         entry = self._sets[index]
+        response = None
 
-        if entry is None or not entry.matches(tag):
+        if entry is None or entry.tag != tag or entry.state is STATE_INVALID:
             # Data snarfing (paper Section 5.1.2): pick up data flying by on
             # the bus when an *invalid* frame still carries the matching
             # tag.  The invalid-state check is explicit — a bare tag match
@@ -454,41 +463,34 @@ class CoherentCache:
             if (
                 self.snarfing
                 and entry is not None
-                and entry.state is CoherenceState.INVALID
+                and entry.state is STATE_INVALID
                 and entry.tag == tag
                 and self._snarf_state is not None
-                and op in (BusOp.WRITEBACK, BusOp.READ_SHARED)
+                and (op is OP_WRITEBACK or op is OP_READ_SHARED)
             ):
                 entry.state = self._snarf_state
-                self.stats.add("snarfed_blocks")
+                self._counts["snarfed_blocks"] += 1
                 self._counts["state_transitions"] += 1
-                self._notify_listener(txn)
-                return SnoopResponse(shared=True)
-            self._notify_listener(txn)
-            return None
-
-        action = self._snoop_table.get((entry.state, op))
-        if action is None:
-            self._notify_listener(txn)
-            return None
-        next_state, response, forbidden, writes_back = action
-        if forbidden is not None:
-            raise CacheError(f"{self.name}: {forbidden} ({txn.describe()})")
-        counts = self._counts
-        if next_state is not entry.state:
-            entry.state = next_state
-            counts["state_transitions"] += 1
-            counts["snoop_transitions"] += 1
-            if next_state is CoherenceState.INVALID:
-                counts["snoop_invalidations"] += 1
-        if writes_back:
-            counts["snoop_writebacks"] += 1
-        self._notify_listener(txn)
+                response = SnoopResponse(shared=True)
+        else:
+            action = self._snoop_table.get((entry.state, op))
+            if action is not None:
+                next_state, response, forbidden, writes_back = action
+                if forbidden is not None:
+                    raise CacheError(f"{self.name}: {forbidden} ({txn.describe()})")
+                counts = self._counts
+                if next_state is not entry.state:
+                    entry.state = next_state
+                    counts["state_transitions"] += 1
+                    counts["snoop_transitions"] += 1
+                    if next_state is STATE_INVALID:
+                        counts["snoop_invalidations"] += 1
+                if writes_back:
+                    counts["snoop_writebacks"] += 1
+        listener = self.snoop_listener
+        if listener is not None:
+            listener(txn)
         return response
-
-    def _notify_listener(self, txn: BusTransaction) -> None:
-        if self.snoop_listener is not None:
-            self.snoop_listener(txn)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -527,9 +529,10 @@ class MainMemory:
         self.name = name
         self.params = params
         self.addrmap = addrmap
-        self.agent_kind = AgentKind.MEMORY
-        self.bus_kind = BusKind.MEMORY
+        self.agent_kind = AGENT_MEMORY
+        self.bus_kind = BUS_MEMORY
         self.stats = Counter()
+        self._counts = self.stats.raw
         interconnect.attach(self)
 
     def is_home(self, address: int) -> bool:
@@ -537,10 +540,11 @@ class MainMemory:
 
     def snoop(self, txn: BusTransaction) -> Optional[SnoopResponse]:
         if txn.home is self:  # equivalent to is_home(), without the range checks
-            if txn.op is BusOp.WRITEBACK:
-                self.stats.add("writebacks_accepted")
-            elif txn.op in (BusOp.READ_SHARED, BusOp.READ_EXCLUSIVE):
-                self.stats.add("reads_observed")
+            op = txn.op
+            if op is OP_WRITEBACK:
+                self._counts["writebacks_accepted"] += 1
+            elif op is OP_READ_SHARED or op is OP_READ_EXCLUSIVE:
+                self._counts["reads_observed"] += 1
         return None  # memory never supplies ahead of a cache, never shares
 
     def __repr__(self) -> str:

@@ -30,7 +30,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.common.types import BusOp, BusTransaction, CoherenceState
+from repro.common.types import (
+    OP_READ_EXCLUSIVE,
+    OP_READ_SHARED,
+    OP_UPGRADE,
+    OP_WRITEBACK,
+    STATE_INVALID,
+    BusTransaction,
+)
 
 
 class _DirEntry:
@@ -92,18 +99,18 @@ class HomeDirectory:
         if entry is None:
             entry = self._entries[txn.block_address] = _DirEntry()
         initiator = txn.initiator
-        if op is BusOp.READ_SHARED:
+        if op is OP_READ_SHARED:
             # A consulted owner demoted itself to SHARED (and reflected its
             # dirty data home); it is a plain sharer now, as is the requester.
             if entry.owner is not None:
                 entry.sharers.add(entry.owner)
                 entry.owner = None
             entry.sharers.add(initiator)
-        elif op is BusOp.READ_EXCLUSIVE or op is BusOp.UPGRADE:
+        elif op is OP_READ_EXCLUSIVE or op is OP_UPGRADE:
             # Every consulted holder invalidated itself.
             entry.sharers.clear()
             entry.owner = initiator
-        elif op is BusOp.WRITEBACK:
+        elif op is OP_WRITEBACK:
             if entry.owner is initiator:
                 entry.owner = None
             entry.sharers.discard(initiator)
@@ -126,4 +133,4 @@ def _stale(agent: object, block_address: int) -> bool:
     probe = getattr(agent, "probe_state", None)
     if probe is None:
         return False
-    return probe(block_address) is CoherenceState.INVALID
+    return probe(block_address) is STATE_INVALID

@@ -1,4 +1,14 @@
-"""Shared enumerations and small value types for the CNI reproduction."""
+"""Shared enumerations and small value types for the CNI reproduction.
+
+Each enumeration is followed by the members that the bus, cache, directory
+and NI code compare against, bound once as module globals (``BUS_MEMORY``,
+``STATE_INVALID``, ``OP_READ_SHARED``, ...), and that code uses those
+names.  On CPython 3.10/3.11 ``enum.EnumType`` defines ``__getattr__``, so
+a load such as ``BusOp.READ_SHARED`` goes through the metaclass's attribute
+hook and costs ~200 ns, against ~20 ns for a global; the bus transaction
+path made 10-20 such loads per transaction.  The lint's ``ENUMATTR`` rule
+keeps member loads out of the function bodies of that code.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +32,11 @@ class BusKind(enum.Enum):
         return self.value
 
 
+BUS_CACHE = BusKind.CACHE
+BUS_MEMORY = BusKind.MEMORY
+BUS_IO = BusKind.IO
+
+
 class CoherenceState(enum.Enum):
     """MOESI block states (Sweazey & Smith)."""
 
@@ -43,6 +58,10 @@ class CoherenceState(enum.Enum):
         return self in (CoherenceState.MODIFIED, CoherenceState.EXCLUSIVE)
 
 
+STATE_SHARED = CoherenceState.SHARED
+STATE_INVALID = CoherenceState.INVALID
+
+
 class BusOp(enum.Enum):
     """Bus transaction types on the snooping buses."""
 
@@ -56,6 +75,14 @@ class BusOp(enum.Enum):
     UNCACHED_WRITE = "uncached_write"    # 8-byte uncached device register write
 
 
+OP_READ_SHARED = BusOp.READ_SHARED
+OP_READ_EXCLUSIVE = BusOp.READ_EXCLUSIVE
+OP_UPGRADE = BusOp.UPGRADE
+OP_WRITEBACK = BusOp.WRITEBACK
+OP_UNCACHED_READ = BusOp.UNCACHED_READ
+OP_UNCACHED_WRITE = BusOp.UNCACHED_WRITE
+
+
 class AgentKind(enum.Enum):
     """What sort of agent sits behind a bus port (affects Table-2 timing)."""
 
@@ -65,6 +92,11 @@ class AgentKind(enum.Enum):
     NI_DEVICE = "ni"
     MEMORY = "memory"
     BRIDGE = "bridge"
+
+
+AGENT_PROCESSOR = AgentKind.PROCESSOR
+AGENT_NI_DEVICE = AgentKind.NI_DEVICE
+AGENT_MEMORY = AgentKind.MEMORY
 
 
 @dataclass(slots=True)

@@ -22,9 +22,10 @@ from typing import Optional
 from repro.common.addrmap import AddressMap, RegionAllocator
 from repro.common.params import MachineParams
 from repro.common.types import (
-    AgentKind,
+    AGENT_NI_DEVICE,
+    OP_UNCACHED_READ,
+    OP_UNCACHED_WRITE,
     BusKind,
-    BusOp,
     BusTransaction,
     NetworkMessage,
     SnoopResponse,
@@ -54,7 +55,7 @@ class DeviceHomeAgent:
     def __init__(self, device: "AbstractNI", name: str):
         self.device = device
         self.name = name
-        self.agent_kind = AgentKind.NI_DEVICE
+        self.agent_kind = AGENT_NI_DEVICE
         self.bus_kind = device.bus_kind
 
     def is_home(self, address: int) -> bool:
@@ -63,9 +64,10 @@ class DeviceHomeAgent:
 
     def snoop(self, txn: BusTransaction) -> Optional[SnoopResponse]:
         if txn.home is self:  # only this device's own addresses can be registers
-            if txn.op is BusOp.UNCACHED_READ and self.device.addrmap.is_uncached(txn.address):
+            op = txn.op
+            if op is OP_UNCACHED_READ and self.device.addrmap.is_uncached(txn.address):
                 self.device.uncached_read(txn.address)
-            elif txn.op is BusOp.UNCACHED_WRITE and self.device.addrmap.is_uncached(txn.address):
+            elif op is OP_UNCACHED_WRITE and self.device.addrmap.is_uncached(txn.address):
                 self.device.uncached_write(txn.address)
         return None  # register accesses terminate here; nothing to report
 
@@ -94,7 +96,7 @@ class AbstractNI(abc.ABC):
         self.interconnect = interconnect
         self.fabric = fabric
         self.bus_kind = bus_kind
-        self.agent_kind = AgentKind.NI_DEVICE
+        self.agent_kind = AGENT_NI_DEVICE
         self.name = f"node{node_id}.{self.taxonomy_name}"
         #: PDES partition this device belongs to (see Machine.partition_map
         #: and repro.analysis): the NI is node-owned; only the fabric's
@@ -288,8 +290,11 @@ class AbstractNI(abc.ABC):
         buffered the way stores can).
         """
         self._counts["uncached_loads"] += 1
+        # The bound cache is read directly; _processor_agent() runs only to
+        # raise NIError when none is bound.
         yield from self.interconnect.transaction(
-            self._processor_agent(), BusOp.UNCACHED_READ, register, self.params.uncached_access_bytes
+            self._proc_cache or self._processor_agent(),
+            OP_UNCACHED_READ, register, self.params.uncached_access_bytes,
         )
         yield self._uncached_load_extra
 
@@ -297,7 +302,8 @@ class AbstractNI(abc.ABC):
         """Generator: one uncached 8-byte store to a device register."""
         self._counts["uncached_stores"] += 1
         yield from self.interconnect.transaction(
-            self._processor_agent(), BusOp.UNCACHED_WRITE, register, self.params.uncached_access_bytes
+            self._proc_cache or self._processor_agent(),
+            OP_UNCACHED_WRITE, register, self.params.uncached_access_bytes,
         )
 
     def memory_barrier(self):

@@ -22,7 +22,7 @@ explicit queue pointers.
 from __future__ import annotations
 
 from repro.coherence.cache import CoherentCache
-from repro.common.types import AgentKind
+from repro.common.types import AGENT_NI_DEVICE
 from repro.ni.base import ComposedNI, NIError
 from repro.ni.primitives import CdrRecvPort, CdrSendPort
 
@@ -84,7 +84,7 @@ class CdrNI(ComposedNI):
             self.params,
             self.addrmap,
             size_bytes=2 * cdr_blocks * block_bytes,
-            agent_kind=AgentKind.NI_DEVICE,
+            agent_kind=AGENT_NI_DEVICE,
             bus_kind=self.bus_kind,
         )
 

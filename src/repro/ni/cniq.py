@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.coherence.cache import CoherentCache
-from repro.common.types import AgentKind
+from repro.common.types import AGENT_NI_DEVICE
 from repro.ni.base import ComposedNI, NIError
 from repro.ni.cq import CachableQueue
 from repro.ni.primitives import CqRecvPort, CqSendPort
@@ -102,7 +102,7 @@ class CoherentQueueNI(ComposedNI):
             self.params,
             self.addrmap,
             size_bytes=send_queue_blocks * block_bytes,
-            agent_kind=AgentKind.NI_DEVICE,
+            agent_kind=AGENT_NI_DEVICE,
             bus_kind=self.bus_kind,
         )
         self.recv_cache = CoherentCache(
@@ -112,7 +112,7 @@ class CoherentQueueNI(ComposedNI):
             self.params,
             self.addrmap,
             size_bytes=recv_cache_blocks * block_bytes,
-            agent_kind=AgentKind.NI_DEVICE,
+            agent_kind=AGENT_NI_DEVICE,
             bus_kind=self.bus_kind,
         )
         self.ptr_cache = CoherentCache(
@@ -122,7 +122,7 @@ class CoherentQueueNI(ComposedNI):
             self.params,
             self.addrmap,
             size_bytes=4 * block_bytes,
-            agent_kind=AgentKind.NI_DEVICE,
+            agent_kind=AGENT_NI_DEVICE,
             bus_kind=self.bus_kind,
         )
 

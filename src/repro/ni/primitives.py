@@ -35,7 +35,7 @@ import abc
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from repro.common.types import CoherenceState, NetworkMessage
+from repro.common.types import STATE_INVALID, NetworkMessage
 from repro.ni.base import DEVICE_PROCESSING_CYCLES
 from repro.sim import Signal
 
@@ -539,8 +539,8 @@ class CqSendPort(SendPort):
             return False
         cache = self.ni._proc_cache
         return (
-            cache.probe_state(sq.head_ptr_addr) is not CoherenceState.INVALID
-            and cache.probe_state(sq.tail_ptr_addr) is not CoherenceState.INVALID
+            cache.probe_state(sq.head_ptr_addr) is not STATE_INVALID
+            and cache.probe_state(sq.tail_ptr_addr) is not STATE_INVALID
         )
 
     def device_idle(self) -> bool:
@@ -653,7 +653,7 @@ class CqRecvPort(RecvPort):
         if rq.peek() is not None:
             return False
         state = self.ni._proc_cache.probe_state(rq.valid_word_addr(rq.head_index()))
-        return state is not CoherenceState.INVALID
+        return state is not STATE_INVALID
 
     def proc_poll(self):
         ni = self.ni

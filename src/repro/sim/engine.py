@@ -84,7 +84,8 @@ class Simulator:
     * :meth:`schedule_call` — the allocation-light fast path used by the
       process layer and other kernel clients (no handle, not cancellable),
     * :meth:`run` to drain the event queue,
-    * :attr:`now` for the current simulated time.
+    * :attr:`now` for the current simulated time: a plain attribute that
+      only the two drains write (read it, never assign it).
 
     Processes are layered on top in :mod:`repro.sim.process`.
     """
@@ -94,7 +95,8 @@ class Simulator:
         self._lane: deque = deque()  # same-cycle FIFO lane
         self._free: list = []  # event free pool
         self._seq = 0
-        self._now = 0
+        #: Current simulated time in processor cycles.
+        self.now = 0
         self._running = False
         self.event_count = 0
         # Spin-wait elision statistics (accumulated by repro.sim.spinwait):
@@ -114,11 +116,6 @@ class Simulator:
         self._batch_time = 0
         self._current_event: Optional[_ScheduledEvent] = None
 
-    @property
-    def now(self) -> int:
-        """Current simulated time in processor cycles."""
-        return self._now
-
     # ------------------------------------------------------------------
     # Event allocation
     # ------------------------------------------------------------------
@@ -135,10 +132,10 @@ class Simulator:
         self._seq = seq + 1
         event.seq = seq
         if delay == 0:
-            event.time = self._now
+            event.time = self.now
             self._lane.append(event)
         else:
-            at = self._now + delay
+            at = self.now + delay
             event.time = at
             heappush(self._queue, (at, seq, event))
 
@@ -167,9 +164,9 @@ class Simulator:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if type(time) is not int:
             time = _as_cycles(time, what="absolute time")
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time}, current time is {self._now}")
-        return self.schedule(time - self._now, callback, *args)
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at {time}, current time is {self.now}")
+        return self.schedule(time - self.now, callback, *args)
 
     def schedule_call(self, delay: int, callback: Callable, args: tuple = ()) -> None:
         """Fast-path scheduling for trusted kernel clients.
@@ -196,10 +193,10 @@ class Simulator:
         self._seq = seq + 1
         event.seq = seq
         if delay == 0:
-            event.time = self._now
+            event.time = self.now
             self._lane.append(event)
         else:
-            at = self._now + delay
+            at = self.now + delay
             event.time = at
             heappush(self._queue, (at, seq, event))
 
@@ -264,7 +261,7 @@ class Simulator:
             self._drain(until, max_events)
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def _drain(self, until: Optional[int], max_events: Optional[int]) -> int:
         """Execute pending events in (time, seq) order; returns the count.
@@ -320,7 +317,7 @@ class Simulator:
                     continue
                 # --- limits -----------------------------------------------
                 if event.time > time_limit:
-                    self._now = until
+                    self.now = until
                     break
                 if executed >= event_limit:
                     break
@@ -329,7 +326,7 @@ class Simulator:
                     heappop(queue)
                 else:
                     lane.popleft()
-                self._now = event.time
+                self.now = event.time
                 executed += 1
                 callback = event.callback
                 args = event.args
@@ -473,7 +470,7 @@ class Simulator:
                     else:
                         break
                     if t > time_limit:
-                        self._now = until
+                        self.now = until
                         break
                     self._batch_time = t
                     self._current_event = None
@@ -482,7 +479,7 @@ class Simulator:
                 if self._batch_time > time_limit:
                     # Leftover batch from an interrupted drain lies beyond
                     # this call's horizon; leave it pending.
-                    self._now = until
+                    self.now = until
                     break
                 if executed >= event_limit:
                     break
@@ -490,7 +487,7 @@ class Simulator:
                 self._batch_count -= 1
                 if event.cancelled:
                     continue
-                self._now = event.time
+                self.now = event.time
                 executed += 1
                 self._current_event = event
                 self.on_execute(event)

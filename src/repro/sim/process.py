@@ -249,10 +249,10 @@ class Process:
             sim._seq = seq + 1
             event.seq = seq
             if delay == 0:
-                event.time = sim._now
+                event.time = sim.now
                 sim._lane.append(event)
             else:
-                at = sim._now + delay
+                at = sim.now + delay
                 event.time = at
                 _heappush(sim._queue, (at, seq, event))
         elif cls is Resource:

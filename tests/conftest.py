@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExperimentSpec
+from repro.apps.workload import run_spec
 from repro.common.addrmap import AddressMap
 from repro.common.params import DEFAULT_PARAMS, MachineParams
 from repro.node.machine import Machine
@@ -62,6 +64,46 @@ def run_ping_pong(machine: Machine, payload_bytes: int = 64, rounds: int = 3, ma
 
     cycles = machine.run_programs([node0(), node1()], max_cycles=max_cycles)
     return cycles, state
+
+
+#: Macro points whose every counter is pinned (tests/test_device_golden.py):
+#: label -> ExperimentSpec overrides.  The five memory-bus devices, CNI512Q
+#: on the I/O bus (bridge NACKs), processor-cache data snarfing and the
+#: directory protocol; each runs gauss and em3d at 4 nodes, scale 0.25.
+COUNTER_CONFIGS = {
+    "NI2w": {"device": "NI2w"},
+    "CNI4": {"device": "CNI4"},
+    "CNI16Q": {"device": "CNI16Q"},
+    "CNI512Q": {"device": "CNI512Q"},
+    "CNI16Qm": {"device": "CNI16Qm"},
+    "CNI512Q@io": {"device": "CNI512Q", "bus": "io"},
+    "CNI16Qm+snarfing": {"device": "CNI16Qm", "snarfing": True},
+    "CNI16Qm+dir-msi": {"device": "CNI16Qm", "params": {"protocol": "dir-msi"}},
+}
+COUNTER_WORKLOADS = ("gauss", "em3d")
+
+
+def counter_snapshot(config: str, workload: str) -> dict:
+    """Run one counter-golden point; every counter it leaves, by owner name.
+
+    Owners are each node's interconnect (``node<i>.bus``), processor
+    (``node<i>.cpu``), NI and every bus agent with counters: the processor
+    cache, the device caches and main memory.
+    """
+    spec = ExperimentSpec(
+        kind="macro", workload=workload, scale=0.25, num_nodes=4, **COUNTER_CONFIGS[config]
+    ).validate()
+    machine, result = run_spec(spec)
+    snapshot = {"cycles": result.cycles}
+    for node in machine.nodes:
+        snapshot[f"{node.interconnect.name}.bus"] = node.interconnect.stats.as_dict()
+        snapshot[f"{node.interconnect.name}.cpu"] = node.processor.stats.as_dict()
+        snapshot[node.ni.name] = node.ni.stats.as_dict()
+        for agent in node.interconnect.agents:
+            stats = getattr(agent, "stats", None)
+            if stats is not None:
+                snapshot[agent.name] = stats.as_dict()
+    return snapshot
 
 
 def run_stream(machine: Machine, payload_bytes: int = 256, count: int = 10, max_cycles: int = 80_000_000):

@@ -79,6 +79,35 @@ def test_mutstate_rule_exempts_dunder_exports():
     assert not [f for f in findings if f.rule == "MUTSTATE"]
 
 
+_ENUM_LOADS = (
+    "from repro.common.types import BusKind, CoherenceState as CS\n"  # 1
+    "DEFAULT_BUS = BusKind.MEMORY\n"                                     # 2 module level
+    "class Frame:\n"                                                     # 3
+    "    state = CS.INVALID\n"                                           # 4 class body
+    "    def wipe(self, bus=BusKind.IO, *, to=CS.SHARED):\n"             # 5 defaults
+    "        self.valid = lambda: self.state is not CS.INVALID\n"        # 6 lambda body (alias)
+    "        return bus is BusKind.CACHE\n"                              # 7 function body
+)
+
+
+@pytest.mark.parametrize(
+    "relpath", ["sim/_fixture.py", "ni/_fixture.py", "coherence/bus.py",
+                "coherence/cache.py", "coherence/directory.py"],
+)
+def test_enumattr_flags_only_function_body_loads(relpath):
+    findings = [f for f in lint_source(_ENUM_LOADS, relpath) if f.rule == "ENUMATTR"]
+    assert [f.line for f in findings] == [6, 7]
+    assert "'CS.INVALID'" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "relpath", ["coherence/protocols/tables.py", "coherence/modelcheck.py",
+                "node/node.py", "common/params.py"],
+)
+def test_enumattr_leaves_build_once_modules_alone(relpath):
+    assert not [f for f in lint_source(_ENUM_LOADS, relpath) if f.rule == "ENUMATTR"]
+
+
 def test_waiver_parser_handles_multiple_rules():
     waivers = parse_waivers(
         ["x = {}  # repro: allow[MUTSTATE, SLOTS] two rules at once"]

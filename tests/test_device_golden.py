@@ -14,11 +14,26 @@ pinned value bit-for-bit, because none of the golden scenarios blocks long
 enough to fall back to user-space buffering.  The fix itself is pinned by
 tests/test_spin_elision.py.  Spin-wait elision (on by default) is likewise
 invisible here by design: golden runs must not depend on the toggle.
+
+``golden_counters.json`` pins every counter, not only cycles and NI
+counters: each node's interconnect, processor, NI, caches and memory on
+gauss and em3d over ``COUNTER_CONFIGS`` (conftest.py).  A dropped or
+misspelt counter on the bus, cache or NI paths fails it.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
-from conftest import build_machine, run_ping_pong, run_stream
+from conftest import (
+    COUNTER_CONFIGS,
+    COUNTER_WORKLOADS,
+    build_machine,
+    counter_snapshot,
+    run_ping_pong,
+    run_stream,
+)
 from repro.api import ExperimentSpec, run_point
 
 GOLDEN = {
@@ -194,3 +209,13 @@ def test_stream_device_counters_pinned(device):
     assert machine.nodes[0].ni.stats.as_dict() == entry["stream_ni0"]
     assert machine.nodes[1].ni.stats.as_dict() == entry["stream_ni1"]
     assert machine.total_memory_bus_occupancy() == entry["stream_membus"]
+
+
+COUNTER_GOLDEN = json.loads((Path(__file__).parent / "golden_counters.json").read_text())
+
+
+@pytest.mark.parametrize("config", sorted(COUNTER_CONFIGS))
+@pytest.mark.parametrize("workload", COUNTER_WORKLOADS)
+def test_every_counter_pinned(workload, config):
+    """Every counter of every bus agent, interconnect, processor and NI."""
+    assert counter_snapshot(config, workload) == COUNTER_GOLDEN[f"{workload}/{config}"]

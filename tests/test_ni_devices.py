@@ -114,6 +114,16 @@ class TestNI2wSpecifics:
         after = machine.nodes[0].interconnect.stats.get("txn_uncached_read")
         assert after == before + 1
 
+    def test_uncached_access_without_a_processor_cache_is_an_error(self):
+        from repro.ni import NIError
+
+        ni = build_machine("NI2w", "memory").nodes[0].ni
+        register = ni.allocate_uncached_register()
+        ni._proc_cache = None  # as before Node binds it
+        for access in (ni.uncached_load, ni.uncached_store):
+            with pytest.raises(NIError, match="processor cache not bound"):
+                next(access(register))
+
 
 class TestCNI4Specifics:
     def test_send_serializes_on_single_cdr_set(self):

@@ -367,6 +367,44 @@ class TestWorkerScheduler:
         assert len(pids) == 1
         assert float(os.getpid()) not in pids
 
+    def test_idle_worker_exits_when_its_parent_is_killed(self):
+        """Regression: the forked worker kept its copy of the parent's end of
+        the pipe open, so a parent killed without stopping it left the worker
+        waiting in ``recv`` forever, reparented to init."""
+        probe = textwrap.dedent("""
+            import multiprocessing, os, signal
+            from repro.api.runner import _Worker
+            worker = _Worker(multiprocessing.get_context())
+            print(worker.proc.pid, flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        # The worker inherits stdout, so read the pid line rather than wait
+        # for EOF: a surviving worker would hold the pipe open.
+        parent = subprocess.Popen([sys.executable, "-c", probe], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            pid = int(parent.stdout.readline())
+            assert parent.wait(timeout=60) == -signal.SIGKILL
+            deadline = time.monotonic() + 5.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survived = _running(pid)
+        finally:
+            parent.stdout.close()
+        if survived:
+            os.kill(pid, signal.SIGKILL)
+        assert not survived, f"worker {pid} outlived its killed parent"
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (not gone, not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
 
 # ---------------------------------------------------------------------------
 # Service: failed points, draining, SIGTERM
