@@ -6,7 +6,10 @@ pays before injecting a single fault.  This benchmark A/B-compares the
 same gauss run with no plan versus ``faults="zero"`` (all rates zero) and
 gates the wall-clock ratio, taking the **minimum of N repeats** on both
 sides so scheduler noise can only make the ratio look worse, never hide a
-real regression.
+real regression.  The repeats run in rounds of one run per configuration;
+each round runs plain and zero-plan back to back, and they take turns going
+first, so a drift in host speed over the measurement lands on both sides
+alike instead of on the ratio.
 
 Physics is gated too: the zero-rate run must complete in *exactly* the
 same number of simulated cycles as the plain run (the wrapper may cost
@@ -52,26 +55,38 @@ def run_once(num_nodes: int, scale: float, **param_overrides) -> dict:
     }
 
 
-def measure(num_nodes: int, scale: float, repeats: int, **param_overrides) -> dict:
-    """Min-of-N wall clock for one configuration (cycles must not vary)."""
-    runs = [run_once(num_nodes, scale, **param_overrides) for _ in range(repeats)]
-    cycles = {run["cycles"] for run in runs}
-    best = min(runs, key=lambda run: run["wall_s"])
-    return {
-        "cycles": best["cycles"],
-        "deterministic": len(cycles) == 1,
-        "wall_s_min": best["wall_s"],
-        "wall_s_all": [run["wall_s"] for run in runs],
-        "fault_stats": best["fault_stats"],
-    }
+#: ``MachineParams`` overrides of each measured configuration.
+CONFIGS = {
+    "plain": {},
+    "zero": {"faults": "zero"},
+    "lossy1": {"faults": "lossy1", "fault_seed": 0, "reliable_messaging": True},
+}
+#: Run order of the even and the odd rounds.
+ROUND_ORDERS = (("plain", "zero", "lossy1"), ("zero", "plain", "lossy1"))
+
+
+def measure(num_nodes: int, scale: float, repeats: int) -> dict:
+    """Min-of-N wall clock per configuration (cycles must not vary)."""
+    runs = {name: [] for name in CONFIGS}
+    for i in range(repeats):
+        for name in ROUND_ORDERS[i % 2]:
+            runs[name].append(run_once(num_nodes, scale, **CONFIGS[name]))
+    report = {}
+    for name, taken in runs.items():
+        best = min(taken, key=lambda run: run["wall_s"])
+        report[name] = {
+            "cycles": best["cycles"],
+            "deterministic": len({run["cycles"] for run in taken}) == 1,
+            "wall_s_min": best["wall_s"],
+            "wall_s_all": [run["wall_s"] for run in taken],
+            "fault_stats": best["fault_stats"],
+        }
+    return report
 
 
 def run_all(num_nodes: int, scale: float, repeats: int) -> dict:
-    plain = measure(num_nodes, scale, repeats)
-    zero = measure(num_nodes, scale, repeats, faults="zero")
-    lossy = measure(
-        num_nodes, scale, repeats, faults="lossy1", fault_seed=0, reliable_messaging=True
-    )
+    measured = measure(num_nodes, scale, repeats)
+    plain, zero, lossy = measured["plain"], measured["zero"], measured["lossy1"]
     overhead = zero["wall_s_min"] / plain["wall_s_min"] if plain["wall_s_min"] else 0.0
     recovery_cost = lossy["cycles"] / plain["cycles"] if plain["cycles"] else 0.0
     return {

@@ -135,7 +135,7 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_point_here(spec: ExperimentSpec) -> RunResult:
+def run_point_here(spec: ExperimentSpec) -> RunResult:
     """:func:`run_point` in this process; an exception it raises is carried
     as ``error``, worded as a worker words its one failed attempt."""
     try:
@@ -422,7 +422,7 @@ class SweepRunner:
                 pending, self.jobs, cache_desc, self.point_timeout_s, self.max_retries
             )
         else:
-            completions = ((spec, _run_point_here(spec), None) for spec in pending)
+            completions = ((spec, run_point_here(spec), None) for spec in pending)
         with contextlib.closing(completions):
             for spec, result, worker_stats in completions:
                 resolved[spec.spec_hash()] = result

@@ -159,9 +159,6 @@ class MachineParams:
     #: Give up (raise) after this many retransmissions of one fragment.
     max_retransmits: int = 12
 
-    # Optional global features
-    data_snarfing: bool = False
-
     #: Elide steady busy-poll spins into event-driven blocking waits (see
     #: :mod:`repro.sim.spinwait`).  Bit-identical to spinning — simulated
     #: cycles, bus occupancies and device counters do not change — but the
@@ -238,14 +235,10 @@ class MachineParams:
         if self.protocol != "moesi":
             # Lazy import, same reasoning as the fabric check below: the
             # default never pulls in the protocol kit at module import.
+            # An unregistered name raises ProtocolError here.
             from repro.coherence.protocols import protocol_spec
 
-            spec = protocol_spec(self.protocol)
-            if spec.directory and self.data_snarfing:
-                raise ParameterError(
-                    "data snarfing needs broadcast snoops; directory protocol "
-                    f"{self.protocol!r} filters them (disable data_snarfing)"
-                )
+            protocol_spec(self.protocol)
         if self.retransmit_timeout_cycles < 1:
             raise ParameterError("retransmit_timeout_cycles must be >= 1")
         if self.max_retransmits < 0:

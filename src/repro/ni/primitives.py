@@ -375,9 +375,6 @@ class CdrSendPort(SendPort):
             # Freeing the slot lets a spinning sender proceed.
             self.ready_signal.fire()
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def device_idle(self) -> bool:
         # A committed message stays pending until its pull has finished.
         return not self._pending
@@ -494,9 +491,6 @@ class CdrRecvPort(RecvPort):
                 yield self.pop_signal
             else:
                 yield ni._net_in_signal
-
-    def buffer_depth(self) -> int:
-        return len(self._buffer)
 
 
 # ----------------------------------------------------------------------

@@ -140,9 +140,9 @@ class Machine:
         for node in self.nodes:
             node.start()
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         self.start()
-        return self.sim.run(until=until, max_events=max_events)
+        return self.sim.run(until=until)
 
     def run_programs(
         self,

@@ -90,8 +90,7 @@ class Node:
             with_cache_bus=self.config.ni_bus is BusKind.CACHE,
         )
         if self.config.snarfing and self.interconnect.directory is not None:
-            # Same rule MachineParams enforces for global data_snarfing:
-            # snarfing picks data off *broadcast* transactions, which a
+            # Snarfing picks data off *broadcast* transactions, which a
             # directory protocol filters away from non-holders.
             raise NodeConfigError(
                 f"node{node_id}: snarfing needs broadcast snoops; directory "

@@ -50,7 +50,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.api.kinds import point_cost
 from repro.api.results import RunResult
-from repro.api.runner import run_point, run_point_guarded
+from repro.api.runner import run_point_guarded, run_point_here
 from repro.api.spec import ExperimentSpec, SpecError, SweepSpec
 from repro.ni.taxonomy import TaxonomyError
 from repro.service.dedup import DedupError, InFlightRegistry
@@ -209,10 +209,7 @@ class ExperimentService:
                 spec, timeout_s=self.point_timeout_s, max_retries=self.max_retries
             )
         else:
-            try:
-                result = run_point(spec)
-            except Exception as exc:  # noqa: BLE001 — raised below as a worker's failure
-                result = RunResult(spec=spec, error=f"{type(exc).__name__}: {exc} (attempts=1)")
+            result = run_point_here(spec)
         if result.error is not None:
             self.bump("failed_points")
             if "timed out" in result.error:

@@ -1,16 +1,7 @@
 """Discrete-event simulation kernel used by the CNI reproduction."""
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.process import (
-    Acquire,
-    Delay,
-    Join,
-    Process,
-    Resource,
-    Signal,
-    Wait,
-    start_process,
-)
+from repro.sim.process import Process, Resource, Signal, start_process
 from repro.sim.spinwait import (
     SPIN_EMPTY,
     SPIN_PROGRESS,
@@ -40,10 +31,6 @@ __all__ = [
     "SPIN_TRANSIENT",
     "Process",
     "start_process",
-    "Delay",
-    "Wait",
-    "Acquire",
-    "Join",
     "Signal",
     "Resource",
     "Counter",

@@ -1,23 +1,20 @@
 """Generator-based simulation processes.
 
 A :class:`Process` wraps a Python generator.  The generator ``yield``s
-commands that describe what to wait for; the kernel resumes the generator
-when the condition is satisfied:
+what it waits for, and the kernel resumes it when that is satisfied.  There
+are three kinds of yield:
 
-* ``yield n`` (a plain non-negative ``int``) or ``yield Delay(n)`` — wait
-  ``n`` cycles.  The bare-int form is the fast path: it allocates nothing
-  and resumes through the kernel's same-cycle lane or heap directly,
-* ``yield resource`` (a :class:`Resource`) or ``yield Acquire(resource)`` —
-  wait for FIFO ownership of a resource; the value sent back is the
-  resource,
-* ``yield signal`` (a :class:`Signal`) or ``yield Wait(signal)`` — wait for
-  a one-shot/broadcast signal; the value sent back is the signal payload,
-* ``yield Join(process)`` — wait for another process to finish; the value
-  sent back is that process's return value.
+* ``yield n`` — wait ``n`` cycles.  ``n`` is a non-negative whole number:
+  a plain ``int``, or an integral float such as ``2.0``.  A negative or
+  fractional delay raises :class:`~repro.sim.engine.SimulationError`;
+* ``yield resource`` (a :class:`Resource`) — wait for FIFO ownership of the
+  resource; the value sent back is the resource;
+* ``yield signal`` (a :class:`Signal`) — wait for the signal's next firing;
+  the value sent back is the payload.
 
 Sub-generators compose with plain ``yield from``.  Every resumption is one
 scheduled kernel event, so ``Simulator.event_count`` is a stable measure of
-process activity regardless of which yield form clients use.
+process activity.
 """
 
 from __future__ import annotations
@@ -34,49 +31,6 @@ from repro.sim.engine import SimulationError, Simulator, _as_cycles, _ScheduledE
 _NONE_ARGS = (None,)
 
 
-class Delay:
-    """Wait a fixed number of cycles."""
-
-    __slots__ = ("cycles",)
-
-    def __init__(self, cycles: int):
-        if type(cycles) is not int:
-            cycles = _as_cycles(cycles)
-        if cycles < 0:
-            raise SimulationError(f"negative delay: {cycles}")
-        self.cycles = cycles
-
-    def __repr__(self) -> str:
-        return f"Delay({self.cycles})"
-
-
-class Wait:
-    """Wait for a :class:`Signal` to fire."""
-
-    __slots__ = ("signal",)
-
-    def __init__(self, signal: "Signal"):
-        self.signal = signal
-
-
-class Acquire:
-    """Wait for ownership of a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        self.resource = resource
-
-
-class Join:
-    """Wait for another process to complete."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process"):
-        self.process = process
-
-
 class Signal:
     """A broadcast signal that wakes every waiting process when fired.
 
@@ -89,12 +43,10 @@ class Signal:
         self.name = name
         self._waiters: list = []
         self.fire_count = 0
-        self.last_payload: Any = None
 
     def fire(self, payload: Any = None) -> None:
         """Wake all current waiters, delivering ``payload`` to each."""
         self.fire_count += 1
-        self.last_payload = payload
         waiters = self._waiters
         if not waiters:
             return
@@ -103,9 +55,6 @@ class Signal:
         args = _NONE_ARGS if payload is None else (payload,)
         for process in waiters:
             schedule_call(0, process._resume, args)
-
-    def _add_waiter(self, process: "Process") -> None:
-        self._waiters.append(process)
 
     @property
     def waiter_count(self) -> int:
@@ -187,7 +136,6 @@ class Process:
         self.pid = Process._ids
         self.name = name or f"process-{self.pid}"
         self._sim = sim
-        self._schedule_call = sim.schedule_call
         self._gen = generator
         self._send = generator.send
         # Prebind the bound method once: every wake-up site (delays, signal
@@ -197,8 +145,6 @@ class Process:
         self.finished = False
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        self._completion_waiters: list = []
-        self.started_at = sim.now
         self.finished_at: Optional[int] = None
         # Kick off on the next event boundary so construction never runs user
         # code synchronously.
@@ -220,19 +166,15 @@ class Process:
             self.exception = exc
             self._finish(None)
             raise
-        # Inline dispatch for the hot commands, most frequent first; exact
-        # type checks keep this a couple of dictionary lookups per event.
-        # Subclasses and anything unusual fall through to _dispatch.
+        # Inline dispatch for the three yields, most frequent first; exact
+        # type checks keep this a couple of comparisons per event.  Integral
+        # floats and errors fall through to _dispatch.
         cls = command.__class__
-        if cls is int or cls is Delay:
-            if cls is int:
-                if command < 0:
-                    raise SimulationError(
-                        f"process {self.name!r} yielded a negative delay: {command}"
-                    )
-                delay = command
-            else:
-                delay = command.cycles
+        if cls is int:
+            if command < 0:
+                raise SimulationError(
+                    f"process {self.name!r} yielded a negative delay: {command}"
+                )
             # Inlined Simulator.schedule_call: this is the hottest statement
             # in the whole simulator, so it reaches into the kernel's pool
             # and queues directly rather than paying another call frame.
@@ -242,71 +184,42 @@ class Process:
                 event = free.pop()
             else:
                 event = _ScheduledEvent()
-                event.recyclable = True
             event.callback = self._resume
             event.args = _NONE_ARGS
             seq = sim._seq
             sim._seq = seq + 1
             event.seq = seq
-            if delay == 0:
+            if command == 0:
                 event.time = sim.now
                 sim._lane.append(event)
             else:
-                at = sim.now + delay
+                at = sim.now + command
                 event.time = at
                 _heappush(sim._queue, (at, seq, event))
         elif cls is Resource:
             command._request(self)
         elif cls is Signal:
             command._waiters.append(self)
-        elif cls is Acquire:
-            command.resource._request(self)
-        elif cls is Wait:
-            command.signal._waiters.append(self)
         else:
             self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
-        """Slow-path dispatch: floats, Join, subclasses, and errors."""
-        if isinstance(command, Join):
-            target = command.process
-            if target.finished:
-                self._sim.schedule_call(0, self._resume, (target.result,))
-            else:
-                target._completion_waiters.append(self)
-        elif isinstance(command, (int, float)):
-            cycles = _as_cycles(command)
-            if cycles < 0:
-                raise SimulationError(
-                    f"process {self.name!r} yielded a negative delay: {command}"
-                )
-            self._sim.schedule_call(cycles, self._resume, _NONE_ARGS)
-        elif isinstance(command, Delay):
-            self._sim.schedule_call(command.cycles, self._resume, _NONE_ARGS)
-        elif isinstance(command, Wait):
-            command.signal._add_waiter(self)
-        elif isinstance(command, Acquire):
-            command.resource._request(self)
-        elif isinstance(command, Signal):
-            command._add_waiter(self)
-        elif isinstance(command, Resource):
-            command._request(self)
-        else:
+        """Slow path: a delay that is not a plain ``int``, or an error."""
+        if not isinstance(command, (int, float)):
             raise SimulationError(
                 f"process {self.name!r} yielded an unsupported command: {command!r}"
             )
+        cycles = _as_cycles(command)
+        if cycles < 0:
+            raise SimulationError(
+                f"process {self.name!r} yielded a negative delay: {command}"
+            )
+        self._sim.schedule_call(cycles, self._resume, _NONE_ARGS)
 
     def _finish(self, result: Any) -> None:
         self.finished = True
         self.result = result
         self.finished_at = self._sim.now
-        waiters = self._completion_waiters
-        if not waiters:
-            return
-        self._completion_waiters = []
-        args = (result,)
-        for waiter in waiters:
-            self._sim.schedule_call(0, waiter._resume, args)
 
 
 def start_process(sim: Simulator, generator: Generator, name: str = "") -> Process:

@@ -2,11 +2,12 @@
 
 Instead of one blind ``sim.run(until=max_cycles)`` that spins to the cycle
 limit and reports nothing, :class:`Watchdog` drives the kernel in bounded
-chunks and diagnoses the two ways a simulation stops making progress:
+chunks with ``run(until=...)`` and ``peek()``, and diagnoses the two ways a
+simulation stops making progress:
 
 * **quiescent-but-not-done** — the event queues drained but workload
   processes are still unfinished (a deadlock: everyone parked on a signal
-  / resource / join that will never fire).  The watchdog dumps a wait-for
+  or resource that will never fire or free).  The watchdog dumps a wait-for
   graph of the parked processes built by introspecting the machine's
   partition map, and raises :class:`SimulationHangError`.
 * **busy stall** — events keep executing but a caller-supplied progress
@@ -60,12 +61,12 @@ DEFAULT_STALL_CYCLES = 2_000_000
 
 def _wait_holders(obj: object) -> Iterable[object]:
     """``obj`` itself plus its direct attributes that can park processes."""
-    if isinstance(obj, (Signal, Resource, Process)):
+    if isinstance(obj, (Signal, Resource)):
         yield obj
     d = getattr(obj, "__dict__", None)
     if isinstance(d, dict):
         for value in d.values():
-            if isinstance(value, (Signal, Resource, Process)):
+            if isinstance(value, (Signal, Resource)):
                 yield value
 
 
@@ -77,7 +78,7 @@ def wait_for_graph(
 
     ``partitions`` is an ownership map (label -> owned objects, e.g.
     ``Machine.partition_map()``); the waitables are discovered from the
-    waited-on side (signal waiter lists, resource queues, join lists), so
+    waited-on side (signal waiter lists and resource queues), so
     building the graph costs nothing on the simulation hot path.
     """
     parked: Dict[int, List[str]] = {}
@@ -92,12 +93,9 @@ def wait_for_graph(
                 if isinstance(holder, Signal):
                     waiters = list(holder._waiters)
                     what = f"signal {holder.name!r}"
-                elif isinstance(holder, Resource):
+                else:
                     waiters = list(holder._wait_queue)
                     what = f"resource {holder.name!r}"
-                else:
-                    waiters = list(holder._completion_waiters)
-                    what = f"join {holder.name!r}"
                 for proc in waiters:
                     parked.setdefault(id(proc), []).append(f"{what} [{label}]")
                     by_id[id(proc)] = proc

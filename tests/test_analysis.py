@@ -19,6 +19,7 @@ from repro.analysis.determinism import (
     OrderShuffleSimulator,
     _probe_run,
     diff_fingerprints,
+    fingerprint_digest,
     machine_fingerprint,
     sanitize_spec,
     strip_elided,
@@ -27,6 +28,7 @@ from repro.analysis.lint import FIXTURES, Rule, lint_source, lint_tree, parse_wa
 from repro.analysis.partitions import EXTERNAL, PartitionResolver, partition_from_name
 from repro.analysis.statkeys import generate_registry
 from repro.api import ExperimentSpec
+from repro.experiments import IO_BUS_DEVICES, MEMORY_BUS_DEVICES
 from repro.node.machine import Machine
 from repro.sim.engine import Simulator
 from repro.sim.process import start_process
@@ -296,6 +298,32 @@ def test_instrumented_macro_matches_plain_kernel():
             or edge["category"] in ("bus", "directory", "fabric")
         ), edge
     assert set(report["events_by_partition"]) >= {"fabric", "node0", "node1"}
+
+
+PAPER_CONFIGS = [(device, "memory") for device in MEMORY_BUS_DEVICES] + [
+    (device, "io") for device in IO_BUS_DEVICES
+]
+
+
+@pytest.mark.parametrize(
+    "device,bus", PAPER_CONFIGS, ids=[f"{d}-{b}" for d, b in PAPER_CONFIGS]
+)
+def test_hooked_drain_matches_plain_drain(device, bus):
+    """With the default hooks, the hooked drain runs the same events in the
+    same order as the plain one: equal event count, equal statistics."""
+    spec = ExperimentSpec(
+        kind="macro", device=device, bus=bus, workload="em3d", scale=0.25, num_nodes=4
+    )
+    runs = []
+    for hooked in (False, True):
+        sim = Simulator()
+        if hooked:
+            sim.enable_hooks()
+        machine, result = run_spec_machine(spec, simulator=sim)
+        runs.append(
+            (sim.event_count, fingerprint_digest(machine_fingerprint(machine, result)))
+        )
+    assert runs[0] == runs[1]
 
 
 def test_rejects_non_macro_spec():

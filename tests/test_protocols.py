@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import ExperimentSpec, SpecError
 from repro.apps import create_workload
 from repro.coherence.bus import NodeInterconnect
 from repro.coherence.cache import CacheError, CoherentCache, MainMemory, _BlockEntry
@@ -33,7 +34,7 @@ from repro.coherence.protocols import (
 )
 from repro.coherence.protocols.registry import is_builtin
 from repro.common.addrmap import AddressMap
-from repro.common.params import DEFAULT_PARAMS, ParameterError
+from repro.common.params import DEFAULT_PARAMS
 from repro.common.types import AgentKind, BusKind, BusOp, BusTransaction, CoherenceState
 from repro.node.machine import Machine
 from repro.node.node import NodeConfigError
@@ -315,8 +316,7 @@ class TestStaleTagSnarf:
         during the bus wait would snarf into the frame the refill is about
         to overwrite (asserting ``shared`` for a block this cache then
         instantly loses)."""
-        sim, ic, _, (c0, c1) = make_system(snarfing=True, cache_blocks=4,
-                                           data_snarfing=True)
+        sim, ic, _, (c0, c1) = make_system(snarfing=True, cache_blocks=4)
         conflict = ADDR + 4 * BLOCK  # same set as ADDR in a 4-block cache
         run(sim, c0.read_block(ADDR))
         run(sim, c1.write_block(ADDR))
@@ -339,8 +339,7 @@ class TestStaleTagSnarf:
         ic.membus.release()
 
     def test_snarf_still_works_without_a_pending_refill(self):
-        sim, _, _, (c0, c1) = make_system(snarfing=True, cache_blocks=4,
-                                          data_snarfing=True)
+        sim, _, _, (c0, c1) = make_system(snarfing=True, cache_blocks=4)
         conflict = ADDR + 4 * BLOCK
         run(sim, c0.read_block(ADDR))
         run(sim, c1.write_block(ADDR))
@@ -474,11 +473,15 @@ class TestDirectoryProtocol:
 
         assert occupancy_of_one_read(8) - occupancy_of_one_read(0) == 8
 
-    def test_global_data_snarfing_rejected(self):
-        with pytest.raises(ParameterError, match="broadcast snoops"):
-            DEFAULT_PARAMS.with_overrides(
-                protocol="dir-msi", data_snarfing=True
-            ).validate()
+    def test_data_snarfing_is_not_a_machine_param(self):
+        # Snarfing is a per-node option (ExperimentSpec.snarfing); a machine
+        # parameter of that name would change the spec hash and do nothing.
+        spec = ExperimentSpec(
+            kind="macro", workload="em3d", device="CNI16Qm", num_nodes=4,
+            scale=0.25, params={"data_snarfing": True},
+        )
+        with pytest.raises(SpecError, match="unknown MachineParams override"):
+            spec.validate()
 
     def test_per_node_snarfing_rejected(self):
         params = DEFAULT_PARAMS.with_overrides(protocol="dir-msi")

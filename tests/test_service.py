@@ -787,17 +787,17 @@ class TestKeepAliveTransport:
     def test_client_reset_before_reading_is_quiet(self, service, monkeypatch, capfd):
         """The response to a client that reset its socket dies in the
         handler: no traceback, and the server goes on serving."""
-        import repro.service.http as service_http
+        import repro.api.runner as runner_mod
 
         entered, release = threading.Event(), threading.Event()
-        real_run_point = service_http.run_point
+        real_run_point = runner_mod.run_point
 
         def gated_run_point(spec):
             entered.set()
             assert release.wait(30), "test gate never released"
             return real_run_point(spec)
 
-        monkeypatch.setattr(service_http, "run_point", gated_run_point)
+        monkeypatch.setattr(runner_mod, "run_point", gated_run_point)
         body = json.dumps(quick_spec().to_dict()).encode()
         client = socket.create_connection(service.address)
         client.sendall(
@@ -878,9 +878,9 @@ class TestHttpDedupFanIn:
             assert gate.wait(30), "test gate never released"
             return expected
 
-        import repro.service.http as service_http
+        import repro.api.runner as runner_mod
 
-        monkeypatch.setattr(service_http, "run_point", slow_run_point)
+        monkeypatch.setattr(runner_mod, "run_point", slow_run_point)
 
         body = json.dumps(spec.to_dict()).encode()
         responses = [None] * self.N
@@ -965,16 +965,16 @@ class TestOneLeadPath:
         assert service.registry.stats()["followers"] == 1 == service.counters["dedup_served"]
 
     def test_batch_keys_are_in_flight_when_its_202_arrives(self, service, monkeypatch):
-        import repro.service.http as service_http
+        import repro.api.runner as runner_mod
 
         release = threading.Event()
-        real_run_point = service_http.run_point
+        real_run_point = runner_mod.run_point
 
         def gated_run_point(spec):
             assert release.wait(30), "test gate never released"
             return real_run_point(spec)
 
-        monkeypatch.setattr(service_http, "run_point", gated_run_point)
+        monkeypatch.setattr(runner_mod, "run_point", gated_run_point)
         sweep = {"base": dict(QUICK), "axes": {"message_bytes": [8, 16, 32]}}
         try:
             status, _, payload = _request(

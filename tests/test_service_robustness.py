@@ -468,7 +468,7 @@ class TestServiceFailureHandling:
             server.server_close()
 
     def test_followers_of_a_failed_leader_answer_500(self, tmp_path, monkeypatch):
-        from repro.service import http as service_http
+        from repro.api import runner as runner_mod
 
         svc = ExperimentService(ResultStore(str(tmp_path / "store")))
 
@@ -478,7 +478,7 @@ class TestServiceFailureHandling:
                 time.sleep(0.005)
             raise RuntimeError("simulator exploded")
 
-        monkeypatch.setattr(service_http, "run_point", failing_run_point)
+        monkeypatch.setattr(runner_mod, "run_point", failing_run_point)
         server = _serve(svc)
         try:
             assert _concurrent_runs(svc, quick_spec(), 3) == [500, 500, 500]

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import SimulationError, Simulator, start_process
+from repro.sim.engine import _POOL_MAX
+
+
+def _noop():
+    pass
 
 
 class TestScheduling:
@@ -12,9 +17,9 @@ class TestScheduling:
     def test_events_run_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.schedule(30, order.append, "c")
-        sim.schedule(10, order.append, "a")
-        sim.schedule(20, order.append, "b")
+        sim.schedule_call(30, order.append, ("c",))
+        sim.schedule_call(10, order.append, ("a",))
+        sim.schedule_call(20, order.append, ("b",))
         sim.run()
         assert order == ["a", "b", "c"]
 
@@ -22,41 +27,32 @@ class TestScheduling:
         sim = Simulator()
         order = []
         for label in "abcde":
-            sim.schedule(5, order.append, label)
+            sim.schedule_call(5, order.append, (label,))
         sim.run()
         assert order == list("abcde")
 
     def test_now_advances_to_event_time(self):
         sim = Simulator()
         seen = []
-        sim.schedule(42, lambda: seen.append(sim.now))
+        sim.schedule_call(42, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [42]
         assert sim.now == 42
 
-    def test_schedule_at_absolute_time(self):
+    def test_negative_float_delay_rejected(self):
         sim = Simulator()
-        seen = []
-        sim.schedule_at(100, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [100]
 
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule(-1, lambda: None)
+        def program():
+            yield -1.0
 
-    def test_schedule_at_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(50, lambda: None)
-        sim.run()
+        start_process(sim, program())
         with pytest.raises(SimulationError):
-            sim.schedule_at(10, lambda: None)
+            sim.run()
 
     def test_zero_delay_event_runs(self):
         sim = Simulator()
         seen = []
-        sim.schedule(0, seen.append, 1)
+        sim.schedule_call(0, seen.append, (1,))
         sim.run()
         assert seen == [1]
 
@@ -66,53 +62,29 @@ class TestScheduling:
 
         def first():
             seen.append(("first", sim.now))
-            sim.schedule(5, second)
+            sim.schedule_call(5, second)
 
         def second():
             seen.append(("second", sim.now))
 
-        sim.schedule(10, first)
+        sim.schedule_call(10, first)
         sim.run()
         assert seen == [("first", 10), ("second", 15)]
 
     def test_event_count_tracks_executions(self):
         sim = Simulator()
         for _ in range(7):
-            sim.schedule(1, lambda: None)
+            sim.schedule_call(1, _noop)
         sim.run()
         assert sim.event_count == 7
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        sim = Simulator()
-        seen = []
-        handle = sim.schedule(10, seen.append, "x")
-        sim.cancel(handle)
-        sim.run()
-        assert seen == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule(10, lambda: None)
-        sim.cancel(handle)
-        sim.cancel(handle)
-        sim.run()
-
-    def test_peek_skips_cancelled_events(self):
-        sim = Simulator()
-        first = sim.schedule(5, lambda: None)
-        sim.schedule(9, lambda: None)
-        sim.cancel(first)
-        assert sim.peek() == 9
 
 
 class TestRunLimits:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         seen = []
-        sim.schedule(10, seen.append, "early")
-        sim.schedule(100, seen.append, "late")
+        sim.schedule_call(10, seen.append, ("early",))
+        sim.schedule_call(100, seen.append, ("late",))
         sim.run(until=50)
         assert seen == ["early"]
         assert sim.now == 50
@@ -120,19 +92,11 @@ class TestRunLimits:
     def test_run_until_resumable(self):
         sim = Simulator()
         seen = []
-        sim.schedule(10, seen.append, "a")
-        sim.schedule(100, seen.append, "b")
+        sim.schedule_call(10, seen.append, ("a",))
+        sim.schedule_call(100, seen.append, ("b",))
         sim.run(until=50)
         sim.run()
         assert seen == ["a", "b"]
-
-    def test_max_events_limit(self):
-        sim = Simulator()
-        seen = []
-        for i in range(10):
-            sim.schedule(i + 1, seen.append, i)
-        sim.run(max_events=3)
-        assert seen == [0, 1, 2]
 
     def test_run_empty_queue_returns_current_time(self):
         sim = Simulator()
@@ -148,45 +112,111 @@ class TestRunLimits:
             except SimulationError as exc:
                 errors.append(exc)
 
-        sim.schedule(1, nested)
+        sim.schedule_call(1, nested)
         sim.run()
         assert len(errors) == 1
 
     def test_peek_returns_none_when_idle(self):
         assert Simulator().peek() is None
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+    def test_peek_returns_next_pending_time(self):
+        sim = Simulator()
+        sim.schedule_call(9, _noop)
+        sim.schedule_call(5, _noop)
+        assert sim.peek() == 5
+        sim.run(until=5)
+        sim.schedule_call(0, _noop)  # a lane event at the current cycle
+        assert sim.peek() == 5
+        sim.run(until=6)
+        assert sim.peek() == 9
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_run_until_runs_events_at_the_horizon(self, hooked):
+        # run(until=t) executes exactly the events with time <= t; the
+        # watchdog's chunked driving relies on it on both drains.
+        sim = Simulator()
+        if hooked:
+            sim.enable_hooks()
+        seen = []
+        sim.schedule_call(10, seen.append, ("early",))
+        sim.schedule_call(50, seen.append, ("edge",))
+        sim.schedule_call(51, seen.append, ("late",))
+        assert sim.run(until=50) == 50
+        assert seen == ["early", "edge"]
+        assert sim.peek() == 51
+        sim.run()
+        assert seen == ["early", "edge", "late"]
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_raising_callback_leaves_later_events_pending(self, hooked):
+        # The raising event is counted; its same-cycle sibling (already in
+        # the hooked drain's batch, which peek must report) and the child it
+        # scheduled before raising stay pending for the next run.
+        sim = Simulator()
+        if hooked:
+            sim.enable_hooks()
+        order = []
+
+        def boom():
+            order.append("boom")
+            sim.schedule_call(1, order.append, ("child",))
+            raise ValueError("boom")
+
+        sim.schedule_call(5, boom)
+        sim.schedule_call(5, order.append, ("sibling",))
+        sim.schedule_call(9, order.append, ("later",))
+        with pytest.raises(ValueError):
+            sim.run()
+        assert (sim.now, sim.event_count, sim.peek()) == (5, 1, 5)
+        sim.run()
+        assert order == ["boom", "sibling", "child", "later"]
+        assert sim.event_count == 4
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_run_until_before_now_is_rejected(self, hooked):
+        # Simulated time never moves backwards: a horizon behind the clock is
+        # refused and leaves the clock and the queue as they were.
+        sim = Simulator()
+        if hooked:
+            sim.enable_hooks()
+        seen = []
+        sim.schedule_call(100, seen.append, ("late",))
+        assert sim.run(until=50) == 50
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.run(until=10)
+        assert (sim.now, sim.peek(), seen) == (50, 100, [])
+        assert sim.run(until=50) == 50
+        sim.schedule_call(5, seen.append, ("soon",))
+        assert sim.run() == 100
+        assert seen == ["soon", "late"]
 
 
 class TestFractionalDelays:
     """Regression: float delays used to be silently truncated by int()."""
 
-    def test_fractional_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule(0.5, lambda: None)
-
-    def test_fractional_schedule_at_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(10.5, lambda: None)
-
     def test_integral_float_delay_accepted(self):
         sim = Simulator()
         seen = []
-        sim.schedule(2.0, lambda: seen.append(sim.now))
+
+        def program():
+            yield 2.0
+            seen.append(sim.now)
+
+        start_process(sim, program())
         sim.run()
         assert seen == [2]
 
     def test_non_numeric_delay_rejected(self):
         sim = Simulator()
+
+        def program():
+            yield True  # a bool is an int subclass, not a delay
+
+        start_process(sim, program())
         with pytest.raises(SimulationError):
-            sim.schedule("soon", lambda: None)
+            sim.run()
 
     def test_process_fractional_yield_rejected(self):
-        from repro.sim import start_process
-
         sim = Simulator()
 
         def program():
@@ -195,17 +225,6 @@ class TestFractionalDelays:
         start_process(sim, program())
         with pytest.raises(SimulationError):
             sim.run()
-
-    def test_delay_object_rejects_fractional_cycles(self):
-        from repro.sim import Delay
-
-        with pytest.raises(SimulationError):
-            Delay(0.5)
-
-    def test_delay_object_accepts_integral_float(self):
-        from repro.sim import Delay
-
-        assert Delay(3.0).cycles == 3
 
 
 class TestSameCycleLane:
@@ -220,10 +239,10 @@ class TestSameCycleLane:
             order.append("first")
             # Scheduled at t=5 with a *later* seq than "second" below, so it
             # must run after it even though it goes through the fast lane.
-            sim.schedule(0, lambda: order.append("zero-delay"))
+            sim.schedule_call(0, order.append, ("zero-delay",))
 
-        sim.schedule(5, first)
-        sim.schedule(5, lambda: order.append("second"))
+        sim.schedule_call(5, first)
+        sim.schedule_call(5, order.append, ("second",))
         sim.run()
         assert order == ["first", "second", "zero-delay"]
 
@@ -231,25 +250,9 @@ class TestSameCycleLane:
         sim = Simulator()
         order = []
         for label in "abcd":
-            sim.schedule(0, order.append, label)
+            sim.schedule_call(0, order.append, (label,))
         sim.run()
         assert order == list("abcd")
-
-    def test_cancel_zero_delay_event(self):
-        sim = Simulator()
-        seen = []
-        handle = sim.schedule(0, seen.append, "x")
-        sim.cancel(handle)
-        sim.run()
-        assert seen == []
-
-    def test_schedule_at_current_time_uses_lane_order(self):
-        sim = Simulator()
-        order = []
-        sim.schedule_at(0, order.append, "a")
-        sim.schedule(0, order.append, "b")
-        sim.run()
-        assert order == ["a", "b"]
 
     def test_schedule_call_fast_path_runs_in_order(self):
         sim = Simulator()
@@ -266,7 +269,6 @@ class TestRunProfile:
     """Kernel bookkeeping across runs: the event pool and ``event_count``."""
 
     def test_event_pool_is_reused(self, monkeypatch):
-        from repro.sim import start_process
         from repro.sim.engine import _ScheduledEvent
 
         created = []
@@ -290,12 +292,27 @@ class TestRunProfile:
         assert len(created) <= 2
         assert sim._free
 
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_pool_is_capped_and_hooked_drain_keeps_its_records(self, hooked):
+        # The plain drain returns every record it runs and trims the pool
+        # to _POOL_MAX once per drain; the hooked drain returns none, since
+        # its hooks key side tables by record identity.
+        sim = Simulator()
+        if hooked:
+            sim.enable_hooks()
+        count = _POOL_MAX + 100
+        for i in range(count):
+            sim.schedule_call(1 + i % 3, _noop)
+        sim.run()
+        assert sim.event_count == count
+        assert len(sim._free) == (0 if hooked else _POOL_MAX)
+
     def test_profile_composes_across_runs(self):
         sim = Simulator()
-        sim.schedule(1, lambda: None)
+        sim.schedule_call(1, _noop)
         assert sim.run() == 1
         assert sim.event_count == 1
-        sim.schedule(1, lambda: None)
+        sim.schedule_call(1, _noop)
         assert sim.run() == 2
         assert sim.event_count == 2
 

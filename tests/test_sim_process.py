@@ -2,17 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Acquire,
-    Delay,
-    Join,
-    Resource,
-    Signal,
-    SimulationError,
-    Simulator,
-    Wait,
-    start_process,
-)
+from repro.sim import Resource, Signal, SimulationError, Simulator, start_process
 
 
 class TestDelays:
@@ -30,21 +20,15 @@ class TestDelays:
         sim.run()
         assert trace == [10, 15]
 
-    def test_delay_object(self):
+    def test_negative_delay_rejected(self):
         sim = Simulator()
-        trace = []
 
         def proc():
-            yield Delay(7)
-            trace.append(sim.now)
+            yield -3
 
         start_process(sim, proc())
-        sim.run()
-        assert trace == [7]
-
-    def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
-            Delay(-3)
+            sim.run()
 
     def test_return_value_captured(self):
         sim = Simulator()
@@ -84,6 +68,19 @@ class TestDelays:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_process_exception_propagates(self):
+        sim = Simulator()
+
+        def bad():
+            yield 1
+            raise ValueError("boom")
+
+        process = start_process(sim, bad())
+        with pytest.raises(ValueError):
+            sim.run()
+        assert process.finished
+        assert isinstance(process.exception, ValueError)
+
 
 class TestSignals:
     def test_wait_receives_payload(self):
@@ -92,7 +89,7 @@ class TestSignals:
         got = []
 
         def waiter():
-            payload = yield Wait(signal)
+            payload = yield signal
             got.append(payload)
 
         def firer():
@@ -114,7 +111,7 @@ class TestSignals:
             got.append(payload)
 
         start_process(sim, waiter())
-        sim.schedule(5, signal.fire, "direct")
+        sim.schedule_call(5, signal.fire, ("direct",))
         sim.run()
         assert got == ["direct"]
 
@@ -124,14 +121,49 @@ class TestSignals:
         woken = []
 
         def waiter(name):
-            yield Wait(signal)
+            yield signal
             woken.append(name)
 
         for name in ("a", "b", "c"):
             start_process(sim, waiter(name))
-        sim.schedule(1, signal.fire)
+        sim.schedule_call(1, signal.fire)
         sim.run()
         assert sorted(woken) == ["a", "b", "c"]
+
+    def test_waiters_wake_in_the_order_they_began_waiting(self):
+        sim = Simulator()
+        signal = Signal(sim)
+        woken = []
+
+        def waiter(name, delay):
+            yield delay
+            yield signal
+            woken.append(name)
+
+        # Started a, b, c; parked c (t=1), a (t=2), b (t=3).
+        for name, delay in (("a", 2), ("b", 3), ("c", 1)):
+            start_process(sim, waiter(name, delay))
+        sim.schedule_call(10, signal.fire)
+        sim.run()
+        assert woken == ["c", "a", "b"]
+
+    def test_fire_is_not_latched(self):
+        # A process that parks after a firing sleeps until the next one and
+        # gets that firing's payload, not the earlier one.
+        sim = Simulator()
+        signal = Signal(sim)
+        got = []
+
+        def late_waiter():
+            yield 10
+            payload = yield signal
+            got.append((sim.now, payload))
+
+        start_process(sim, late_waiter())
+        sim.schedule_call(5, signal.fire, ("early",))
+        sim.schedule_call(20, signal.fire, ("late",))
+        sim.run()
+        assert got == [(20, "late")]
 
     def test_fire_without_waiters_is_harmless(self):
         sim = Simulator()
@@ -146,13 +178,13 @@ class TestSignals:
         wakeups = []
 
         def waiter():
-            yield Wait(signal)
+            yield signal
             wakeups.append(sim.now)
             # Not waiting again: a second fire must not wake us.
 
         start_process(sim, waiter())
-        sim.schedule(5, signal.fire)
-        sim.schedule(10, signal.fire)
+        sim.schedule_call(5, signal.fire)
+        sim.schedule_call(10, signal.fire)
         sim.run()
         assert wakeups == [5]
 
@@ -164,7 +196,7 @@ class TestResources:
         intervals = []
 
         def user(name, hold):
-            yield Acquire(bus)
+            yield bus
             start = sim.now
             yield hold
             bus.release()
@@ -182,7 +214,7 @@ class TestResources:
         order = []
 
         def user(name):
-            yield Acquire(res)
+            yield res
             order.append(name)
             yield 5
             res.release()
@@ -204,7 +236,7 @@ class TestResources:
         concurrent = {"now": 0, "max": 0}
 
         def user():
-            yield Acquire(res)
+            yield res
             concurrent["now"] += 1
             concurrent["max"] = max(concurrent["max"], concurrent["now"])
             yield 10
@@ -229,7 +261,7 @@ class TestResources:
         res = Resource(sim, "res")
 
         def user():
-            yield Acquire(res)
+            yield res
             yield 25
             res.release()
 
@@ -237,57 +269,22 @@ class TestResources:
         sim.run()
         assert res.busy_cycles == 25
 
+    def test_grant_sends_back_the_resource(self):
+        sim = Simulator()
+        res = Resource(sim, "res")
+        got = []
+
+        def user():
+            granted = yield res
+            got.append((sim.now, granted))
+            yield 4
+            res.release()
+
+        start_process(sim, user())
+        start_process(sim, user())
+        sim.run()
+        assert got == [(0, res), (4, res)]
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(SimulationError):
             Resource(Simulator(), "bad", capacity=0)
-
-
-class TestJoin:
-    def test_join_waits_for_completion_and_gets_result(self):
-        sim = Simulator()
-        results = []
-
-        def worker():
-            yield 30
-            return "done"
-
-        def waiter(target):
-            value = yield Join(target)
-            results.append((sim.now, value))
-
-        target = start_process(sim, worker())
-        start_process(sim, waiter(target))
-        sim.run()
-        assert results == [(30, "done")]
-
-    def test_join_on_finished_process_returns_immediately(self):
-        sim = Simulator()
-        results = []
-
-        def worker():
-            yield 5
-            return 99
-
-        target = start_process(sim, worker())
-        sim.run()
-
-        def waiter():
-            value = yield Join(target)
-            results.append(value)
-
-        start_process(sim, waiter())
-        sim.run()
-        assert results == [99]
-
-    def test_process_exception_propagates(self):
-        sim = Simulator()
-
-        def bad():
-            yield 1
-            raise ValueError("boom")
-
-        process = start_process(sim, bad())
-        with pytest.raises(ValueError):
-            sim.run()
-        assert process.finished
-        assert isinstance(process.exception, ValueError)
