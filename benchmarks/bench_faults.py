@@ -4,12 +4,13 @@
 plan is configured, so its no-op cost is the tax every fault experiment
 pays before injecting a single fault.  This benchmark A/B-compares the
 same gauss run with no plan versus ``faults="zero"`` (all rates zero) and
-gates the wall-clock ratio, taking the **minimum of N repeats** on both
-sides so scheduler noise can only make the ratio look worse, never hide a
-real regression.  The repeats run in rounds of one run per configuration;
-each round runs plain and zero-plan back to back, and they take turns going
-first, so a drift in host speed over the measurement lands on both sides
-alike instead of on the ratio.
+gates the **median of the per-round wall-clock ratios**.  The repeats run
+in rounds of one run per configuration; each round runs plain and
+zero-plan back to back, and they take turns going first, so a drift in
+host speed over the measurement lands on both sides of a round's ratio
+alike.  A single run caught in a short fast or slow spell of the host moves
+one round's ratio, which the median discards; a minimum per side would
+pick that run up on one side only and put it on the gated ratio.
 
 Physics is gated too: the zero-rate run must complete in *exactly* the
 same number of simulated cycles as the plain run (the wrapper may cost
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from time import perf_counter
 
@@ -66,7 +68,7 @@ ROUND_ORDERS = (("plain", "zero", "lossy1"), ("zero", "plain", "lossy1"))
 
 
 def measure(num_nodes: int, scale: float, repeats: int) -> dict:
-    """Min-of-N wall clock per configuration (cycles must not vary)."""
+    """Wall clock of every round per configuration (cycles must not vary)."""
     runs = {name: [] for name in CONFIGS}
     for i in range(repeats):
         for name in ROUND_ORDERS[i % 2]:
@@ -87,7 +89,8 @@ def measure(num_nodes: int, scale: float, repeats: int) -> dict:
 def run_all(num_nodes: int, scale: float, repeats: int) -> dict:
     measured = measure(num_nodes, scale, repeats)
     plain, zero, lossy = measured["plain"], measured["zero"], measured["lossy1"]
-    overhead = zero["wall_s_min"] / plain["wall_s_min"] if plain["wall_s_min"] else 0.0
+    round_ratios = [z / p for z, p in zip(zero["wall_s_all"], plain["wall_s_all"])]
+    overhead = statistics.median(round_ratios)
     recovery_cost = lossy["cycles"] / plain["cycles"] if plain["cycles"] else 0.0
     return {
         "device": DEVICE,
@@ -98,6 +101,7 @@ def run_all(num_nodes: int, scale: float, repeats: int) -> dict:
         "zero": zero,
         "lossy1": lossy,
         "zero_overhead": overhead,
+        "zero_overhead_rounds": round_ratios,
         "zero_cycles_identical": zero["cycles"] == plain["cycles"],
         "all_deterministic": all(m["deterministic"] for m in (plain, zero, lossy)),
         "lossy1_cycle_cost": recovery_cost,
@@ -134,7 +138,8 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero on overhead or physics failures")
     parser.add_argument("--max-overhead", type=float, default=1.05,
-                        help="fail --check if zero-plan wall clock exceeds plain x this")
+                        help="fail --check if the median per-round zero-plan/plain "
+                             "wall-clock ratio exceeds this")
     parser.add_argument("--repeats", type=int, default=None,
                         help="wall-clock repeats per side (default: 5)")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -153,7 +158,8 @@ def main(argv=None) -> int:
         row = report[name]
         print(f"{name:14s} {row['cycles']:>12,} {row['wall_s_min']:>9.3f}s")
     print(
-        f"zero-plan overhead: {report['zero_overhead']:.3f}x "
+        f"zero-plan overhead: {report['zero_overhead']:.3f}x median of rounds "
+        f"{', '.join(f'{r:.3f}' for r in report['zero_overhead_rounds'])} "
         f"(gate {args.max_overhead:g}x), lossy1 cycle cost: "
         f"{report['lossy1_cycle_cost']:.3f}x, retransmits: "
         f"{stats['retransmits']}, recoveries: {stats['recoveries']}"

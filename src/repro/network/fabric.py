@@ -31,6 +31,13 @@ class NetworkError(RuntimeError):
     """Raised on fabric misuse (unknown endpoints, bad messages)."""
 
 
+def _checked_delay(delay: object, hook: str) -> int:
+    """``delay`` if it is a non-negative ``int``, else :class:`NetworkError`."""
+    if delay.__class__ is not int or delay < 0:
+        raise NetworkError(f"{hook} must be a non-negative int of cycles, got {delay!r}")
+    return delay
+
+
 class AbstractFabric(abc.ABC):
     """Point-to-point ordered message fabric: endpoints, delivery, stats.
 
@@ -38,8 +45,10 @@ class AbstractFabric(abc.ABC):
     network message and :meth:`ack_delay` for one hardware acknowledgement
     — and may keep whatever contention state the model needs (both hooks
     are called at injection time, in simulation-time order, so arithmetic
-    link/port reservation is causally sound).  Delays must be whole
-    processor cycles; the kernel rejects fractional event times.
+    link/port reservation is causally sound).  Delays must be non-negative
+    ``int`` processor cycles: :meth:`inject` and :meth:`send_ack` raise
+    :class:`NetworkError` on any other value, since the kernel checks
+    nothing and a negative delay would move simulated time backwards.
 
     Every fabric preserves point-to-point ordering: for a fixed
     (source, destination) pair, delivery order equals injection order.
@@ -137,7 +146,8 @@ class AbstractFabric(abc.ABC):
         message.inject_time = self.sim.now
         self.stats.add("messages_injected")
         self.stats.add("payload_bytes", message.payload_bytes)
-        self.sim.schedule_call(self.delivery_delay(message), self._deliver, (message,))
+        delay = _checked_delay(self.delivery_delay(message), "delivery_delay")
+        self.sim.schedule_call(delay, self._deliver, (message,))
         if self._notices:
             notice = self._notices.get(message.dest)
             if notice is not None:
@@ -155,9 +165,8 @@ class AbstractFabric(abc.ABC):
         if to_node not in self._ack_handlers:
             raise NetworkError(f"ack to unattached node {to_node}")
         self.stats.add("acks_sent")
-        self.sim.schedule_call(
-            self.ack_delay(from_node, to_node), self._deliver_ack, (from_node, to_node)
-        )
+        delay = _checked_delay(self.ack_delay(from_node, to_node), "ack_delay")
+        self.sim.schedule_call(delay, self._deliver_ack, (from_node, to_node))
 
     def _deliver_ack(self, from_node: int, to_node: int) -> None:
         self.stats.add("acks_delivered")

@@ -6,21 +6,25 @@ is the one way to schedule: it queues ``fn(*args)`` ``delay`` cycles from
 now.  Most code waits through generator-based processes instead (see
 :mod:`repro.sim.process`), which schedule through the same call.
 
-Internally the kernel keeps two scheduling structures:
+Pending events live in a bucket queue with one bucket per cycle (a calendar
+queue in the sense of Brown, "Calendar Queues", CACM 31(10), 1988):
 
-* a binary heap of ``(time, seq, event)`` tuples for future events — tuple
-  entries keep heap comparisons in C (``seq`` is unique, so the event object
-  itself is never compared), and
-* a same-cycle FIFO *lane* (a deque) for events scheduled with zero delay.
-  Zero-delay events dominate process execution (resource grants, signal
-  wake-ups, process starts), and the lane turns each of them into an O(1)
-  append/popleft instead of two O(log n) heap operations.
+* ``_lane`` is the list of ``(callback, args)`` entries of the cycle now
+  running; a zero-delay schedule appends to it;
+* ``_buckets`` maps each future cycle to its list of entries, in schedule
+  order;
+* ``_times`` is a heap of the distinct cycles that have a bucket, so it
+  compares plain ints and sees each pending cycle once, however many events
+  that cycle holds.
 
-The two structures are merged by ``(time, seq)`` when events are popped, so
-the execution order is exactly the order a single global heap would produce.
-Event records are slotted objects recycled through a free pool.  No handle
-to a record leaves the kernel and no event can be cancelled, so the plain
-drain returns every record to the pool the moment it runs.
+Execution order is exactly the ``(time, seq)`` order of one global heap
+keyed by schedule order, without a ``seq`` field.  A bucket's list order is
+schedule order, and every entry waiting in a cycle's bucket was scheduled
+in an earlier cycle, so it precedes every zero-delay entry scheduled during
+that cycle, which the lane appends after it.  The plain drain runs the lane
+in place (a list iterator sees the entries appended while it runs), then
+makes the next cycle's bucket the lane.  It builds no event record; only
+the hooked drain does, one per event (see :meth:`Simulator._pull_batch`).
 """
 
 from __future__ import annotations
@@ -32,10 +36,6 @@ from typing import Any, Callable, Dict, Optional
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
-
-
-#: Upper bound on the event free pool (events beyond this are left to GC).
-_POOL_MAX = 8192
 
 
 def _as_cycles(value: Any, what: str = "delay") -> int:
@@ -58,15 +58,15 @@ def _as_cycles(value: Any, what: str = "delay") -> int:
 
 
 class _ScheduledEvent:
-    """A single event record (pooled; see module docstring)."""
+    """One event as the hooked drain's hooks see it (see :meth:`Simulator._pull_batch`)."""
 
     __slots__ = ("time", "seq", "callback", "args")
 
-    def __init__(self) -> None:
-        self.time = 0
-        self.seq = 0
-        self.callback: Optional[Callable] = None
-        self.args: tuple = ()
+    def __init__(self, time: int, seq: int, callback: Callable, args: tuple) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
 
 
 class Simulator:
@@ -84,10 +84,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list = []  # heap of (time, seq, event)
-        self._lane: deque = deque()  # same-cycle FIFO lane
-        self._free: list = []  # event free pool
-        self._seq = 0
+        self._lane: list = []  # (callback, args) entries of the cycle `now`
+        self._buckets: Dict[int, list] = {}  # future cycle -> its entries
+        self._times: list = []  # heap of the cycles in _buckets
         #: Current simulated time in processor cycles.
         self.now = 0
         self._running = False
@@ -106,7 +105,7 @@ class Simulator:
         self._hooked = False
         self._batch: Dict[Any, deque] = {}
         self._batch_count = 0
-        self._batch_time = 0
+        self._pulled = 0  # records _pull_batch has built: the next one's seq
         self._current_event: Optional[_ScheduledEvent] = None
 
     # ------------------------------------------------------------------
@@ -118,47 +117,33 @@ class Simulator:
         This is the kernel's only way to schedule, and it checks nothing:
         every caller passes ``delay`` as a non-negative ``int`` and ``args``
         as a pre-built tuple.  No handle is returned and the event cannot be
-        cancelled; its record comes from the free pool and goes back to it
-        the moment it runs.  Processes check the delays they are given
-        (``yield n`` in :mod:`repro.sim.process`) before they get here.
+        cancelled; it is one ``(callback, args)`` entry appended to the lane
+        (``delay == 0``) or to its cycle's bucket.  Processes check the
+        delays they are given (``yield n`` in :mod:`repro.sim.process`) and
+        fabrics the delays their models return before they get here.
         """
-        free = self._free
-        if free:
-            event = free.pop()
-        else:
-            event = _ScheduledEvent()
-        event.callback = callback
-        event.args = args
-        seq = self._seq
-        self._seq = seq + 1
-        event.seq = seq
         if delay == 0:
-            event.time = self.now
-            self._lane.append(event)
+            self._lane.append((callback, args))
         else:
             at = self.now + delay
-            event.time = at
-            heappush(self._queue, (at, seq, event))
+            bucket = self._buckets.get(at)
+            if bucket is None:
+                self._buckets[at] = [(callback, args)]
+                heappush(self._times, at)
+            else:
+                bucket.append((callback, args))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def peek(self) -> Optional[int]:
         """Return the time of the next pending event, or ``None`` if idle."""
-        if self._batch_count:
-            # Events already pulled into the hooked drain's cycle batch are
-            # no longer in the lane/heap but are still pending.
-            return self._batch_time
-        queue = self._queue
-        lane = self._lane
-        if lane:
-            t = lane[0].time
-            if queue and queue[0][0] < t:
-                return queue[0][0]
-            return t
-        if queue:
-            return queue[0][0]
-        return None
+        if self._lane or self._batch_count:
+            # Entries left in the lane, or already pulled into the hooked
+            # drain's batch, are pending at the current cycle.
+            return self.now
+        times = self._times
+        return times[0] if times else None
 
     def run(self, until: Optional[int] = None) -> int:
         """Run events until the queue drains or ``until`` is reached.
@@ -180,57 +165,39 @@ class Simulator:
     def _drain(self, until: Optional[int]) -> None:
         """Execute pending events in (time, seq) order.
 
-        ``event_count`` is accumulated locally and flushed in the ``finally``
-        (so it stays correct when a callback raises), saving one attribute
-        store per event on the hottest loop in the simulator.
+        ``ran`` counts the lane entries already run.  The ``finally`` deletes
+        them from the lane, so a raising callback leaves exactly the entries
+        after it pending, and flushes ``event_count`` (accumulated locally,
+        saving an attribute store per event on the hottest loop in the
+        simulator).
         """
         if self._hooked:
             self._drain_hooked(until)
             return
-        queue = self._queue
         lane = self._lane
-        free = self._free
-        time_limit = until if until is not None else float("inf")
+        times = self._times
+        buckets = self._buckets
         executed = 0
+        ran = 0
         try:
             while True:
-                # --- select the next event across lane and heap -----------
-                if lane:
-                    event = lane[0]
-                    from_heap = False
-                    if queue:
-                        top = queue[0]
-                        if top[0] < event.time or (top[0] == event.time and top[1] < event.seq):
-                            event = top[2]
-                            from_heap = True
-                elif queue:
-                    event = queue[0][2]
-                    from_heap = True
-                else:
+                for callback, args in lane:
+                    ran += 1
+                    callback(*args)
+                if not times:
                     break
-                if event.time > time_limit:
+                t = times[0]
+                if until is not None and t > until:
                     self.now = until
                     break
-                # --- execute ----------------------------------------------
-                if from_heap:
-                    heappop(queue)
-                else:
-                    lane.popleft()
-                self.now = event.time
-                executed += 1
-                callback = event.callback
-                args = event.args
-                # No per-event pool-cap check or reference nulling here: the
-                # pool can never exceed the peak number of simultaneously
-                # queued events (each recycle is preceded by a pop), and
-                # stale callback/args refs live only until the record is
-                # reused.  The cap is enforced once per drain, below.
-                free.append(event)
-                callback(*args)
+                heappop(times)
+                executed += ran
+                ran = 0
+                self.now = t
+                lane = self._lane = buckets.pop(t)
         finally:
-            self.event_count += executed
-            if len(free) > _POOL_MAX:
-                del free[_POOL_MAX:]
+            del lane[:ran]
+            self.event_count += executed + ran
 
     # ------------------------------------------------------------------
     # Instrumented execution (repro.analysis)
@@ -282,62 +249,65 @@ class Simulator:
         """Hook: ``event`` is about to run (``self.now`` already advanced)."""
 
     def _pull_batch(self) -> None:
-        """Move every pending event at the batch cycle into the group deques.
+        """Move the lane's entries into the group deques as event records.
 
         Called when a cycle opens and again after every executed callback,
         so same-cycle events scheduled *during* execution are attributed to
         the event that scheduled them (``self._current_event``) — the
-        intra-cycle causality the conflict detector needs.
+        intra-cycle causality the conflict detector needs.  Each record is
+        built here, once, and is never reused, since hook implementations
+        key side tables by record identity.  Its ``seq`` counts pulls: the
+        lane is in schedule order and is pulled in that order, so ``seq``
+        order is the canonical order.
         """
-        t = self._batch_time
         lane = self._lane
-        queue = self._queue
-        pulled = []
-        while lane and lane[0].time == t:
-            pulled.append(lane.popleft())
-        while queue and queue[0][0] == t:
-            pulled.append(heappop(queue)[2])
+        if not lane:
+            return
+        now = self.now
+        seq = self._pulled
         batch = self._batch
         parent = self._current_event
-        for event in pulled:
+        for callback, args in lane:
+            event = _ScheduledEvent(now, seq, callback, args)
+            seq += 1
             self.on_enqueue(event, parent)
             group = self.event_group(event)
             dq = batch.get(group)
             if dq is None:
                 dq = batch[group] = deque()
             dq.append(event)
-        self._batch_count += len(pulled)
+        self._pulled = seq
+        self._batch_count += len(lane)
+        lane.clear()
 
     def _drain_hooked(self, until: Optional[int]) -> None:
         """Instrumented twin of :meth:`_drain`.
 
-        Differences from the plain path: events are pulled cycle-at-a-time
-        into per-group batches, execution order within a cycle is delegated
-        to :meth:`pick_next`, and executed records are **never** recycled —
-        hook implementations key side tables by event identity, and a pooled
-        record reused mid-cycle would alias its predecessor.  A cycle's
-        batch is drained before the horizon is checked again, so only a
-        raising callback leaves events in it; they stay pending (see
-        :meth:`peek`) and the next drain runs them first.
+        Differences from the plain path: events are pulled into per-group
+        batches as records (see :meth:`_pull_batch`), and execution order
+        within a cycle is delegated to :meth:`pick_next`.  A cycle's batch
+        is drained before the horizon is checked again, so only a raising
+        callback leaves events in it; they stay pending (see :meth:`peek`)
+        and the next drain runs them first.
         """
-        time_limit = until if until is not None else float("inf")
+        times = self._times
         executed = 0
         try:
             while True:
                 if not self._batch_count:
-                    t = self.peek()
-                    if t is None:
-                        break
-                    if t > time_limit:
-                        self.now = until
-                        break
-                    self._batch_time = t
-                    self._current_event = None
+                    if not self._lane:
+                        if not times:
+                            break
+                        t = times[0]
+                        if until is not None and t > until:
+                            self.now = until
+                            break
+                        heappop(times)
+                        self.now = t
+                        self._lane = self._buckets.pop(t)
                     self._pull_batch()
-                    continue
                 event = self.pick_next()
                 self._batch_count -= 1
-                self.now = event.time
                 executed += 1
                 self._current_event = event
                 self.on_execute(event)

@@ -14,7 +14,10 @@ are three kinds of yield:
 
 Sub-generators compose with plain ``yield from``.  Every resumption is one
 scheduled kernel event, so ``Simulator.event_count`` is a stable measure of
-process activity.
+process activity.  ``yield n`` is the hottest schedule in the simulator, so
+:meth:`Process._resume` enqueues it inline: it appends the process's one
+prebuilt ``(callback, args)`` entry to the kernel's lane (``n == 0``) or to
+the bucket of cycle ``now + n`` (see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Generator, Optional
 
 from heapq import heappush as _heappush
 
-from repro.sim.engine import SimulationError, Simulator, _as_cycles, _ScheduledEvent
+from repro.sim.engine import SimulationError, Simulator, _as_cycles
 
 #: Shared argument tuple for the overwhelmingly common "resume with None"
 #: case (plain delays), so the hot path allocates no per-event tuple.
@@ -142,6 +145,9 @@ class Process:
         # fires, resource grants) would otherwise materialise a fresh bound
         # method per event.
         self._resume = self._resume
+        # The kernel entry of every plain-delay resume, built once: kernel
+        # entries are immutable, so one tuple serves all of them.
+        self._wakeup = (self._resume, _NONE_ARGS)
         self.finished = False
         self.result: Any = None
         self.exception: Optional[BaseException] = None
@@ -176,26 +182,19 @@ class Process:
                     f"process {self.name!r} yielded a negative delay: {command}"
                 )
             # Inlined Simulator.schedule_call: this is the hottest statement
-            # in the whole simulator, so it reaches into the kernel's pool
-            # and queues directly rather than paying another call frame.
+            # in the whole simulator, so it queues directly into the
+            # kernel's lane or bucket rather than paying another call frame.
             sim = self._sim
-            free = sim._free
-            if free:
-                event = free.pop()
-            else:
-                event = _ScheduledEvent()
-            event.callback = self._resume
-            event.args = _NONE_ARGS
-            seq = sim._seq
-            sim._seq = seq + 1
-            event.seq = seq
             if command == 0:
-                event.time = sim.now
-                sim._lane.append(event)
+                sim._lane.append(self._wakeup)
             else:
                 at = sim.now + command
-                event.time = at
-                _heappush(sim._queue, (at, seq, event))
+                bucket = sim._buckets.get(at)
+                if bucket is None:
+                    sim._buckets[at] = [self._wakeup]
+                    _heappush(sim._times, at)
+                else:
+                    bucket.append(self._wakeup)
         elif cls is Resource:
             command._request(self)
         elif cls is Signal:

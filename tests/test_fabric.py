@@ -33,6 +33,7 @@ from repro.network import (
     FabricError,
     IdealFabric,
     MeshFabric,
+    NetworkError,
     NetworkFabric,
     TorusFabric,
     available_fabrics,
@@ -224,6 +225,82 @@ class TestRegistry:
         fabric = create_fabric(Simulator(), params)
         assert isinstance(fabric, MeshFabric)
         assert (fabric.width, fabric.height) == (2, 2)
+
+
+class _SetDelayFabric(AbstractFabric):
+    """A plugin fabric whose delay hooks return whatever the test sets."""
+
+    kind = "setdelay"
+    delivery = 100
+    ack = 100
+
+    def delivery_delay(self, message):
+        return self.delivery
+
+    def ack_delay(self, from_node, to_node):
+        return self.ack
+
+
+def _two_node_fabric(**delays):
+    sim = Simulator()
+    fabric = _SetDelayFabric(sim, DEFAULT_PARAMS)
+    for hook, delay in delays.items():
+        setattr(fabric, hook, delay)
+    for node_id in (0, 1):
+        fabric.attach(node_id, lambda message: None, lambda source: None)
+    return sim, fabric
+
+
+#: Delays a plugin may return that are not a non-negative ``int``.
+BAD_DELAYS = [-40, 100.5, 100.0, True, None]
+
+
+class TestPluginDelayChecks:
+    """A plugin's delays are checked where the fabric schedules them: the
+    kernel checks nothing, and a negative delay moves simulated time back."""
+
+    @pytest.mark.parametrize("delay", BAD_DELAYS)
+    def test_bad_delivery_delay_rejected_at_injection(self, delay):
+        sim, fabric = _two_node_fabric(delivery=delay)
+        with pytest.raises(NetworkError, match="delivery_delay must be a non-negative int"):
+            fabric.inject(NetworkMessage(source=0, dest=1, payload_bytes=8))
+        assert sim.peek() is None
+
+    @pytest.mark.parametrize("delay", BAD_DELAYS)
+    def test_bad_ack_delay_rejected_at_send(self, delay):
+        sim, fabric = _two_node_fabric(ack=delay)
+        with pytest.raises(NetworkError, match="ack_delay must be a non-negative int"):
+            fabric.send_ack(1, 0)
+        assert sim.peek() is None
+
+    def test_zero_delays_are_accepted(self):
+        sim, fabric = _two_node_fabric(delivery=0, ack=0)
+        message = NetworkMessage(source=0, dest=1, payload_bytes=8)
+        fabric.inject(message)
+        fabric.send_ack(1, 0)
+        assert sim.run() == 0
+        assert message.deliver_time == message.inject_time == 0
+        assert fabric.stats.as_dict()["acks_delivered"] == 1
+
+    def test_negative_delay_fails_the_point_instead_of_reporting_it(self):
+        # A registered fabric whose delivery_delay is -40 used to move time
+        # backwards and still report a plausible round trip.
+        @register_fabric("backwards")
+        class BackwardsFabric(IdealFabric):
+            kind = "backwards"
+
+            def delivery_delay(self, message):
+                return -40
+
+        spec = ExperimentSpec(
+            kind="latency", device="CNI16Q", message_bytes=64, iterations=4, warmup=1,
+            params={"fabric": "backwards"},
+        )
+        try:
+            with pytest.raises(NetworkError, match="got -40"):
+                run_point(spec)
+        finally:
+            unregister_fabric("backwards")
 
 
 # ----------------------------------------------------------------------

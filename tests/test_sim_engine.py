@@ -1,9 +1,12 @@
 """Tests for the discrete-event simulation engine."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import SimulationError, Simulator, start_process
-from repro.sim.engine import _POOL_MAX
 
 
 def _noop():
@@ -228,8 +231,8 @@ class TestFractionalDelays:
 
 
 class TestSameCycleLane:
-    """The zero-delay FIFO lane must preserve exact (time, seq) order
-    against events that reached the same timestamp through the heap."""
+    """The zero-delay lane must preserve exact (time, seq) order against
+    events that reached the same cycle through its bucket."""
 
     def test_lane_event_runs_after_earlier_heap_event_same_cycle(self):
         sim = Simulator()
@@ -238,7 +241,7 @@ class TestSameCycleLane:
         def first():
             order.append("first")
             # Scheduled at t=5 with a *later* seq than "second" below, so it
-            # must run after it even though it goes through the fast lane.
+            # must run after it, although "second" waited in a bucket.
             sim.schedule_call(0, order.append, ("zero-delay",))
 
         sim.schedule_call(5, first)
@@ -265,47 +268,132 @@ class TestSameCycleLane:
         assert sim.event_count == 3
 
 
-class TestRunProfile:
-    """Kernel bookkeeping across runs: the event pool and ``event_count``."""
+class _ReferenceKernel:
+    """The order the kernel must keep: one global heap of ``(time, seq)``."""
 
-    def test_event_pool_is_reused(self, monkeypatch):
-        from repro.sim.engine import _ScheduledEvent
+    def __init__(self):
+        self.heap = []
+        self.seq = 0
+        self.now = 0
+        self.event_count = 0
 
-        created = []
-        init = _ScheduledEvent.__init__
+    def schedule_call(self, delay, callback, args=()):
+        heapq.heappush(self.heap, (self.now + delay, self.seq, callback, args))
+        self.seq += 1
 
-        def counting_init(event):
-            created.append(event)
-            init(event)
+    def peek(self):
+        return self.heap[0][0] if self.heap else None
 
-        monkeypatch.setattr(_ScheduledEvent, "__init__", counting_init)
-        sim = Simulator()
+    def run(self, until=None):
+        while self.heap:
+            if until is not None and self.heap[0][0] > until:
+                self.now = until
+                break
+            self.now, _, callback, args = heapq.heappop(self.heap)
+            self.event_count += 1
+            callback(*args)
+        return self.now
 
-        def program():
-            for _ in range(50):
-                yield 1
 
-        start_process(sim, program())
-        sim.run()
-        # One event is in flight at a time, so a record or two serve all 51.
-        assert sim.event_count == 51
-        assert len(created) <= 2
-        assert sim._free
+class _Boom(Exception):
+    pass
+
+
+def _drive(sim, chunks, boom):
+    """Run ``chunks`` on ``sim`` the way the watchdog does; return the trace.
+
+    Each chunk schedules its root trees from outside the drain, then runs
+    ``run(until=now + step)`` (``run()`` for a ``None`` step); a last
+    ``run()`` drains the rest.  A tree is ``(delay, children)``: when its
+    callback runs it schedules its children, and the ``boom``-th callback to
+    run then raises.
+    """
+    trace = []
+
+    def make(label, children):
+        def callback():
+            trace.append((sim.now, label))
+            for i, (delay, grandchildren) in enumerate(children):
+                sim.schedule_call(delay, make(label + (i,), grandchildren))
+            if len(trace) - 1 == boom:
+                raise _Boom()
+
+        return callback
+
+    for c, (roots, step) in enumerate(chunks + [((), None)]):
+        for r, (delay, children) in enumerate(roots):
+            sim.schedule_call(delay, make((c, r), children))
+        try:
+            sim.run(None if step is None else sim.now + step)
+        except _Boom:
+            trace.append("boom")
+        trace.append(("run", sim.now, sim.event_count, sim.peek()))
+    return trace
+
+
+_delays = st.integers(min_value=0, max_value=3)
+_trees = st.recursive(
+    st.tuples(_delays, st.just(())),
+    lambda kids: st.tuples(_delays, st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=6,
+)
+_chunks = st.lists(
+    st.tuples(st.lists(_trees, max_size=4), st.none() | st.integers(min_value=0, max_value=4)),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestRandomizedOrder:
+    """Both drains keep the reference kernel's order under random schedules:
+    zero and small delays, from outside the drain and from callbacks,
+    ``run(until=...)`` chunks and at most one raising callback."""
 
     @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
-    def test_pool_is_capped_and_hooked_drain_keeps_its_records(self, hooked):
-        # The plain drain returns every record it runs and trims the pool
-        # to _POOL_MAX once per drain; the hooked drain returns none, since
-        # its hooks key side tables by record identity.
+    @settings(max_examples=150, deadline=None)
+    @given(chunks=_chunks, boom=st.none() | st.integers(min_value=0, max_value=20))
+    def test_matches_one_global_heap(self, hooked, chunks, boom):
         sim = Simulator()
         if hooked:
             sim.enable_hooks()
-        count = _POOL_MAX + 100
-        for i in range(count):
-            sim.schedule_call(1 + i % 3, _noop)
+        assert _drive(sim, chunks, boom) == _drive(_ReferenceKernel(), chunks, boom)
+
+
+class TestRunProfile:
+    """Kernel bookkeeping across runs: hooked-drain records and ``event_count``."""
+
+    def test_hooked_drain_runs_one_fresh_record_per_event(self):
+        # Hooks key side tables by record identity, so every event the hooked
+        # drain runs is its own record; it carries its cycle as ``time``, and
+        # under the default pick_next its ``seq`` rises in execution order.
+        class Recorder(Simulator):
+            def __init__(self):
+                super().__init__()
+                self.runs = []
+                self.enable_hooks()
+
+            def on_execute(self, event):
+                self.runs.append((event, self.now))
+
+        sim = Recorder()
+
+        def parent(depth):
+            sim.schedule_call(0, _noop)
+            if depth:
+                sim.schedule_call(depth % 3, parent, (depth - 1,))
+
+        for i in range(40):
+            sim.schedule_call(i % 4, parent, (i % 5,))
+        sim.run(until=2)
+        sim.schedule_call(0, _noop)
         sim.run()
-        assert sim.event_count == count
-        assert len(sim._free) == (0 if hooked else _POOL_MAX)
+        records = [event for event, _ in sim.runs]
+        # parent(d) runs 2 * (d + 1) events; depths 0-4 start 8 times each.
+        assert len(records) == sim.event_count == 8 * (2 + 4 + 6 + 8 + 10) + 1
+        assert len({id(event) for event in records}) == len(records)
+        assert all(event.time == now for event, now in sim.runs)
+        seqs = [event.seq for event in records]
+        assert seqs == sorted(set(seqs))
 
     def test_profile_composes_across_runs(self):
         sim = Simulator()
