@@ -59,8 +59,8 @@ def main() -> None:
           f"({ni2w / best[0] - 1:.0%} faster than NI2w)")
 
     # --- Beyond the paper's five devices: scale whole taxonomy families ---
-    # Every NI{n}Q / CNI{n}Q name below is synthesized by the device
-    # registry from the same primitives that build the paper devices.
+    # Every NI{n}Q / CNI{n}Q name below is built from its taxonomy plan,
+    # the same way as the paper devices.
     space = runner.run(
         device_space_sweep(
             kind="bandwidth",

@@ -23,20 +23,18 @@ import argparse
 from repro import ExperimentSpec, Machine
 from repro.coherence.cache import CoherentCache
 from repro.common.types import AgentKind
-from repro.ni import CachableQueue, ComposedNI, register_device
+from repro.ni import AbstractNI, CachableQueue, register_device
 from repro.ni.primitives import CqSendPort, UncachedRecvPort
 
 
 @register_device("HybridNI")
-class HybridNI(ComposedNI):
+class HybridNI(AbstractNI):
     """Coherent-queue send path + uncached-FIFO receive path.
 
     Sends enjoy the cachable queue's block transfers and lazy pointers;
     receives pay the conventional uncached word-at-a-time cost.  ~40 lines
     of address layout — the timing-critical mechanisms are all primitives.
     """
-
-    taxonomy_name = "HybridNI"
 
     def __init__(self, *args, send_queue_blocks: int = 16, fifo_messages: int = 4, **kwargs):
         super().__init__(*args, **kwargs)
@@ -72,9 +70,11 @@ class HybridNI(ComposedNI):
         self.recv_status_reg = self.allocate_uncached_register()
         self.recv_data_reg = self.allocate_uncached_register()
 
-        self._attach_ports(
-            CqSendPort(self, self.send_q, self.send_cache, self.ptr_cache, self.msg_ready_reg),
-            UncachedRecvPort(self, self.recv_data_reg, self.recv_status_reg, fifo_messages),
+        self.send_port = CqSendPort(
+            self, self.send_q, self.send_cache, self.ptr_cache, self.msg_ready_reg,
+        )
+        self.recv_port = UncachedRecvPort(
+            self, self.recv_data_reg, self.recv_status_reg, fifo_messages,
         )
 
 

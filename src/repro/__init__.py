@@ -10,10 +10,10 @@ The package is organised as:
   fixed-latency model plus crossbar/mesh/torus with contention) and
   sliding-window flow control,
 * :mod:`repro.ni` — the composable network-interface kit: port primitives
-  (:mod:`repro.ni.primitives`), a generative device registry
-  (:mod:`repro.ni.registry`) that builds *any* legal taxonomy point, and
-  the five evaluated devices (NI2w, CNI4, CNI16Q, CNI512Q, CNI16Qm) as
-  pinned compositions,
+  (:mod:`repro.ni.primitives`), three device families over them, and a
+  generative device registry (:mod:`repro.ni.registry`) that plans *any*
+  legal taxonomy point, the five evaluated devices (NI2w, CNI4, CNI16Q,
+  CNI512Q, CNI16Qm) included,
 * :mod:`repro.node` — processor, node and machine assembly,
 * :mod:`repro.msglayer` — Tempest-like active-message layer,
 * :mod:`repro.apps` — the five macrobenchmark communication skeletons,

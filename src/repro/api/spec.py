@@ -117,7 +117,7 @@ class ExperimentSpec:
         # identical messages); plugin kinds hook in the same way.
         validate_kind(self)
         # Early taxonomy validation against the device registry: any legal
-        # taxonomy name resolves (registered or synthesized from primitives);
+        # taxonomy name resolves (a registered plugin or its plan's family);
         # illegal names and unsupported device kwargs fail here, not sixteen
         # constructors deep in Node.__init__.
         validate_ni_kwargs(self.device, self.ni_kwargs)
@@ -172,6 +172,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
+        if not isinstance(data, Mapping):
+            raise SpecError(f"a spec must be a JSON object, not {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -191,9 +191,9 @@ class MessagingLayer:
         (the CQ family) elide as pure iterations.  Uncached-status polls
         (the NI2w and CNI4 families) get a guard woken by delivery
         notices, with the fabric's lead; it arms only where the poll body
-        is shorter than that lead.  Devices without ports (custom plugins)
-        get no guard and simply spin, and so do all blocked senders except
-        the drain-free CQ ones.
+        is shorter than that lead.  A port that declares nothing elidable
+        (the default for a plugin's own ports) gets no guard and simply
+        spins, and so do all blocked senders except the drain-free CQ ones.
         """
         if not self.params.spin_elision:
             return None, None
@@ -204,13 +204,11 @@ class MessagingLayer:
             # loops and their periodic timeout checks.
             return None, None
         ni = self.ni
-        signal = getattr(ni, "arrival_signal", None)
-        cache = getattr(ni, "_proc_cache", None)
-        interconnect = getattr(ni, "interconnect", None)
-        if signal is None or cache is None or interconnect is None:
-            return None, None
-        recv_port = getattr(ni, "recv_port", None)
-        send_port = getattr(ni, "send_port", None)
+        signal = ni.arrival_signal
+        cache = ni._proc_cache
+        interconnect = ni.interconnect
+        recv_port = ni.recv_port
+        send_port = ni.send_port
         # Counters a pure spin iteration can touch; their measured deltas
         # are replayed arithmetically for elided iterations.
         counters = (
@@ -225,18 +223,16 @@ class MessagingLayer:
         # could pollute a measured iteration's counter deltas: fabric
         # deliveries, window acks, and device-side arrival transitions.
         ni_counts = ni.stats.raw
-        window = getattr(ni, "window", None)
+        window = ni.window
         probes = [
             lambda _c=ni_counts: _c.get("network_arrivals", 0),
             lambda _c=ni_counts: _c.get("window_stalls", 0),
             lambda: signal.fire_count,
+            lambda _s=window.slot_freed: _s.fire_count,
+            lambda _c=window.stats.raw: _c.get("reservations", 0),
         ]
-        if window is not None:
-            probes.append(lambda _s=window.slot_freed: _s.fire_count)
-            probes.append(lambda _c=window.stats.raw: _c.get("reservations", 0))
-        recv_elidable = recv_port is not None and getattr(recv_port, "elidable", False)
         recv_guard = None
-        if recv_elidable and getattr(recv_port, "polls_uncached", False):
+        if recv_port.elidable and recv_port.polls_uncached:
             # The poll's own bus transactions are part of the iteration:
             # replay the interconnect counters and the buses' tallies too.
             buses = (interconnect.membus, interconnect.iobus, interconnect.cachebus)
@@ -246,17 +242,13 @@ class MessagingLayer:
                 lead=ni.wire_delivery_notices(),
                 resources=[bus for bus in buses if bus is not None],
             )
-        elif recv_elidable:
+        elif recv_port.elidable:
             recv_guard = SpinGuard(
                 self.sim, signal, recv_port.spin_steady, counters,
                 txn_counts, device_stats, probes,
             )
         send_guard = None
-        if (
-            send_port is not None
-            and getattr(send_port, "elidable", False)
-            and getattr(ni, "recv_home", "device") == "memory"
-        ):
+        if send_port.elidable and ni.recv_home == "memory":
             # Only the drain-free blocked-send loop is elidable: devices
             # that overflow to memory (CNI16Qm) never drain, so a blocked
             # iteration is just the cached tail/head check and its head
@@ -404,7 +396,7 @@ class MessagingLayer:
         caller retries immediately) and :data:`SPIN_EMPTY` otherwise (the
         caller backs off).
         """
-        if getattr(self.ni, "recv_home", "device") == "memory":
+        if self.ni.recv_home == "memory":
             return SPIN_EMPTY
         message = yield from self.ni.proc_poll()
         if message is None:

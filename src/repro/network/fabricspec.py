@@ -129,13 +129,24 @@ def parse_fabric_name(
     * ``dims``, when present, requires a grid kind — ``ideal`` and
       ``xbar`` ignore topology by construction;
     * ``dims`` components must be positive and written without leading
-      zeros (``mesh4x4``, never ``mesh04x4`` — names feed spec hashes).
+      zeros (``mesh4x4``, never ``mesh04x4`` — names feed spec hashes);
+    * the name is a string without surrounding whitespace, for the same
+      reason.
     """
+    if not isinstance(name, str):
+        raise FabricError(
+            f"fabric name must be a string, not {type(name).__name__} {name!r}"
+        )
     stripped = name.strip()
-    match = _NAME_PATTERN.match(stripped)
+    if stripped != name:
+        raise FabricError(
+            f"{name!r}: fabric name must not have surrounding whitespace "
+            f"(write {stripped!r})"
+        )
+    match = _NAME_PATTERN.match(name)
     if not match:
-        lowered = stripped.lower()
-        if lowered != stripped and _NAME_PATTERN.match(lowered):
+        lowered = name.lower()
+        if lowered != name and _NAME_PATTERN.match(lowered):
             try:
                 parse_fabric_name(lowered, known_kinds)
             except FabricError:
@@ -164,7 +175,7 @@ def parse_fabric_name(
             f"{sorted(known_kinds)}"
         )
     if dims is None:
-        return FabricSpec(name=stripped, kind=kind)
+        return FabricSpec(name=name, kind=kind)
     if kind not in GRID_KINDS:
         raise FabricError(
             f"{name!r}: dims field {dims!r} requires a grid kind "
@@ -180,4 +191,4 @@ def parse_fabric_name(
                 f"{name!r}: dims field must not have leading zeros "
                 f"(write {width}x{height})"
             )
-    return FabricSpec(name=stripped, kind=kind, width=width, height=height)
+    return FabricSpec(name=name, kind=kind, width=width, height=height)

@@ -3,27 +3,22 @@
 The three device *families* (:class:`UncachedNI`, :class:`CdrNI`,
 :class:`CoherentQueueNI`) pair the send/receive port primitives of
 :mod:`repro.ni.primitives` over the shared :class:`AbstractNI`
-infrastructure; :mod:`repro.ni.registry` synthesizes a concrete device
-class for any legal taxonomy name from them.
+infrastructure.  :func:`create_ni` builds any legal taxonomy name, the
+paper's five included, as its :class:`DeviceSpec` plan's family with the
+plan's sizing, and a :func:`register_device` plugin as registered.
 """
 
 from repro.ni.base import (
     AbstractNI,
-    ComposedNI,
     DeviceHomeAgent,
     NIError,
     DEVICE_PROCESSING_CYCLES,
 )
-from repro.ni.cni4 import CNI4, CdrNI
-from repro.ni.cniq import CNI16Q, CNI512Q, CNI16Qm, CoherentQueueNI
+from repro.ni.cni4 import CdrNI
+from repro.ni.cniq import CoherentQueueNI
 from repro.ni.cq import CachableQueue, QueueError, SenseReverseQueue, sense_for_pass
-from repro.ni.ni2w import NI2w, UncachedNI
-from repro.ni.registry import (
-    DEVICE_SCHEMA_VERSION,
-    GENERATIVE_SAMPLE,
-    DeviceSpec,
-    synthesized_class,
-)
+from repro.ni.ni2w import UncachedNI
+from repro.ni.registry import DEVICE_SCHEMA_VERSION, GENERATIVE_SAMPLE, DeviceSpec
 from repro.ni.taxonomy import (
     EVALUATED_DEVICES,
     DeviceInfo,
@@ -42,18 +37,12 @@ from repro.ni.taxonomy import (
 
 __all__ = [
     "AbstractNI",
-    "ComposedNI",
     "DeviceHomeAgent",
     "NIError",
     "DEVICE_PROCESSING_CYCLES",
-    "NI2w",
     "UncachedNI",
-    "CNI4",
     "CdrNI",
     "CoherentQueueNI",
-    "CNI16Q",
-    "CNI512Q",
-    "CNI16Qm",
     "CachableQueue",
     "SenseReverseQueue",
     "QueueError",
@@ -70,7 +59,6 @@ __all__ = [
     "validate_ni_kwargs",
     "DeviceInfo",
     "DeviceSpec",
-    "synthesized_class",
     "DEVICE_SCHEMA_VERSION",
     "GENERATIVE_SAMPLE",
     "classify_existing_machines",

@@ -15,9 +15,8 @@ Every NI device exposes the same two-sided interface:
 
 from __future__ import annotations
 
-import abc
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.addrmap import AddressMap, RegionAllocator
 from repro.common.params import MachineParams
@@ -33,6 +32,9 @@ from repro.common.types import (
 from repro.coherence.bus import NodeInterconnect
 from repro.network.fabric import AbstractFabric, SlidingWindow
 from repro.sim import Counter, Signal, Simulator, start_process
+
+if TYPE_CHECKING:
+    from repro.ni.primitives import RecvPort, SendPort
 
 
 class NIError(RuntimeError):
@@ -72,11 +74,24 @@ class DeviceHomeAgent:
         return None  # register accesses terminate here; nothing to report
 
 
-class AbstractNI(abc.ABC):
-    """Base class for the five evaluated network interfaces."""
+class AbstractNI:
+    """A network interface: one send port and one receive port over shared
+    device infrastructure.
 
-    #: Taxonomy name, e.g. ``"CNI16Qm"``; set by subclasses.
-    taxonomy_name = "NI"
+    A device family (uncached registers, CDRs, cachable queues — see
+    :mod:`repro.ni.primitives`) allocates its address layout, builds its
+    caches and queues, then sets :attr:`send_port` and :attr:`recv_port`;
+    the processor- and device-side interface is delegation to the two.
+    ``taxonomy_name`` is the name the device was built under
+    (:func:`repro.ni.taxonomy.create_ni` passes it), e.g. ``"CNI16Qm"``.
+    """
+
+    #: The device's two halves, set by the subclass constructor.
+    send_port: "SendPort"
+    recv_port: "RecvPort"
+    #: Where the receive queue is homed.  A ``"memory"``-homed queue
+    #: overflows to main memory, so a blocked sender never drains it.
+    recv_home = "device"
 
     def __init__(
         self,
@@ -88,6 +103,8 @@ class AbstractNI(abc.ABC):
         fabric: AbstractFabric,
         bus_kind: BusKind = BusKind.MEMORY,
         dram_allocator: Optional[RegionAllocator] = None,
+        *,
+        taxonomy_name: str,
     ):
         self.sim = sim
         self.node_id = node_id
@@ -97,7 +114,8 @@ class AbstractNI(abc.ABC):
         self.fabric = fabric
         self.bus_kind = bus_kind
         self.agent_kind = AGENT_NI_DEVICE
-        self.name = f"node{node_id}.{self.taxonomy_name}"
+        self.taxonomy_name = taxonomy_name
+        self.name = f"node{node_id}.{taxonomy_name}"
         #: PDES partition this device belongs to (see Machine.partition_map
         #: and repro.analysis): the NI is node-owned; only the fabric's
         #: delivery callbacks cross into it from the outside.
@@ -164,8 +182,8 @@ class AbstractNI(abc.ABC):
         if self._processes_started:
             return
         self._processes_started = True
-        start_process(self.sim, self._injection_process(), name=f"{self.name}.inject")
-        start_process(self.sim, self._extraction_process(), name=f"{self.name}.extract")
+        start_process(self.sim, self.send_port.injection_process(), name=f"{self.name}.inject")
+        start_process(self.sim, self.recv_port.extraction_process(), name=f"{self.name}.extract")
 
     def _on_network_message(self, message: NetworkMessage) -> None:
         """Fabric delivery callback: queue the message for extraction."""
@@ -214,9 +232,8 @@ class AbstractNI(abc.ABC):
             self.stats.add("acks_returned")
 
     # ------------------------------------------------------------------
-    # Abstract interface
+    # Processor-side interface and register hooks, delegated to the ports
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def proc_try_send(self, message: NetworkMessage):
         """Processor-side send of one network message.
 
@@ -225,33 +242,26 @@ class AbstractNI(abc.ABC):
         then drains incoming messages and retries, per the paper's
         deadlock-avoidance rule).
         """
+        return self.send_port.proc_try_send(message)
 
-    @abc.abstractmethod
     def proc_poll(self):
         """Processor-side poll of the receive interface.
 
         Generator.  Returns the next :class:`NetworkMessage` if one is
         available, otherwise ``None``.
         """
+        return self.recv_port.proc_poll()
 
-    @abc.abstractmethod
-    def _injection_process(self):
-        """Device-side process moving messages from the send interface into
-        the network."""
-
-    @abc.abstractmethod
-    def _extraction_process(self):
-        """Device-side process accepting network arrivals into the receive
-        interface."""
-
-    # ------------------------------------------------------------------
-    # Uncached register hooks (overridden where needed)
-    # ------------------------------------------------------------------
     def uncached_read(self, address: int) -> None:
-        """Called when the processor reads an uncached device register."""
+        """The processor read an uncached device register; each port
+        ignores addresses that are not its own."""
+        self.send_port.uncached_read(address)
+        self.recv_port.uncached_read(address)
 
     def uncached_write(self, address: int) -> None:
-        """Called when the processor writes an uncached device register."""
+        """The processor wrote an uncached device register."""
+        self.send_port.uncached_write(address)
+        self.recv_port.uncached_write(address)
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -321,11 +331,12 @@ class AbstractNI(abc.ABC):
 
     def bind_processor_cache(self, cache) -> None:
         self._proc_cache = cache
-        if self.params.spin_elision and self._has_elidable_port():
+        if self.params.spin_elision and (self.recv_port.elidable or self.send_port.elidable):
             # Virtual polling: any transaction the processor cache snoops can
             # invalidate a polled line, so it must wake sleeping spin-waiters.
-            # Devices without an elidable port never sleep, so they skip the
-            # per-snoop listener cost entirely.
+            # Devices without an elidable port (the messaging layer's guard
+            # eligibility) never sleep, so they skip the per-snoop listener
+            # cost entirely.
             previous = cache.snoop_listener
             fire = self.arrival_signal.fire
             if previous is None:
@@ -336,50 +347,3 @@ class AbstractNI(abc.ABC):
                     _fire()
 
                 cache.snoop_listener = chained
-
-    def _has_elidable_port(self) -> bool:
-        """Whether any port of this device supports spin-wait elision
-        (mirrors the guard-eligibility check in the messaging layer)."""
-        return bool(
-            getattr(getattr(self, "recv_port", None), "elidable", False)
-            or getattr(getattr(self, "send_port", None), "elidable", False)
-        )
-
-    def describe(self) -> str:
-        return f"{self.taxonomy_name} on the {self.bus_kind.value} bus (node {self.node_id})"
-
-
-class ComposedNI(AbstractNI):
-    """A network interface assembled from one send port and one receive port.
-
-    Device families (uncached-register, CDR, cachable-queue — see
-    :mod:`repro.ni.primitives`) allocate their address layout, build their
-    caches and queues, then attach the two ports; everything the abstract
-    interface requires is pure delegation.  ``uncached_read``/``write``
-    register hooks are fanned out to both ports, which ignore addresses
-    that are not theirs.
-    """
-
-    def _attach_ports(self, send_port, recv_port) -> None:
-        self.send_port = send_port
-        self.recv_port = recv_port
-
-    def proc_try_send(self, message: NetworkMessage):
-        return self.send_port.proc_try_send(message)
-
-    def proc_poll(self):
-        return self.recv_port.proc_poll()
-
-    def _injection_process(self):
-        return self.send_port.injection_process()
-
-    def _extraction_process(self):
-        return self.recv_port.extraction_process()
-
-    def uncached_read(self, address: int) -> None:
-        self.send_port.uncached_read(address)
-        self.recv_port.uncached_read(address)
-
-    def uncached_write(self, address: int) -> None:
-        self.send_port.uncached_write(address)
-        self.recv_port.uncached_write(address)

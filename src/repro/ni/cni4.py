@@ -9,9 +9,9 @@ keep uncached status/control registers and therefore pay:
   message (uncached clear store, store-buffer drain, and an uncached status
   read that confirms the device's invalidation).
 
-:class:`CdrNI` is the general family: ``cdr_blocks`` cachable blocks per
+:class:`CdrNI` is the family: ``cdr_blocks`` cachable blocks per
 direction, divided into message-sized slots with implicit round-robin
-pointers.  :class:`CNI4` — the paper's device — exposes a single message
+pointers.  ``CNI4`` — the paper's device — exposes a single message
 per direction, so the processor must wait for the device to finish pulling
 a sent message before the send CDRs can be reused: the source of CNI4's
 bandwidth knee in Figure 7.  Larger family members (``CNI16``, ``CNI64``,
@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from repro.coherence.cache import CoherentCache
 from repro.common.types import AGENT_NI_DEVICE
-from repro.ni.base import ComposedNI, NIError
+from repro.ni.base import AbstractNI, NIError
 from repro.ni.primitives import CdrRecvPort, CdrSendPort
 
 
-class CdrNI(ComposedNI):
+class CdrNI(AbstractNI):
     """CDR-based coherent NI exposing ``cdr_blocks`` blocks per direction."""
-
-    taxonomy_name = "CNI"
 
     #: CDR blocks per direction when not overridden (one 256-byte message).
     DEFAULT_CDR_BLOCKS = 4
@@ -88,26 +86,12 @@ class CdrNI(ComposedNI):
             bus_kind=self.bus_kind,
         )
 
-        self._attach_ports(
-            CdrSendPort(
-                self, self.send_cdr_blocks, self.send_status_reg,
-                self.send_ready_reg, self.device_cache,
-            ),
-            CdrRecvPort(
-                self, self.recv_cdr_blocks, self.recv_status_reg,
-                self.recv_pop_reg, self.device_cache, recv_buffer_messages,
-            ),
+        self.send_port = CdrSendPort(
+            self, self.send_cdr_blocks, self.send_status_reg,
+            self.send_ready_reg, self.device_cache,
+        )
+        self.recv_port = CdrRecvPort(
+            self, self.recv_cdr_blocks, self.recv_status_reg,
+            self.recv_pop_reg, self.device_cache, recv_buffer_messages,
         )
 
-
-class CNI4(CdrNI):
-    """The paper's CDR device: four cache blocks (one message) per direction."""
-
-    taxonomy_name = "CNI4"
-
-    #: CDR blocks per direction: one 256-byte network message.
-    CDR_BLOCKS = 4
-
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("cdr_blocks", self.CDR_BLOCKS)
-        super().__init__(*args, **kwargs)

@@ -18,7 +18,9 @@ communicate purely through coherent block accesses plus one uncached
 ``CNI16Q`` and ``CNI512Q`` home both queues on the device; ``CNI16Qm``
 homes the receive queue in main memory with a 16-block device cache in
 front of it, so bursts overflow smoothly to memory instead of backing up
-the network.  The mechanisms themselves (lazy pointers, valid words, sense
+the network (the paper studies memory buffering on the receive side only;
+the send queue stays device-homed).  Each name's sizing is its plan in
+:mod:`repro.ni.registry`.  The mechanisms themselves (lazy pointers, valid words, sense
 reverse) live in :mod:`repro.ni.primitives` and :mod:`repro.ni.cq`; this
 module only decides the address layout and the queue/cache sizing.
 """
@@ -29,15 +31,13 @@ from typing import Optional
 
 from repro.coherence.cache import CoherentCache
 from repro.common.types import AGENT_NI_DEVICE
-from repro.ni.base import ComposedNI, NIError
+from repro.ni.base import AbstractNI, NIError
 from repro.ni.cq import CachableQueue
 from repro.ni.primitives import CqRecvPort, CqSendPort
 
 
-class CoherentQueueNI(ComposedNI):
+class CoherentQueueNI(AbstractNI):
     """Generic CQ-based CNI, parameterized by queue and device-cache sizes."""
-
-    taxonomy_name = "CNIQ"
 
     def __init__(
         self,
@@ -126,51 +126,8 @@ class CoherentQueueNI(ComposedNI):
             bus_kind=self.bus_kind,
         )
 
-        self._attach_ports(
-            CqSendPort(self, self.send_q, self.send_cache, self.ptr_cache, self.msg_ready_reg),
-            CqRecvPort(self, self.recv_q, self.recv_cache, self.ptr_cache),
+        self.send_port = CqSendPort(
+            self, self.send_q, self.send_cache, self.ptr_cache, self.msg_ready_reg,
         )
+        self.recv_port = CqRecvPort(self, self.recv_q, self.recv_cache, self.ptr_cache)
 
-
-class CNI16Q(CoherentQueueNI):
-    """16-block (4-message) device-homed cachable queues."""
-
-    taxonomy_name = "CNI16Q"
-
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("send_queue_blocks", 16)
-        kwargs.setdefault("recv_queue_blocks", 16)
-        kwargs.setdefault("recv_home", "device")
-        super().__init__(*args, **kwargs)
-
-
-class CNI512Q(CoherentQueueNI):
-    """512-block (128-message) device-homed cachable queues."""
-
-    taxonomy_name = "CNI512Q"
-
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("send_queue_blocks", 512)
-        kwargs.setdefault("recv_queue_blocks", 512)
-        kwargs.setdefault("recv_home", "device")
-        super().__init__(*args, **kwargs)
-
-
-class CNI16Qm(CoherentQueueNI):
-    """16-block device cache over a 512-block receive queue homed in memory.
-
-    The receive queue pages are ordinary pinned main-memory pages, so when
-    the device cache fills, older blocks are written back to memory and the
-    queue keeps absorbing bursts instead of backing up the network.  (The
-    paper only studies memory buffering on the receive side; the send queue
-    is device-homed as in CNI16Q.)
-    """
-
-    taxonomy_name = "CNI16Qm"
-
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("send_queue_blocks", 16)
-        kwargs.setdefault("recv_queue_blocks", 512)
-        kwargs.setdefault("recv_cache_blocks", 16)
-        kwargs.setdefault("recv_home", "memory")
-        super().__init__(*args, **kwargs)

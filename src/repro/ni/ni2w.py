@@ -14,21 +14,21 @@ FIFO is full, arriving messages back up into the network (the extraction
 process withholds the acknowledgement), which is what forces the software
 flow-control buffering the paper describes.
 
-:class:`UncachedNI` is the general family — every ``NI{n}w``, ``NI{n}``
-and explicit-pointer ``NI{n}Q`` point of the taxonomy is an instance with
-different FIFO sizing (see :mod:`repro.ni.registry`).  :class:`NI2w` is
-the CM-5-like device evaluated in the paper.
+:class:`UncachedNI` is the family: every ``NI{n}w``, ``NI{n}`` and
+explicit-pointer ``NI{n}Q`` point of the taxonomy is an instance with
+different FIFO sizing (see :mod:`repro.ni.registry`).  The paper's
+CM-5-like ``NI2w`` is the instance with 4-message FIFOs.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.ni.base import ComposedNI, NIError
+from repro.ni.base import AbstractNI, NIError
 from repro.ni.primitives import UncachedRecvPort, UncachedSendPort
 
 
-class UncachedNI(ComposedNI):
+class UncachedNI(AbstractNI):
     """Program-controlled NI with uncached device registers.
 
     ``fifo_messages`` sizes the hardware FIFO per direction directly;
@@ -38,8 +38,6 @@ class UncachedNI(ComposedNI):
     processor must publish with one extra uncached store per send and per
     receive (the *T-NG ``NI{n}Q`` style).
     """
-
-    taxonomy_name = "NIw"
 
     #: Hardware FIFO capacity per direction, in network messages.  The CM-5
     #: NI buffers only a handful of messages in the device.
@@ -90,19 +88,11 @@ class UncachedNI(ComposedNI):
             tail_ptr_reg = self.allocate_uncached_register()
             head_ptr_reg = self.allocate_uncached_register()
 
-        self._attach_ports(
-            UncachedSendPort(
-                self, self.send_data_reg, self.send_status_reg,
-                fifo_messages, tail_ptr_reg=tail_ptr_reg,
-            ),
-            UncachedRecvPort(
-                self, self.recv_data_reg, self.recv_status_reg,
-                fifo_messages, head_ptr_reg=head_ptr_reg,
-            ),
+        self.send_port = UncachedSendPort(
+            self, self.send_data_reg, self.send_status_reg,
+            fifo_messages, tail_ptr_reg=tail_ptr_reg,
         )
-
-
-class NI2w(UncachedNI):
-    """The conventional, CM-5-like NI: two exposed words, implicit pointers."""
-
-    taxonomy_name = "NI2w"
+        self.recv_port = UncachedRecvPort(
+            self, self.recv_data_reg, self.recv_status_reg,
+            fifo_messages, head_ptr_reg=head_ptr_reg,
+        )

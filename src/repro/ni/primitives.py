@@ -14,13 +14,11 @@ mechanisms, not by whole devices:
 
 This module implements each mechanism once, as a *send port* or *receive
 port* primitive.  A network interface is then just a pairing of ports over
-the shared :class:`~repro.ni.base.AbstractNI` infrastructure —
-:class:`ComposedNI` below — and every point of the taxonomy is assembled
-declaratively by :mod:`repro.ni.registry` from these same parts.  The five
-devices evaluated in the paper (``NI2w``, ``CNI4``, ``CNI16Q``,
-``CNI512Q``, ``CNI16Qm``) are thin compositions pinned to golden stats in
-the test suite, so the primitives are cycle-exact restatements of the
-original hand-written device classes.
+the shared :class:`~repro.ni.base.AbstractNI` infrastructure, and every
+point of the taxonomy is built from the plan :mod:`repro.ni.registry`
+derives from its name.  The five devices evaluated in the paper
+(``NI2w``, ``CNI4``, ``CNI16Q``, ``CNI512Q``, ``CNI16Qm``) are pinned to
+golden stats in the test suite, so the ports are held cycle-exact.
 
 Ports do **not** allocate addresses or build caches themselves: address
 layout is decided by the owning device (allocation order determines cache

@@ -1,25 +1,20 @@
-"""Declarative device registry: any taxonomy point, assembled from primitives.
+"""Declarative device registry: any taxonomy point, as a plan over a family.
 
 The paper's contribution is a *taxonomy*, not five devices — ``NI_iX`` /
 ``CNI_iX`` names span a whole generative space (Alewife's ``NI16w``,
 *T-NG's ``NI128Q``, or unexplored points like ``CNI64Q``).  This module
-turns any legal taxonomy name into a working device:
+turns any legal taxonomy name into a build plan:
 
-* :class:`DeviceSpec` is the declarative *build plan* derived from a parsed
+* :class:`DeviceSpec` is derived from a parsed
   :class:`~repro.ni.taxonomy.NISpec` — which family implements the point
   (uncached registers, CDRs, or cachable queues), how the exposed region is
-  sized, where the receive queue is homed, and the constructor defaults
-  that realise it;
-* :func:`synthesized_class` materialises the plan as a concrete
-  :class:`~repro.ni.base.AbstractNI` subclass (memoised; picklable by
-  reconstruction across processes, see :class:`_SynthesizedMeta`) so the
-  rest of the stack — ``create_ni``, ``validate_ni_kwargs``,
-  ``Machine.build`` — treats generated devices exactly like the five
-  hand-registered paper devices;
+  sized and where the receive queue is homed, as the family constructor's
+  keywords.  :func:`repro.ni.taxonomy.create_ni` builds every name that is
+  not a registered plugin from its plan, the paper's five included;
 * :data:`DEVICE_SCHEMA_VERSION` versions the construction semantics so the
   on-disk result cache can invalidate entries computed under older rules.
 
-Sizing rules for generated devices (documented constants below):
+Sizing rules (documented constants below):
 
 * ``NI{n}w`` — n words exposed per direction; the hardware FIFO scales
   proportionally, anchored at the CM-5's 4 messages for 2 words
@@ -28,7 +23,8 @@ Sizing rules for generated devices (documented constants below):
   (``Q`` adds explicit uncached pointer updates).
 * ``CNI{n}`` — n CDR blocks per direction, used as ``n / 4`` implicit
   round-robin message slots.
-* ``CNI{n}Q`` — n-block device-homed send and receive queues.
+* ``CNI{n}Q`` — n-block device-homed send and receive queues; the receive
+  cache covers the whole receive queue, whatever its size.
 * ``CNI{n}Qm`` — n-block device cache over a memory-homed receive queue of
   ``32 * n`` blocks, anchored at the paper's CNI16Qm (16-block cache over a
   512-block queue).
@@ -36,10 +32,8 @@ Sizing rules for generated devices (documented constants below):
 
 from __future__ import annotations
 
-import abc
-import copyreg
 from dataclasses import dataclass
-from typing import Dict, Tuple, Type
+from typing import Dict, Mapping, Tuple, Type
 
 from repro.common.params import DEFAULT_PARAMS
 from repro.ni.base import AbstractNI
@@ -51,8 +45,9 @@ from repro.ni.taxonomy import NISpec, TaxonomyError, parse_ni_name
 #: Version of the device-construction semantics.  Bump whenever the way a
 #: taxonomy name maps to a concrete device changes (new sizing rules, new
 #: timing behaviour): cached experiment results keyed under an older
-#: version are then invalidated by :mod:`repro.api.cache`.
-DEVICE_SCHEMA_VERSION = 2
+#: version are then invalidated by :mod:`repro.api.cache`.  Version 3: a
+#: ``CNI{n}Q`` receive cache follows an overridden ``recv_queue_blocks``.
+DEVICE_SCHEMA_VERSION = 3
 
 #: FIFO messages per exposed word for the ``NI{n}w`` family (CM-5 anchor:
 #: NI2w buffers 4 messages behind its 2 exposed words).
@@ -69,15 +64,12 @@ class DeviceSpec:
     """Declarative build plan for one taxonomy point.
 
     ``family`` selects the implementing device family, ``defaults`` the
-    constructor keywords that realise the point's sizing.  The plan is what
-    :func:`synthesized_class` compiles; it is also useful on its own for
-    tooling that wants to reason about the space without building devices.
+    constructor keywords that realise the point's sizing.
     """
 
     name: str
     spec: NISpec
     family: str                      # "uncached" | "cdr" | "cq"
-    pointers: str                    # "implicit" | "explicit"
     defaults: Tuple[Tuple[str, object], ...]
 
     #: Family name -> implementing base class.
@@ -99,6 +91,22 @@ class DeviceSpec:
         opts = ", ".join(f"{k}={v}" for k, v in self.defaults)
         return f"{self.name}: {self.base_class.__name__}({opts})"
 
+    def sizing(self, overrides: Mapping[str, object]) -> Dict[str, object]:
+        """The plan's constructor keywords overlaid by ``overrides``.
+
+        An override on one of the family's exclusive sizing axes
+        (``EXCLUSIVE_NI_KWARGS``, e.g. the uncached family's
+        ``fifo_messages`` and ``queue_blocks``) also drops the plan's
+        default on the others, which the device would reject otherwise.
+        """
+        merged = self.ni_defaults
+        for group in getattr(self.base_class, "EXCLUSIVE_NI_KWARGS", ()):
+            if any(key in overrides for key in group):
+                for key in group:
+                    merged.pop(key, None)
+        merged.update(overrides)
+        return merged
+
     # ------------------------------------------------------------------
     @classmethod
     def from_name(cls, name: str) -> "DeviceSpec":
@@ -119,27 +127,25 @@ class DeviceSpec:
             if spec.unit == "words":
                 fifo = max(1, WORDS_TO_FIFO_MESSAGES * spec.exposed_size)
                 return cls(
-                    name=spec.name, spec=spec, family="uncached", pointers="implicit",
+                    name=spec.name, spec=spec, family="uncached",
                     defaults=(("fifo_messages", fifo),),
                 )
-            explicit = spec.queue == "Q"
             return cls(
                 name=spec.name, spec=spec, family="uncached",
-                pointers="explicit" if explicit else "implicit",
                 defaults=(
                     ("queue_blocks", spec.exposed_size),
-                    ("explicit_pointers", explicit),
+                    ("explicit_pointers", spec.queue == "Q"),
                 ),
             )
         # Coherent devices (block-exposed by grammar).
         if spec.queue is None:
             return cls(
-                name=spec.name, spec=spec, family="cdr", pointers="implicit",
+                name=spec.name, spec=spec, family="cdr",
                 defaults=(("cdr_blocks", spec.exposed_size),),
             )
         if spec.queue == "Qm":
             return cls(
-                name=spec.name, spec=spec, family="cq", pointers="explicit",
+                name=spec.name, spec=spec, family="cq",
                 defaults=(
                     ("send_queue_blocks", spec.exposed_size),
                     ("recv_queue_blocks", QM_RECV_QUEUE_FACTOR * spec.exposed_size),
@@ -148,84 +154,13 @@ class DeviceSpec:
                 ),
             )
         return cls(
-            name=spec.name, spec=spec, family="cq", pointers="explicit",
+            name=spec.name, spec=spec, family="cq",
             defaults=(
                 ("send_queue_blocks", spec.exposed_size),
                 ("recv_queue_blocks", spec.exposed_size),
-                ("recv_cache_blocks", spec.exposed_size),
                 ("recv_home", "device"),
             ),
         )
-
-    # ------------------------------------------------------------------
-    def build_class(self) -> Type[AbstractNI]:
-        """Compile the plan into a concrete device class.
-
-        The generated class applies the plan's sizing as overridable
-        defaults (``ni_kwargs`` still win), exactly the way the
-        hand-written ``CNI16Q``-style subclasses pin their parents.
-        """
-        defaults = self.ni_defaults
-        base = self.base_class
-
-        # The uncached family sizes its FIFO through either of two
-        # exclusive axes; a user override on one axis must suppress the
-        # plan's default on the other, or the device would reject the
-        # combination deep in node assembly.
-        sizing_aliases = {"fifo_messages": "queue_blocks", "queue_blocks": "fifo_messages"}
-
-        # The parameter MUST be named "self": constructor signatures are
-        # introspected by taxonomy._allowed_ni_kwargs to decide which
-        # ni_kwargs a device accepts, and only "self" is infrastructure.
-        def __init__(self, *args, **kwargs):
-            for key, value in defaults.items():
-                if sizing_aliases.get(key) in kwargs:
-                    continue
-                kwargs.setdefault(key, value)
-            base.__init__(self, *args, **kwargs)
-
-        return _SynthesizedMeta(
-            self.name,
-            (base,),
-            {
-                "__init__": __init__,
-                "__doc__": self.describe(),
-                "__module__": __name__,
-                "taxonomy_name": self.name,
-                "device_spec": self,
-            },
-        )
-
-
-class _SynthesizedMeta(abc.ABCMeta):
-    """Metaclass marking generated device classes (see the copyreg hook).
-
-    A synthesized class has no importable module attribute, so it pickles
-    by *reconstruction*: the reducer registered below sends the taxonomy
-    name and the receiving process re-synthesizes (memoised) the identical
-    class.  Works across fresh processes, e.g. ``multiprocessing`` spawn
-    workers.  ``copyreg`` is the hook because pickle routes class objects
-    through ``save_global`` without ever consulting a metaclass
-    ``__reduce__``; the dispatch-table lookup runs first.
-    """
-
-
-def _reduce_synthesized(cls: "_SynthesizedMeta"):
-    return (synthesized_class, (cls.taxonomy_name,))
-
-
-copyreg.pickle(_SynthesizedMeta, _reduce_synthesized)
-
-
-_SYNTHESIZED: Dict[str, Type[AbstractNI]] = {}  # repro: allow[MUTSTATE] memo of synthesized device classes, machine-free
-
-
-def synthesized_class(name: str) -> Type[AbstractNI]:
-    """The (memoised) generated device class for a legal taxonomy name."""
-    cls = _SYNTHESIZED.get(name)
-    if cls is None:
-        cls = _SYNTHESIZED[name] = DeviceSpec.from_name(name).build_class()
-    return cls
 
 
 #: Canonical sample of the generative space, used by

@@ -1,4 +1,4 @@
-"""The NI/CNI taxonomy of Section 3 and a factory for the evaluated devices.
+"""The NI/CNI taxonomy of Section 3 and the factory that builds any device.
 
 Device names follow the paper's notation ``NI_iX`` / ``CNI_iX``:
 
@@ -23,9 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Type
 
 from repro.ni.base import AbstractNI
-from repro.ni.cni4 import CNI4
-from repro.ni.cniq import CNI16Q, CNI512Q, CNI16Qm
-from repro.ni.ni2w import NI2w
 
 
 class TaxonomyError(ValueError):
@@ -85,11 +82,24 @@ def parse_ni_name(name: str) -> NISpec:
       explicit queues are arrays of message entries;
     * ``queue`` ``Qm`` requires the ``CNI`` prefix — a memory-homed queue
       needs coherent access to main memory.
+
+    Names are exact: a non-string, or a name with surrounding whitespace,
+    is rejected rather than read as another spelling of a device (each
+    spelling would get its own spec hash and store key).
     """
+    if not isinstance(name, str):
+        raise TaxonomyError(
+            f"NI taxonomy name must be a string, not {type(name).__name__} {name!r}"
+        )
     stripped = name.strip()
-    match = _NAME_PATTERN.match(stripped)
+    if stripped != name:
+        raise TaxonomyError(
+            f"{name!r}: NI taxonomy name must not have surrounding whitespace "
+            f"(write {stripped!r})"
+        )
+    match = _NAME_PATTERN.match(name)
     if not match:
-        lax = _NAME_PATTERN_LAX.match(stripped)
+        lax = _NAME_PATTERN_LAX.match(name)
         if lax:
             candidate = (
                 f"{lax.group('prefix').upper()}{lax.group('size')}"
@@ -139,7 +149,7 @@ def parse_ni_name(name: str) -> NISpec:
             f"coherent CNI prefix"
         )
     return NISpec(
-        name=stripped,
+        name=name,
         coherent=prefix == "CNI",
         exposed_size=size,
         unit=unit,
@@ -150,39 +160,28 @@ def parse_ni_name(name: str) -> NISpec:
 #: The five devices evaluated in the paper.
 EVALUATED_DEVICES = ("NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm")
 
-#: The pinned implementations of the paper devices; `unregister_device`
-#: restores these if a plugin shadowed one of the names.
-_PAPER_CLASSES: Dict[str, Type[AbstractNI]] = {  # repro: allow[MUTSTATE] import-time device plugin registry
-    "NI2w": NI2w,
-    "CNI4": CNI4,
-    "CNI16Q": CNI16Q,
-    "CNI512Q": CNI512Q,
-    "CNI16Qm": CNI16Qm,
-}
-
-_DEVICE_CLASSES: Dict[str, Type[AbstractNI]] = dict(_PAPER_CLASSES)  # repro: allow[MUTSTATE] import-time device plugin registry
+_DEVICE_CLASSES: Dict[str, Type[AbstractNI]] = {}  # repro: allow[MUTSTATE] import-time device plugin registry
 
 
 def device_class(name: str) -> Type[AbstractNI]:
-    """Return the device class for a taxonomy name.
+    """Return the class that implements device ``name``.
 
-    Explicitly registered devices (the five evaluated ones plus any
-    :func:`register_device` plugins) win; every other *legal* taxonomy name
-    is synthesized on demand from the primitive components by
-    :mod:`repro.ni.registry`, so the whole generative space is buildable.
-    Raises :class:`TaxonomyError` for names that are neither registered nor
-    valid taxonomy points.
+    A :func:`register_device` plugin is its registered class; every other
+    *legal* taxonomy name is its plan's family class
+    (:class:`~repro.ni.registry.DeviceSpec`), so the whole generative space
+    is buildable.  Raises :class:`TaxonomyError` for names that are neither
+    registered nor valid taxonomy points.
     """
     cls = _DEVICE_CLASSES.get(name)
     if cls is not None:
         return cls
-    from repro.ni.registry import synthesized_class
+    from repro.ni.registry import DeviceSpec
 
-    return synthesized_class(name)
+    return DeviceSpec.from_name(name).base_class
 
 
 def register_device(name: str, cls: Optional[Type[AbstractNI]] = None):
-    """Register a device implementation under a taxonomy name.
+    """Register a device implementation under a name.
 
     Either a plain call, ``register_device("MyNI", MyClass)``, or the
     decorator form — the public plugin hook::
@@ -208,34 +207,25 @@ def register_device(name: str, cls: Optional[Type[AbstractNI]] = None):
 
 
 def unregister_device(name: str) -> None:
-    """Remove a registered device (no-op for unknown names).
-
-    The five evaluated paper devices cannot be removed: unregistering one
-    of their names restores the original pinned implementation, so a
-    plugin that shadowed a paper device is always reversible.
-    """
-    original = _PAPER_CLASSES.get(name)
-    if original is not None:
-        _DEVICE_CLASSES[name] = original
-    else:
-        _DEVICE_CLASSES.pop(name, None)
+    """Remove a registered device (no-op for unknown names); a taxonomy
+    name it shadowed builds from its plan again."""
+    _DEVICE_CLASSES.pop(name, None)
 
 
 @dataclass(frozen=True)
 class DeviceInfo:
     """Metadata for one registered or generable device.
 
-    ``cls_name`` names the *implementing* class: the registered class for
-    explicit devices, the family base class (e.g. ``UncachedNI``) for
-    generated entries — the synthesized subclass itself is named after the
-    taxonomy name and only exists once the device is actually built.
+    ``cls_name`` names the implementing class: the registered class for a
+    plugin, the plan's family class (e.g. ``UncachedNI``) for a taxonomy
+    point.
     """
 
     name: str
     cls_name: str
     spec: Optional[NISpec]    # parsed taxonomy form, None if unparseable
     tunables: Tuple[str, ...]  # constructor kwargs accepted via ni_kwargs
-    generated: bool = False    # synthesized from the generative registry
+    generated: bool = False    # built from its taxonomy plan, not a plugin
 
     def describe(self) -> str:
         if self.spec is not None:
@@ -259,37 +249,26 @@ def _device_info(name: str, cls: Type[AbstractNI], generated: bool) -> DeviceInf
 
 
 def available_devices(generative: bool = True) -> Tuple[DeviceInfo, ...]:
-    """Metadata for every buildable device, sorted by taxonomy name.
+    """Metadata for every buildable device, sorted by name.
 
-    Explicitly registered devices (the five evaluated ones plus plugins)
-    come flagged ``generated=False``; with ``generative`` (the default) the
-    enumeration also covers the registry's canonical sample of the
-    generative space (:data:`repro.ni.registry.GENERATIVE_SAMPLE` — the
-    space itself is unbounded: any legal ``NI_iX``/``CNI_iX`` name builds).
-    Each entry carries the parsed :class:`NISpec` (when the name follows
-    the taxonomy grammar) and the constructor keywords the device accepts
-    through ``ni_kwargs``.
+    Registered plugins come flagged ``generated=False``; with ``generative``
+    (the default) the enumeration also covers the registry's canonical
+    sample of the generative space (:data:`repro.ni.registry.GENERATIVE_SAMPLE`,
+    the paper's five included — the space itself is unbounded: any legal
+    ``NI_iX``/``CNI_iX`` name builds).  Each entry carries the parsed
+    :class:`NISpec` (when the name follows the taxonomy grammar) and the
+    constructor keywords the device accepts through ``ni_kwargs``.
     """
     entries: Dict[str, DeviceInfo] = {
         name: _device_info(name, cls, generated=False)
         for name, cls in _DEVICE_CLASSES.items()
     }
     if generative:
-        from repro.ni.registry import GENERATIVE_SAMPLE, DeviceSpec
+        from repro.ni.registry import GENERATIVE_SAMPLE
 
         for name in GENERATIVE_SAMPLE:
-            if name in entries:
-                continue
-            # Metadata comes straight from the build plan — enumerating
-            # the space must not synthesize (and cache) device classes.
-            plan = DeviceSpec.from_name(name)
-            entries[name] = DeviceInfo(
-                name=name,
-                cls_name=plan.base_class.__name__,
-                spec=plan.spec,
-                tunables=tuple(sorted(_allowed_ni_kwargs(plan.base_class))),
-                generated=True,
-            )
+            if name not in entries:
+                entries[name] = _device_info(name, device_class(name), generated=True)
     return tuple(entries[name] for name in sorted(entries))
 
 
@@ -302,7 +281,7 @@ def available_device_names(generative: bool = True) -> Tuple[str, ...]:
 #: never acceptable through user-facing ``ni_kwargs``.
 _INFRA_PARAMS: FrozenSet[str] = frozenset(
     {"self", "sim", "node_id", "params", "addrmap", "interconnect", "fabric",
-     "bus_kind", "dram_allocator"}
+     "bus_kind", "dram_allocator", "taxonomy_name"}
 )
 
 _ALLOWED_KWARGS_CACHE: Dict[type, FrozenSet[str]] = {}  # repro: allow[MUTSTATE] memo keyed by device class, machine-free
@@ -367,13 +346,23 @@ def validate_ni_kwargs(name: str, ni_kwargs: Optional[Mapping] = None) -> None:
 
 
 def create_ni(name: str, *args, **kwargs) -> AbstractNI:
-    """Instantiate a device by taxonomy name.
+    """Build device ``name``; the one way a device is instantiated.
 
     Positional/keyword arguments are forwarded to the device constructor
-    (simulator, node id, params, address map, interconnect, fabric, ...).
+    (simulator, node id, params, address map, interconnect, fabric, ...,
+    and the device's ``ni_kwargs``).  A :func:`register_device` plugin is
+    instantiated as registered; every other name builds its
+    :class:`~repro.ni.registry.DeviceSpec` plan's family class with the
+    plan's sizing overlaid by ``kwargs`` (:meth:`DeviceSpec.sizing`).  The
+    device is named ``name`` either way (``taxonomy_name``).
     """
-    cls = device_class(name)
-    return cls(*args, **kwargs)
+    cls = _DEVICE_CLASSES.get(name)
+    if cls is None:
+        from repro.ni.registry import DeviceSpec
+
+        plan = DeviceSpec.from_name(name)
+        cls, kwargs = plan.base_class, plan.sizing(kwargs)
+    return cls(*args, taxonomy_name=name, **kwargs)
 
 
 def classify_existing_machines() -> Dict[str, str]:

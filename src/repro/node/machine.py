@@ -261,42 +261,9 @@ class Machine:
             for agent in interconnect.agents:
                 if agent not in owned:
                     owned.append(agent)
-            # Device ports and their signals, when the device is composed.
-            for port_name in ("send_port", "recv_port"):
-                port = getattr(node.ni, port_name, None)
-                if port is not None:
-                    owned.append(port)
+            owned += [node.ni.send_port, node.ni.recv_port]
             parts[f"node{node.node_id}"] = tuple(owned)
         return parts
-
-    # ------------------------------------------------------------------
-    # Device space
-    # ------------------------------------------------------------------
-    @staticmethod
-    def available_devices(generative: bool = True):
-        """Every NI the machine can be built with (see the device registry).
-
-        Convenience passthrough to
-        :func:`repro.ni.taxonomy.available_devices`, so callers assembling
-        machines can enumerate the generative taxonomy space from the same
-        front door they build from.
-        """
-        from repro.ni.taxonomy import available_devices
-
-        return available_devices(generative=generative)
-
-    def device_info(self):
-        """Parsed taxonomy metadata for each node's device (None for nodes
-        whose device name does not follow the taxonomy grammar)."""
-        from repro.ni.taxonomy import TaxonomyError, parse_ni_name
-
-        infos = []
-        for node in self.nodes:
-            try:
-                infos.append(parse_ni_name(node.config.ni_name))
-            except TaxonomyError:
-                infos.append(None)
-        return infos
 
     # ------------------------------------------------------------------
     # Reporting

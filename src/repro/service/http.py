@@ -52,7 +52,6 @@ from repro.api.kinds import point_cost
 from repro.api.results import RunResult
 from repro.api.runner import run_point_guarded, run_point_here
 from repro.api.spec import ExperimentSpec, SpecError, SweepSpec
-from repro.ni.taxonomy import TaxonomyError
 from repro.service.dedup import DedupError, InFlightRegistry
 from repro.service.store import CorruptEntryError, ResultStore
 
@@ -175,9 +174,9 @@ class ExperimentService:
     # Spec parsing
     # ------------------------------------------------------------------
     @staticmethod
-    def parse_spec(body: Dict[str, Any]) -> ExperimentSpec:
+    def parse_spec(body: Any) -> ExperimentSpec:
         """A validated spec from a request body (bare spec or ``{"spec": …}``)."""
-        if "spec" in body and isinstance(body["spec"], dict):
+        if isinstance(body, dict) and isinstance(body.get("spec"), dict):
             body = body["spec"]
         return ExperimentSpec.from_dict(body).validate()
 
@@ -630,7 +629,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.service.bump("run_requests")
         try:
             spec = self.service.parse_spec(body)
-        except (SpecError, TaxonomyError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:  # every grammar error is a ValueError
             self._send_error_json(400, f"invalid spec: {exc}")
             return
         query = parse_qs(url.query)
@@ -683,7 +682,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             points = self.service.parse_sweep(body)
-        except (SpecError, TaxonomyError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             self._send_error_json(400, f"invalid sweep: {exc}")
             return
         if not points:

@@ -365,22 +365,24 @@ class TestStoreKeysAndLayout:
 
     #: ``ResultStore.cache_key`` per kind.  A drift orphans every stored
     #: entry, so a change here must be deliberate (and bump a schema).
+    #: All three fold DEVICE_SCHEMA_VERSION, now 3 (CNI{n}Q receive caches
+    #: follow an overridden receive queue).
     PINNED_KEYS = [
         (
             dict(kind="latency", device="NI2w", bus="memory", message_bytes=64,
                  iterations=10),
-            "22bc4f7b5b24f4f0044a409f373ffb440c7dd18494df201667483b0bf1737798",
+            "c9437c61d1c6fe6debb65839c1e727300401e4bcc9567ed0504edcc3d4036ee5",
         ),
         (
             dict(kind="macro", device="CNI16Qm", bus="memory", workload="gauss",
                  num_nodes=4, scale=0.25),
-            "e12ea68c8c5e431f44a45c33fc521a85fa0e933aaf8f453c3dd2381106db6674",
+            "ca06c5f3d3c19f08edd06da6159add1e2ccda353624d86942c8d1b957d77a383",
         ),
         (
             # Folds WORKLOAD_SCHEMA_VERSION, now 2 (fault keys on traffic).
             dict(kind="traffic", device="CNI16Qm", bus="memory", workload="uniform",
                  num_nodes=4, scale=0.25),
-            "0ea4da2d894a5de4434a3f303a14d6fe71f8bb79e3115875e73bb412abb935e6",
+            "ac67808f576e56e5b245846e7826f412fdb21eba5551d8413cb7c466d5eb83d9",
         ),
     ]
 

@@ -2,6 +2,8 @@
 the plugin API, the device-space presets and cache invalidation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_machine, run_ping_pong, run_stream
 from repro.api import (
@@ -12,11 +14,18 @@ from repro.api import (
 )
 from repro.api.spec import SpecError
 from repro.common.types import BusKind
-from repro.ni import ComposedNI, NI2w, register_device, unregister_device
+from repro.ni import (
+    AbstractNI,
+    CdrNI,
+    DeviceSpec,
+    UncachedNI,
+    register_device,
+    unregister_device,
+)
 from repro.ni.primitives import UncachedRecvPort, UncachedSendPort
 from repro.service.store import ResultStore
 
-#: Taxonomy points the paper never evaluated, all synthesized by the registry.
+#: Taxonomy points the paper never evaluated, each built from its plan.
 NEW_POINTS = ("NI16w", "NI128Q", "CNI64Q", "CNI16", "CNI4Qm")
 
 
@@ -108,11 +117,14 @@ class TestGeneratedDeviceMechanics:
 
 class TestGeneratedClassHygiene:
     def test_no_infrastructure_params_leak_into_tunables(self):
-        """The synthesized __init__ must not advertise its self parameter."""
+        """Neither ``self`` nor the name create_ni passes is a tunable."""
         from repro.ni import TaxonomyError, available_devices
 
         for info in available_devices():
             assert "ni_self" not in info.tunables and "self" not in info.tunables
+            assert "taxonomy_name" not in info.tunables
+        with pytest.raises(TaxonomyError):
+            ExperimentSpec(device="CNI64Q", ni_kwargs={"taxonomy_name": "x"}).validate()
         with pytest.raises(TaxonomyError):
             ExperimentSpec(device="CNI64Q", ni_kwargs={"ni_self": 1}).validate()
 
@@ -146,15 +158,6 @@ class TestGeneratedClassHygiene:
         with pytest.raises(NIError, match="whole number"):
             build_machine("CNI4", "memory", num_nodes=2, cdr_blocks=6)
 
-    def test_synthesized_classes_pickle(self):
-        import pickle
-
-        from repro.ni import device_class
-
-        cls = device_class("CNI64Q")
-        assert pickle.loads(pickle.dumps(cls)) is cls
-        assert cls.__module__ == "repro.ni.registry"
-
     def test_case_hint_only_suggests_legal_names(self):
         from repro.ni import TaxonomyError, parse_ni_name
 
@@ -163,6 +166,72 @@ class TestGeneratedClassHygiene:
         assert "did you mean" not in str(excinfo.value)
         with pytest.raises(TaxonomyError, match="did you mean 'CNI4'"):
             parse_ni_name("cni4")
+
+
+#: Whole 4-block network messages, the unit every block-sized axis takes.
+_BLOCKS = st.integers(min_value=1, max_value=16).map(lambda k: 4 * k)
+
+
+@st.composite
+def _device_and_overrides(draw):
+    """A legal taxonomy name from one of the six name shapes, plus legal
+    ``ni_kwargs`` overrides of its family's sizing axes."""
+    shape = draw(st.sampled_from(["NI{}w", "NI{}", "NI{}Q", "CNI{}", "CNI{}Q", "CNI{}Qm"]))
+    size = draw(st.integers(min_value=1, max_value=16) if shape == "NI{}w" else _BLOCKS)
+    overrides = {}
+    if shape.startswith("NI"):
+        axis = draw(st.sampled_from([None, "fifo_messages", "queue_blocks"]))
+        if axis == "fifo_messages":
+            overrides[axis] = draw(st.integers(min_value=1, max_value=16))
+        elif axis == "queue_blocks":
+            overrides[axis] = draw(_BLOCKS)
+        if draw(st.booleans()):
+            overrides["explicit_pointers"] = draw(st.booleans())
+    elif shape == "CNI{}":
+        if draw(st.booleans()):
+            overrides["cdr_blocks"] = draw(_BLOCKS)
+    else:
+        for key in ("send_queue_blocks", "recv_queue_blocks", "recv_cache_blocks"):
+            if draw(st.booleans()):
+                overrides[key] = draw(_BLOCKS)
+    return shape.format(size), overrides
+
+
+class TestOneBuildPath:
+    """Every taxonomy name, the paper's five included, is its plan's family
+    class sized by the plan overlaid by the caller's ``ni_kwargs``."""
+
+    @given(_device_and_overrides())
+    @example(("CNI64Q", {"recv_queue_blocks": 128}))
+    @example(("CNI16Q", {"recv_queue_blocks": 128}))
+    @example(("NI2w", {"queue_blocks": 16}))
+    @settings(max_examples=40, deadline=None)
+    def test_built_sizing_is_plan_overlaid_by_overrides(self, drawn):
+        name, overrides = drawn
+        plan = dict(DeviceSpec.from_name(name).defaults)
+        if {"fifo_messages", "queue_blocks"} & set(overrides):
+            # One sizing axis overridden: the plan's default on the other goes.
+            plan.pop("fifo_messages", None)
+            plan.pop("queue_blocks", None)
+        want = {**plan, **overrides}
+        ni = build_machine(name, "memory", num_nodes=2, **overrides).nodes[0].ni
+        if isinstance(ni, UncachedNI):
+            fifo = want.get("fifo_messages") or want["queue_blocks"] // 4
+            assert ni.fifo_messages == fifo
+            assert ni.explicit_pointers == want.get("explicit_pointers", False)
+        elif isinstance(ni, CdrNI):
+            assert ni.cdr_blocks == want["cdr_blocks"]
+        else:
+            assert ni.send_q.num_blocks == want["send_queue_blocks"]
+            assert ni.recv_q.num_blocks == want["recv_queue_blocks"]
+            assert ni.recv_home == want["recv_home"]
+            cache_blocks = want.get("recv_cache_blocks", want["recv_queue_blocks"])
+            assert ni.recv_cache.num_sets == cache_blocks
+            if name.endswith("Q") and "recv_cache_blocks" not in overrides:
+                # A device-homed queue is cached whole, whatever its size.
+                assert ni.recv_cache.num_sets == ni.recv_q.num_blocks
+        assert type(ni) is DeviceSpec.from_name(name).base_class
+        assert ni.name == f"node0.{name}"
 
 
 class TestBusPlacementRules:
@@ -193,19 +262,15 @@ class TestBusPlacementRules:
 class TestPluginDevices:
     def test_composed_plugin_runs_a_workload(self):
         @register_device("KitTestNI")
-        class KitTestNI(ComposedNI):
-            taxonomy_name = "KitTestNI"
-
+        class KitTestNI(AbstractNI):
             def __init__(self, *args, fifo_messages=8, **kwargs):
                 super().__init__(*args, **kwargs)
                 send_status = self.allocate_uncached_register()
                 send_data = self.allocate_uncached_register()
                 recv_status = self.allocate_uncached_register()
                 recv_data = self.allocate_uncached_register()
-                self._attach_ports(
-                    UncachedSendPort(self, send_data, send_status, fifo_messages),
-                    UncachedRecvPort(self, recv_data, recv_status, fifo_messages),
-                )
+                self.send_port = UncachedSendPort(self, send_data, send_status, fifo_messages)
+                self.recv_port = UncachedRecvPort(self, recv_data, recv_status, fifo_messages)
 
         try:
             spec = ExperimentSpec(
@@ -222,8 +287,8 @@ class TestPluginDevices:
         generated = device_class("NI8w")
 
         @register_device("NI8w")
-        class CustomNI8w(NI2w):
-            taxonomy_name = "NI8w"
+        class CustomNI8w(UncachedNI):
+            pass
 
         try:
             assert device_class("NI8w") is CustomNI8w
@@ -242,6 +307,8 @@ class TestPluginDevices:
         loader.loader.exec_module(module)
         try:
             machine = build_machine("HybridNI", "memory", num_nodes=2)
+            # The registered name names the device.
+            assert machine.nodes[0].ni.name == "node0.HybridNI"
             assert run_stream(machine, payload_bytes=244, count=6) == 6
             # Coherent send path: message-ready uncached stores, not words.
             assert machine.nodes[0].ni.stats.get("message_ready_signals") == 6
@@ -339,16 +406,3 @@ class TestCacheSchemaInvalidation:
             json.dump(payload, handle)
         assert cache.get(spec) is None
 
-
-class TestMachineDeviceSpace:
-    def test_machine_enumerates_devices(self):
-        from repro.node.machine import Machine
-
-        names = {info.name for info in Machine.available_devices()}
-        assert {"NI2w", "NI16w", "NI128Q", "CNI64Q"} <= names
-
-    def test_machine_device_info(self):
-        machine = build_machine("CNI64Q", "memory", num_nodes=2)
-        infos = machine.device_info()
-        assert len(infos) == 2
-        assert all(info.exposed_size == 64 and info.queue == "Q" for info in infos)

@@ -88,6 +88,16 @@ class TestFabricGrammar:
         with pytest.raises(FabricError, match="leading zeros"):
             parse_fabric_name("mesh04x4")
 
+    @pytest.mark.parametrize("padded", [" mesh4x4", "mesh4x4 ", "\tideal"])
+    def test_padded_names_rejected_with_canonical_hint(self, padded):
+        """' mesh4x4' must not alias 'mesh4x4' into a distinct spec hash."""
+        with pytest.raises(FabricError, match=f"write {padded.strip()!r}"):
+            parse_fabric_name(padded)
+
+    def test_non_string_name_rejected(self):
+        with pytest.raises(FabricError, match="must be a string"):
+            parse_fabric_name(5)
+
     def test_zero_dims_rejected(self):
         with pytest.raises(FabricError, match="positive"):
             parse_fabric_name("mesh0x4")

@@ -499,6 +499,30 @@ class TestHttpService:
         status, _, _ = _request(service.base_url + "/run", data=b"not json {")
         assert status == 400
 
+    @pytest.mark.parametrize("endpoint", ["/run", "/batch"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"num_nodes": 8, "params": {"fabric": "mesh4x4"}},
+            {"params": {"protocol": "nope"}},
+            {"params": {"faults": "nope"}},
+            {"params": {"sliding_window": 0}},
+            {"device": 5},
+            [],
+        ],
+        ids=["fabric", "protocol", "faults", "sliding-window", "device-int", "list"],
+    )
+    def test_malformed_spec_is_400(self, service, endpoint, bad):
+        """Each is a spec on /run and a batch's one point on /batch; the
+        grammar errors behind them are ValueErrors, and a list is no spec."""
+        body = bad if endpoint == "/run" else [bad]
+        status, _, payload = _request(
+            service.base_url + endpoint, data=json.dumps(body).encode()
+        )
+        assert status == 400, payload
+        assert json.loads(payload)["error"].startswith("invalid")
+        assert service.counters["runs_completed"] == 0
+
     def test_get_result_warm_serves_without_machine(self, service, monkeypatch):
         spec = quick_spec()
         _request(service.base_url + "/run", data=json.dumps(spec.to_dict()).encode())

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.ni import (
-    CNI4,
-    CNI16Q,
-    CNI512Q,
-    CNI16Qm,
-    NI2w,
+    CdrNI,
+    CoherentQueueNI,
     TaxonomyError,
+    UncachedNI,
     available_devices,
     classify_existing_machines,
     device_class,
@@ -83,6 +81,17 @@ class TestParser:
         with pytest.raises(TaxonomyError, match="unit"):
             parse_ni_name("CNI4w")
 
+    @pytest.mark.parametrize("padded", [" NI2w", "NI2w ", "\tCNI16Qm\n"])
+    def test_padded_names_rejected_with_canonical_hint(self, padded):
+        """' NI2w' must not alias 'NI2w' into a distinct spec hash."""
+        with pytest.raises(TaxonomyError, match=f"write {padded.strip()!r}"):
+            parse_ni_name(padded)
+
+    @pytest.mark.parametrize("bad", [5, None, ["NI2w"]])
+    def test_non_string_names_rejected(self, bad):
+        with pytest.raises(TaxonomyError, match="must be a string"):
+            parse_ni_name(bad)
+
     @pytest.mark.parametrize("lower", ["cni4", "ni2W", "CNI16qm", "cNi16Q"])
     def test_lowercase_names_rejected_with_case_hint(self, lower):
         with pytest.raises(TaxonomyError, match="case-sensitive"):
@@ -119,21 +128,21 @@ class TestParser:
 
 class TestFactory:
     def test_evaluated_devices_resolve_to_classes(self):
-        assert device_class("NI2w") is NI2w
-        assert device_class("CNI4") is CNI4
-        assert device_class("CNI16Q") is CNI16Q
-        assert device_class("CNI512Q") is CNI512Q
-        assert device_class("CNI16Qm") is CNI16Qm
+        """The paper's five are their plans' family classes, like any point."""
+        assert device_class("NI2w") is UncachedNI
+        assert device_class("CNI4") is CdrNI
+        assert device_class("CNI16Q") is CoherentQueueNI
+        assert device_class("CNI512Q") is CoherentQueueNI
+        assert device_class("CNI16Qm") is CoherentQueueNI
 
     def test_any_legal_taxonomy_point_resolves(self):
-        """The registry synthesizes classes for the whole generative space."""
+        """Every legal name resolves to its plan's family class."""
+        from repro.ni.registry import DeviceSpec
+
         for name in ("CNI1024Q", "NI16w", "NI128Q", "CNI64Q", "CNI16", "CNI4Qm"):
             cls = device_class(name)
             assert issubclass(cls, AbstractNI)
-            assert cls.taxonomy_name == name
-
-    def test_synthesized_classes_are_memoised(self):
-        assert device_class("CNI64Q") is device_class("CNI64Q")
+            assert cls is DeviceSpec.from_name(name).base_class
 
     def test_illegal_names_still_rejected(self):
         with pytest.raises(TaxonomyError):
@@ -170,8 +179,8 @@ class TestFactory:
         assert set(EVALUATED_DEVICES) <= set(names)
 
     def test_unparseable_registered_name_yields_none_spec(self):
-        class OddNI(NI2w):
-            taxonomy_name = "weird-device"
+        class OddNI(UncachedNI):
+            pass
 
         register_device("weird-device", OddNI)
         try:
@@ -183,8 +192,8 @@ class TestFactory:
             _DEVICE_CLASSES.pop("weird-device", None)
 
     def test_register_custom_device(self):
-        class MyNI(NI2w):
-            taxonomy_name = "NI4w"
+        class MyNI(UncachedNI):
+            pass
 
         register_device("NI4w", MyNI)
         try:
@@ -216,27 +225,12 @@ class TestRegistry:
             "recv_cache_blocks": 4, "recv_home": "memory",
         }
 
-    def test_paper_devices_plan_matches_their_handwritten_classes(self):
-        """The generative plan for the paper names mirrors the pinned classes."""
-        from repro.ni.registry import DeviceSpec
-
-        assert DeviceSpec.from_name("NI2w").ni_defaults == {"fifo_messages": 4}
-        assert DeviceSpec.from_name("CNI4").ni_defaults == {"cdr_blocks": 4}
-        assert DeviceSpec.from_name("CNI16Q").ni_defaults == {
-            "send_queue_blocks": 16, "recv_queue_blocks": 16,
-            "recv_cache_blocks": 16, "recv_home": "device",
-        }
-        assert DeviceSpec.from_name("CNI16Qm").ni_defaults == {
-            "send_queue_blocks": 16, "recv_queue_blocks": 512,
-            "recv_cache_blocks": 16, "recv_home": "memory",
-        }
-
     def test_register_device_decorator_form(self):
-        from repro.ni import NI2w, register_device, unregister_device
+        from repro.ni import register_device, unregister_device
 
         @register_device("TestPluginNI")
-        class PluginNI(NI2w):
-            taxonomy_name = "TestPluginNI"
+        class PluginNI(UncachedNI):
+            pass
 
         try:
             assert device_class("TestPluginNI") is PluginNI
@@ -246,24 +240,26 @@ class TestRegistry:
             device_class("TestPluginNI")
 
     def test_unregister_restores_shadowed_paper_devices(self):
-        from repro.ni import NI2w, register_device, unregister_device
+        from repro.ni import register_device, unregister_device
 
-        class ShadowNI(NI2w):
-            taxonomy_name = "NI2w"
+        class ShadowNI(UncachedNI):
+            pass
 
         register_device("NI2w", ShadowNI)
         try:
             assert device_class("NI2w") is ShadowNI
         finally:
             unregister_device("NI2w")
-        assert device_class("NI2w") is NI2w
+        assert device_class("NI2w") is UncachedNI
 
     def test_available_devices_enumerates_generative_space(self):
         infos = {info.name: info for info in available_devices()}
         # Classified machines from the paper's Section 3 are all buildable.
         for name in ("NI2w", "NI16w", "NI128Q"):
             assert name in infos
-        assert infos["NI16w"].generated and not infos["NI2w"].generated
+        # The paper's devices are taxonomy points like any other.
+        assert infos["NI16w"].generated and infos["NI2w"].generated
+        assert infos["NI2w"].cls_name == "UncachedNI"
         assert "generated" in infos["NI16w"].describe()
         names = [info.name for info in available_devices()]
         assert names == sorted(names)
@@ -282,7 +278,7 @@ class TestRegistry:
     def test_device_schema_version_exported(self):
         from repro.ni import DEVICE_SCHEMA_VERSION
 
-        assert isinstance(DEVICE_SCHEMA_VERSION, int) and DEVICE_SCHEMA_VERSION >= 2
+        assert isinstance(DEVICE_SCHEMA_VERSION, int) and DEVICE_SCHEMA_VERSION >= 3
 
 
 class TestNiKwargsValidation:
