@@ -18,11 +18,10 @@ Each :class:`KindSpec` bundles the per-kind hooks:
     the human-readable "what" fragment of ``spec.describe()``.
 ``cost``
     rough relative wall-clock cost, used only to order parallel work.
-``folds_workload_schema``
-    widen the result-store key with :data:`WORKLOAD_SCHEMA_VERSION
-    <repro.apps.registry.WORKLOAD_SCHEMA_VERSION>`.  Only the traffic kind
-    opts in; the legacy kinds keep their exact pre-registry cache
-    identity.
+
+A kind has no say in its store key: every kind's results are keyed by the
+spec hash and :data:`repro.service.store.STORE_SCHEMA_VERSION`, which is
+bumped whenever a kind's metric set or measurement changes.
 
 ``KINDS`` stays importable from here (and re-exported by ``spec.py``) as a
 *live* sequence view of the registered names, so historic
@@ -52,14 +51,13 @@ def _spec_error(message: str):
 
 @dataclass(frozen=True)
 class KindSpec:
-    """One registered experiment kind: its hooks and cache identity."""
+    """One registered experiment kind and its hooks."""
 
     name: str
     measure: MeasureFn
     validate: Optional[SpecHook] = None
     describe: Optional[Callable[["ExperimentSpec"], str]] = None
     cost: Optional[Callable[["ExperimentSpec"], float]] = None
-    folds_workload_schema: bool = False
     doc: str = ""
 
 
@@ -111,7 +109,6 @@ def register_kind(
     validate: Optional[SpecHook] = None,
     describe: Optional[Callable[["ExperimentSpec"], str]] = None,
     cost: Optional[Callable[["ExperimentSpec"], float]] = None,
-    folds_workload_schema: bool = False,
     doc: str = "",
     replace: bool = False,
 ):
@@ -149,7 +146,6 @@ def register_kind(
             validate=validate,
             describe=describe,
             cost=cost,
-            folds_workload_schema=folds_workload_schema,
             doc=doc or (measure_fn.__doc__ or "").strip().split("\n")[0],
         )
         return measure_fn
@@ -185,28 +181,6 @@ def check_kind(name: str) -> None:
     """Membership check with the historic error message."""
     if name not in _REGISTRY:
         raise _spec_error(f"unknown experiment kind {name!r}; choose from {KINDS}")
-
-
-def folds_workload_schema(name: Optional[str]) -> bool:
-    """Whether this kind's cache identity includes the workload schema."""
-    spec = _REGISTRY.get(name) if isinstance(name, str) else None
-    return False if spec is None else spec.folds_workload_schema
-
-
-def workload_schema_version() -> int:
-    """The live workload schema stamp (looked up at call time so tests can
-    monkeypatch :mod:`repro.apps.registry` and watch keys change)."""
-    from repro.apps import registry as workload_registry
-
-    return workload_registry.WORKLOAD_SCHEMA_VERSION
-
-
-def cache_suffix(spec: "ExperimentSpec") -> str:
-    """Extra cache-key components for ``spec``'s kind (empty for the
-    legacy kinds, whose keys must stay bit-identical to pre-registry)."""
-    if not folds_workload_schema(spec.kind):
-        return ""
-    return f":workload-schema-{workload_schema_version()}"
 
 
 def measure_point(spec: "ExperimentSpec") -> Dict[str, float]:
@@ -354,7 +328,6 @@ def _measure_macro(spec: "ExperimentSpec") -> Dict[str, float]:
     validate=_validate_traffic,
     describe=_describe_workload,
     cost=_cost_workload,
-    folds_workload_schema=True,
     doc="synthetic / fine-grain traffic pattern run",
 )
 def _measure_traffic(spec: "ExperimentSpec") -> Dict[str, float]:

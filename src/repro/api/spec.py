@@ -97,6 +97,10 @@ class ExperimentSpec:
         from repro.ni.taxonomy import validate_ni_kwargs
 
         check_kind(self.kind)
+        for name in ("workload_kwargs", "ni_kwargs", "params"):
+            value = getattr(self, name)
+            if not isinstance(value, Mapping):
+                raise SpecError(f"{name} must be a JSON object, not {type(value).__name__}")
         try:
             BusKind(self.bus)
         except ValueError:
@@ -307,9 +311,12 @@ class SweepSpec:
                 [ExperimentSpec.from_dict(p) for p in data["points"]],
                 name=data.get("name", ""),
             )
+        axes = data.get("axes", {})
+        if not isinstance(axes, Mapping):
+            raise SpecError(f"sweep axes must be a JSON object, not {type(axes).__name__}")
         return cls(
             base=ExperimentSpec.from_dict(data.get("base", {})),
-            axes={k: list(v) for k, v in data.get("axes", {}).items()},
+            axes={k: list(v) for k, v in axes.items()},
             name=data.get("name", ""),
         )
 

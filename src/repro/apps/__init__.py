@@ -13,7 +13,6 @@ from repro.apps.gauss import GaussWorkload
 from repro.apps.hang import HangWorkload
 from repro.apps.moldyn import MoldynWorkload
 from repro.apps.registry import (
-    WORKLOAD_SCHEMA_VERSION,
     WORKLOAD_TAGS,
     TagView,
     WorkloadError,
@@ -63,7 +62,6 @@ __all__ = [
     "AppbtWorkload",
     "MACROBENCHMARKS",
     "DIAGNOSTIC_WORKLOADS",
-    "WORKLOAD_SCHEMA_VERSION",
     "WORKLOAD_TAGS",
     "TagView",
     "WorkloadError",

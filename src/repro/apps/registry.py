@@ -12,11 +12,10 @@ by tag), and :class:`TagView` gives the old dict names live, read-only
 ``name -> class`` semantics over the registry so existing callers keep
 working unchanged.
 
-:data:`WORKLOAD_SCHEMA_VERSION` is this registry's schema stamp.  It joins
-the device/fabric/protocol schema versions in the result-store key — but
-only for experiment kinds that declare they depend on it (traffic); the
-latency, bandwidth and macro kinds keep their exact pre-registry cache
-identity.
+A change to a registered workload's pattern (message sizes, schedules,
+pacing) that alters an existing spec's result bumps
+:data:`repro.service.store.STORE_SCHEMA_VERSION`, so stored results
+computed under the old rules stop matching.
 """
 
 from __future__ import annotations
@@ -28,16 +27,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apps.workload import Workload
-
-#: Version of the workload-generation rules.  Bump when a registered
-#: workload's traffic pattern changes meaning (message sizes, schedules,
-#: pacing), or when the traffic kind's metric set changes: cached traffic
-#: results computed under the old rules must stop matching.
-#: Version 2: traffic results under a fault plan carry the ``fault_*``
-#: keys, as macro results always did.  Legacy macro results
-#: are unaffected — their cache keys never included this stamp and must
-#: stay bit-identical.
-WORKLOAD_SCHEMA_VERSION = 2
 
 #: Tags used by the shipped workloads.  Plugins may invent new tags; these
 #: are the ones presets, the CLI and the docs know about.

@@ -9,7 +9,6 @@ from repro.coherence.bus import BusError, NodeInterconnect, NACK_BACKOFF_CYCLES
 from repro.coherence.cache import CacheError, CoherentCache, MainMemory
 from repro.coherence.directory import HomeDirectory
 from repro.coherence.protocols import (
-    PROTOCOL_SCHEMA_VERSION,
     ProtocolError,
     ProtocolSpec,
     SnoopRule,
@@ -28,7 +27,6 @@ __all__ = [
     "CacheError",
     "MainMemory",
     "HomeDirectory",
-    "PROTOCOL_SCHEMA_VERSION",
     "ProtocolError",
     "ProtocolSpec",
     "SnoopRule",

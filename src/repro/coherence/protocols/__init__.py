@@ -8,7 +8,6 @@ rule-table grammar and the plugin how-to.
 """
 
 from repro.coherence.protocols.registry import (
-    PROTOCOL_SCHEMA_VERSION,
     available_protocols,
     is_builtin,
     protocol_spec,
@@ -27,7 +26,6 @@ from repro.coherence.protocols.spec import (
 from repro.coherence.protocols import tables as _tables  # noqa: F401  (registration side effect)
 
 __all__ = [
-    "PROTOCOL_SCHEMA_VERSION",
     "FILL_CONDITIONS",
     "ProtocolError",
     "ProtocolSpec",

@@ -2,10 +2,11 @@
 
 Mirrors the device registry (:mod:`repro.ni.registry`) and the fabric
 registry (:mod:`repro.network.registry`): built-in tables register at
-import, plugins register at runtime under their spec's name, and
-:data:`PROTOCOL_SCHEMA_VERSION` is folded into the result-cache key so
-cached sweep results computed under older transition rules stop matching
-when the rules change.
+import, and plugins register at runtime under their spec's name.  A change
+to a built-in table or to :class:`ProtocolSpec` semantics that alters an
+existing spec's result bumps
+:data:`repro.service.store.STORE_SCHEMA_VERSION`, so stored results
+computed under the old transition rules stop matching.
 
 Plugins use the plain call or the decorator form::
 
@@ -25,10 +26,6 @@ import functools
 from typing import Callable, Dict, Tuple, Union
 
 from repro.coherence.protocols.spec import ProtocolError, ProtocolSpec
-
-#: Bump when ProtocolSpec semantics or any built-in table changes in a way
-#: that alters simulated behaviour; stale cached results stop matching.
-PROTOCOL_SCHEMA_VERSION = 1
 
 _BUILTIN: Dict[str, ProtocolSpec] = {}  # repro: allow[MUTSTATE] import-time protocol plugin registry
 _REGISTRY: Dict[str, ProtocolSpec] = {}  # repro: allow[MUTSTATE] import-time protocol plugin registry

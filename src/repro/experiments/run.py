@@ -68,8 +68,8 @@ from repro.api import (
     scalability_sweep,
     speedups,
 )
-from repro.api.cache import DEFAULT_CACHE_DIR
 from repro.experiments import figures, report
+from repro.service.store import DEFAULT_CACHE_DIR
 
 
 def _print(text: str) -> None:

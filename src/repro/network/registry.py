@@ -7,7 +7,9 @@ the interconnect axis: a fabric *kind* (the grammar's leading word —
 :func:`create_fabric` builds the fabric a machine's parameters name.
 Plugins register new kinds with :func:`register_fabric` (plain call or
 decorator), after which their names parse everywhere a built-in name does
-— ``MachineParams(fabric="myfabric")``, experiment specs, sweeps.
+— ``MachineParams(fabric="myfabric")``, experiment specs, sweeps.  A change
+to a fabric's delivery timing that alters an existing spec's result bumps
+:data:`repro.service.store.STORE_SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ from repro.network.fabric import AbstractFabric, IdealFabric
 from repro.network.fabricspec import FabricError, FabricSpec, parse_fabric_name
 from repro.network.topology import CrossbarFabric, MeshFabric, TorusFabric
 from repro.sim import Simulator
-
-#: Version of the fabric timing semantics.  Bump whenever the way a
-#: fabric name maps to delivery timing changes (serialization formula,
-#: hop model, routing, contention rules): cached experiment results keyed
-#: under an older version are then invalidated by :mod:`repro.api.cache`,
-#: exactly as :data:`repro.ni.registry.DEVICE_SCHEMA_VERSION` does for
-#: device-construction semantics.
-FABRIC_SCHEMA_VERSION = 1
 
 #: The pinned built-in fabrics; ``unregister_fabric`` restores these if a
 #: plugin shadowed one of the kinds.

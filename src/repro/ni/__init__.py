@@ -18,7 +18,7 @@ from repro.ni.cni4 import CdrNI
 from repro.ni.cniq import CoherentQueueNI
 from repro.ni.cq import CachableQueue, QueueError, SenseReverseQueue, sense_for_pass
 from repro.ni.ni2w import UncachedNI
-from repro.ni.registry import DEVICE_SCHEMA_VERSION, GENERATIVE_SAMPLE, DeviceSpec
+from repro.ni.registry import GENERATIVE_SAMPLE, DeviceSpec
 from repro.ni.taxonomy import (
     EVALUATED_DEVICES,
     DeviceInfo,
@@ -59,7 +59,6 @@ __all__ = [
     "validate_ni_kwargs",
     "DeviceInfo",
     "DeviceSpec",
-    "DEVICE_SCHEMA_VERSION",
     "GENERATIVE_SAMPLE",
     "classify_existing_machines",
     "EVALUATED_DEVICES",

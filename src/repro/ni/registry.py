@@ -10,9 +10,11 @@ turns any legal taxonomy name into a build plan:
   (uncached registers, CDRs, or cachable queues), how the exposed region is
   sized and where the receive queue is homed, as the family constructor's
   keywords.  :func:`repro.ni.taxonomy.create_ni` builds every name that is
-  not a registered plugin from its plan, the paper's five included;
-* :data:`DEVICE_SCHEMA_VERSION` versions the construction semantics so the
-  on-disk result cache can invalidate entries computed under older rules.
+  not a registered plugin from its plan, the paper's five included.
+
+A change to these rules that alters an existing spec's result bumps
+:data:`repro.service.store.STORE_SCHEMA_VERSION`, so stored results
+computed under the old rules stop matching.
 
 Sizing rules (documented constants below):
 
@@ -41,13 +43,6 @@ from repro.ni.cni4 import CdrNI
 from repro.ni.cniq import CoherentQueueNI
 from repro.ni.ni2w import UncachedNI
 from repro.ni.taxonomy import NISpec, TaxonomyError, parse_ni_name
-
-#: Version of the device-construction semantics.  Bump whenever the way a
-#: taxonomy name maps to a concrete device changes (new sizing rules, new
-#: timing behaviour): cached experiment results keyed under an older
-#: version are then invalidated by :mod:`repro.api.cache`.  Version 3: a
-#: ``CNI{n}Q`` receive cache follows an overridden ``recv_queue_blocks``.
-DEVICE_SCHEMA_VERSION = 3
 
 #: FIFO messages per exposed word for the ``NI{n}w`` family (CM-5 anchor:
 #: NI2w buffers 4 messages behind its 2 exposed words).

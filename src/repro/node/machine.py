@@ -126,7 +126,7 @@ class Machine:
             num_nodes=spec.num_nodes,
             snarfing=spec.snarfing,
             params=machine_params,
-            ni_kwargs=dict(getattr(spec, "ni_kwargs", {}) or {}),
+            ni_kwargs=dict(spec.ni_kwargs),
             simulator=simulator,
         )
 

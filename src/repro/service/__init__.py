@@ -3,10 +3,12 @@
 The service layer turns :mod:`repro.api` from a library into a system:
 
 * :class:`~repro.service.store.ResultStore` — a concurrency-safe,
-  content-addressed result store (sharded directories, atomic writes,
-  per-entry metadata, pinning, LRU eviction with a byte budget) — the one
-  store the CLI, this service and every :class:`~repro.api.SweepRunner`
-  with a ``cache_dir`` read and write,
+  content-addressed result store: one file per result, keyed by the spec
+  hash and :data:`~repro.service.store.STORE_SCHEMA_VERSION`, in sharded
+  directories, written atomically, with pin files and LRU eviction by
+  last-hit mtime under a byte budget — the one store the CLI, this service
+  and every :class:`~repro.api.SweepRunner` with a ``cache_dir`` read and
+  write,
 * :class:`~repro.service.dedup.InFlightRegistry` — in-flight-run
   deduplication in the server's memory, so N concurrent identical requests
   trigger exactly one simulation,

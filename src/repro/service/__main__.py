@@ -18,9 +18,8 @@ import sys
 import threading
 from typing import List, Optional
 
-from repro.api.cache import DEFAULT_CACHE_DIR
 from repro.service.http import ExperimentService, make_server
-from repro.service.store import ResultStore
+from repro.service.store import DEFAULT_CACHE_DIR, ResultStore
 
 
 def main(argv: Optional[List[str]] = None) -> int:

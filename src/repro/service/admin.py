@@ -19,8 +19,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.api.cache import DEFAULT_CACHE_DIR
-from repro.service.store import ResultStore
+from repro.service.store import DEFAULT_CACHE_DIR, ResultStore
 
 
 def _human(n: float) -> str:
@@ -87,7 +86,7 @@ def cmd_ls(store: ResultStore, args: argparse.Namespace) -> int:
         ) or "-"
         print(
             f"{info.key[:16]}  {flags:<4} {info.kind:<10} {_human(info.size):>10}  "
-            f"hits={info.hits:<5} last-hit={_age(info.last_hit)}"
+            f"last-hit={_age(info.last_hit)}"
         )
         shown += 1
     if not shown:
@@ -101,7 +100,7 @@ def cmd_gc(store: ResultStore, args: argparse.Namespace) -> int:
     print(
         f"gc {store.directory!r}: {verb} {report['stale']} stale + "
         f"{report['corrupt']} corrupt entries ({_human(report['bytes'])}), "
-        f"{report['orphan_meta']} orphan sidecars, {report['tmp']} temp files"
+        f"{report['tmp']} temp files"
     )
     if args.max_bytes is not None and not args.dry_run:
         evicted = store.enforce_budget(args.max_bytes)
@@ -145,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_stats.add_argument("--json", action="store_true", help="machine-readable output")
     p_ls = sub.add_parser("ls", help="list entries, most recently hit first")
     p_ls.add_argument("--all", action="store_true", help="include stale/corrupt entries")
-    p_gc = sub.add_parser("gc", help="prune stale-schema and corrupt entries")
+    p_gc = sub.add_parser("gc", help="prune stale and corrupt entries")
     p_gc.add_argument("--dry-run", action="store_true", help="report without deleting")
     p_gc.add_argument(
         "--max-bytes", type=int, default=None,

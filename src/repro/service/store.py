@@ -1,33 +1,36 @@
-"""Concurrency-safe content-addressed result store.
+"""Concurrency-safe content-addressed result store: one file per result.
 
 :class:`ResultStore` is the one on-disk store every experiment kind goes
 through: the CLI, the HTTP service and any :class:`~repro.api.SweepRunner`
-given a ``cache_dir`` read and write it.  Entries are keyed by the spec hash
-widened with the DEVICE/FABRIC/PROTOCOL schema versions (see
-:meth:`ResultStore.cache_key`) and encoded by :mod:`repro.api.cache`.  The
-store has the properties needed once many processes hammer it:
+given a ``cache_dir`` read and write it.  A stored result is one file,
+``ab/cd/<key>.json`` for key ``abcd…``, holding :meth:`RunResult.to_dict`
+and nothing else, under one key rule:
 
-* **Sharded layout.**  Entries live under two-level fan-out directories
-  (``ab/cd/<key>.json`` for key ``abcd…``), so a store holding hundreds of
-  thousands of results never puts them all in one directory.
-* **Atomic writes.**  Entry and metadata files are written tempfile-first
-  and ``os.replace``\\ d into place: concurrent writers of the same key race
+* **One key rule.**  :func:`cache_key` is the sha256 of the spec hash and
+  :data:`STORE_SCHEMA_VERSION`.  An entry is current exactly when it
+  decodes and its own spec's key is its file name; anything else is a
+  miss to every read and ``stale`` (or ``corrupt``) to gc.
+* **Sharded layout.**  The two-level fan-out directories keep a store
+  holding hundreds of thousands of results out of any one directory.
+* **Atomic writes.**  Entries are written tempfile-first and
+  ``os.replace``\\ d into place: concurrent writers of the same key race
   safely (each lands a complete entry; last rename wins) and a crashed
   writer never leaves a torn file.
-* **Per-entry metadata.**  A ``<key>.meta.json`` sidecar records created /
-  last-hit timestamps, a hit counter, the entry's byte size, its strong
-  ETag (sha256 of the entry bytes, computed at write time), and a ``pinned``
-  flag.  Metadata updates are best-effort read-modify-write — a lost
-  last-hit update only makes the LRU ordering approximate, never unsafe.
+* **File metadata only.**  The ETag is the sha256 of the bytes served.  A
+  hit sets the entry's mtime, which is its last-hit time.  A pin is an
+  empty ``<key>.pin`` file beside the entry, so it survives hits and
+  re-puts, and no update of one file can lose another's.
 * **LRU eviction with a byte budget.**  ``budget_bytes`` caps the store;
   :meth:`enforce_budget` evicts least-recently-hit entries until under
-  budget.  Pinned (golden) entries are **never** evicted, even if the
-  pinned set alone exceeds the budget.
+  budget, from directory listings and ``os.stat`` alone.  Pinned (golden)
+  entries are **never** evicted, even if the pinned set alone exceeds the
+  budget.
 * **Key-addressed reads.**  :meth:`read_entry` serves the raw entry bytes
   plus ETag for a bare key — the HTTP layer's pure read path, which never
-  parses a spec or constructs a Machine.  Given the spec too, the same one
-  read makes every check :meth:`get` makes, so a warm ``POST /run`` is
-  answered from a single read of its entry.
+  parses a spec or constructs a Machine, so an entry whose kind no longer
+  exists is still served.  Given the spec too, the same one read makes
+  every check :meth:`get` makes, so a warm ``POST /run`` is answered from
+  a single read of its entry.
 
 Files outside the sharded layout (such as the flat ``<kind>-<key>.json``
 files older versions wrote to the store root) are never read.
@@ -39,32 +42,66 @@ import glob
 import hashlib
 import json
 import os
+import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.api.cache import (
-    DEFAULT_CACHE_DIR,
-    decode_entry,
-    encode_entry,
-    read_entry,
-    write_entry_atomic,
-)
-from repro.api.kinds import cache_suffix
 from repro.api.results import RunResult
 from repro.api.spec import ExperimentSpec
-from repro.coherence.protocols import PROTOCOL_SCHEMA_VERSION
-from repro.network.registry import FABRIC_SCHEMA_VERSION
-from repro.ni.registry import DEVICE_SCHEMA_VERSION
 
-_META_SUFFIX = ".meta.json"
+#: Default store location (relative to the working directory).
+DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: Version of every stored result's meaning.  Bump it whenever an existing
+#: spec's result changes — device construction, fabric timing, coherence
+#: transitions, workload generation or a kind's metric set: every key
+#: moves, and the entries under the old keys read as misses until gc
+#: prunes them as ``stale``.  Version 1: one file per result under this
+#: one rule.
+STORE_SCHEMA_VERSION = 1
 
 #: Subdirectory corrupt entries are moved into.  The name is deliberately
 #: longer than two characters so quarantined files escape the sharded
-#: ``??/??/*.json`` walk — a quarantined entry is invisible to every read,
+#: ``??/??`` walk — a quarantined entry is invisible to every read,
 #: eviction and gc path until an operator inspects it.
 _QUARANTINE_DIR = "quarantine"
+
+
+def cache_key(spec: ExperimentSpec) -> str:
+    """The store key of ``spec``: sha256 of its hash and the store schema."""
+    payload = f"{spec.spec_hash()}:store-schema-{STORE_SCHEMA_VERSION}"
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _classify(data: Optional[bytes], key: str) -> Tuple[str, Optional[RunResult]]:
+    """``("ok", result)`` when the entry stored under ``key`` is current:
+    its bytes decode and its own spec's key is ``key``.  Otherwise
+    ``("stale", result)`` for another spec's or an older schema's result,
+    or ``("corrupt", None)`` for bytes that do not decode (or ``None``, an
+    entry that could not be read)."""
+    try:
+        result = RunResult.from_dict(json.loads(data))
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return "corrupt", None
+    return ("ok" if cache_key(result.spec) == key else "stale"), result
+
+
+def _read_bytes(path: str) -> Optional[bytes]:
+    """The bytes at ``path``, or ``None`` if it cannot be read."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError:
+        return None
+
+
+def _unlink(path: str) -> bool:
+    try:
+        os.unlink(path)
+        return True
+    except OSError:
+        return False
 
 
 class CorruptEntryError(RuntimeError):
@@ -85,17 +122,16 @@ class EntryInfo:
     path: str
     size: int
     kind: str = "?"
-    created: float = 0.0
+    #: The entry's mtime: when it was last written or hit.
     last_hit: float = 0.0
-    hits: int = 0
     pinned: bool = False
-    etag: str = ""
-    #: "ok" | "stale" (old schema/simulator revision) | "corrupt"
+    #: "ok" | "stale" (another spec's or an older schema's) | "corrupt";
+    #: only :meth:`ResultStore.entries` reads entries to classify them.
     state: str = "ok"
 
 
 class ResultStore:
-    """Sharded, metadata-tracked, budget-evicted result store.
+    """Sharded, budget-evicted store of one file per result.
 
     Parameters
     ----------
@@ -121,28 +157,18 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Keys and paths
     # ------------------------------------------------------------------
-    def cache_key(self, spec: ExperimentSpec) -> str:
-        """Spec hash widened with the device, fabric and protocol schema
-        versions — plus, for kinds whose results depend on how workloads
-        are *generated* (traffic), the workload schema version.  Other
-        kinds get the exact historic key."""
-        payload = (
-            f"{spec.spec_hash()}:device-schema-{DEVICE_SCHEMA_VERSION}"
-            f":fabric-schema-{FABRIC_SCHEMA_VERSION}"
-            f":protocol-schema-{PROTOCOL_SCHEMA_VERSION}"
-            f"{cache_suffix(spec)}"
-        )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    #: :func:`cache_key`, for callers that hold a store.
+    cache_key = staticmethod(cache_key)
 
     def path_for_key(self, key: str) -> str:
         """Sharded entry path: ``<root>/<k[:2]>/<k[2:4]>/<key>.json``."""
         return os.path.join(self.directory, key[:2], key[2:4], f"{key}.json")
 
     def path_for(self, spec: ExperimentSpec) -> str:
-        return self.path_for_key(self.cache_key(spec))
+        return self.path_for_key(cache_key(spec))
 
-    def meta_path_for_key(self, key: str) -> str:
-        return os.path.join(self.directory, key[:2], key[2:4], f"{key}{_META_SUFFIX}")
+    def _pin_path(self, key: str) -> str:
+        return os.path.join(self.directory, key[:2], key[2:4], f"{key}.pin")
 
     @property
     def quarantine_dir(self) -> str:
@@ -152,36 +178,27 @@ class ResultStore:
     # Quarantine
     # ------------------------------------------------------------------
     def quarantine(self, key: str, path: Optional[str] = None) -> bool:
-        """Move a corrupt entry (and its sidecar) out of the serving tree.
+        """Move a corrupt entry out of the serving tree.
 
         Quarantined files keep their names under ``quarantine/`` for
         post-mortem inspection but are invisible to every read path, so the
-        key immediately reads as a miss and gets recomputed.  Returns True
-        if an entry file was actually moved.
+        key immediately reads as a miss and gets recomputed.  A pin stays
+        where it is and holds for the recomputed entry.  Returns True if an
+        entry file was actually moved.
         """
         path = path or self.path_for_key(key)
         os.makedirs(self.quarantine_dir, exist_ok=True)
-        moved = False
-        for victim in (path, self.meta_path_for_key(key)):
-            try:
-                os.replace(victim, os.path.join(self.quarantine_dir, os.path.basename(victim)))
-                moved = moved or not victim.endswith(_META_SUFFIX)
-            except OSError:
-                continue
-        if moved:
-            with self._lock:
-                self.quarantined += 1
-        return moved
+        try:
+            os.replace(path, os.path.join(self.quarantine_dir, os.path.basename(path)))
+        except OSError:
+            return False
+        with self._lock:
+            self.quarantined += 1
+        return True
 
     def quarantine_count(self) -> int:
         """Entries currently sitting in the quarantine directory."""
-        return len(
-            [
-                name
-                for name in glob.glob(os.path.join(self.quarantine_dir, "*.json"))
-                if not name.endswith(_META_SUFFIX)
-            ]
-        )
+        return len(glob.glob(os.path.join(self.quarantine_dir, "*.json")))
 
     # ------------------------------------------------------------------
     # Spec-addressed reads and writes
@@ -189,38 +206,55 @@ class ResultStore:
     def get(self, spec: ExperimentSpec) -> Optional[RunResult]:
         """The stored result for ``spec`` (marked ``cached``), or None on a
         miss; counts the hit or miss and bumps the entry's last-hit time."""
-        key = self.cache_key(spec)
-        payload = read_entry(self.path_for_key(key))
-        result = decode_entry(payload, spec) if payload is not None else None
-        if result is None:
-            with self._lock:
-                self.misses += 1
-            return None
-        self._touch(key)
-        with self._lock:
-            self.hits += 1
-        result.cached = True
+        key = cache_key(spec)
+        result = self._current(key)
+        self._count(result is not None)
+        if result is not None:
+            self._touch(self.path_for_key(key))
         return result
 
     def peek(self, spec: ExperimentSpec) -> Optional[RunResult]:
-        """Like :meth:`get` but counter- and metadata-neutral.
+        """Like :meth:`get` but counter- and last-hit-neutral.
 
         The service checks for a warm key with this before it leads or
-        follows a flight; that check must not inflate miss counters or burn
-        last-hit updates.
+        follows a flight; that check must not inflate miss counters or
+        reorder eviction.
         """
-        payload = read_entry(self.path_for(spec))
-        result = decode_entry(payload, spec) if payload is not None else None
-        if result is not None:
-            result.cached = True
+        return self._current(cache_key(spec))
+
+    def _current(self, key: str) -> Optional[RunResult]:
+        state, result = _classify(_read_bytes(self.path_for_key(key)), key)
+        if state != "ok":
+            return None
+        result.cached = True
         return result
 
-    def put(self, result: RunResult, pinned: Optional[bool] = None) -> str:
-        """Persist ``result``; returns the entry path written."""
-        key = self.cache_key(result.spec)
-        path = self.path_for_key(key)
-        data = write_entry_atomic(path, encode_entry(result))
-        self._write_meta(key, result.spec.kind, data, preserve=True, pinned=pinned)
+    def _count(self, hit: bool) -> None:
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+
+    def put(self, result: RunResult) -> str:
+        """Persist ``result``; returns the entry path written.
+
+        The entry goes to a tempfile that is renamed into place, so a
+        crashed or racing writer never leaves a torn file: concurrent
+        writers of the same key each land a complete entry, last rename
+        wins.
+        """
+        path = self.path_for(result.spec)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(json.dumps(result.to_dict(), sort_keys=True).encode("utf-8"))
+            os.replace(tmp_path, path)
+        except BaseException:
+            _unlink(tmp_path)
+            raise
         with self._lock:
             self.stores += 1
         if self.budget_bytes is not None:
@@ -228,19 +262,15 @@ class ResultStore:
         return path
 
     def clear(self) -> int:
-        """Remove every entry; returns the count."""
-        removed = 0
-        for info in self.entries(include_invalid=True):
-            try:
-                os.unlink(info.path)
-                removed += 1
-            except OSError:
-                continue
-            self._unlink_meta(info.key)
-        return removed
+        """Remove every entry and its pin; returns the count."""
+        return sum(self._remove(info) for info in self._scan())
 
     def stats(self) -> Dict[str, int]:
-        entries, total, pinned = self._usage()
+        entries = total = pinned = 0
+        for info in self._scan():
+            entries += 1
+            total += info.size
+            pinned += info.pinned
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -265,95 +295,36 @@ class ResultStore:
         well-formedness check (no spec validation, and definitely no Machine
         construction).  A torn entry is moved to quarantine and surfaces as
         :class:`CorruptEntryError` so the HTTP layer can answer 503 instead
-        of shipping garbage bytes.
+        of shipping garbage bytes.  The ETag is the sha256 of the bytes.
 
         Given the ``spec`` that ``key`` was derived from, the same read is
-        :meth:`get` returning bytes: the entry must decode as ``spec``'s
-        result under the live schema stamps, it counts as a hit or a miss,
-        and a torn, stale or mismatched entry is a miss (``None``) for the
-        caller to recompute rather than an error.
+        :meth:`get` returning bytes: the entry must be current, it counts as
+        a hit or a miss, and a torn, stale or mismatched entry is a miss
+        (``None``) for the caller to recompute rather than an error.
         """
         path = self.path_for_key(key)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-            payload = json.loads(data)
-        except OSError:
-            data = payload = None
-        except ValueError:
-            if spec is None:
-                self.quarantine(key, path)
-                raise CorruptEntryError(f"store entry {key[:12]}… is corrupt; quarantined")
-            payload = None
+        data = _read_bytes(path)
         if spec is not None:
-            hit = payload is not None and decode_entry(payload, spec) is not None
-            with self._lock:
-                if hit:
-                    self.hits += 1
-                else:
-                    self.misses += 1
+            hit = _classify(data, key)[0] == "ok"
+            self._count(hit)
             if not hit:
                 return None
         elif data is None:
             return None
-        meta = self.read_meta(key)
-        etag = meta.get("etag") or hashlib.sha256(data).hexdigest()
-        self._touch(key, meta)
-        return data, etag
+        else:
+            try:
+                json.loads(data)
+            except ValueError:
+                self.quarantine(key, path)
+                raise CorruptEntryError(f"store entry {key[:12]}… is corrupt; quarantined") from None
+        self._touch(path)
+        return data, hashlib.sha256(data).hexdigest()
 
-    # ------------------------------------------------------------------
-    # Metadata
-    # ------------------------------------------------------------------
-    def read_meta(self, key: str) -> Dict:
-        """The sidecar metadata for ``key``; ``{}`` when missing or damaged.
-
-        Sidecars are advisory (they order eviction and carry the ETag), so a
-        torn or wrong-shaped one must never take down a read path: anything
-        that is not a JSON object degrades to empty metadata.
-        """
-        meta = read_entry(self.meta_path_for_key(key))
-        return meta if isinstance(meta, dict) else {}
-
-    def _write_meta(
-        self,
-        key: str,
-        kind: str,
-        data: bytes,
-        preserve: bool = False,
-        pinned: Optional[bool] = None,
-    ) -> None:
-        now = time.time()
-        old = self.read_meta(key) if preserve else {}
-        meta = {
-            "key": key,
-            "kind": kind,
-            "created": old.get("created", now),
-            "last_hit": old.get("last_hit", now),
-            "hits": old.get("hits", 0),
-            "pinned": old.get("pinned", False) if pinned is None else bool(pinned),
-            "size": len(data),
-            "etag": hashlib.sha256(data).hexdigest(),
-        }
-        write_entry_atomic(self.meta_path_for_key(key), meta)
-
-    def _touch(self, key: str, meta: Optional[Dict] = None) -> None:
-        """Best-effort last-hit bump; losing a racing update is harmless.
-
-        ``meta`` is the sidecar as the caller just read it, if it did.
-        """
-        meta = self.read_meta(key) if meta is None else meta
-        if not meta:
-            return
-        meta["last_hit"] = time.time()
-        meta["hits"] = int(meta.get("hits", 0)) + 1
+    @staticmethod
+    def _touch(path: str) -> None:
+        """Set the entry's last-hit time; a vanished entry is no error."""
         try:
-            write_entry_atomic(self.meta_path_for_key(key), meta)
-        except OSError:
-            pass
-
-    def _unlink_meta(self, key: str) -> None:
-        try:
-            os.unlink(self.meta_path_for_key(key))
+            os.utime(path)
         except OSError:
             pass
 
@@ -362,98 +333,69 @@ class ResultStore:
     # ------------------------------------------------------------------
     def pin(self, key: str, pinned: bool = True) -> bool:
         """Mark the entry as golden (never evicted); False if no such entry."""
-        path = self.path_for_key(key)
-        if not os.path.exists(path):
+        if not os.path.exists(self.path_for_key(key)):
             return False
-        meta = self.read_meta(key)
-        if not meta:
-            with open(path, "rb") as handle:
-                self._write_meta(key, "?", handle.read())
-            meta = self.read_meta(key)
-        meta["pinned"] = bool(pinned)
-        write_entry_atomic(self.meta_path_for_key(key), meta)
+        if pinned:
+            with open(self._pin_path(key), "ab"):
+                pass
+        else:
+            _unlink(self._pin_path(key))
         return True
 
     def resolve_key(self, prefix: str) -> List[str]:
         """Full keys matching a (possibly abbreviated) hex key prefix."""
-        return sorted(
-            info.key
-            for info in self.entries(include_invalid=True)
-            if info.key.startswith(prefix)
-        )
+        return sorted(info.key for info in self._scan() if info.key.startswith(prefix))
 
     # ------------------------------------------------------------------
     # Walks, eviction, gc
     # ------------------------------------------------------------------
+    def _scan(self) -> Iterator[EntryInfo]:
+        """Every entry file in the sharded layout, from directory listings
+        and ``os.stat`` alone: no entry is opened, so ``kind`` and ``state``
+        keep their defaults."""
+        for shard in glob.glob(os.path.join(self.directory, "??", "??")):
+            try:
+                names = os.listdir(shard)
+            except OSError:
+                continue
+            pins = {name[: -len(".pin")] for name in names if name.endswith(".pin")}
+            for name in names:
+                if not name.endswith(".json"):
+                    continue
+                path = os.path.join(shard, name)
+                try:
+                    stat = os.stat(path)
+                except OSError:
+                    continue  # removed or replaced under the walk
+                key = name[: -len(".json")]
+                yield EntryInfo(
+                    key=key, path=path, size=stat.st_size,
+                    last_hit=stat.st_mtime, pinned=key in pins,
+                )
+
     def entries(self, include_invalid: bool = False) -> Iterator[EntryInfo]:
-        """Every entry in the store.
+        """Every entry in the store, read and classified.
 
         With ``include_invalid`` the walk also yields entries classified
-        ``corrupt`` (unreadable/torn JSON) or ``stale`` (written under an
-        old schema or simulator revision); by default only ``ok`` entries.
+        ``corrupt`` (unreadable/torn JSON) or ``stale`` (another spec's or
+        an older schema's result); by default only ``ok`` entries.
         """
-        for path in glob.glob(os.path.join(self.directory, "??", "??", "*.json")):
-            name = os.path.basename(path)
-            if name.endswith(_META_SUFFIX):
-                continue
-            info = self._classify(name[: -len(".json")], path)
+        for info in self._scan():
+            info.state, result = _classify(_read_bytes(info.path), info.key)
+            if result is not None:
+                info.kind = result.spec.kind
             if include_invalid or info.state == "ok":
                 yield info
 
-    def _classify(self, key: str, path: str) -> EntryInfo:
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            size = 0
-        payload = read_entry(path)
-        result = decode_entry(payload) if payload is not None else None
-        if payload is None:
-            state = "corrupt"
-        elif result is None:
-            # Parsed JSON that does not decode under the live schema: either
-            # the wrong shape entirely (corrupt) or an old-revision entry.
-            try:
-                RunResult.from_dict(payload)
-                state = "stale"
-            except (ValueError, KeyError, TypeError, AttributeError):
-                state = "corrupt"
-        else:
-            state = "ok"
-        meta = self.read_meta(key)
-        mtime = 0.0
-        try:
-            mtime = os.path.getmtime(path)
-        except OSError:
-            pass
-        kind = "?"
-        if isinstance(payload, dict):
-            spec = payload.get("spec")
-            if isinstance(spec, dict):
-                kind = str(spec.get("kind", "?"))
-        return EntryInfo(
-            key=key,
-            path=path,
-            size=size,
-            kind=meta.get("kind", kind) if meta else kind,
-            created=float(meta.get("created", mtime)) if meta else mtime,
-            last_hit=float(meta.get("last_hit", mtime)) if meta else mtime,
-            hits=int(meta.get("hits", 0)) if meta else 0,
-            pinned=bool(meta.get("pinned", False)) if meta else False,
-            etag=str(meta.get("etag", "")) if meta else "",
-            state=state,
-        )
-
-    def _usage(self) -> Tuple[int, int, int]:
-        entries = total = pinned = 0
-        for info in self.entries(include_invalid=True):
-            entries += 1
-            total += info.size
-            if info.pinned:
-                pinned += 1
-        return entries, total, pinned
+    def _remove(self, info: EntryInfo) -> bool:
+        """Delete an entry and its pin; False if the entry was already gone."""
+        removed = _unlink(info.path)
+        if info.pinned:
+            _unlink(self._pin_path(info.key))
+        return removed
 
     def total_bytes(self) -> int:
-        return self._usage()[1]
+        return sum(info.size for info in self._scan())
 
     def enforce_budget(self, budget_bytes: Optional[int] = None) -> int:
         """Evict least-recently-hit unpinned entries until under budget.
@@ -466,23 +408,14 @@ class ResultStore:
         if budget is None:
             return 0
         with self._lock:
-            infos = list(self.entries(include_invalid=True))
+            infos = list(self._scan())
             total = sum(info.size for info in infos)
-            if total <= budget:
-                return 0
-            victims = sorted(
-                (info for info in infos if not info.pinned),
-                key=lambda info: info.last_hit,
-            )
             evicted = 0
-            for info in victims:
+            for info in sorted(infos, key=lambda info: info.last_hit):
                 if total <= budget:
                     break
-                try:
-                    os.unlink(info.path)
-                except OSError:
+                if info.pinned or not _unlink(info.path):
                     continue
-                self._unlink_meta(info.key)
                 total -= info.size
                 evicted += 1
                 self.evicted_bytes += info.size
@@ -490,49 +423,25 @@ class ResultStore:
             return evicted
 
     def gc(self, dry_run: bool = False) -> Dict[str, int]:
-        """Prune corrupt and stale-schema entries (plus orphaned sidecars).
+        """Prune corrupt and stale entries and leftover temp files.
 
-        Today those linger as dead files that every reader re-classifies as
-        a miss; gc reclaims them.  Returns a report of what was (or, with
+        Those linger as dead files that every reader re-classifies as a
+        miss; gc reclaims them.  Returns a report of what was (or, with
         ``dry_run``, would be) removed.
         """
-        report = {
-            "stale": 0,
-            "corrupt": 0,
-            "orphan_meta": 0,
-            "tmp": 0,
-            "bytes": 0,
-            "quarantined": self.quarantine_count(),
-        }
-        live = set()
+        report = {"stale": 0, "corrupt": 0, "tmp": 0, "bytes": 0,
+                  "quarantined": self.quarantine_count()}
         for info in self.entries(include_invalid=True):
             if info.state == "ok":
-                live.add(info.key)
                 continue
             report[info.state] += 1
             report["bytes"] += info.size
             if not dry_run:
-                try:
-                    os.unlink(info.path)
-                except OSError:
-                    pass
-                self._unlink_meta(info.key)
-        for path in glob.glob(os.path.join(self.directory, "??", "??", f"*{_META_SUFFIX}")):
-            key = os.path.basename(path)[: -len(_META_SUFFIX)]
-            if key not in live:
-                report["orphan_meta"] += 1
-                if not dry_run:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+                self._remove(info)
         for path in glob.glob(os.path.join(self.directory, "??", "??", "*.tmp")):
             report["tmp"] += 1
             if not dry_run:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+                _unlink(path)
         return report
 
     def __repr__(self) -> str:

@@ -90,6 +90,15 @@ class TestSpec:
         with pytest.raises(SpecError):
             ExperimentSpec(kind="macro", workload="hpcg").validate()
 
+    @pytest.mark.parametrize("value", [[], None, ""], ids=["list", "null", "empty-string"])
+    @pytest.mark.parametrize("name", ["params", "ni_kwargs", "workload_kwargs"])
+    def test_validate_rejects_a_dict_field_that_is_not_a_mapping(self, name, value):
+        """Each would otherwise run the default configuration under a spec
+        hash (and store key) of its own."""
+        spec = ExperimentSpec.from_dict({"kind": "latency", "device": "NI2w", name: value})
+        with pytest.raises(SpecError, match=f"{name} must be a JSON object"):
+            spec.validate()
+
     def test_validate_rejects_bad_ni_kwargs_early(self):
         spec = ExperimentSpec(**QUICK, device="CNI16Q", ni_kwargs={"bogus_knob": 1})
         with pytest.raises(TaxonomyError):
@@ -323,23 +332,21 @@ class TestRunnerCache:
         assert len(results) == 3
         assert results[0] is results[1] is results[2]
 
-    def test_cache_entry_from_other_simulator_version_is_a_miss(self, tmp_path):
+    def test_cache_entry_from_older_store_schema_is_a_miss(self, tmp_path, monkeypatch):
+        import repro.service.store as store_module
+
         cache_dir = str(tmp_path / "cache")
         spec = ExperimentSpec(**QUICK)
-        runner = SweepRunner(cache_dir=cache_dir)
-        result = runner.run_one(spec)
-        path = ResultStore(cache_dir).path_for(spec)
-        with open(path) as handle:
-            payload = json.load(handle)
-        payload["repro_version"] = "0.0.0-stale"
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        schema = store_module.STORE_SCHEMA_VERSION
+        monkeypatch.setattr(store_module, "STORE_SCHEMA_VERSION", schema - 1)
+        result = SweepRunner(cache_dir=cache_dir).run_one(spec)
+        monkeypatch.setattr(store_module, "STORE_SCHEMA_VERSION", schema)
         follow_up = SweepRunner(cache_dir=cache_dir)
         rerun = follow_up.run_one(spec)
         assert rerun == result
         assert not rerun.cached
         assert follow_up.cache_stats()["misses"] == 1
-        # The stale entry was rewritten: a third runner hits.
+        # The rerun stored the point under its current key: a third runner hits.
         third = SweepRunner(cache_dir=cache_dir)
         assert third.run_one(spec).cached
 
@@ -364,25 +371,23 @@ class TestStoreKeysAndLayout:
     """Every kind goes through the one sharded result store."""
 
     #: ``ResultStore.cache_key`` per kind.  A drift orphans every stored
-    #: entry, so a change here must be deliberate (and bump a schema).
-    #: All three fold DEVICE_SCHEMA_VERSION, now 3 (CNI{n}Q receive caches
-    #: follow an overridden receive queue).
+    #: entry, so a change here must be deliberate (a STORE_SCHEMA_VERSION
+    #: bump).  Every kind's key is its spec hash and STORE_SCHEMA_VERSION 1.
     PINNED_KEYS = [
         (
             dict(kind="latency", device="NI2w", bus="memory", message_bytes=64,
                  iterations=10),
-            "c9437c61d1c6fe6debb65839c1e727300401e4bcc9567ed0504edcc3d4036ee5",
+            "5329d159930ff29c5d5d51bec0211ea434a4b9aaad2a9f673460f911893cc2eb",
         ),
         (
             dict(kind="macro", device="CNI16Qm", bus="memory", workload="gauss",
                  num_nodes=4, scale=0.25),
-            "ca06c5f3d3c19f08edd06da6159add1e2ccda353624d86942c8d1b957d77a383",
+            "c6223dca969cd838d659dddee92cba093f5e19f64e30444c015bcdb967241e0a",
         ),
         (
-            # Folds WORKLOAD_SCHEMA_VERSION, now 2 (fault keys on traffic).
             dict(kind="traffic", device="CNI16Qm", bus="memory", workload="uniform",
                  num_nodes=4, scale=0.25),
-            "ac67808f576e56e5b245846e7826f412fdb21eba5551d8413cb7c466d5eb83d9",
+            "c4e3e4e561958af32cd5f7261b0f137224863bcf6e4dfe48b24a31da2e88c1b6",
         ),
     ]
 
@@ -390,13 +395,13 @@ class TestStoreKeysAndLayout:
     def test_cache_key_pinned_value(self, tmp_path, fields, key):
         assert ResultStore(str(tmp_path)).cache_key(ExperimentSpec(**fields)) == key
 
-    def test_cache_dir_string_writes_sharded_entry_and_sidecar(self, tmp_path):
+    def test_cache_dir_string_writes_one_sharded_entry(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         spec = ExperimentSpec(**QUICK)
         SweepRunner(cache_dir=cache_dir).run_one(spec)
         key = ResultStore(cache_dir).cache_key(spec)
         shard = os.path.join(cache_dir, key[:2], key[2:4])
-        assert sorted(os.listdir(shard)) == [f"{key}.json", f"{key}.meta.json"]
+        assert os.listdir(shard) == [f"{key}.json"]
         assert sorted(os.listdir(cache_dir)) == [key[:2]]
 
     def test_serial_and_parallel_leave_identical_entries(self, tmp_path):

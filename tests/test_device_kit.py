@@ -23,7 +23,6 @@ from repro.ni import (
     unregister_device,
 )
 from repro.ni.primitives import UncachedRecvPort, UncachedSendPort
-from repro.service.store import ResultStore
 
 #: Taxonomy points the paper never evaluated, each built from its plan.
 NEW_POINTS = ("NI16w", "NI128Q", "CNI64Q", "CNI16", "CNI4Qm")
@@ -362,47 +361,4 @@ class TestDeviceSpaceSweep:
         )
         rtt = {r.spec.device: r.metrics["round_trip_us"] for r in results}
         assert rtt["CNI16Q"] < rtt["NI16Q"]
-
-
-class TestCacheSchemaInvalidation:
-    def test_schema_bump_invalidates_entries(self, tmp_path, monkeypatch):
-        spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
-                              iterations=2, warmup=1)
-        cache = ResultStore(str(tmp_path))
-        cache.put(run_point(spec))
-        assert cache.get(spec) is not None
-        key = cache.cache_key(spec)
-
-        import repro.service.store as store_module
-
-        monkeypatch.setattr(store_module, "DEVICE_SCHEMA_VERSION",
-                            store_module.DEVICE_SCHEMA_VERSION + 1)
-        fresh = ResultStore(str(tmp_path))
-        assert fresh.cache_key(spec) != key
-        assert fresh.get(spec) is None  # key no longer matches
-
-    def test_schema_version_stamped_in_payload(self, tmp_path):
-        import json
-
-        from repro.ni import DEVICE_SCHEMA_VERSION
-
-        spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
-                              iterations=2, warmup=1)
-        cache = ResultStore(str(tmp_path))
-        path = cache.put(run_point(spec))
-        payload = json.loads(open(path).read())
-        assert payload["device_schema_version"] == DEVICE_SCHEMA_VERSION
-
-    def test_stale_payload_stamp_is_a_miss(self, tmp_path):
-        import json
-
-        spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
-                              iterations=2, warmup=1)
-        cache = ResultStore(str(tmp_path))
-        path = cache.put(run_point(spec))
-        payload = json.loads(open(path).read())
-        payload["device_schema_version"] = -1
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        assert cache.get(spec) is None
 

@@ -590,22 +590,3 @@ class TestMachineIntegration:
         assert {spec.params["protocol"] for spec in specs} == set(SHIPPED)
         for spec in specs:
             assert spec.kind == "macro"
-
-    def test_result_cache_key_tracks_protocol_schema(self, tmp_path):
-        from repro.api import ExperimentSpec
-        from repro.coherence.protocols import PROTOCOL_SCHEMA_VERSION
-        from repro.service.store import ResultStore
-
-        cache = ResultStore(str(tmp_path))
-        spec = ExperimentSpec(kind="latency", device="CNI16Qm", bus="memory")
-        path = cache.path_for(spec)
-        assert PROTOCOL_SCHEMA_VERSION == 1
-        # The key is a hash; changing the schema version must change it.
-        import repro.service.store as store_module
-
-        old = store_module.PROTOCOL_SCHEMA_VERSION
-        try:
-            store_module.PROTOCOL_SCHEMA_VERSION = old + 1
-            assert cache.path_for(spec) != path
-        finally:
-            store_module.PROTOCOL_SCHEMA_VERSION = old

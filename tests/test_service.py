@@ -30,7 +30,6 @@ import urllib.request
 import pytest
 
 from repro.api import ExperimentSpec, RunResult, SweepRunner, run_point
-from repro.api.cache import encode_entry, write_entry_atomic
 from repro.api.runner import _run_point_payload
 from repro.service import (
     DedupError,
@@ -73,8 +72,32 @@ class TestResultStore:
         spec = quick_spec()
         path = store.put(run_point(spec))
         key = store.cache_key(spec)
-        assert path.endswith(os.path.join(key[:2], key[2:4], f"{key}.json"))
-        assert os.path.exists(store.meta_path_for_key(key))
+        assert path == os.path.join(store.directory, key[:2], key[2:4], f"{key}.json")
+        assert os.listdir(os.path.dirname(path)) == [f"{key}.json"]
+
+    def test_one_file_per_entry_and_reads_change_no_bytes(self, store):
+        specs = [quick_spec(message_bytes=size) for size in (8, 16)]
+        for spec in specs:
+            store.put(run_point(spec))
+
+        def files():
+            out = {}
+            for root, _, names in os.walk(store.directory):
+                for name in names:
+                    with open(os.path.join(root, name), "rb") as handle:
+                        out[os.path.relpath(os.path.join(root, name), store.directory)] = handle.read()
+            return out
+
+        before = files()
+        assert sorted(before) == sorted(
+            os.path.relpath(store.path_for(spec), store.directory) for spec in specs
+        )
+        for spec in specs:
+            key = store.cache_key(spec)
+            assert store.get(spec) is not None and store.peek(spec) is not None
+            assert store.read_entry(key) is not None
+            assert store.read_entry(key, spec) is not None
+        assert files() == before
 
     def test_miss_on_empty_store(self, store):
         assert store.get(quick_spec()) is None
@@ -98,20 +121,35 @@ class TestResultStore:
         assert report["corrupt"] == 1
         assert not os.path.exists(store.path_for(spec))
 
-    def test_stale_schema_entry_is_a_miss_and_gc_prunes_it(self, store):
-        spec = quick_spec()
-        store.put(run_point(spec))
-        path = store.path_for(spec)
-        with open(path) as handle:
-            payload = json.load(handle)
-        payload["device_schema_version"] = "0.0-ancient"
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        assert store.get(spec) is None
-        infos = {i.key: i for i in store.entries(include_invalid=True)}
-        assert infos[store.cache_key(spec)].state == "stale"
-        report = store.gc()
-        assert report["stale"] == 1
+    def test_schema_bump_moves_every_kind_and_gc_prunes_old_entries(
+        self, store, monkeypatch
+    ):
+        import repro.service.store as store_module
+
+        specs = [
+            quick_spec(),
+            ExperimentSpec(kind="macro", device="CNI16Qm", workload="gauss",
+                           num_nodes=4, scale=0.25),
+            ExperimentSpec(kind="traffic", device="CNI16Qm", workload="uniform",
+                           num_nodes=4, scale=0.25),
+        ]
+        # The store never looks inside metrics, so made-up ones do here.
+        for spec in specs:
+            store.put(RunResult(spec=spec, metrics={"cycles": 1.0}))
+        old = {spec.kind: store.cache_key(spec) for spec in specs}
+        monkeypatch.setattr(
+            store_module, "STORE_SCHEMA_VERSION", store_module.STORE_SCHEMA_VERSION + 1
+        )
+        for spec in specs:
+            assert store.cache_key(spec) != old[spec.kind]
+            assert store.get(spec) is None
+            # An entry of another schema is stale even read by its own key.
+            assert store.read_entry(old[spec.kind], spec) is None
+        infos = {info.key: info for info in store.entries(include_invalid=True)}
+        assert {infos[key].state for key in old.values()} == {"stale"}
+        assert {infos[key].kind for key in old.values()} == {"latency", "macro", "traffic"}
+        assert store.gc()["stale"] == 3
+        assert store.stats()["entries"] == 0
 
     def test_gc_dry_run_keeps_files(self, store):
         spec = quick_spec()
@@ -159,10 +197,41 @@ class TestResultStore:
         key = store.cache_key(spec)
         assert store.resolve_key(key[:8]) == [key]
         assert store.pin(key)
-        assert store.read_meta(key)["pinned"]
+        assert store.stats()["pinned"] == 1
         assert store.pin(key, pinned=False)
-        assert not store.read_meta(key)["pinned"]
+        assert store.stats()["pinned"] == 0
         assert not store.pin("f" * 64)  # unknown key
+
+    def test_pin_survives_hits_and_another_stores_put(self, store):
+        spec = quick_spec()
+        result = run_point(spec)
+        store.put(result)
+        key = store.cache_key(spec)
+        assert store.pin(key)
+        assert store.get(spec) is not None and store.read_entry(key) is not None
+        # A second store on the directory writes the key again, with bytes
+        # that differ from the first entry's (another wall time).
+        result.elapsed_s += 1.0
+        ResultStore(store.directory).put(result)
+        [info] = store.entries()
+        assert info.pinned
+        assert store.enforce_budget(0) == 0
+        data, etag = store.read_entry(key)
+        assert json.loads(data)["elapsed_s"] == result.elapsed_s
+        assert etag == hashlib.sha256(data).hexdigest()
+
+    def test_budget_evicts_by_last_hit_never_a_pinned_entry(self, store):
+        # Equal-width sizes keep every entry the same number of bytes.
+        specs = [quick_spec(message_bytes=size) for size in (16, 32, 48, 64)]
+        for age, spec in enumerate(reversed(specs)):
+            path = store.put(RunResult(spec=spec, metrics={"value": 1.0}))
+            os.utime(path, (1000.0 + age, 1000.0 + age))  # specs[0] newest
+        assert store.pin(store.cache_key(specs[3]))  # the oldest
+        assert store.get(specs[2]) is not None  # now the last hit
+        size = os.path.getsize(store.path_for(specs[0]))
+        assert store.enforce_budget(2 * size) == 2
+        kept = {spec.message_bytes for spec in specs if store.peek(spec) is not None}
+        assert kept == {48, 64}
 
     def test_clear_removes_entries_and_ignores_flat_files(self, tmp_path):
         """A flat ``<kind>-<key>.json`` file in the store root (the layout
@@ -172,7 +241,9 @@ class TestResultStore:
         flat_spec = quick_spec()
         flat_key = store.cache_key(flat_spec)
         flat = os.path.join(cache_dir, f"latency-{flat_key}.json")
-        write_entry_atomic(flat, encode_entry(run_point(flat_spec)))
+        os.makedirs(cache_dir)
+        with open(flat, "w") as handle:
+            handle.write(run_point(flat_spec).to_json())
         assert store.get(flat_spec) is None
         assert store.read_entry(flat_key) is None
         assert not store.pin(flat_key)
@@ -199,11 +270,8 @@ class TestResultStore:
         # stored replay result, say) is served by key until it is evicted
         # or cleared, though no spec of that kind validates any more.
         spec = ExperimentSpec(kind="replay", workload="replay", num_nodes=4)
-        key = "ab" * 32
-        write_entry_atomic(
-            store.path_for_key(key),
-            encode_entry(RunResult(spec=spec, metrics={"cycles": 1234.0})),
-        )
+        store.put(RunResult(spec=spec, metrics={"cycles": 1234.0}))
+        key = store.cache_key(spec)
         data, _ = store.read_entry(key)
         assert json.loads(data)["metrics"] == {"cycles": 1234.0}
         [info] = store.entries(include_invalid=True)
@@ -213,16 +281,19 @@ class TestResultStore:
         assert store.clear() == 1
         assert store.read_entry(key) is None
 
-    def test_hit_updates_last_hit_metadata(self, store):
+    def test_hit_sets_last_hit_mtime_and_peek_does_not(self, store):
         spec = quick_spec()
-        store.put(run_point(spec))
+        path = store.put(run_point(spec))
         key = store.cache_key(spec)
-        before = store.read_meta(key)["last_hit"]
-        time.sleep(0.01)
-        store.get(spec)
-        after = store.read_meta(key)
-        assert after["last_hit"] > before
-        assert after["hits"] == 1
+        os.utime(path, (1000.0, 1000.0))
+        store.peek(spec)
+        [info] = store.entries()
+        assert info.last_hit == 1000.0
+        for read in (lambda: store.get(spec), lambda: store.read_entry(key),
+                     lambda: store.read_entry(key, spec)):
+            os.utime(path, (1000.0, 1000.0))
+            assert read() is not None
+            assert os.path.getmtime(path) > 1000.0
 
 
 def _hammer_put(directory: str, spec_dict: dict, rounds: int, barrier) -> None:
@@ -441,14 +512,14 @@ class TestHttpService:
         assert headers["X-Repro-Role"] == "leader"
         served = RunResult.from_dict(json.loads(payload))
         assert served == run_point(spec)  # bit-identical to a direct run
-        key = service.store.cache_key(spec)
-        hits = service.store.read_meta(key)["hits"]
+        hits = service.store.hits
         status2, headers2, payload2 = _request(service.base_url + "/run", data=body)
         assert status2 == 200
         assert headers2["X-Repro-Role"] == "store"
         assert payload2 == payload
-        # One warm POST /run is one hit on its entry: one store read.
-        assert service.store.read_meta(key)["hits"] == hits + 1
+        assert headers2["ETag"] == f'"{hashlib.sha256(payload2).hexdigest()}"'
+        # One warm POST /run is one hit: one store read.
+        assert service.store.hits == hits + 1
         assert service.counters["runs_completed"] == 1
         assert service.counters["store_served"] == 1
 
@@ -508,9 +579,11 @@ class TestHttpService:
             {"params": {"faults": "nope"}},
             {"params": {"sliding_window": 0}},
             {"device": 5},
+            {"ni_kwargs": None},
             [],
         ],
-        ids=["fabric", "protocol", "faults", "sliding-window", "device-int", "list"],
+        ids=["fabric", "protocol", "faults", "sliding-window", "device-int",
+             "ni-kwargs-null", "list"],
     )
     def test_malformed_spec_is_400(self, service, endpoint, bad):
         """Each is a spec on /run and a batch's one point on /batch; the
@@ -674,6 +747,11 @@ class TestHttpService:
         assert status == 400
         status, _, _ = _request(service.base_url + "/batch", data=b'"a string"')
         assert status == 400
+        status, _, payload = _request(
+            service.base_url + "/batch", data=json.dumps({"axes": []}).encode()
+        )
+        assert status == 400
+        assert b"sweep axes must be a JSON object" in payload
 
     def test_unknown_batch_is_404(self, service):
         assert _request(service.base_url + "/batch/bogus")[0] == 404
@@ -1146,13 +1224,13 @@ class TestAdminCli:
         store, specs = self.populate(directory)
         key = store.cache_key(specs[0])
         assert admin_main(["--dir", directory, "pin", key[:10]]) == 0
-        assert ResultStore(directory).read_meta(key)["pinned"]
+        assert ResultStore(directory).stats()["pinned"] == 1
         # Pinned entries survive a forced full eviction.
         assert admin_main(["--dir", directory, "gc", "--max-bytes", "0"]) == 0
-        assert ResultStore(directory).read_meta(key)["pinned"]
+        assert ResultStore(directory).stats()["pinned"] == 1
         assert ResultStore(directory).peek(specs[0]) is not None
         assert admin_main(["--dir", directory, "unpin", key[:10]]) == 0
-        assert not ResultStore(directory).read_meta(key)["pinned"]
+        assert ResultStore(directory).stats()["pinned"] == 0
 
     def test_pin_unknown_prefix_fails(self, tmp_path, capsys):
         directory = str(tmp_path / "s")

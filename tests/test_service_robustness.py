@@ -116,32 +116,26 @@ def _concurrent_runs(svc: ExperimentService, spec: ExperimentSpec, clients: int)
 
 
 # ---------------------------------------------------------------------------
-# Store: sidecar tolerance and quarantine
+# Store: leftover files and quarantine
 # ---------------------------------------------------------------------------
 class TestStoreResilience:
-    def test_non_dict_sidecar_is_tolerated(self, store):
+    def test_leftover_metadata_file_is_pruned_as_corrupt(self, store):
+        """Stores written before entries were one file hold a
+        ``<key>.meta.json`` beside each entry: no read serves it, and gc
+        prunes it as a corrupt entry."""
         from repro.api import run_point
 
         spec = quick_spec()
-        store.put(run_point(spec))
+        path = store.put(run_point(spec))
         key = store.cache_key(spec)
-        with open(store.meta_path_for_key(key), "w") as handle:
-            handle.write("[1, 2, 3]")
-        assert store.read_meta(key) == {}
-        assert store.get(spec) is not None  # entry itself still serves
-        report = store.gc(dry_run=True)
-        assert isinstance(report, dict)
-
-    def test_missing_sidecar_is_tolerated(self, store):
-        from repro.api import run_point
-
-        spec = quick_spec()
-        store.put(run_point(spec))
-        key = store.cache_key(spec)
-        os.unlink(store.meta_path_for_key(key))
-        assert store.read_meta(key) == {}
+        leftover = path[: -len(".json")] + ".meta.json"
+        with open(leftover, "w") as handle:
+            json.dump({"key": key, "hits": 3, "pinned": True}, handle)
         assert store.get(spec) is not None
-        store.gc()  # must not raise
+        assert store.stats()["pinned"] == 0
+        assert [info.key for info in store.entries()] == [key]
+        assert store.gc()["corrupt"] == 1
+        assert os.listdir(os.path.dirname(path)) == [f"{key}.json"]
 
     def test_read_entry_quarantines_corrupt_json(self, store):
         from repro.api import run_point

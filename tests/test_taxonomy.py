@@ -275,11 +275,6 @@ class TestRegistry:
             assert spec.name == name
             assert spec.family in ("uncached", "cdr", "cq")
 
-    def test_device_schema_version_exported(self):
-        from repro.ni import DEVICE_SCHEMA_VERSION
-
-        assert isinstance(DEVICE_SCHEMA_VERSION, int) and DEVICE_SCHEMA_VERSION >= 3
-
 
 class TestNiKwargsValidation:
     def test_supported_kwargs_accepted(self):

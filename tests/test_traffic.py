@@ -20,13 +20,7 @@ from repro.api import (
     traffic_sweep,
     unregister_kind,
 )
-from repro.api.kinds import (
-    KINDS,
-    available_kinds,
-    cache_suffix,
-    folds_workload_schema,
-    kind_spec,
-)
+from repro.api.kinds import KINDS, available_kinds, kind_spec
 from repro.apps import (
     DIAGNOSTIC_WORKLOADS,
     MACROBENCHMARKS,
@@ -114,12 +108,6 @@ class TestKindRegistry:
             assert info.name == kind
             assert callable(info.measure)
 
-    def test_only_new_kinds_fold_workload_schema(self):
-        for kind in LEGACY_KINDS:
-            assert not folds_workload_schema(kind)
-            assert cache_suffix(ExperimentSpec(kind=kind)) == ""
-        assert folds_workload_schema("traffic")
-
 
 # ----------------------------------------------------------------------
 # Workload registry
@@ -166,32 +154,6 @@ class TestWorkloadRegistry:
         every = available_workloads()
         assert set(workload_names("traffic")) <= set(every)
         assert set(available_workloads(tag="traffic")) == set(workload_names("traffic"))
-
-
-# ----------------------------------------------------------------------
-# Schema-version cache identity
-# ----------------------------------------------------------------------
-class TestSchemaVersionCache:
-    def test_schema_bump_invalidates_traffic_keys_only(self, tmp_path, monkeypatch):
-        cache = ResultStore(str(tmp_path))
-        traffic = ExperimentSpec(**TRAFFIC).validate()
-        legacy = ExperimentSpec(kind="latency", message_bytes=8, iterations=3, warmup=1)
-        traffic_key = cache.cache_key(traffic)
-        legacy_key = cache.cache_key(legacy)
-        monkeypatch.setattr("repro.apps.registry.WORKLOAD_SCHEMA_VERSION", 999)
-        assert cache.cache_key(traffic) != traffic_key
-        assert cache.cache_key(legacy) == legacy_key
-
-    def test_stale_schema_stamp_entry_is_a_miss(self, tmp_path, monkeypatch):
-        cache_dir = str(tmp_path / "cache")
-        spec = ExperimentSpec(**TRAFFIC).validate()
-        runner = SweepRunner(cache_dir=cache_dir)
-        first = runner.run_one(spec)
-        assert SweepRunner(cache_dir=cache_dir).run_one(spec).cached
-        monkeypatch.setattr("repro.apps.registry.WORKLOAD_SCHEMA_VERSION", 999)
-        rerun = SweepRunner(cache_dir=cache_dir).run_one(spec)
-        assert not rerun.cached  # key widened: old entry unreachable
-        assert rerun.metrics == first.metrics
 
 
 # ----------------------------------------------------------------------
