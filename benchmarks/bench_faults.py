@@ -1,9 +1,10 @@
-"""Fault-layer overhead benchmark: the zero-rate wrapper must be ~free.
+"""Fault-layer overhead benchmark: the zero-rate plan must be ~free.
 
-``FaultyFabric`` sits on the hot path of every network message whenever a
-plan is configured, so its no-op cost is the tax every fault experiment
-pays before injecting a single fault.  This benchmark A/B-compares the
-same gauss run with no plan versus ``faults="zero"`` (all rates zero) and
+Whenever a plan is configured the fabric hands every network message to
+the plan's ``FaultInjector``, so its no-op cost is the tax every fault
+experiment pays before injecting a single fault.  This benchmark
+A/B-compares the same gauss run with no plan versus ``faults="zero"`` (all
+rates zero) and
 gates the **median of the per-round wall-clock ratios**.  The repeats run
 in rounds of one run per configuration; each round runs plain and
 zero-plan back to back, and they take turns going first, so a drift in
@@ -13,10 +14,10 @@ one round's ratio, which the median discards; a minimum per side would
 pick that run up on one side only and put it on the gated ratio.
 
 Physics is gated too: the zero-rate run must complete in *exactly* the
-same number of simulated cycles as the plain run (the wrapper may cost
+same number of simulated cycles as the plain run (the fault layer may cost
 wall-clock, never simulated time), and a ``lossy1`` run is measured
 informationally — cycles, retransmits, recovery count — so the report
-tracks the cost of actual recovery, not just the wrapper.
+tracks the cost of actual recovery, not just the pass-through.
 
 CI perf-smoke gate::
 

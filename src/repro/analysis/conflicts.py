@@ -360,7 +360,6 @@ def _track_notices(fabric, tracker: ConflictTracker) -> None:
     is attributed to the fabric partition, and its count update is a
     ``fabric``-category write of the destination's announce key.
     """
-    fabric = getattr(fabric, "inner", fabric)
     notices = fabric._notices
     for node_id, notice in list(notices.items()):
 

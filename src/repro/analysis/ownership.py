@@ -13,7 +13,8 @@ same way the PDES decomposition does:
   ``ni/``, ``msglayer/``, the coherent cache).  Must never reach into
   another node except through a mediation layer.
 * ``mediation`` — the layers that are *allowed* to touch multiple
-  partitions: the snooping bus, the home directory and the network fabric.
+  partitions: the snooping bus, the home directory and the network fabric,
+  with the fault injector that runs inside it (``faults/fabric.py``).
 * ``assembly`` — machine construction/reporting (``node/machine.py``),
   which legitimately iterates over all nodes.
 * ``coherence`` — protocol tables and the model checker (the rest of
@@ -38,6 +39,7 @@ MEDIATION_MODULES = frozenset(
     {
         "coherence/bus.py",
         "coherence/directory.py",
+        "faults/fabric.py",
     }
 )
 

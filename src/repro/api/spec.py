@@ -18,7 +18,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.api.kinds import check_kind, describe_point, validate_kind
 from repro.common.types import BusKind
@@ -90,11 +90,15 @@ class ExperimentSpec:
     def validate(self) -> "ExperimentSpec":
         """Check the spec for consistency, raising early.
 
-        Taxonomy problems (unknown device, unsupported ``ni_kwargs``) raise
-        :class:`~repro.ni.taxonomy.TaxonomyError`; everything else raises
-        :class:`SpecError`.
+        Every error is a ``ValueError``: :class:`~repro.ni.taxonomy.TaxonomyError`
+        for the device and its ``ni_kwargs``,
+        :class:`~repro.node.node.NodeConfigError` for a bus placement or
+        snarfing the machine cannot build, the errors of
+        ``MachineParams.validate`` for the ``params`` overrides, and
+        :class:`SpecError` for everything else.
         """
-        from repro.ni.taxonomy import validate_ni_kwargs
+        from repro.common.params import DEFAULT_PARAMS
+        from repro.node.node import NodeConfig
 
         check_kind(self.kind)
         for name in ("workload_kwargs", "ni_kwargs", "params"):
@@ -105,6 +109,10 @@ class ExperimentSpec:
             BusKind(self.bus)
         except ValueError:
             raise SpecError(f"unknown bus {self.bus!r}") from None
+        seeds = {"seed": self.seed, "workload_kwargs['seed']": self.workload_kwargs.get("seed")}
+        for name, seed in seeds.items():
+            if seed is not None and type(seed) is not int:
+                raise SpecError(f"{name} must be an int, not {type(seed).__name__} {seed!r}")
         if self.num_nodes < 2:
             raise SpecError("experiments need at least two nodes")
         if (
@@ -120,31 +128,33 @@ class ExperimentSpec:
         # latency/bandwidth/macro rules live on their KindSpecs now, with
         # identical messages); plugin kinds hook in the same way.
         validate_kind(self)
-        # Early taxonomy validation against the device registry: any legal
-        # taxonomy name resolves (a registered plugin or its plan's family);
-        # illegal names and unsupported device kwargs fail here, not sixteen
-        # constructors deep in Node.__init__.
-        validate_ni_kwargs(self.device, self.ni_kwargs)
         # Early machine-parameter validation, against *this* point's node
-        # count: unknown fields, illegal values and fabric names that do
-        # not fit the machine (e.g. "mesh4x4" with num_nodes=8) fail here,
-        # with their own error types, not inside a worker process.
+        # count: unknown fields, ill-typed or illegal values and fabric
+        # names that do not fit the machine (e.g. "mesh4x4" with
+        # num_nodes=8) fail here, with their own error types, not inside a
+        # worker process.
+        machine_params = DEFAULT_PARAMS
         if self.params:
             try:
-                self.machine_params()
+                machine_params = self.machine_params()
             except TypeError:
-                from repro.common.params import DEFAULT_PARAMS
-
                 known = {f.name for f in fields(DEFAULT_PARAMS)}
                 unknown = sorted(set(self.params) - known)
                 if not unknown:
-                    # A known field with a value its validation rules
-                    # cannot even compare (e.g. a string hop count): let
-                    # the original TypeError name the real problem.
                     raise
                 raise SpecError(
                     f"unknown MachineParams override(s) {unknown}"
                 ) from None
+        # The node every machine of this point is built from, checked as the
+        # machine will check it: the device against the registry (any legal
+        # taxonomy name resolves), its ni_kwargs, its bus placement and
+        # snarfing under the point's coherence protocol.
+        NodeConfig(
+            ni_name=self.device,
+            ni_bus=BusKind(self.bus),
+            snarfing=self.snarfing,
+            ni_kwargs=dict(self.ni_kwargs),
+        ).validate(machine_params.protocol)
         return self
 
     def machine_params(self):
@@ -233,6 +243,14 @@ class ExperimentSpec:
         return f"{self.kind}[{self.config}] {describe_point(self)}"
 
 
+def _axis_values(name: str, values: Any) -> List[Any]:
+    """Sweep axis ``name``'s values, from a list or tuple: a string or mapping
+    is iterable too, but ``"12"`` would sweep the seeds ``"1"`` and ``"2"``."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise SpecError(f"sweep axis {name!r} must be a list, not {type(values).__name__}")
+    return list(values)
+
+
 @dataclass
 class SweepSpec:
     """A family of experiment points.
@@ -256,7 +274,7 @@ class SweepSpec:
         unknown = set(axes) - field_names
         if unknown:
             raise SpecError(f"unknown sweep axes {sorted(unknown)}")
-        return cls(base=base, axes={k: list(v) for k, v in axes.items()}, name=name)
+        return cls(base=base, axes={k: _axis_values(k, v) for k, v in axes.items()}, name=name)
 
     @classmethod
     def explicit(cls, points: Sequence[ExperimentSpec], name: str = "") -> "SweepSpec":
@@ -316,7 +334,7 @@ class SweepSpec:
             raise SpecError(f"sweep axes must be a JSON object, not {type(axes).__name__}")
         return cls(
             base=ExperimentSpec.from_dict(data.get("base", {})),
-            axes={k: list(v) for k, v in axes.items()},
+            axes={k: _axis_values(k, v) for k, v in axes.items()},
             name=data.get("name", ""),
         )
 

@@ -15,7 +15,7 @@ bus, already include the corresponding memory-bus occupancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional
 
 from repro.common.types import AgentKind, BusKind, BusOp
@@ -135,10 +135,10 @@ class MachineParams:
     )
 
     # Fault injection (grammar in :mod:`repro.faults.plan`).  ``""`` — the
-    # default — means no faults: the machine uses the selected fabric
-    # directly.  A non-empty name (e.g. ``"lossy1"``, ``"drop=0.01"``)
-    # resolves against the fault-plan registry and wraps the fabric in a
-    # deterministic :class:`repro.faults.fabric.FaultyFabric`.
+    # default — means no faults.  A non-empty name (e.g. ``"lossy1"``,
+    # ``"drop=0.01"``) resolves against the fault-plan registry, and the
+    # fabric consults that plan's deterministic
+    # :class:`repro.faults.fabric.FaultInjector` on every message.
     faults: str = ""
     #: Seed for the fault-decision RNG streams (mixed with link endpoints
     #: and a per-link message counter; independent of workload seeds).
@@ -214,6 +214,12 @@ class MachineParams:
     # Validation and variants
     # ------------------------------------------------------------------
     def validate(self) -> "MachineParams":
+        for name, kind in _SCALAR_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not kind:  # exact: a bool is no int here
+                raise ParameterError(
+                    f"{name} must be {kind.__name__}, not {type(value).__name__} {value!r}"
+                )
         if self.cache_block_bytes <= 0 or self.cache_block_bytes % 8 != 0:
             raise ParameterError("cache_block_bytes must be a positive multiple of 8")
         if self.processor_cache_bytes % self.cache_block_bytes != 0:
@@ -307,5 +313,12 @@ class MachineParams:
             return self.cache_to_cache_proc_cycles[bus]
         raise ParameterError(f"no occupancy rule for {op!r} on {bus!r}")
 
+
+#: ``(name, type)`` of the scalar fields, which ``validate`` type-checks.
+_SCALAR_FIELDS = tuple(
+    (f.name, {"int": int, "bool": bool, "str": str}[f.type])
+    for f in fields(MachineParams)
+    if f.type in ("int", "bool", "str")
+)
 
 DEFAULT_PARAMS = MachineParams().validate()

@@ -177,6 +177,9 @@ class NetworkMessage:
     #: End-to-end sequence number stamped by the reliable messaging layer
     #: (-1 when reliability is off or the message is a control frame).
     e2e_seq: int = -1
+    #: Extra cycles the fabric holds the message back on arrival, set by the
+    #: fault-injection layer for jitter and reordering (0: none).
+    fault_delay: int = 0
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:

@@ -3,13 +3,13 @@
 * :mod:`repro.faults.plan` — declarative :class:`FaultPlan` grammar,
   inline-spec parser, and the named-plan registry (``lossy1``, ``chaos``,
   …), selected through ``MachineParams.faults``.
-* :mod:`repro.faults.fabric` — :class:`FaultyFabric`, a wrapper that
-  composes over any registered fabric and injects drops, duplicates,
+* :mod:`repro.faults.fabric` — :class:`FaultInjector`, the policy a fabric
+  consults on every message under a plan: it injects drops, duplicates,
   corruption, jitter, reordering and transient link outages from
   bit-reproducible seeded streams.
 """
 
-from repro.faults.fabric import FaultyFabric, wrap_fabric
+from repro.faults.fabric import FaultInjector
 from repro.faults.plan import (
     FaultPlan,
     FaultPlanError,
@@ -18,18 +18,15 @@ from repro.faults.plan import (
     register_plan,
     registered_plans,
     resolve_plan,
-    scaled_plan,
 )
 
 __all__ = [
+    "FaultInjector",
     "FaultPlan",
     "FaultPlanError",
     "FaultRule",
-    "FaultyFabric",
     "parse_inline",
     "register_plan",
     "registered_plans",
     "resolve_plan",
-    "scaled_plan",
-    "wrap_fabric",
 ]

@@ -4,8 +4,8 @@ A :class:`FaultPlan` describes, per link, which faults the interconnect
 may inject: message drop, duplication, payload corruption, delay jitter,
 reordering, and deterministic transient link-down windows.  Plans are
 selected by name through ``MachineParams.faults`` (like fabrics and
-coherence protocols) and applied by wrapping any fabric in
-:class:`repro.faults.fabric.FaultyFabric`.
+coherence protocols) and applied inside whichever fabric the machine
+builds, by that fabric's :class:`repro.faults.fabric.FaultInjector`.
 
 Plans are *declarative data*: every fault decision is drawn from a seeded
 RNG stream keyed by ``(fault_seed, source, dest, per-link message index)``,
@@ -32,7 +32,7 @@ PERIOD-cycle interval.  Multi-rule plans (per-link patterns like
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 
@@ -164,32 +164,6 @@ class FaultPlan:
     def is_lossy(self) -> bool:
         return any(rule.is_lossy() for rule in self.rules)
 
-    def describe(self) -> str:
-        if self.description:
-            return f"{self.name}: {self.description}"
-        return self.name
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "rules": [
-                {
-                    "links": r.links,
-                    "drop": r.drop,
-                    "duplicate": r.duplicate,
-                    "corrupt": r.corrupt,
-                    "jitter": r.jitter,
-                    "reorder": r.reorder,
-                    "reorder_window": r.reorder_window,
-                    "down_period": r.down_period,
-                    "down_cycles": r.down_cycles,
-                    "down_phase": r.down_phase,
-                }
-                for r in self.rules
-            ],
-        }
-
 
 # ----------------------------------------------------------------------
 # Inline grammar
@@ -268,34 +242,6 @@ def resolve_plan(name: str) -> FaultPlan:
     )
 
 
-def scaled_plan(plan: FaultPlan, factor: float) -> FaultPlan:
-    """A copy of ``plan`` with every fault *rate* scaled by ``factor``
-    (clamped to [0, 1]; windows/jitter magnitudes unchanged).  Used by the
-    fault-parameterized sweep preset."""
-    if factor < 0:
-        raise FaultPlanError("scale factor must be >= 0")
-
-    def clamp(rate: float) -> float:
-        return min(1.0, rate * factor)
-
-    rules = tuple(
-        replace(
-            r,
-            drop=clamp(r.drop),
-            duplicate=clamp(r.duplicate),
-            corrupt=clamp(r.corrupt),
-            reorder=clamp(r.reorder),
-        )
-        for r in plan.rules
-    )
-    scaled = FaultPlan(
-        name=f"{plan.name}*{factor:g}",
-        rules=rules,
-        description=f"{plan.describe()} (rates x{factor:g})",
-    )
-    return register_plan(scaled)
-
-
 # ----------------------------------------------------------------------
 # Built-in plans
 # ----------------------------------------------------------------------
@@ -304,7 +250,7 @@ register_plan(
     FaultPlan(
         name="zero",
         rules=(FaultRule(),),
-        description="all rates zero — wrapper overhead / determinism baseline",
+        description="all rates zero — fault-layer overhead / determinism baseline",
     )
 )
 

@@ -71,6 +71,9 @@ class AbstractFabric(abc.ABC):
         self._notices: Dict[int, Callable[[], None]] = {}
         self.stats = Counter()
         self.latency_samples = Samples()
+        #: The fault plan's :class:`~repro.faults.fabric.FaultInjector`, set
+        #: by ``create_fabric`` under a plan; ``None`` without one.
+        self.faults = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -138,7 +141,16 @@ class AbstractFabric(abc.ABC):
     # Message transport
     # ------------------------------------------------------------------
     def inject(self, message: NetworkMessage) -> None:
-        """Inject a message; it arrives at the destination after the model's delay."""
+        """Inject a message; it arrives at the destination after the model's
+        delay, or, under a fault plan, as :attr:`faults` decides."""
+        faults = self.faults
+        if faults is None:
+            self._transmit(message)
+        else:
+            faults.inject(self, message)
+
+    def _transmit(self, message: NetworkMessage) -> None:
+        """:meth:`inject` without faults."""
         if message.dest not in self._endpoints:
             raise NetworkError(f"message to unattached node {message.dest}")
         if message.source not in self._endpoints:
@@ -157,6 +169,17 @@ class AbstractFabric(abc.ABC):
         message.deliver_time = self.sim.now
         self.stats.add("messages_delivered")
         self.latency_samples.record(message.deliver_time - message.inject_time)
+        extra = message.fault_delay
+        if extra:
+            # Jitter or reordering: delivered as far as the statistics go,
+            # the message reaches its NI ``extra`` cycles later.
+            message.fault_delay = 0
+            self.sim.schedule_call(extra, self._deliver_late, (message,))
+        else:
+            self._endpoints[message.dest](message)
+
+    def _deliver_late(self, message: NetworkMessage) -> None:
+        message.deliver_time = self.sim.now
         self._endpoints[message.dest](message)
 
     def send_ack(self, from_node: int, to_node: int) -> None:
@@ -170,6 +193,9 @@ class AbstractFabric(abc.ABC):
 
     def _deliver_ack(self, from_node: int, to_node: int) -> None:
         self.stats.add("acks_delivered")
+        faults = self.faults
+        if faults is not None and faults.absorbs_ack(to_node, from_node):
+            return
         self._ack_handlers[to_node](from_node)
 
     # ------------------------------------------------------------------

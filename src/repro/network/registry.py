@@ -133,9 +133,18 @@ def available_fabrics() -> Tuple[FabricInfo, ...]:
 def create_fabric(sim: Simulator, params: MachineParams) -> AbstractFabric:
     """Build the fabric ``params.fabric`` names, attached to nothing yet.
 
-    Raises :class:`~repro.network.fabricspec.FabricError` for names that
-    do not parse, name an unregistered kind, or whose grid dimensions
-    cannot host ``params.num_nodes`` nodes.
+    Under a fault plan its ``faults`` is the plan's seeded
+    :class:`~repro.faults.fabric.FaultInjector`.  Raises
+    :class:`~repro.network.fabricspec.FabricError` for names that do not
+    parse, name an unregistered kind, or whose grid dimensions cannot host
+    ``params.num_nodes`` nodes.
     """
     spec = parse_fabric(params.fabric).validate_nodes(params.num_nodes)
-    return fabric_class(spec.kind)(sim, params, spec=spec)
+    fabric = fabric_class(spec.kind)(sim, params, spec=spec)
+    if params.faults:
+        # Lazy import: a run without a plan never loads the fault layer.
+        from repro.faults.fabric import FaultInjector
+        from repro.faults.plan import resolve_plan
+
+        fabric.faults = FaultInjector(resolve_plan(params.faults), params.fault_seed)
+    return fabric

@@ -39,15 +39,6 @@ class Machine:
             raise ValueError("injected simulator has already executed events")
         self.sim = simulator if simulator is not None else Simulator()
         self.fabric = create_fabric(self.sim, self.params)
-        if self.params.faults:
-            # Deterministic fault injection: wrap whatever fabric the
-            # registry built (the wrapper shares the inner fabric's stats,
-            # so network_stats() is unchanged by a zero-rate plan).
-            from repro.faults import wrap_fabric
-
-            self.fabric = wrap_fabric(
-                self.fabric, self.params.faults, seed=self.params.fault_seed
-            )
 
         if node_configs is not None:
             if len(node_configs) != self.params.num_nodes:
@@ -57,6 +48,8 @@ class Machine:
             configs = list(node_configs)
         else:
             configs = [node_config or NodeConfig() for _ in range(self.params.num_nodes)]
+        for config in configs:  # before any node is assembled
+            config.validate(self.params.protocol)
 
         self.nodes: List[Node] = [
             Node(self.sim, node_id, self.params, self.fabric, config)
@@ -93,14 +86,12 @@ class Machine:
     ) -> "Machine":
         """Build a homogeneous machine with the given NI on the given bus."""
         bus_kind = bus if isinstance(bus, BusKind) else BusKind(bus)
-        # Validate eagerly so unknown devices, illegal bus placements and
-        # unsupported ni_kwargs fail before any node is assembled.
         config = NodeConfig(
             ni_name=ni_name,
             ni_bus=bus_kind,
             snarfing=snarfing,
             ni_kwargs=dict(ni_kwargs or {}),
-        ).validate()
+        )
         return cls(
             params=params, node_config=config, num_nodes=num_nodes, simulator=simulator
         )
@@ -229,11 +220,7 @@ class Machine:
         every scheduled callback's owner against this map, so any object
         reachable from a simulation process must appear here.
         """
-        fabric_objs = (self.fabric,)
-        inner = getattr(self.fabric, "inner", None)
-        if inner is not None:
-            fabric_objs = (self.fabric, inner)
-        parts: Dict[str, tuple] = {"fabric": fabric_objs}
+        parts: Dict[str, tuple] = {"fabric": (self.fabric,)}
         for node, layer in zip(self.nodes, self.messaging):
             interconnect = node.interconnect
             owned = [
@@ -280,16 +267,15 @@ class Machine:
     def fault_stats(self) -> Dict[str, object]:
         """Machine-wide fault-injection and recovery totals.
 
-        Merges the fault wrapper's injection counters (drops, duplicates,
+        Merges the fabric's fault-injection counters (drops, duplicates,
         corruptions, delays) with every node's reliability counters
         (retransmits, recoveries, dedup discards) and the combined
         recovery-latency histogram.  Returns ``{"plan": ""}`` plus zeroed
         recovery counters when no fault plan is active.
         """
         out: Dict[str, object] = {"plan": self.params.faults}
-        fabric_stats = getattr(self.fabric, "fault_stats", None)
-        if fabric_stats is not None:
-            out.update(fabric_stats())
+        if self.fabric.faults is not None:
+            out.update(self.fabric.faults.fault_stats())
         recovery = None
         for layer in self.messaging:
             for key, value in layer.fault_stats().items():

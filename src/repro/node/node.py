@@ -7,6 +7,7 @@ from typing import Dict, Optional
 
 from repro.coherence.bus import NodeInterconnect
 from repro.coherence.cache import CoherentCache, MainMemory
+from repro.coherence.protocols import protocol_spec
 from repro.common.addrmap import AddressMap, RegionAllocator
 from repro.common.params import DRAM_BASE, DRAM_SIZE, MachineParams
 from repro.common.types import AddressRange, AgentKind, BusKind
@@ -36,7 +37,9 @@ class NodeConfig:
     snarfing: bool = False
     ni_kwargs: Dict = field(default_factory=dict)
 
-    def validate(self) -> "NodeConfig":
+    def validate(self, protocol: str = "moesi") -> "NodeConfig":
+        """Check the device, its bus placement and snarfing under coherence
+        ``protocol``, for machine construction and spec validation alike."""
         # Bus-placement rules follow the parsed taxonomy axes, so they hold
         # across the whole generative space, not just the five paper names.
         # Custom registered devices with grammar-free names are conservative:
@@ -58,6 +61,13 @@ class NodeConfig:
                 f"{self.ni_name}: memory-homed queues cannot be implemented on "
                 f"current coherent I/O buses (paper Section 2.3)"
             )
+        if self.snarfing and protocol_spec(protocol).directory:
+            # Snarfing picks data off *broadcast* transactions, which a
+            # directory protocol filters away from non-holders.
+            raise NodeConfigError(
+                f"{self.ni_name}: snarfing needs broadcast snoops; directory "
+                f"protocol {protocol!r} filters them"
+            )
         # Fail on unknown devices / unsupported device kwargs here, with a
         # TaxonomyError, rather than as a TypeError deep in create_ni().
         validate_ni_kwargs(self.ni_name, self.ni_kwargs)
@@ -78,7 +88,7 @@ class Node:
         self.sim = sim
         self.node_id = node_id
         self.params = params
-        self.config = (config or NodeConfig()).validate()
+        self.config = config or NodeConfig()  # validated by the machine
         self.addrmap = AddressMap.for_params(params)
 
         self.interconnect = NodeInterconnect(
@@ -89,13 +99,6 @@ class Node:
             with_io_bus=self.config.ni_bus is BusKind.IO,
             with_cache_bus=self.config.ni_bus is BusKind.CACHE,
         )
-        if self.config.snarfing and self.interconnect.directory is not None:
-            # Snarfing picks data off *broadcast* transactions, which a
-            # directory protocol filters away from non-holders.
-            raise NodeConfigError(
-                f"node{node_id}: snarfing needs broadcast snoops; directory "
-                f"protocol {params.protocol!r} filters them"
-            )
         self.memory = MainMemory(
             sim, f"node{node_id}.mem", self.interconnect, params, self.addrmap
         )

@@ -25,6 +25,7 @@ from repro.analysis.determinism import (
     strip_elided,
 )
 from repro.analysis.lint import FIXTURES, Rule, lint_source, lint_tree, parse_waivers, register_rule
+from repro.analysis.ownership import domain_for
 from repro.analysis.partitions import EXTERNAL, PartitionResolver, partition_from_name
 from repro.analysis.statkeys import generate_registry
 from repro.api import ExperimentSpec
@@ -72,6 +73,11 @@ def test_cross_rule_ignores_local_variable_attributes():
         "def local_ok(graph):\n    return graph.nodes\n", "ni/_fixture.py"
     )
     assert not [f for f in findings if f.rule == "CROSS"]
+
+
+def test_fault_injector_lints_as_part_of_the_fabric():
+    assert domain_for("faults/fabric.py") == domain_for("network/fabric.py") == "mediation"
+    assert domain_for("faults/plan.py") == "harness"
 
 
 def test_mutstate_rule_exempts_dunder_exports():

@@ -143,6 +143,12 @@ class TestSweepSpec:
         with pytest.raises(SpecError):
             SweepSpec.cartesian(ExperimentSpec(), voltage=(1, 2))
 
+    @pytest.mark.parametrize("values", ["12", {"a": 1}, 12], ids=["str", "dict", "int"])
+    def test_an_axis_is_a_list_of_values(self, values):
+        with pytest.raises(SpecError, match="sweep axis 'seed'"):
+            SweepSpec.cartesian(ExperimentSpec(**QUICK), seed=values)
+        assert len(SweepSpec.cartesian(ExperimentSpec(**QUICK), seed=[1, 2])) == 2
+
     def test_explicit_points_preserved_in_order(self):
         points = [ExperimentSpec(**QUICK, device=d) for d in ("CNI4", "NI2w")]
         sweep = SweepSpec.explicit(points)

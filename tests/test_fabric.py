@@ -497,14 +497,15 @@ class TestDeliveryNotices:
         assert fabric._notices == {}
 
     @pytest.mark.parametrize("plan,expected", [("drop=1", 0), ("dup=1", 2), ("jitter=40", 1)])
-    def test_faulty_fabric_announces_each_inner_injection(self, plan, expected):
-        """A drop never reaches the inner inject, a duplicate is a second
-        inner inject, and jitter only delays delivery past the bound."""
-        from repro.faults import wrap_fabric
-
-        params = MachineParams(num_nodes=2).validate()
+    def test_fault_plan_announces_each_transmission(self, plan, expected):
+        """A drop is never transmitted, so never announced; a duplicate is a
+        second transmission; jitter only delays delivery past the bound."""
+        params = MachineParams(
+            num_nodes=2, faults=plan, fault_seed=3, reliable_messaging=True
+        ).validate()
         sim = Simulator()
-        fabric = wrap_fabric(IdealFabric(sim, params), plan, seed=3)
+        fabric = create_fabric(sim, params)
+        assert type(fabric) is IdealFabric
         inbox = []
         fabric.attach(0, lambda m: None, lambda src: None)
         fabric.attach(1, inbox.append, lambda src: None)

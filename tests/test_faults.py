@@ -11,21 +11,28 @@ and in parallel.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.traffic  # noqa: F401 — register the shipped patterns
 from repro.api import ExperimentSpec, SweepRunner, fault_sweep, run_point
 from repro.apps import DIAGNOSTIC_WORKLOADS, MACROBENCHMARKS, create_workload
+from repro.apps.registry import workload_names
+from repro.apps.workload import run_spec
 from repro.common.params import MachineParams, ParameterError
+from repro.common.types import NetworkMessage
 from repro.faults import (
+    FaultInjector,
     FaultPlan,
     FaultPlanError,
     FaultRule,
     parse_inline,
     registered_plans,
     resolve_plan,
-    scaled_plan,
 )
+from repro.network.registry import create_fabric, fabric_class
 from repro.node.machine import Machine
-from repro.sim import SimulationHangError, WorkloadHangError
+from repro.sim import SimulationHangError, Simulator, WorkloadHangError
 
 
 def build_machine(device="CNI4Q", num_nodes=8, **params):
@@ -83,14 +90,14 @@ class TestPlanGrammar:
         with pytest.raises(FaultPlanError):
             resolve_plan("no-such-plan")
 
-    def test_builtin_registry_and_scaling(self):
+    def test_builtin_registry(self):
         assert {"zero", "lossy1", "chaos"} <= set(registered_plans())
         assert not resolve_plan("zero").is_lossy()
         assert resolve_plan("lossy1").is_lossy()
-        half = scaled_plan(resolve_plan("lossy1"), 0.5)
-        assert half.rules[0].drop == pytest.approx(0.005)
-        # Scaled plans self-register so specs can name them.
-        assert resolve_plan(half.name) is half
+        # A plan name resolves only if it is registered at import time or is
+        # inline grammar, so it means the same in every process.
+        with pytest.raises(FaultPlanError):
+            resolve_plan("lossy1*0.5")
 
     def test_lossy_plan_requires_reliable_messaging(self):
         with pytest.raises(ParameterError):
@@ -156,6 +163,86 @@ class TestFaultDeterminism:
         assert f1["recoveries"] > 0
         assert f1["retransmit_giveups"] == 0
         assert f1["recovery_latency"]["count"] == f1["recoveries"]
+
+
+# ---------------------------------------------------------------------------
+# Faults inside the fabric
+# ---------------------------------------------------------------------------
+PAPER_DEVICES = ("NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm")
+
+
+@st.composite
+def _small_workload_points(draw):
+    kind = draw(st.sampled_from(("macro", "traffic")))
+    return dict(
+        kind=kind,
+        workload=draw(st.sampled_from(workload_names(kind))),
+        device=draw(st.sampled_from(PAPER_DEVICES)),
+        num_nodes=draw(st.integers(4, 8)),
+        scale=draw(st.sampled_from((0.1, 0.2))),
+        fabric=draw(st.sampled_from(("ideal", "xbar", "mesh", "torus"))),
+    )
+
+
+def _observed(point, **params):
+    spec = ExperimentSpec(
+        kind=point["kind"], workload=point["workload"], device=point["device"],
+        bus="memory", num_nodes=point["num_nodes"], scale=point["scale"],
+        params={"fabric": point["fabric"], **params},
+    ).validate()
+    machine, result = run_spec(spec)
+    return {
+        "cycles": result.cycles,
+        "network": machine.network_stats(),
+        "memory_bus_occupancy": result.memory_bus_occupancy,
+        "io_bus_occupancy": result.io_bus_occupancy,
+        "events": machine.sim.event_count,
+    }
+
+
+class TestFaultsInsideTheFabric:
+    @given(_small_workload_points())
+    @settings(max_examples=20, deadline=None)
+    def test_zero_plan_is_no_plan(self, point):
+        """The zero plan's all-zero links pass straight through: not one
+        event, delivery or bus cycle differs from running without a plan."""
+        assert _observed(point, faults="zero") == _observed(point)
+
+    @pytest.mark.parametrize("kind", ["ideal", "xbar", "mesh", "torus"])
+    def test_the_fabric_carries_the_plan(self, kind):
+        machine = build_machine(
+            num_nodes=4, fabric=kind, faults="lossy1", fault_seed=2,
+            reliable_messaging=True,
+        )
+        assert type(machine.fabric) is fabric_class(kind)
+        assert machine.partition_map()["fabric"] == (machine.fabric,)
+        faults = machine.fabric.faults
+        assert isinstance(faults, FaultInjector)
+        assert (faults.plan, faults.seed) == (resolve_plan("lossy1"), 2)
+        assert build_machine(num_nodes=4, fabric=kind).fabric.faults is None
+
+    def test_extra_delay_summary_matches_the_delays_added(self):
+        params = MachineParams(
+            num_nodes=2, faults="dup=0.2,jitter=40", fault_seed=5,
+            reliable_messaging=True,
+        ).validate()
+        sim = Simulator()
+        fabric = create_fabric(sim, params)
+        inbox = []
+        fabric.attach(0, lambda message: None, lambda source: None)
+        fabric.attach(1, inbox.append, lambda source: None)
+        for _ in range(50):
+            fabric.inject(NetworkMessage(source=0, dest=1, payload_bytes=64))
+        sim.run()
+        stats = fabric.faults.fault_stats()
+        assert len(inbox) == 50 + stats["duplicates"]
+        # Every message was injected at cycle 0; what arrived later than the
+        # fabric's latency was held back by the fault layer.
+        extras = [m.deliver_time - params.network_latency_cycles for m in inbox]
+        extras = [extra for extra in extras if extra]
+        assert len(extras) == stats["delayed"] + stats["duplicates"]
+        assert stats["extra_delay_mean"] == round(sum(extras) / len(extras), 3)
+        assert stats["extra_delay_max"] == float(max(extras))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from repro.service import (
     ResultStore,
     make_server,
 )
+from repro.common.params import ParameterError
+from repro.node.node import NodeConfigError
 from repro.service.admin import main as admin_main
 
 QUICK = dict(
@@ -595,6 +597,73 @@ class TestHttpService:
         assert status == 400, payload
         assert json.loads(payload)["error"].startswith("invalid")
         assert service.counters["runs_completed"] == 0
+
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ({"faults": "jitter", "fault_seed": 1.5}, "fault_seed"),
+            ({"network_latency_cycles": 100.0}, "network_latency_cycles"),
+            ({"spin_elision": "no"}, "spin_elision"),
+            ({"sliding_window": True}, "sliding_window"),
+            ({"fabric": 4}, "fabric"),
+        ],
+        ids=["float-seed", "float-latency", "str-flag", "bool-count", "int-name"],
+    )
+    def test_ill_typed_machine_params_are_400(self, service, params, field):
+        """A value of another type than its MachineParams field's (a bool is
+        no int) fails validation naming the field, before any run starts."""
+        spec = quick_spec(params=params)
+        with pytest.raises(ParameterError, match=field):
+            spec.validate()
+        status, _, payload = _request(
+            service.base_url + "/run", data=json.dumps(spec.to_dict()).encode()
+        )
+        assert status == 400, payload
+        assert field in json.loads(payload)["error"]
+        assert service.counters["runs_started"] == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"device": "CNI16Qm", "bus": "io"},
+            {"device": "CNI16Q", "bus": "cache"},
+            {"device": "CNI16Qm", "snarfing": True, "params": {"protocol": "dir-msi"}},
+        ],
+        ids=["qm-on-io", "queue-on-cache", "snarfing-under-directory"],
+    )
+    def test_unbuildable_node_is_400(self, service, overrides):
+        """Bus placement and snarfing are checked by spec validation with the
+        machine's own rules, not first by the run."""
+        spec = quick_spec(**overrides)
+        with pytest.raises(NodeConfigError):
+            spec.validate()
+        status, _, payload = _request(
+            service.base_url + "/run", data=json.dumps(spec.to_dict()).encode()
+        )
+        assert status == 400, payload
+        assert service.counters["runs_started"] == 0
+
+    @pytest.mark.parametrize(
+        "endpoint, body, message",
+        [
+            ("/batch", {"base": QUICK, "axes": {"seed": "12"}}, "sweep axis 'seed'"),
+            ("/batch", {"base": QUICK, "axes": {"device": "NI2w"}}, "sweep axis 'device'"),
+            ("/batch", {"base": QUICK, "axes": {"seed": {"1": 2}}}, "sweep axis 'seed'"),
+            ("/batch", {"base": QUICK, "axes": {"seed": [1, "2"]}}, "seed must be an int"),
+            ("/run", {**QUICK, "seed": "12"}, "seed must be an int"),
+            ("/run", {**QUICK, "seed": True}, "seed must be an int"),
+            ("/run", {**QUICK, "workload_kwargs": {"seed": 12.7}}, "seed'] must be an int"),
+        ],
+        ids=["str-seeds", "str-devices", "dict-seeds", "str-seed-value", "str-seed",
+             "bool-seed", "float-workload-seed"],
+    )
+    def test_string_axes_and_non_int_seeds_are_400(self, service, endpoint, body, message):
+        status, _, payload = _request(
+            service.base_url + endpoint, data=json.dumps(body).encode()
+        )
+        assert status == 400, payload
+        assert message in json.loads(payload)["error"]
+        assert service.counters["runs_started"] == 0
 
     def test_get_result_warm_serves_without_machine(self, service, monkeypatch):
         spec = quick_spec()
