@@ -38,7 +38,7 @@ from repro.common.types import BusKind
 from repro.network import (
     FabricSpec,
     available_fabrics,
-    parse_fabric_name,
+    parse_fabric,
     register_fabric,
     unregister_fabric,
 )
@@ -68,7 +68,7 @@ __all__ = [
     "unregister_device",
     "DeviceSpec",
     "FabricSpec",
-    "parse_fabric_name",
+    "parse_fabric",
     "available_fabrics",
     "register_fabric",
     "unregister_fabric",

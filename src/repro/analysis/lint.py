@@ -48,6 +48,7 @@ from repro.analysis.ownership import (
     iter_modules,
 )
 from repro.analysis.statkeys import StatKeyRegistry, consumed_keys, generate_registry
+from repro.common.registry import Registry
 
 
 class LintError(RuntimeError):
@@ -147,10 +148,10 @@ class Rule:
         raise NotImplementedError
 
 
-_RULES: Dict[str, Rule] = {}
+_RULES: Registry[Rule] = Registry("lint rule", LintError)
 
 
-def register_rule(rule=None, *, replace: bool = False):
+def register_rule(rule=None):
     """Register a lint rule (decorator or direct call).
 
     Accepts a :class:`Rule` instance or a zero-argument rule class, exactly
@@ -160,21 +161,25 @@ def register_rule(rule=None, *, replace: bool = False):
         class NoFooRule(Rule):
             id = "NOFOO"
             ...
+
+    A built-in or already registered rule id raises :class:`LintError`.
     """
     if rule is None:
-        return lambda actual: register_rule(actual, replace=replace)
+        return register_rule
     instance = rule() if isinstance(rule, type) else rule
     if not isinstance(instance, Rule):
         raise LintError(f"register_rule needs a Rule, got {instance!r}")
-    rule_id = instance.id.upper()
-    if not replace and rule_id in _RULES:
-        raise LintError(f"lint rule {rule_id!r} already registered (use replace=True)")
-    _RULES[rule_id] = instance
+    _RULES.register(instance.id.upper(), instance)
     return rule
 
 
+def unregister_rule(rule_id: str) -> None:
+    """Remove a plugin rule; a built-in or unknown rule id raises."""
+    _RULES.unregister(rule_id.upper())
+
+
 def registered_rules() -> Dict[str, Rule]:
-    return dict(_RULES)
+    return dict(_RULES.items())
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +224,10 @@ class CrossPartitionRule(Rule):
                 )
 
 
-_MUTABLE_CALLS = frozenset(
-    {"dict", "list", "set", "deque", "defaultdict", "Counter", "OrderedDict", "bytearray"}
-)
+_MUTABLE_CALLS = frozenset({
+    "dict", "list", "set", "deque", "defaultdict", "Counter", "OrderedDict", "bytearray",
+    "Registry",  # a plugin table is module-level state like any dict
+})
 
 
 @register_rule
@@ -457,6 +463,9 @@ class EnumAttrRule(Rule):
             )
 
 
+_RULES.seal()
+
+
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
@@ -575,8 +584,9 @@ FIXTURES: Dict[str, Tuple[str, str, int]] = {
     ),
     "MUTSTATE": (
         "ni/_fixture.py",
-        "_PENDING = {}\n",
-        1,
+        "from repro.common.registry import Registry\n\n"
+        "_PLUGINS = Registry('plugin', ValueError)\n",
+        3,
     ),
     "SLOTS": (
         "sim/_fixture.py",

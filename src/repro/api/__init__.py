@@ -23,7 +23,6 @@ Typical use::
 """
 
 from repro.api.kinds import (
-    KINDS,
     KindSpec,
     available_kinds,
     kind_spec,
@@ -65,7 +64,6 @@ __all__ = [
     "SweepRunner",
     "run_point",
     "run_point_guarded",
-    "KINDS",
     "KindSpec",
     "available_kinds",
     "kind_spec",

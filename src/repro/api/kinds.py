@@ -21,18 +21,19 @@ Each :class:`KindSpec` bundles the per-kind hooks:
 
 A kind has no say in its store key: every kind's results are keyed by the
 spec hash and :data:`repro.service.store.STORE_SCHEMA_VERSION`, which is
-bumped whenever a kind's metric set or measurement changes.
+bumped whenever a kind's metric set or measurement changes.  The built-in
+kinds are sealed (:class:`~repro.common.registry.Registry`).
 
-``KINDS`` stays importable from here (and re-exported by ``spec.py``) as a
-*live* sequence view of the registered names, so historic
-``spec.kind in KINDS`` checks and error messages keep working.
+:class:`SpecError` lives here, not in ``spec.py`` (which re-exports it),
+because the kind table raises it from import time on.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+
+from repro.common.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import ExperimentSpec
@@ -41,12 +42,8 @@ MeasureFn = Callable[["ExperimentSpec"], Dict[str, float]]
 SpecHook = Callable[["ExperimentSpec"], Any]
 
 
-def _spec_error(message: str):
-    # Lazy: spec.py imports KINDS from this module, so the exception class
-    # must be fetched at raise time, not import time.
-    from repro.api.spec import SpecError
-
-    return SpecError(message)
+class SpecError(ValueError):
+    """Raised for malformed experiment specifications."""
 
 
 @dataclass(frozen=True)
@@ -61,45 +58,7 @@ class KindSpec:
     doc: str = ""
 
 
-_REGISTRY: Dict[str, KindSpec] = {}
-_BUILTIN: Tuple[str, ...] = ()  # sealed once at the end of this module
-
-
-class _KindsView(Sequence):
-    """Live, ordered, read-only view of the registered kind names.
-
-    Prints like the historic tuple so error messages such as
-    ``unknown experiment kind 'x'; choose from ('latency', ...)`` keep
-    their shape.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        return tuple(_REGISTRY)[index]
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(tuple(_REGISTRY))
-
-    def __contains__(self, name: object) -> bool:
-        return name in _REGISTRY
-
-    def __repr__(self) -> str:
-        return repr(tuple(_REGISTRY))
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(_REGISTRY) == other
-
-    def __hash__(self):
-        return hash(tuple(_REGISTRY))
-
-
-#: Measurement kinds understood by :func:`repro.api.runner.run_point`
-#: (live view; see module docstring).
-KINDS = _KindsView()
+_KINDS: Registry[KindSpec] = Registry("experiment kind", SpecError)
 
 
 def register_kind(
@@ -110,7 +69,6 @@ def register_kind(
     describe: Optional[Callable[["ExperimentSpec"], str]] = None,
     cost: Optional[Callable[["ExperimentSpec"], float]] = None,
     doc: str = "",
-    replace: bool = False,
 ):
     """Register an experiment kind; usable as decorator or direct call.
 
@@ -123,30 +81,23 @@ def register_kind(
 
     Direct form takes the measure function as the second argument.
     ``measure`` must be a pure function of the spec: that is what lets every
-    kind's results be stored and served from the result store.
-    Re-registering a name raises ``SpecError`` unless ``replace=True``;
-    built-in kinds cannot be replaced or removed.
+    kind's results be stored and served from the result store.  A built-in
+    or already registered name raises ``SpecError``.
     """
 
     def install(measure_fn: MeasureFn) -> MeasureFn:
-        if not name or not isinstance(name, str):
-            raise _spec_error(f"experiment kind needs a non-empty string name, got {name!r}")
         if not callable(measure_fn):
-            raise _spec_error(f"experiment kind {name!r} needs a callable measure hook")
-        if name in _BUILTIN:
-            raise _spec_error(f"cannot replace built-in experiment kind {name!r}")
-        if name in _REGISTRY and not replace:
-            raise _spec_error(
-                f"experiment kind {name!r} is already registered "
-                f"(pass replace=True to override)"
-            )
-        _REGISTRY[name] = KindSpec(
-            name=name,
-            measure=measure_fn,
-            validate=validate,
-            describe=describe,
-            cost=cost,
-            doc=doc or (measure_fn.__doc__ or "").strip().split("\n")[0],
+            raise SpecError(f"experiment kind {name!r} needs a callable measure hook")
+        _KINDS.register(
+            name,
+            KindSpec(
+                name=name,
+                measure=measure_fn,
+                validate=validate,
+                describe=describe,
+                cost=cost,
+                doc=doc or (measure_fn.__doc__ or "").strip().split("\n")[0],
+            ),
         )
         return measure_fn
 
@@ -156,31 +107,18 @@ def register_kind(
 
 
 def unregister_kind(name: str) -> None:
-    """Remove a plugin kind (built-ins are protected)."""
-    if name in _BUILTIN:
-        raise _spec_error(f"cannot unregister built-in experiment kind {name!r}")
-    if name not in _REGISTRY:
-        raise _spec_error(f"unknown experiment kind {name!r}; choose from {KINDS}")
-    del _REGISTRY[name]
+    """Remove a plugin kind; a built-in or unknown name raises ``SpecError``."""
+    _KINDS.unregister(name)
 
 
 def kind_spec(name: str) -> KindSpec:
     """The :class:`KindSpec` registered under ``name`` (SpecError if none)."""
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise _spec_error(f"unknown experiment kind {name!r}; choose from {KINDS}")
-    return spec
+    return _KINDS.lookup(name)
 
 
 def available_kinds() -> Dict[str, KindSpec]:
     """Registered kinds in registration order."""
-    return dict(_REGISTRY)
-
-
-def check_kind(name: str) -> None:
-    """Membership check with the historic error message."""
-    if name not in _REGISTRY:
-        raise _spec_error(f"unknown experiment kind {name!r}; choose from {KINDS}")
+    return dict(_KINDS.items())
 
 
 def measure_point(spec: "ExperimentSpec") -> Dict[str, float]:
@@ -197,7 +135,7 @@ def validate_kind(spec: "ExperimentSpec") -> None:
 
 def describe_point(spec: "ExperimentSpec") -> str:
     """The human-readable "what" fragment of ``spec.describe()``."""
-    kind = _REGISTRY.get(spec.kind)
+    kind = _KINDS.get(spec.kind)
     if kind is not None and kind.describe is not None:
         return kind.describe(spec)
     return f"{spec.message_bytes} B"
@@ -211,7 +149,7 @@ def point_cost(spec: "ExperimentSpec") -> float:
     latency ping-pongs.  Kinds without a cost hook are assumed heavy
     (workload-sized) so schedulers start them early.
     """
-    kind = _REGISTRY.get(spec.kind)
+    kind = _KINDS.get(spec.kind)
     if kind is not None and kind.cost is not None:
         return kind.cost(spec)
     return 1_000_000.0 * spec.scale * max(1, spec.num_nodes)
@@ -219,55 +157,43 @@ def point_cost(spec: "ExperimentSpec") -> float:
 
 # ----------------------------------------------------------------------
 # Built-in kinds.  The measure hooks import their entry points lazily so
-# that importing the API layer stays cheap and cycle-free; the validate
-# hooks preserve the historic checks (and error messages) verbatim.
+# that importing the API layer stays cheap and cycle-free.
 # ----------------------------------------------------------------------
 
 def _validate_latency(spec: "ExperimentSpec") -> None:
     if spec.message_bytes <= 0:
-        raise _spec_error("message_bytes must be positive")
+        raise SpecError("message_bytes must be positive")
     if spec.iterations < 1:
-        raise _spec_error("latency experiments need at least one iteration")
+        raise SpecError("latency experiments need at least one iteration")
 
 
 def _validate_bandwidth(spec: "ExperimentSpec") -> None:
     if spec.message_bytes <= 0:
-        raise _spec_error("message_bytes must be positive")
+        raise SpecError("message_bytes must be positive")
     if spec.messages < 1:
-        raise _spec_error("bandwidth experiments need at least one message")
+        raise SpecError("bandwidth experiments need at least one message")
+
+
+def _check_workload(spec: "ExperimentSpec", what: str, tags: Tuple[str, ...]) -> None:
+    from repro.apps import workload_names
+
+    if spec.workload is None:
+        raise SpecError(f"{spec.kind} experiments need a {what} name")
+    names = [name for tag in tags for name in sorted(workload_names(tag))]
+    if spec.workload not in names:
+        raise SpecError(f"unknown {what} {spec.workload!r}; choose from {names}")
+    if spec.scale <= 0:
+        raise SpecError("scale must be positive")
 
 
 def _validate_macro(spec: "ExperimentSpec") -> None:
-    from repro.apps import DIAGNOSTIC_WORKLOADS, MACROBENCHMARKS
-
-    if spec.workload is None:
-        raise _spec_error("macro experiments need a workload name")
-    if spec.workload not in MACROBENCHMARKS and spec.workload not in DIAGNOSTIC_WORKLOADS:
-        raise _spec_error(
-            f"unknown workload {spec.workload!r}; choose from "
-            f"{sorted(MACROBENCHMARKS) + sorted(DIAGNOSTIC_WORKLOADS)}"
-        )
-    if spec.scale <= 0:
-        raise _spec_error("scale must be positive")
+    _check_workload(spec, "workload", ("macro", "diagnostic"))
 
 
 def _validate_traffic(spec: "ExperimentSpec") -> None:
     import repro.traffic  # noqa: F401 — registers the shipped patterns
 
-    from repro.apps.registry import available_workloads
-
-    if spec.workload is None:
-        raise _spec_error("traffic experiments need a pattern (workload) name")
-    info = available_workloads().get(spec.workload)
-    if info is None or not ({"traffic", "fine-grain"} & set(info.tags)):
-        patterns = sorted(available_workloads("traffic")) + sorted(
-            available_workloads("fine-grain")
-        )
-        raise _spec_error(
-            f"unknown traffic pattern {spec.workload!r}; choose from {patterns}"
-        )
-    if spec.scale <= 0:
-        raise _spec_error("scale must be positive")
+    _check_workload(spec, "traffic pattern", ("traffic", "fine-grain"))
 
 
 def _describe_workload(spec: "ExperimentSpec") -> str:
@@ -336,4 +262,4 @@ def _measure_traffic(spec: "ExperimentSpec") -> Dict[str, float]:
     return run_traffic_point(spec)
 
 
-_BUILTIN = tuple(_REGISTRY)
+_KINDS.seal()

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
-from repro.api.kinds import check_kind, describe_point, validate_kind
+from repro.api.kinds import SpecError, describe_point, kind_spec, validate_kind
 from repro.common.types import BusKind
 
 #: Version tag baked into every canonical form so that cache entries from
@@ -30,10 +30,6 @@ SPEC_VERSION = 1
 #: Seed used when a macro spec does not pin one (the workloads' canonical
 #: seed, matching :class:`repro.apps.workload.Workload`).
 DEFAULT_WORKLOAD_SEED = 12345
-
-
-class SpecError(ValueError):
-    """Raised for malformed experiment specifications."""
 
 
 def _freeze(value: Any) -> Any:
@@ -100,7 +96,7 @@ class ExperimentSpec:
         from repro.common.params import DEFAULT_PARAMS
         from repro.node.node import NodeConfig
 
-        check_kind(self.kind)
+        kind_spec(self.kind)
         for name in ("workload_kwargs", "ni_kwargs", "params"):
             value = getattr(self, name)
             if not isinstance(value, Mapping):
@@ -109,21 +105,13 @@ class ExperimentSpec:
             BusKind(self.bus)
         except ValueError:
             raise SpecError(f"unknown bus {self.bus!r}") from None
-        seeds = {"seed": self.seed, "workload_kwargs['seed']": self.workload_kwargs.get("seed")}
-        for name, seed in seeds.items():
-            if seed is not None and type(seed) is not int:
-                raise SpecError(f"{name} must be an int, not {type(seed).__name__} {seed!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise SpecError(f"seed must be an int, not {type(self.seed).__name__} {self.seed!r}")
+        if "seed" in self.workload_kwargs:
+            # One spelling, one spec hash: the workload seed is ``seed``.
+            raise SpecError("workload_kwargs must not hold 'seed'; set the spec's seed instead")
         if self.num_nodes < 2:
             raise SpecError("experiments need at least two nodes")
-        if (
-            self.seed is not None
-            and "seed" in self.workload_kwargs
-            and self.workload_kwargs["seed"] != self.seed
-        ):
-            raise SpecError(
-                f"seed={self.seed} conflicts with "
-                f"workload_kwargs['seed']={self.workload_kwargs['seed']!r}; set one"
-            )
         # Per-kind checks come from the kind registry (the historic
         # latency/bandwidth/macro rules live on their KindSpecs now, with
         # identical messages); plugin kinds hook in the same way.
@@ -207,18 +195,14 @@ class ExperimentSpec:
     def resolved_seed(self) -> int:
         """The seed actually passed to workload construction.
 
-        Explicit ``seed`` wins, then a ``seed`` inside ``workload_kwargs``,
-        then the canonical workload seed (:meth:`validate` rejects the two
-        explicit seeds disagreeing).  The default is deliberately NOT
-        derived from the full spec hash: two specs that differ only in
-        device/bus placement must run the *same* problem instance, or
-        speedups over the baseline would compare different workloads.
+        Explicit ``seed`` wins, then the canonical workload seed (the only
+        spelling: :meth:`validate` rejects a ``seed`` inside
+        ``workload_kwargs``).  The default is deliberately NOT derived from
+        the full spec hash: two specs that differ only in device/bus
+        placement must run the *same* problem instance, or speedups over
+        the baseline would compare different workloads.
         """
-        if self.seed is not None:
-            return self.seed
-        if "seed" in self.workload_kwargs:
-            return int(self.workload_kwargs["seed"])
-        return DEFAULT_WORKLOAD_SEED
+        return DEFAULT_WORKLOAD_SEED if self.seed is None else self.seed
 
     def resolved_warmup(self) -> int:
         """Warm-up rounds: explicit, or the per-kind default."""

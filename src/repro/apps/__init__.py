@@ -1,10 +1,10 @@
 """Macrobenchmark communication skeletons (Table 3 of the paper).
 
 Workloads are looked up through the generative registry in
-:mod:`repro.apps.registry`; ``MACROBENCHMARKS`` and
-``DIAGNOSTIC_WORKLOADS`` remain importable as live, read-only views of
-the ``macro`` / ``diagnostic`` tags.  Synthetic traffic generators
-register under their own tags from :mod:`repro.traffic`.
+:mod:`repro.apps.registry`: ``workload_names("macro")`` lists the paper's
+five in Table-3 order, ``workload_names("diagnostic")`` the rest.
+Synthetic traffic generators register under their own tags from
+:mod:`repro.traffic`.
 """
 
 from repro.apps.appbt import AppbtWorkload
@@ -13,8 +13,6 @@ from repro.apps.gauss import GaussWorkload
 from repro.apps.hang import HangWorkload
 from repro.apps.moldyn import MoldynWorkload
 from repro.apps.registry import (
-    WORKLOAD_TAGS,
-    TagView,
     WorkloadError,
     WorkloadInfo,
     available_workloads,
@@ -24,6 +22,7 @@ from repro.apps.registry import (
     workload_class,
     workload_names,
 )
+from repro.apps.registry import _WORKLOADS
 from repro.apps.spsolve import SpsolveWorkload
 from repro.apps.workload import Workload, WorkloadResult, poll_until
 
@@ -40,14 +39,8 @@ for _cls, _tags in (
     (AppbtWorkload, ("macro",)),
     (HangWorkload, ("diagnostic",)),
 ):
-    register_workload(tags=_tags, replace=True)(_cls)
-
-#: The five macrobenchmarks evaluated in the paper, in its order
-#: (live view of the ``macro`` tag).
-MACROBENCHMARKS = TagView("macro")
-
-#: Diagnostic (non-paper) workloads (live view of the ``diagnostic`` tag).
-DIAGNOSTIC_WORKLOADS = TagView("diagnostic")
+    register_workload(tags=_tags)(_cls)
+_WORKLOADS.seal()
 
 
 __all__ = [
@@ -60,10 +53,6 @@ __all__ = [
     "HangWorkload",
     "MoldynWorkload",
     "AppbtWorkload",
-    "MACROBENCHMARKS",
-    "DIAGNOSTIC_WORKLOADS",
-    "WORKLOAD_TAGS",
-    "TagView",
     "WorkloadError",
     "WorkloadInfo",
     "available_workloads",

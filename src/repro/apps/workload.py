@@ -109,15 +109,12 @@ def run_spec(spec, machine: Optional[Machine] = None) -> Tuple[Machine, Workload
     This is the one build-and-run step of every workload kind.  The machine
     comes from :meth:`Machine.from_spec` unless the caller passes in one it
     built from the same spec and instrumented (trace recording, the
-    conflict analyzer).  The workload runs with ``spec.resolved_seed()``;
-    :meth:`~repro.api.spec.ExperimentSpec.validate` rejects a spec whose
-    ``seed`` and ``workload_kwargs["seed"]`` disagree.
+    conflict analyzer).  The workload runs with ``spec.resolved_seed()``.
     """
     if machine is None:
         machine = Machine.from_spec(spec)
-    kwargs = {key: value for key, value in spec.workload_kwargs.items() if key != "seed"}
     workload = create_workload(
-        spec.workload, scale=spec.scale, seed=spec.resolved_seed(), **kwargs
+        spec.workload, scale=spec.scale, seed=spec.resolved_seed(), **spec.workload_kwargs
     )
     max_cycles = spec.max_cycles if spec.max_cycles is not None else DEFAULT_MAX_CYCLES
     return machine, workload.run(machine, max_cycles=max_cycles)

@@ -106,7 +106,6 @@ class NodeInterconnect:
                 self._dir_lookup_cycles = params.directory_lookup_cycles
         self.stats = Counter()
         self._counts = self.stats.raw
-        self.nack_count = 0
         #: Optional observer called once per completed transaction, while
         #: the buses are still held: ``access_probe(txn, timing_bus)``.
         #: The partition-safety conflict detector (repro.analysis) installs
@@ -243,7 +242,6 @@ class NodeInterconnect:
                 if self.membus.try_acquire_now():
                     held.append(self.membus)
                 else:
-                    self.nack_count += 1
                     counts["bridge_nacks"] += 1
                     yield NACK_BACKOFF_CYCLES
                     yield self.membus

@@ -124,8 +124,8 @@ class _CompiledProtocol:
         self.snarf_state = STATE_SHARED if STATE_SHARED in spec.states else None
 
 
-#: Compiled engines memoised per protocol name; re-registering a name (the
-#: plugin ``replace=True`` path) produces a different spec object and
+#: Compiled engines memoised per protocol name; a plugin name that is
+#: unregistered and registered again names a different spec object and
 #: recompiles.
 _ENGINE_CACHE: Dict[str, Tuple[ProtocolSpec, _CompiledProtocol]] = {}  # repro: allow[MUTSTATE] memo keyed by protocol spec identity, machine-free
 

@@ -9,7 +9,6 @@ rule-table grammar and the plugin how-to.
 
 from repro.coherence.protocols.registry import (
     available_protocols,
-    is_builtin,
     protocol_spec,
     register_protocol,
     unregister_protocol,
@@ -22,7 +21,7 @@ from repro.coherence.protocols.spec import (
     Unsafe,
 )
 
-# Importing the tables module registers the built-in protocols.
+# Importing the tables module registers and seals the built-in protocols.
 from repro.coherence.protocols import tables as _tables  # noqa: F401  (registration side effect)
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "SnoopRule",
     "Unsafe",
     "available_protocols",
-    "is_builtin",
     "protocol_spec",
     "register_protocol",
     "unregister_protocol",

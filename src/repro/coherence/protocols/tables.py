@@ -11,7 +11,7 @@ consults the recorded owner/sharer set instead of broadcasting).
 
 from __future__ import annotations
 
-from repro.coherence.protocols.registry import _register_builtin
+from repro.coherence.protocols.registry import _PROTOCOLS, register_protocol
 from repro.coherence.protocols.spec import ProtocolSpec, SnoopRule, Unsafe
 from repro.common.types import BusOp, CoherenceState
 
@@ -41,7 +41,7 @@ def _invalidate_on_writes(*states):
     return rules
 
 
-MOESI = _register_builtin(ProtocolSpec(
+MOESI = register_protocol(ProtocolSpec(
     name="moesi",
     description="five-state write-invalidate with dirty sharing (paper baseline)",
     states=(I, S, E, O, M),
@@ -68,7 +68,7 @@ MOESI = _register_builtin(ProtocolSpec(
 ))
 
 
-MESI = _register_builtin(ProtocolSpec(
+MESI = register_protocol(ProtocolSpec(
     name="mesi",
     description="four-state write-invalidate; dirty data reflects to memory on sharing",
     states=(I, S, E, M),
@@ -92,7 +92,7 @@ MESI = _register_builtin(ProtocolSpec(
 ))
 
 
-MSI = _register_builtin(ProtocolSpec(
+MSI = register_protocol(ProtocolSpec(
     name="msi",
     description="three-state write-invalidate; every fill is SHARED",
     states=(I, S, M),
@@ -113,7 +113,7 @@ MSI = _register_builtin(ProtocolSpec(
 ))
 
 
-ILLINOIS = _register_builtin(ProtocolSpec(
+ILLINOIS = register_protocol(ProtocolSpec(
     name="illinois",
     description="MESI variant: cache-to-cache supply from clean copies, "
                 "exclusive fill whenever no snooper asserts shared",
@@ -140,7 +140,7 @@ ILLINOIS = _register_builtin(ProtocolSpec(
 ))
 
 
-DIR_MSI = _register_builtin(ProtocolSpec(
+DIR_MSI = register_protocol(ProtocolSpec(
     name="dir-msi",
     description="MSI with a home-node directory: owner/sharer lookups "
                 "replace broadcast snoops",
@@ -161,3 +161,5 @@ DIR_MSI = _register_builtin(ProtocolSpec(
         Unsafe("modified beside shared copies", "M >= 1 and S >= 1"),
     ),
 ))
+
+_PROTOCOLS.seal()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.apps import MACROBENCHMARKS
+from repro.apps import available_workloads
 from repro.common.params import DEFAULT_PARAMS, MachineParams
 from repro.common.types import BusKind
 from repro.ni.taxonomy import EVALUATED_DEVICES, available_devices
@@ -82,8 +82,8 @@ def table2_bus_occupancy(params: MachineParams = DEFAULT_PARAMS) -> List[Dict[st
 def table3_macrobenchmarks() -> List[Dict[str, str]]:
     """Table 3: macrobenchmark summary (name, key communication, input)."""
     rows = []
-    for name, cls in MACROBENCHMARKS.items():
-        workload = cls()
+    for name, info in available_workloads("macro").items():
+        workload = info.cls()
         rows.append(
             {
                 "benchmark": name,

@@ -18,6 +18,7 @@ from repro.faults.plan import (
     register_plan,
     registered_plans,
     resolve_plan,
+    unregister_plan,
 )
 
 __all__ = [
@@ -29,4 +30,5 @@ __all__ = [
     "register_plan",
     "registered_plans",
     "resolve_plan",
+    "unregister_plan",
 ]

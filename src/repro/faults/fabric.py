@@ -46,7 +46,7 @@ from typing import Dict, Optional, Tuple
 from repro.common.types import NetworkMessage
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.network.fabric import AbstractFabric
-from repro.sim import Counter
+from repro.sim import Counter, Summary
 
 _MIX_MULT = 1_000_003
 _MIX_MASK = 0xFFFF_FFFF_FFFF_FFFF
@@ -64,17 +64,15 @@ class FaultInjector:
     """The fault decisions of one ``plan`` and ``seed`` on one fabric.
 
     Fault events are tallied in ``counts``; the extra delays it adds are
-    kept as a count, a total and a maximum, which :meth:`fault_stats`
-    reports as their mean and maximum.
+    summarised in ``delays`` (count, total and maximum), which
+    :meth:`fault_stats` reports as their mean and maximum.
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0):
         self.plan = plan
         self.seed = seed
         self.counts = Counter()
-        self._delays = 0
-        self._delay_total = 0
-        self._delay_max = 0
+        self.delays = Summary()
         #: Per directed link: resolved FaultRule or None (pass-through).
         self._profiles: Dict[Tuple[int, int], Optional[FaultRule]] = {}
         #: Per directed link: messages seen (the RNG stream index).
@@ -84,9 +82,7 @@ class FaultInjector:
 
     def _delay(self, message: NetworkMessage, extra: int) -> None:
         message.fault_delay = extra
-        self._delays += 1
-        self._delay_total += extra
-        self._delay_max = max(self._delay_max, extra)
+        self.delays.record(extra)
 
     # ------------------------------------------------------------------
     # Fault decisions (all drawn at injection time)
@@ -158,7 +154,7 @@ class FaultInjector:
     def fault_stats(self) -> Dict[str, object]:
         out: Dict[str, object] = {"plan": self.plan.name, "seed": self.seed}
         out.update(self.counts.as_dict())
-        if self._delays:
-            out["extra_delay_mean"] = round(self._delay_total / self._delays, 3)
-            out["extra_delay_max"] = float(self._delay_max)
+        if self.delays.count:
+            out["extra_delay_mean"] = round(self.delays.mean, 3)
+            out["extra_delay_max"] = float(self.delays.maximum)
         return out

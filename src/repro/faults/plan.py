@@ -27,13 +27,17 @@ WINDOW extra cycles (letting later messages overtake) and
 ``down=PERIOD/CYCLES`` takes every link down for the first CYCLES of each
 PERIOD-cycle interval.  Multi-rule plans (per-link patterns like
 ``"3->*"``) are built programmatically and registered with
-:func:`register_plan`.
+:func:`register_plan`; the shipped plans are sealed built-ins
+(:class:`~repro.common.registry.Registry`), so a plugin plan needs a name
+of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+from repro.common.registry import Registry
 
 
 class FaultPlanError(ValueError):
@@ -214,13 +218,20 @@ def parse_inline(text: str) -> FaultPlan:
 # Registry
 # ----------------------------------------------------------------------
 
-_PLANS: Dict[str, FaultPlan] = {}
+_PLANS: Registry[FaultPlan] = Registry("fault plan", FaultPlanError)
 
 
 def register_plan(plan: FaultPlan) -> FaultPlan:
-    """Register a named plan (overwriting any previous registration)."""
-    _PLANS[plan.name] = plan
-    return plan
+    """Register a named plan; a built-in or already registered name raises,
+    and so does a name with ``=``, an inline plan built in by the grammar."""
+    if "=" in plan.name:
+        raise FaultPlanError(f"fault plan {plan.name!r} is an inline plan, built in by the grammar")
+    return _PLANS.register(plan.name, plan)
+
+
+def unregister_plan(name: str) -> None:
+    """Remove a plugin plan; a built-in or unknown name raises."""
+    _PLANS.unregister(name)
 
 
 def registered_plans() -> Tuple[str, ...]:
@@ -231,15 +242,7 @@ def resolve_plan(name: str) -> FaultPlan:
     """Resolve ``MachineParams.faults``: registry name or inline grammar."""
     if not name:
         raise FaultPlanError("empty fault plan name")
-    plan = _PLANS.get(name)
-    if plan is not None:
-        return plan
-    if "=" in name:
-        return parse_inline(name)
-    raise FaultPlanError(
-        f"unknown fault plan {name!r} (registered: {', '.join(registered_plans())}; "
-        "or inline like 'drop=0.01,reorder=0.05:40')"
-    )
+    return parse_inline(name) if "=" in name else _PLANS.lookup(name)
 
 
 # ----------------------------------------------------------------------
@@ -315,3 +318,5 @@ register_plan(
         description="everything at once — the chaos-smoke plan",
     )
 )
+
+_PLANS.seal()

@@ -657,11 +657,11 @@ class MessagingLayer:
                 yield backoff
         self.stats.add("reliable_flushes")
 
-    def fault_stats(self) -> Dict[str, object]:
+    def fault_stats(self) -> Dict[str, int]:
         """Per-node reliability/recovery counters (all zero under a
-        zero-rate plan; empty recovery histogram omitted)."""
+        zero-rate plan); the recovery latencies are ``recovery_samples``."""
         raw = self.stats.raw
-        out: Dict[str, object] = {
+        return {
             key: raw.get(key, 0)
             for key in (
                 "retransmits",
@@ -673,15 +673,6 @@ class MessagingLayer:
                 "e2e_acks_received",
             )
         }
-        if self.recovery_samples.count:
-            out["recovery_latency"] = {
-                "count": self.recovery_samples.count,
-                "mean": round(self.recovery_samples.mean, 1),
-                "p50": self.recovery_samples.percentile(0.5),
-                "p95": self.recovery_samples.percentile(0.95),
-                "max": self.recovery_samples.maximum,
-            }
-        return out
 
     def _deliver_local(self, handler: str, user_bytes: int, body: Tuple):
         self._counts["user_messages_sent"] += 1

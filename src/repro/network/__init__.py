@@ -14,7 +14,7 @@ from repro.network.fabric import (
     NetworkFabric,
     SlidingWindow,
 )
-from repro.network.fabricspec import FabricError, FabricSpec, parse_fabric_name
+from repro.network.fabricspec import FabricError, FabricSpec
 from repro.network.registry import (
     FabricInfo,
     available_fabrics,
@@ -38,7 +38,6 @@ __all__ = [
     "FabricSpec",
     "FabricInfo",
     "SlidingWindow",
-    "parse_fabric_name",
     "parse_fabric",
     "fabric_class",
     "register_fabric",

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional
 from repro.common.params import MachineParams
 from repro.common.types import NetworkMessage
 from repro.network.fabricspec import FabricSpec
-from repro.sim import Counter, Samples, Signal, Simulator
+from repro.sim import Counter, Signal, Simulator, Summary
 
 
 class NetworkError(RuntimeError):
@@ -70,7 +70,7 @@ class AbstractFabric(abc.ABC):
         #: :meth:`announce_to`).  Empty unless some node asked for notices.
         self._notices: Dict[int, Callable[[], None]] = {}
         self.stats = Counter()
-        self.latency_samples = Samples()
+        self.latency_samples = Summary()
         #: The fault plan's :class:`~repro.faults.fabric.FaultInjector`, set
         #: by ``create_fabric`` under a plan; ``None`` without one.
         self.faults = None

@@ -18,18 +18,19 @@ the grammar is canonical: one topology, one spelling.  Parse errors name
 the offending grammar field (``kind`` or ``dims``) the way
 :class:`~repro.ni.taxonomy.TaxonomyError` messages do.
 
-This module is deliberately dependency-free (no simulator imports) so that
-:mod:`repro.common.params` can validate fabric names without import
-cycles; the concrete fabric classes live in :mod:`repro.network.fabric`
-and :mod:`repro.network.topology`, keyed by ``kind`` through
-:mod:`repro.network.registry`.
+This module is deliberately dependency-free (no simulator imports).  The
+concrete fabric classes live in :mod:`repro.network.fabric` and
+:mod:`repro.network.topology`, keyed by ``kind`` through
+:mod:`repro.network.registry`, whose
+:func:`~repro.network.registry.parse_fabric` is the public parser: it
+reads a name against the registered kinds.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Collection, Optional, Tuple
 
 
 class FabricError(ValueError):
@@ -40,10 +41,6 @@ class FabricError(ValueError):
     space a name violates.
     """
 
-
-#: Kinds with a built-in fabric implementation.  Plugins registered through
-#: :func:`repro.network.registry.register_fabric` extend the accepted set.
-BUILTIN_KINDS: Tuple[str, ...] = ("ideal", "xbar", "mesh", "torus")
 
 #: Kinds that accept (or derive) 2D grid dimensions.
 GRID_KINDS: Tuple[str, ...] = ("mesh", "torus")
@@ -117,15 +114,15 @@ class FabricSpec:
         return f"{self.name}: custom fabric kind {self.kind!r}"
 
 
-def parse_fabric_name(
-    name: str, known_kinds: Sequence[str] = BUILTIN_KINDS
-) -> FabricSpec:
+def parse_fabric_name(name: str, known_kinds: Collection[str]) -> FabricSpec:
     """Parse a fabric name like ``"mesh4x4"`` into a :class:`FabricSpec`.
 
-    Raises :class:`FabricError` for malformed names, with the message
-    naming the offending grammar field.  Enforced grammar rules:
+    The grammar behind :func:`repro.network.registry.parse_fabric`, which
+    passes the registered kinds as ``known_kinds``.  Raises
+    :class:`FabricError` for malformed names, with the message naming the
+    offending grammar field.  Enforced grammar rules:
 
-    * ``kind`` must be a known fabric kind (built-in or registered);
+    * ``kind`` must be one of ``known_kinds``;
     * ``dims``, when present, requires a grid kind — ``ideal`` and
       ``xbar`` ignore topology by construction;
     * ``dims`` components must be positive and written without leading

@@ -7,52 +7,40 @@ the interconnect axis: a fabric *kind* (the grammar's leading word —
 :func:`create_fabric` builds the fabric a machine's parameters name.
 Plugins register new kinds with :func:`register_fabric` (plain call or
 decorator), after which their names parse everywhere a built-in name does
-— ``MachineParams(fabric="myfabric")``, experiment specs, sweeps.  A change
-to a fabric's delivery timing that alters an existing spec's result bumps
-:data:`repro.service.store.STORE_SCHEMA_VERSION`.
+— ``MachineParams(fabric="myfabric")``, experiment specs, sweeps.  The
+built-in kinds are sealed (:class:`~repro.common.registry.Registry`).  A
+change to a fabric's delivery timing that alters an existing spec's result
+bumps :data:`repro.service.store.STORE_SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type
+from typing import Optional, Tuple, Type
 
 from repro.common.params import MachineParams
+from repro.common.registry import Registry
 from repro.network.fabric import AbstractFabric, IdealFabric
 from repro.network.fabricspec import FabricError, FabricSpec, parse_fabric_name
 from repro.network.topology import CrossbarFabric, MeshFabric, TorusFabric
 from repro.sim import Simulator
 
-#: The pinned built-in fabrics; ``unregister_fabric`` restores these if a
-#: plugin shadowed one of the kinds.
-_BUILTIN_CLASSES: Dict[str, Type[AbstractFabric]] = {  # repro: allow[MUTSTATE] import-time fabric plugin registry
-    "ideal": IdealFabric,
-    "xbar": CrossbarFabric,
-    "mesh": MeshFabric,
-    "torus": TorusFabric,
-}
-
-_FABRIC_CLASSES: Dict[str, Type[AbstractFabric]] = dict(_BUILTIN_CLASSES)  # repro: allow[MUTSTATE] import-time fabric plugin registry
+_FABRICS: Registry[Type[AbstractFabric]] = Registry("fabric kind", FabricError)  # repro: allow[MUTSTATE] import-time fabric plugin registry
 
 
 def parse_fabric(name: str) -> FabricSpec:
-    """Parse a fabric name against every *registered* kind.
+    """Parse a fabric name like ``"mesh4x4"`` against every registered kind.
 
-    Like :func:`~repro.network.fabricspec.parse_fabric_name` but the
-    accepted kinds include plugins, so ``MachineParams.validate`` and spec
-    validation recognise registered custom fabrics.
+    The one fabric-name parser: ``MachineParams.validate``, spec validation
+    and :func:`create_fabric` all read names through it, so a registered
+    plugin kind parses wherever a built-in does.
     """
-    return parse_fabric_name(name, known_kinds=tuple(_FABRIC_CLASSES))
+    return parse_fabric_name(name, _FABRICS)
 
 
 def fabric_class(kind: str) -> Type[AbstractFabric]:
     """Return the fabric class registered for a kind."""
-    cls = _FABRIC_CLASSES.get(kind)
-    if cls is None:
-        raise FabricError(
-            f"unknown fabric kind {kind!r}; choose from {sorted(_FABRIC_CLASSES)}"
-        )
-    return cls
+    return _FABRICS.lookup(kind)
 
 
 def register_fabric(kind: str, cls: Optional[Type[AbstractFabric]] = None):
@@ -65,38 +53,33 @@ def register_fabric(kind: str, cls: Optional[Type[AbstractFabric]] = None):
         class FatTreeFabric(AbstractFabric):
             ...
 
-    Kinds must fit the grammar's kind field (lowercase letters).  A plugin
-    may also shadow a built-in kind; :func:`unregister_fabric` restores the
-    original.  Returns the class, enabling decorator use.
+    Kinds must fit the grammar's kind field (lowercase letters), and a
+    built-in or already registered kind raises.  Returns the class,
+    enabling decorator use.
     """
     if cls is None:
         def _decorator(klass: Type[AbstractFabric]) -> Type[AbstractFabric]:
             return register_fabric(kind, klass)
 
         return _decorator
-    if not (kind.isalpha() and kind == kind.lower()):
+    if not (isinstance(kind, str) and kind.isalpha() and kind == kind.lower()):
         raise FabricError(
             f"fabric kind {kind!r} does not fit the grammar kind field "
             f"(lowercase letters only)"
         )
     if not (isinstance(cls, type) and issubclass(cls, AbstractFabric)):
         raise FabricError(f"{cls!r} is not an AbstractFabric subclass")
-    _FABRIC_CLASSES[kind] = cls
-    return cls
+    return _FABRICS.register(kind, cls)
 
 
 def unregister_fabric(kind: str) -> None:
-    """Remove a registered fabric kind (no-op for unknown kinds).
+    """Remove a plugin fabric kind; a built-in or unknown kind raises."""
+    _FABRICS.unregister(kind)
 
-    The built-in kinds cannot be removed: unregistering one restores the
-    original pinned implementation, so a plugin that shadowed a built-in
-    fabric is always reversible.
-    """
-    original = _BUILTIN_CLASSES.get(kind)
-    if original is not None:
-        _FABRIC_CLASSES[kind] = original
-    else:
-        _FABRIC_CLASSES.pop(kind, None)
+
+for _cls in (IdealFabric, CrossbarFabric, MeshFabric, TorusFabric):
+    register_fabric(_cls.kind, _cls)
+_FABRICS.seal()
 
 
 @dataclass(frozen=True)
@@ -116,14 +99,13 @@ class FabricInfo:
 def available_fabrics() -> Tuple[FabricInfo, ...]:
     """Metadata for every registered fabric kind, sorted by kind."""
     infos = []
-    for kind in sorted(_FABRIC_CLASSES):
-        cls = _FABRIC_CLASSES[kind]
+    for kind, cls in sorted(_FABRICS.items()):
         doc = (cls.__doc__ or "").strip().split("\n", 1)[0].rstrip(".")
         infos.append(
             FabricInfo(
                 kind=kind,
                 cls_name=cls.__name__,
-                builtin=_BUILTIN_CLASSES.get(kind) is cls,
+                builtin=kind in _FABRICS.builtins,
                 summary=doc or "no description",
             )
         )

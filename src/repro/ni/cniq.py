@@ -27,7 +27,7 @@ module only decides the address layout and the queue/cache sizing.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Literal, Optional
 
 from repro.coherence.cache import CoherentCache
 from repro.common.types import AGENT_NI_DEVICE
@@ -45,7 +45,7 @@ class CoherentQueueNI(AbstractNI):
         send_queue_blocks: int = 16,
         recv_queue_blocks: int = 16,
         recv_cache_blocks: Optional[int] = None,
-        recv_home: str = "device",
+        recv_home: Literal["device", "memory"] = "device",
         **kwargs,
     ):
         super().__init__(*args, **kwargs)

@@ -20,8 +20,12 @@ from __future__ import annotations
 import inspect
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Type
+from typing import (
+    Dict, FrozenSet, Literal, Mapping, Optional, Tuple, Type, Union,
+    get_args, get_origin, get_type_hints,
+)
 
+from repro.common.registry import Registry
 from repro.ni.base import AbstractNI
 
 
@@ -160,7 +164,9 @@ def parse_ni_name(name: str) -> NISpec:
 #: The five devices evaluated in the paper.
 EVALUATED_DEVICES = ("NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm")
 
-_DEVICE_CLASSES: Dict[str, Type[AbstractNI]] = {}  # repro: allow[MUTSTATE] import-time device plugin registry
+#: Plugin devices.  Every legal taxonomy name is a built-in device, built
+#: from its plan, so this table holds plugins only.
+_DEVICES: Registry[Type[AbstractNI]] = Registry("device", TaxonomyError)  # repro: allow[MUTSTATE] import-time device plugin registry
 
 
 def device_class(name: str) -> Type[AbstractNI]:
@@ -172,12 +178,21 @@ def device_class(name: str) -> Type[AbstractNI]:
     is buildable.  Raises :class:`TaxonomyError` for names that are neither
     registered nor valid taxonomy points.
     """
-    cls = _DEVICE_CLASSES.get(name)
+    cls = _DEVICES.get(name)
     if cls is not None:
         return cls
     from repro.ni.registry import DeviceSpec
 
     return DeviceSpec.from_name(name).base_class
+
+
+def _refuse_taxonomy_name(name: str) -> None:
+    """Raise if ``name`` is a taxonomy point: those are built in."""
+    try:
+        parse_ni_name(name)
+    except TaxonomyError:
+        return
+    raise TaxonomyError(f"device {name!r} is a taxonomy point, built in by the grammar")
 
 
 def register_device(name: str, cls: Optional[Type[AbstractNI]] = None):
@@ -186,13 +201,13 @@ def register_device(name: str, cls: Optional[Type[AbstractNI]] = None):
     Either a plain call, ``register_device("MyNI", MyClass)``, or the
     decorator form — the public plugin hook::
 
-        @register_device("NI8wX")
-        class MyNI(UncachedNI):
+        @register_device("HybridNI")
+        class HybridNI(AbstractNI):
             ...
 
-    Registered names shadow the generative registry, so a plugin may also
-    *replace* a standard taxonomy point with a custom implementation.
-    Returns the class, enabling decorator use.
+    Every name :func:`parse_ni_name` accepts is a built-in taxonomy point
+    and raises, as does an already registered name.  Returns the class,
+    enabling decorator use.
     """
     if cls is None:
         def _decorator(klass: Type[AbstractNI]) -> Type[AbstractNI]:
@@ -201,15 +216,16 @@ def register_device(name: str, cls: Optional[Type[AbstractNI]] = None):
         return _decorator
     if not (isinstance(cls, type) and issubclass(cls, AbstractNI)):
         raise TaxonomyError(f"{cls!r} is not an AbstractNI subclass")
-    _DEVICE_CLASSES[name] = cls
+    _refuse_taxonomy_name(name)
+    _DEVICES.register(name, cls)
     _ALLOWED_KWARGS_CACHE.pop(cls, None)
     return cls
 
 
 def unregister_device(name: str) -> None:
-    """Remove a registered device (no-op for unknown names); a taxonomy
-    name it shadowed builds from its plan again."""
-    _DEVICE_CLASSES.pop(name, None)
+    """Remove a plugin device; a taxonomy point or unknown name raises."""
+    _refuse_taxonomy_name(name)
+    _DEVICES.unregister(name)
 
 
 @dataclass(frozen=True)
@@ -223,26 +239,21 @@ class DeviceInfo:
 
     name: str
     cls_name: str
-    spec: Optional[NISpec]    # parsed taxonomy form, None if unparseable
+    spec: Optional[NISpec]    # parsed taxonomy form, None for a plugin
     tunables: Tuple[str, ...]  # constructor kwargs accepted via ni_kwargs
     generated: bool = False    # built from its taxonomy plan, not a plugin
 
     def describe(self) -> str:
         if self.spec is not None:
-            text = self.spec.describe()
-            return f"{text} [generated]" if self.generated else text
+            return f"{self.spec.describe()} [generated]"
         return f"{self.name}: custom device ({self.cls_name})"
 
 
 def _device_info(name: str, cls: Type[AbstractNI], generated: bool) -> DeviceInfo:
-    try:
-        spec: Optional[NISpec] = parse_ni_name(name)
-    except TaxonomyError:
-        spec = None
     return DeviceInfo(
         name=name,
         cls_name=cls.__name__,
-        spec=spec,
+        spec=parse_ni_name(name) if generated else None,
         tunables=tuple(sorted(_allowed_ni_kwargs(cls))),
         generated=generated,
     )
@@ -261,14 +272,13 @@ def available_devices(generative: bool = True) -> Tuple[DeviceInfo, ...]:
     """
     entries: Dict[str, DeviceInfo] = {
         name: _device_info(name, cls, generated=False)
-        for name, cls in _DEVICE_CLASSES.items()
+        for name, cls in _DEVICES.items()
     }
     if generative:
         from repro.ni.registry import GENERATIVE_SAMPLE
 
         for name in GENERATIVE_SAMPLE:
-            if name not in entries:
-                entries[name] = _device_info(name, device_class(name), generated=True)
+            entries[name] = _device_info(name, device_class(name), generated=True)
     return tuple(entries[name] for name in sorted(entries))
 
 
@@ -284,20 +294,22 @@ _INFRA_PARAMS: FrozenSet[str] = frozenset(
      "bus_kind", "dram_allocator", "taxonomy_name"}
 )
 
-_ALLOWED_KWARGS_CACHE: Dict[type, FrozenSet[str]] = {}  # repro: allow[MUTSTATE] memo keyed by device class, machine-free
+_ALLOWED_KWARGS_CACHE: Dict[type, Dict[str, object]] = {}  # repro: allow[MUTSTATE] memo keyed by device class, machine-free
 
 
-def _allowed_ni_kwargs(cls: type) -> FrozenSet[str]:
-    """Keyword names a device constructor accepts beyond the infra params.
+def _allowed_ni_kwargs(cls: type) -> Dict[str, object]:
+    """Keywords a device constructor accepts beyond the infra params, each
+    with its declared type (``None`` where it declares none that resolves).
 
     Device ``__init__``\\ s are ``(*args, name=..., **kwargs)`` chains, so
     the acceptable set is the union of explicitly named parameters across
-    the MRO, minus the infrastructure arguments the Node always passes.
+    the MRO (the most derived declaration wins), minus the infrastructure
+    arguments the Node always passes.
     """
     cached = _ALLOWED_KWARGS_CACHE.get(cls)
     if cached is not None:
         return cached
-    allowed = set()
+    allowed: Dict[str, object] = {}
     for klass in cls.__mro__:
         init = klass.__dict__.get("__init__")
         if init is None:
@@ -306,34 +318,58 @@ def _allowed_ni_kwargs(cls: type) -> FrozenSet[str]:
             signature = inspect.signature(init)
         except (TypeError, ValueError):
             continue
+        try:
+            hints = get_type_hints(init)
+        except (NameError, SyntaxError, TypeError):
+            hints = {}  # an annotation that does not resolve is not checked
         for param in signature.parameters.values():
-            if param.kind in (
+            if param.name not in _INFRA_PARAMS and param.kind in (
                 inspect.Parameter.POSITIONAL_OR_KEYWORD,
                 inspect.Parameter.KEYWORD_ONLY,
             ):
-                allowed.add(param.name)
-    result = frozenset(allowed - _INFRA_PARAMS)
-    _ALLOWED_KWARGS_CACHE[cls] = result
-    return result
+                allowed.setdefault(param.name, hints.get(param.name))
+    _ALLOWED_KWARGS_CACHE[cls] = allowed
+    return allowed
+
+
+def _has_type(value: object, declared: object) -> bool:
+    """Whether ``value`` has the declared type: exactly (a bool is no int),
+    as one arm of an ``Optional``, or as one value of a ``Literal``.  No or
+    another kind of annotation accepts anything."""
+    origin, args = get_origin(declared), get_args(declared)
+    if origin is Union:
+        return any(_has_type(value, arm) for arm in args)
+    if origin is Literal:
+        return any(type(value) is type(v) and value == v for v in args)
+    return type(value) is declared or not isinstance(declared, type)
 
 
 def validate_ni_kwargs(name: str, ni_kwargs: Optional[Mapping] = None) -> None:
     """Check that ``ni_kwargs`` are acceptable for device ``name``.
 
-    Raises :class:`TaxonomyError` for an unknown device or for keyword
-    arguments the device constructor does not accept — *before* a machine
-    gets assembled, instead of a ``TypeError`` deep in ``Node.__init__``.
+    Raises :class:`TaxonomyError` for an unknown device, for keyword
+    arguments the device constructor does not accept, and for a value that
+    does not have its keyword's declared type — *before* a machine gets
+    assembled, instead of an error deep in ``Node.__init__``.
     """
     cls = device_class(name)
     if not ni_kwargs:
         return
     allowed = _allowed_ni_kwargs(cls)
-    unknown = sorted(set(ni_kwargs) - allowed)
+    unknown = sorted(set(ni_kwargs) - allowed.keys())
     if unknown:
         raise TaxonomyError(
             f"device {name!r} does not accept ni_kwargs {unknown}; "
             f"supported: {sorted(allowed)}"
         )
+    for key, value in ni_kwargs.items():
+        declared = allowed[key]
+        if not _has_type(value, declared):
+            wanted = declared.__name__ if isinstance(declared, type) else str(declared)
+            raise TaxonomyError(
+                f"device {name!r}: ni_kwargs[{key!r}] must be "
+                f"{wanted.replace('typing.', '')}, not {type(value).__name__} {value!r}"
+            )
     # Mutually exclusive kwarg groups declared by the device family (e.g.
     # the uncached family's two FIFO-sizing axes).
     for group in getattr(cls, "EXCLUSIVE_NI_KWARGS", ()):
@@ -356,7 +392,7 @@ def create_ni(name: str, *args, **kwargs) -> AbstractNI:
     plan's sizing overlaid by ``kwargs`` (:meth:`DeviceSpec.sizing`).  The
     device is named ``name`` either way (``taxonomy_name``).
     """
-    cls = _DEVICE_CLASSES.get(name)
+    cls = _DEVICES.get(name)
     if cls is None:
         from repro.ni.registry import DeviceSpec
 

@@ -9,7 +9,7 @@ from repro.common.types import BusKind
 from repro.msglayer.messaging import MessagingLayer
 from repro.network.registry import create_fabric
 from repro.node.node import Node, NodeConfig
-from repro.sim import Simulator, Watchdog
+from repro.sim import Samples, Simulator, Watchdog
 
 # Re-exported from the kernel's watchdog module (historical home); the
 # structured subclass SimulationHangError is caught by existing
@@ -276,19 +276,12 @@ class Machine:
         out: Dict[str, object] = {"plan": self.params.faults}
         if self.fabric.faults is not None:
             out.update(self.fabric.faults.fault_stats())
-        recovery = None
+        recovery = Samples()
         for layer in self.messaging:
             for key, value in layer.fault_stats().items():
-                if key == "recovery_latency":
-                    continue
                 out[key] = out.get(key, 0) + value
-            if layer.recovery_samples.count:
-                if recovery is None:
-                    from repro.sim import Samples
-
-                    recovery = Samples()
-                recovery.extend(layer.recovery_samples.values())
-        if recovery is not None:
+            recovery.extend(layer.recovery_samples.values())
+        if recovery.count:
             out["recovery_latency"] = {
                 "count": recovery.count,
                 "mean": round(recovery.mean, 1),

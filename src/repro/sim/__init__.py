@@ -9,7 +9,7 @@ from repro.sim.spinwait import (
     SpinGuard,
     spin_wait,
 )
-from repro.sim.stats import Counter, Samples, safe_ratio
+from repro.sim.stats import Counter, Samples, Summary, safe_ratio
 from repro.sim.watchdog import (
     SimulationHangError,
     Watchdog,
@@ -35,5 +35,6 @@ __all__ = [
     "Resource",
     "Counter",
     "Samples",
+    "Summary",
     "safe_ratio",
 ]

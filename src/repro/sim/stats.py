@@ -38,6 +38,31 @@ class Counter:
         return f"Counter({dict(self._counts)!r})"
 
 
+class Summary:
+    """Count, total and maximum of non-negative values, in constant memory.
+
+    For per-message records such as fabric latencies, where only the count
+    and mean are read; :class:`Samples` keeps every value, for percentiles.
+    """
+
+    __slots__ = ("count", "total", "maximum")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0
+        self.maximum = 0
+
+    def record(self, value) -> None:
+        self.count += 1
+        self.total += value
+        if value > self.maximum:
+            self.maximum = value
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+
 class Samples:
     """Accumulates numeric samples and reports summary statistics."""
 

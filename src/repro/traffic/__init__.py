@@ -20,6 +20,7 @@ deterministic node programs (same seed, same messages — serially, under
 ``--jobs`` and through the experiment service).
 """
 
+from repro.apps.registry import _WORKLOADS
 from repro.traffic.base import Phase, Send, TrafficWorkload
 from repro.traffic.finegrain import (
     AllreduceTraffic,
@@ -34,6 +35,14 @@ from repro.traffic.synthetic import (
     TransposeTraffic,
     UniformRandomTraffic,
 )
+
+# The shipped patterns are sealed built-ins whichever of repro.apps and
+# repro.traffic is imported first; a plugin registered before this import
+# stays a plugin.
+_WORKLOADS.seal(*(cls.name for cls in (
+    UniformRandomTraffic, HotspotTraffic, TransposeTraffic, BurstyTraffic,
+    AllreduceTraffic, HaloExchangeTraffic, ParameterServerTraffic, KeyValueTraffic,
+)))
 
 __all__ = [
     "Phase",

@@ -24,7 +24,16 @@ from repro.analysis.determinism import (
     sanitize_spec,
     strip_elided,
 )
-from repro.analysis.lint import FIXTURES, Rule, lint_source, lint_tree, parse_waivers, register_rule
+from repro.analysis.lint import (
+    FIXTURES,
+    LintError,
+    Rule,
+    lint_source,
+    lint_tree,
+    parse_waivers,
+    register_rule,
+    unregister_rule,
+)
 from repro.analysis.ownership import domain_for
 from repro.analysis.partitions import EXTERNAL, PartitionResolver, partition_from_name
 from repro.analysis.statkeys import generate_registry
@@ -164,10 +173,11 @@ def test_register_rule_plugin():
     try:
         findings = lint_source("x = 1  # TODO later\n", "ni/_fixture.py")
         assert any(f.rule == "NOTODO" for f in findings)
-        with pytest.raises(Exception):
-            register_rule(NoTodoRule)  # duplicate id without replace=
+        with pytest.raises(LintError, match="already registered"):
+            register_rule(NoTodoRule)
     finally:
-        del lint_mod._RULES["NOTODO"]
+        unregister_rule("NOTODO")
+    assert not any(f.rule == "NOTODO" for f in lint_source("x = 1  # TODO\n", "ni/_fixture.py"))
 
 
 def test_repo_tree_is_lint_clean():

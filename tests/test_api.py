@@ -26,6 +26,7 @@ from repro.api import (
     run_point,
     speedups,
 )
+from repro.api.spec import DEFAULT_WORKLOAD_SEED
 from repro.experiments.run import main as run_main
 from repro.ni.taxonomy import TaxonomyError
 from repro.node.node import NodeConfigError
@@ -113,19 +114,31 @@ class TestSpec:
         assert spec.config == "CNI16Qm@memory+snarf"
         assert "CNI16Qm" in spec.describe()
 
-    def test_resolved_seed_prefers_explicit_then_workload_kwargs(self):
+    @pytest.mark.parametrize(
+        "fields, error",
+        [({"kind": ["latency"]}, SpecError), ({"device": ["NI2w"]}, TaxonomyError)],
+        ids=["list-kind", "list-device"],
+    )
+    def test_non_string_names_raise_value_errors(self, fields, error):
+        # A name that is no string is an unknown name, never a TypeError.
+        with pytest.raises(error):
+            ExperimentSpec(**fields).validate()
+
+    def test_resolved_seed_is_the_seed_field(self):
         assert ExperimentSpec(seed=7).resolved_seed() == 7
-        assert ExperimentSpec(workload_kwargs={"seed": 9}).resolved_seed() == 9
+        assert ExperimentSpec().resolved_seed() == DEFAULT_WORKLOAD_SEED
         # Device placement must not change the problem instance.
         a = ExperimentSpec(kind="macro", workload="gauss", device="NI2w")
         b = ExperimentSpec(kind="macro", workload="gauss", device="CNI16Qm")
         assert a.resolved_seed() == b.resolved_seed()
-        # Two different explicit seeds: resolved_seed() would name one and a
-        # workload kind could run the other, so the spec is rejected.
+        # One seed, one spelling: a seed inside workload_kwargs would run the
+        # same problem as seed= under a spec hash of its own, so it is
+        # rejected, agreeing with seed= or not.
         em3d = dict(kind="macro", workload="em3d", device="CNI16Qm", num_nodes=4, scale=0.25)
-        with pytest.raises(SpecError, match="seed"):
-            ExperimentSpec(**em3d, seed=7, workload_kwargs={"seed": 9}).validate()
-        ExperimentSpec(**em3d, seed=9, workload_kwargs={"seed": 9}).validate()
+        for extra in ({}, {"seed": 9}, {"seed": 7}):
+            with pytest.raises(SpecError, match="'seed'"):
+                ExperimentSpec(**em3d, **extra, workload_kwargs={"seed": 9}).validate()
+        ExperimentSpec(**em3d, seed=9).validate()
 
 
 class TestSweepSpec:

@@ -335,7 +335,7 @@ class TestHeldReleaseExactness:
         from repro.coherence.bus import NACK_BACKOFF_CYCLES
 
         assert backoff == NACK_BACKOFF_CYCLES
-        assert ic.nack_count == 1
+        assert ic.stats["bridge_nacks"] == 1
         # Killing the transaction during the backoff must not release the
         # memory bus it never acquired (that would be an unheld release).
         gen.close()

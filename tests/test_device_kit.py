@@ -18,6 +18,7 @@ from repro.ni import (
     AbstractNI,
     CdrNI,
     DeviceSpec,
+    TaxonomyError,
     UncachedNI,
     register_device,
     unregister_device,
@@ -280,18 +281,19 @@ class TestPluginDevices:
         finally:
             unregister_device("KitTestNI")
 
-    def test_plugin_can_shadow_a_generative_point(self):
+    def test_plugin_cannot_shadow_a_generative_point(self):
         from repro.ni import device_class
 
         generated = device_class("NI8w")
 
-        @register_device("NI8w")
         class CustomNI8w(UncachedNI):
             pass
 
-        try:
-            assert device_class("NI8w") is CustomNI8w
-        finally:
+        # Every legal taxonomy name is a built-in device: its results are
+        # stored under its name, so a plugin may not change its physics.
+        with pytest.raises(TaxonomyError, match="taxonomy point"):
+            register_device("NI8w", CustomNI8w)
+        with pytest.raises(TaxonomyError, match="taxonomy point"):
             unregister_device("NI8w")
         assert device_class("NI8w") is generated
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import repro.traffic  # noqa: F401 — register the shipped patterns
 from repro.api import ExperimentSpec, SweepRunner, fault_sweep, run_point
-from repro.apps import DIAGNOSTIC_WORKLOADS, MACROBENCHMARKS, create_workload
+from repro.apps import create_workload
 from repro.apps.registry import workload_names
 from repro.apps.workload import run_spec
 from repro.common.params import MachineParams, ParameterError
@@ -250,8 +250,8 @@ class TestFaultsInsideTheFabric:
 # ---------------------------------------------------------------------------
 class TestWatchdog:
     def test_hang_is_diagnostic_not_a_macrobenchmark(self):
-        assert "hang" in DIAGNOSTIC_WORKLOADS
-        assert "hang" not in MACROBENCHMARKS
+        assert "hang" in workload_names("diagnostic")
+        assert "hang" not in workload_names("macro")
 
     def test_quiescent_deadlock_yields_wait_for_graph(self):
         machine = build_machine(num_nodes=4)

@@ -43,7 +43,7 @@ class TestIOBusPlacement:
                     yield 20
 
         machine.run_programs([program(0), program(1)], max_cycles=600_000_000)
-        total_nacks = sum(node.interconnect.nack_count for node in machine.nodes)
+        total_nacks = sum(node.interconnect.stats["bridge_nacks"] for node in machine.nodes)
         assert counts == {0: 15, 1: 15}
         assert total_nacks > 0
 

@@ -32,7 +32,6 @@ from repro.coherence.protocols import (
     register_protocol,
     unregister_protocol,
 )
-from repro.coherence.protocols.registry import is_builtin
 from repro.common.addrmap import AddressMap
 from repro.common.params import DEFAULT_PARAMS
 from repro.common.types import AgentKind, BusKind, BusOp, BusTransaction, CoherenceState
@@ -94,7 +93,8 @@ class TestRegistry:
         names = [spec.name for spec in available_protocols()]
         for name in SHIPPED:
             assert name in names
-            assert is_builtin(name)
+            with pytest.raises(ProtocolError, match="built in"):
+                unregister_protocol(name)
         assert names == sorted(names)
 
     def test_unknown_protocol_names_the_registered_ones(self):
@@ -106,14 +106,13 @@ class TestRegistry:
         try:
             assert register_protocol(spec) is spec
             assert protocol_spec("test-msi-clone") is spec
-            assert not is_builtin("test-msi-clone")
             with pytest.raises(ProtocolError, match="already registered"):
                 register_protocol(spec)
         finally:
             unregister_protocol("test-msi-clone")
         with pytest.raises(ProtocolError):
             protocol_spec("test-msi-clone")
-        with pytest.raises(ProtocolError, match="not registered"):
+        with pytest.raises(ProtocolError, match="unknown coherence protocol"):
             unregister_protocol("test-msi-clone")
 
     def test_decorator_rebinds_builder_to_the_spec(self):
@@ -127,31 +126,33 @@ class TestRegistry:
         finally:
             unregister_protocol("test-deco")
 
-    def test_replace_shadows_builtin_and_unregister_restores_it(self):
+    def test_builtin_table_cannot_be_shadowed(self):
         original = protocol_spec("msi")
         shadow = replace(original, description="shadowed for the test")
-        register_protocol(shadow, replace=True)
-        try:
-            assert protocol_spec("msi") is shadow
-            assert not is_builtin("msi")
-        finally:
+        with pytest.raises(ProtocolError, match="built in"):
+            register_protocol(shadow)
+        with pytest.raises(ProtocolError, match="built in"):
             unregister_protocol("msi")
         assert protocol_spec("msi") is original
-        assert is_builtin("msi")
 
-    def test_shadowed_table_drives_fresh_caches(self):
-        # The compiled-engine cache keys on spec identity, so a replace=True
-        # re-registration must recompile instead of serving the old engine.
-        shadow = replace(
-            protocol_spec("msi"),
-            description="fills never exclusive (unchanged), relabelled",
-        )
-        register_protocol(shadow, replace=True)
+    def test_reregistered_plugin_table_drives_fresh_caches(self):
+        # The compiled-engine cache keys on spec identity, so a plugin name
+        # freed and registered again must recompile instead of serving the
+        # old engine.
+        first = replace(protocol_spec("msi"), name="test-msi-again")
+        second = replace(first, description="fills never exclusive (unchanged), relabelled")
+        register_protocol(first)
         try:
-            _, _, _, (c0,) = make_system(num_caches=1, protocol="msi")
-            assert c0.protocol is shadow
+            _, _, _, (c0,) = make_system(num_caches=1, protocol="test-msi-again")
+            assert c0.protocol is first
         finally:
-            unregister_protocol("msi")
+            unregister_protocol("test-msi-again")
+        register_protocol(second)
+        try:
+            _, _, _, (c1,) = make_system(num_caches=1, protocol="test-msi-again")
+            assert c1.protocol is second
+        finally:
+            unregister_protocol("test-msi-again")
 
     def test_register_rejects_non_specs(self):
         with pytest.raises(ProtocolError, match="expects a ProtocolSpec"):

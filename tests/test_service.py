@@ -19,6 +19,7 @@ import http.client
 import json
 import multiprocessing
 import os
+import re
 import socket
 import struct
 import sys
@@ -39,6 +40,7 @@ from repro.service import (
     make_server,
 )
 from repro.common.params import ParameterError
+from repro.ni import TaxonomyError
 from repro.node.node import NodeConfigError
 from repro.service.admin import main as admin_main
 
@@ -652,14 +654,36 @@ class TestHttpService:
             ("/batch", {"base": QUICK, "axes": {"seed": [1, "2"]}}, "seed must be an int"),
             ("/run", {**QUICK, "seed": "12"}, "seed must be an int"),
             ("/run", {**QUICK, "seed": True}, "seed must be an int"),
-            ("/run", {**QUICK, "workload_kwargs": {"seed": 12.7}}, "seed'] must be an int"),
+            ("/run", {**QUICK, "workload_kwargs": {"seed": 12}}, "must not hold 'seed'"),
         ],
         ids=["str-seeds", "str-devices", "dict-seeds", "str-seed-value", "str-seed",
-             "bool-seed", "float-workload-seed"],
+             "bool-seed", "workload-kwargs-seed"],
     )
     def test_string_axes_and_non_int_seeds_are_400(self, service, endpoint, body, message):
         status, _, payload = _request(
             service.base_url + endpoint, data=json.dumps(body).encode()
+        )
+        assert status == 400, payload
+        assert message in json.loads(payload)["error"]
+        assert service.counters["runs_started"] == 0
+
+    @pytest.mark.parametrize(
+        "device, ni_kwargs, message",
+        [
+            ("NI2w", {"fifo_messages": "x"}, "must be Optional[int], not str"),
+            ("NI2w", {"fifo_messages": True}, "must be Optional[int], not bool"),
+            ("CNI16Q", {"recv_home": "nowhere"}, "not str 'nowhere'"),
+        ],
+        ids=["str-fifo", "bool-fifo", "bad-recv-home"],
+    )
+    def test_ill_typed_ni_kwargs_are_400(self, service, device, ni_kwargs, message):
+        """A device keyword's value is checked against its declared type by
+        spec validation, not first by the run."""
+        spec = quick_spec(device=device, ni_kwargs=ni_kwargs)
+        with pytest.raises(TaxonomyError, match=re.escape(message)):
+            spec.validate()
+        status, _, payload = _request(
+            service.base_url + "/run", data=json.dumps(spec.to_dict()).encode()
         )
         assert status == 400, payload
         assert message in json.loads(payload)["error"]

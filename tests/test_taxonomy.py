@@ -12,10 +12,11 @@ from repro.ni import (
     device_class,
     parse_ni_name,
     register_device,
+    unregister_device,
     validate_ni_kwargs,
 )
 from repro.ni.base import AbstractNI
-from repro.ni.taxonomy import EVALUATED_DEVICES, _DEVICE_CLASSES
+from repro.ni.taxonomy import EVALUATED_DEVICES
 
 
 class TestParser:
@@ -189,17 +190,19 @@ class TestFactory:
             assert info.spec is None
             assert "custom" in info.describe()
         finally:
-            _DEVICE_CLASSES.pop("weird-device", None)
+            unregister_device("weird-device")
 
     def test_register_custom_device(self):
         class MyNI(UncachedNI):
             pass
 
-        register_device("NI4w", MyNI)
+        register_device("MyNI4w", MyNI)
         try:
-            assert device_class("NI4w") is MyNI
+            assert device_class("MyNI4w") is MyNI
         finally:
-            _DEVICE_CLASSES.pop("NI4w", None)
+            unregister_device("MyNI4w")
+        with pytest.raises(TaxonomyError):
+            device_class("MyNI4w")
 
     def test_register_non_ni_class_rejected(self):
         with pytest.raises(TaxonomyError):
@@ -239,17 +242,15 @@ class TestRegistry:
         with pytest.raises(TaxonomyError):
             device_class("TestPluginNI")
 
-    def test_unregister_restores_shadowed_paper_devices(self):
-        from repro.ni import register_device, unregister_device
-
+    def test_paper_devices_cannot_be_shadowed(self):
         class ShadowNI(UncachedNI):
             pass
 
-        register_device("NI2w", ShadowNI)
-        try:
-            assert device_class("NI2w") is ShadowNI
-        finally:
-            unregister_device("NI2w")
+        for name in EVALUATED_DEVICES:
+            with pytest.raises(TaxonomyError, match="taxonomy point"):
+                register_device(name, ShadowNI)
+            with pytest.raises(TaxonomyError, match="taxonomy point"):
+                unregister_device(name)
         assert device_class("NI2w") is UncachedNI
 
     def test_available_devices_enumerates_generative_space(self):

@@ -20,10 +20,8 @@ from repro.api import (
     traffic_sweep,
     unregister_kind,
 )
-from repro.api.kinds import KINDS, available_kinds, kind_spec
+from repro.api.kinds import available_kinds, kind_spec
 from repro.apps import (
-    DIAGNOSTIC_WORKLOADS,
-    MACROBENCHMARKS,
     WorkloadError,
     available_workloads,
     create_workload,
@@ -52,7 +50,6 @@ LEGACY_KINDS = ("latency", "bandwidth", "macro")
 class TestKindRegistry:
     def test_builtin_kinds_registered(self):
         for kind in LEGACY_KINDS + ("traffic",):
-            assert kind in KINDS
             assert kind in available_kinds()
 
     def test_unknown_kind_is_spec_error(self):
@@ -70,31 +67,32 @@ class TestKindRegistry:
 
         register_kind("custom-kind", measure, validate=lambda spec: None)
         try:
-            assert "custom-kind" in KINDS
+            assert "custom-kind" in available_kinds()
             spec = ExperimentSpec(kind="custom-kind", num_nodes=4).validate()
             result = run_point(spec)
             assert result.metrics["cycles"] == 1.0
             assert calls == ["custom-kind"]
         finally:
             unregister_kind("custom-kind")
-        assert "custom-kind" not in KINDS
+        assert "custom-kind" not in available_kinds()
         with pytest.raises(SpecError):
             ExperimentSpec(kind="custom-kind").validate()
 
-    def test_register_duplicate_requires_replace(self):
+    def test_register_duplicate_raises_until_unregistered(self):
         register_kind("dup-kind", lambda spec: {})
         try:
             with pytest.raises(SpecError, match="already registered"):
                 register_kind("dup-kind", lambda spec: {})
-            register_kind("dup-kind", lambda spec: {"x": 1.0}, replace=True)
         finally:
             unregister_kind("dup-kind")
+        register_kind("dup-kind", lambda spec: {"x": 1.0})
+        unregister_kind("dup-kind")
 
     def test_builtins_are_protected(self):
-        with pytest.raises(SpecError, match="built-in"):
+        with pytest.raises(SpecError, match="built in"):
             unregister_kind("latency")
-        with pytest.raises(SpecError):
-            register_kind("macro", lambda spec: {}, replace=True)
+        with pytest.raises(SpecError, match="built in"):
+            register_kind("macro", lambda spec: {})
 
     def test_unregister_unknown_kind(self):
         with pytest.raises(SpecError, match="unknown experiment kind"):
@@ -119,11 +117,9 @@ class TestWorkloadRegistry:
         assert set(workload_names("traffic")) == {"uniform", "hotspot", "transpose", "bursty"}
         assert set(workload_names("fine-grain")) == {"allreduce", "halo", "psrpc", "kv"}
 
-    def test_legacy_dict_views_are_live_and_read_only(self):
-        assert set(MACROBENCHMARKS) == {"spsolve", "gauss", "em3d", "moldyn", "appbt"}
-        assert "hang" in DIAGNOSTIC_WORKLOADS
-        with pytest.raises(TypeError):
-            MACROBENCHMARKS["new"] = object  # Mapping views reject writes
+    def test_tag_listings_track_the_registry(self):
+        assert set(available_workloads("macro")) == {"spsolve", "gauss", "em3d", "moldyn", "appbt"}
+        assert "hang" in available_workloads("diagnostic")
 
         @register_workload(tags=("macro",))
         class ExtraMacro(Workload):
@@ -133,10 +129,10 @@ class TestWorkloadRegistry:
                 return [iter(()) for _ in machine.nodes]
 
         try:
-            assert "extra-macro" in MACROBENCHMARKS  # view sees new entries
+            assert available_workloads("macro")["extra-macro"].cls is ExtraMacro
         finally:
             unregister_workload("extra-macro")
-        assert "extra-macro" not in MACROBENCHMARKS
+        assert "extra-macro" not in available_workloads("macro")
 
     def test_unknown_workload_names_nearest_match(self):
         with pytest.raises(WorkloadError, match="unifrom"):
@@ -174,9 +170,7 @@ class TestTrafficDeterminism:
 
     def test_seed_changes_uniform_traffic(self):
         base = run_point(ExperimentSpec(**TRAFFIC)).metrics
-        other = run_point(
-            ExperimentSpec(**{**TRAFFIC, "workload_kwargs": {"seed": 99}})
-        ).metrics
+        other = run_point(ExperimentSpec(**{**TRAFFIC, "seed": 99})).metrics
         assert base["cycles"] != other["cycles"]
 
     def test_parallel_jobs_equal_serial(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import MACROBENCHMARKS, create_workload
+from repro.apps import create_workload, workload_names
 from repro.apps.appbt import face_neighbours, grid_dimensions
 from repro.apps.spsolve import build_layered_dag
 from repro.apps.workload import Workload, WorkloadResult
@@ -11,7 +11,7 @@ from repro.node.machine import Machine
 import random
 
 SMALL = dict(num_nodes=4)
-WORKLOAD_NAMES = list(MACROBENCHMARKS)
+WORKLOAD_NAMES = workload_names("macro")
 
 
 def small_machine(ni_name="CNI16Qm", bus="memory", num_nodes=4):
