@@ -16,6 +16,7 @@ Run with::
 """
 
 from repro import ExperimentSpec, Machine, SweepRunner, SweepSpec
+from repro.common.params import cycles_to_us
 
 
 def main() -> None:
@@ -92,7 +93,7 @@ def main() -> None:
 
     cycles = machine.run_programs([node0(), node1()])
     print(f"{rounds} ping-pong rounds finished at cycle {cycles} "
-          f"({machine.params.cycles_to_us(cycles):.1f} us simulated)")
+          f"({cycles_to_us(cycles):.1f} us simulated)")
 
 
 if __name__ == "__main__":

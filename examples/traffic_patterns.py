@@ -114,7 +114,6 @@ def plugin_demo(args) -> None:
         measure_ring_rtt,
         validate=lambda spec: None,
         describe=lambda spec: f"ring x{spec.scale:g} on {spec.num_nodes} nodes",
-        doc="per-message cost of the ring pattern",
     )
     try:
         assert "ring" in available_workloads(tag="traffic")

@@ -55,7 +55,6 @@ class KindSpec:
     validate: Optional[SpecHook] = None
     describe: Optional[Callable[["ExperimentSpec"], str]] = None
     cost: Optional[Callable[["ExperimentSpec"], float]] = None
-    doc: str = ""
 
 
 _KINDS: Registry[KindSpec] = Registry("experiment kind", SpecError)
@@ -68,14 +67,13 @@ def register_kind(
     validate: Optional[SpecHook] = None,
     describe: Optional[Callable[["ExperimentSpec"], str]] = None,
     cost: Optional[Callable[["ExperimentSpec"], float]] = None,
-    doc: str = "",
 ):
     """Register an experiment kind; usable as decorator or direct call.
 
     Decorator form registers the decorated function as the ``measure``
     hook::
 
-        @register_kind("powertrace", doc="per-cycle power estimate")
+        @register_kind("powertrace")
         def _measure_powertrace(spec):
             return {"watts": ...}
 
@@ -91,12 +89,7 @@ def register_kind(
         _KINDS.register(
             name,
             KindSpec(
-                name=name,
-                measure=measure_fn,
-                validate=validate,
-                describe=describe,
-                cost=cost,
-                doc=doc or (measure_fn.__doc__ or "").strip().split("\n")[0],
+                name=name, measure=measure_fn, validate=validate, describe=describe, cost=cost
             ),
         )
         return measure_fn
@@ -212,25 +205,17 @@ def _cost_workload(spec: "ExperimentSpec") -> float:
     return 1_000_000.0 * spec.scale * max(1, spec.num_nodes)
 
 
-@register_kind(
-    "latency",
-    validate=_validate_latency,
-    cost=_cost_latency,
-    doc="Figure 6 round-trip latency microbenchmark",
-)
+@register_kind("latency", validate=_validate_latency, cost=_cost_latency)
 def _measure_latency(spec: "ExperimentSpec") -> Dict[str, float]:
+    """Figure 6 round-trip latency microbenchmark."""
     from repro.experiments.microbench import measure_latency
 
     return measure_latency(spec)
 
 
-@register_kind(
-    "bandwidth",
-    validate=_validate_bandwidth,
-    cost=_cost_bandwidth,
-    doc="Figure 7 streaming bandwidth microbenchmark",
-)
+@register_kind("bandwidth", validate=_validate_bandwidth, cost=_cost_bandwidth)
 def _measure_bandwidth(spec: "ExperimentSpec") -> Dict[str, float]:
+    """Figure 7 streaming bandwidth microbenchmark."""
     from repro.experiments.microbench import measure_bandwidth
 
     return measure_bandwidth(spec)
@@ -241,9 +226,9 @@ def _measure_bandwidth(spec: "ExperimentSpec") -> Dict[str, float]:
     validate=_validate_macro,
     describe=_describe_workload,
     cost=_cost_workload,
-    doc="Figure 8 macrobenchmark run",
 )
 def _measure_macro(spec: "ExperimentSpec") -> Dict[str, float]:
+    """Figure 8 macrobenchmark run."""
     from repro.apps.workload import run_spec, workload_metrics
 
     return workload_metrics(*run_spec(spec))
@@ -254,9 +239,9 @@ def _measure_macro(spec: "ExperimentSpec") -> Dict[str, float]:
     validate=_validate_traffic,
     describe=_describe_workload,
     cost=_cost_workload,
-    doc="synthetic / fine-grain traffic pattern run",
 )
 def _measure_traffic(spec: "ExperimentSpec") -> Dict[str, float]:
+    """Synthetic / fine-grain traffic pattern run."""
     from repro.traffic.measure import run_traffic_point
 
     return run_traffic_point(spec)

@@ -31,6 +31,17 @@ SPEC_VERSION = 1
 #: seed, matching :class:`repro.apps.workload.Workload`).
 DEFAULT_WORKLOAD_SEED = 12345
 
+#: The exact types a scalar field of each annotation accepts, and their
+#: wording in an error: a bool is no int, and a ``float`` field takes an int.
+_SCALAR_TYPES = {
+    "str": ((str,), "a str"),
+    "Optional[str]": ((str, type(None)), "a str or None"),
+    "bool": ((bool,), "a bool"),
+    "int": ((int,), "an int"),
+    "Optional[int]": ((int, type(None)), "an int or None"),
+    "float": ((int, float), "an int or a float"),
+}
+
 
 def _freeze(value: Any) -> Any:
     """Normalise nested values into JSON-stable plain types."""
@@ -56,11 +67,18 @@ class ExperimentSpec:
     * ``"macro"`` — one Figure 8 macrobenchmark run (uses ``workload``,
       ``scale``, ``workload_kwargs``).
 
-    ``params`` holds :class:`~repro.common.params.MachineParams` overrides
-    (e.g. ``{"sliding_window": 4}``), ``ni_kwargs`` device-constructor
-    overrides (validated early, see :meth:`validate`).  ``seed`` defaults to
-    a deterministic value derived from the spec hash so that every distinct
-    point gets a distinct, reproducible seed.
+    ``params`` overrides fields of
+    :class:`~repro.common.params.MachineParams` (e.g.
+    ``{"sliding_window": 4}``), the machine's experiment axes: machine size
+    and network, cache geometry, fabric, coherence protocol, fault injection
+    and recovery, and spin elision.  The paper's fixed machine (the
+    processor clock, the Table 2 occupancies) is constants of that module,
+    not parameters.  ``ni_kwargs`` holds device-constructor overrides
+    (validated early, see :meth:`validate`).  ``seed`` defaults to the
+    workloads' canonical seed (see :meth:`resolved_seed`).
+
+    Every scalar field takes exactly its annotated type: a bool is no int,
+    and ``scale`` takes an int or a float.
     """
 
     kind: str = "latency"
@@ -87,15 +105,21 @@ class ExperimentSpec:
         """Check the spec for consistency, raising early.
 
         Every error is a ``ValueError``: :class:`~repro.ni.taxonomy.TaxonomyError`
-        for the device and its ``ni_kwargs``,
+        for an unknown or illegal device name and its ``ni_kwargs``,
         :class:`~repro.node.node.NodeConfigError` for a bus placement or
         snarfing the machine cannot build, the errors of
         ``MachineParams.validate`` for the ``params`` overrides, and
-        :class:`SpecError` for everything else.
+        :class:`SpecError` for everything else, an ill-typed field included.
         """
         from repro.common.params import DEFAULT_PARAMS
         from repro.node.node import NodeConfig
 
+        for name, kinds, wording in _SCALAR_FIELDS:
+            value = getattr(self, name)
+            if type(value) not in kinds:  # exact: a bool is no int here
+                raise SpecError(
+                    f"{name} must be {wording}, not {type(value).__name__} {value!r}"
+                )
         kind_spec(self.kind)
         for name in ("workload_kwargs", "ni_kwargs", "params"):
             value = getattr(self, name)
@@ -105,8 +129,6 @@ class ExperimentSpec:
             BusKind(self.bus)
         except ValueError:
             raise SpecError(f"unknown bus {self.bus!r}") from None
-        if self.seed is not None and type(self.seed) is not int:
-            raise SpecError(f"seed must be an int, not {type(self.seed).__name__} {self.seed!r}")
         if "seed" in self.workload_kwargs:
             # One spelling, one spec hash: the workload seed is ``seed``.
             raise SpecError("workload_kwargs must not hold 'seed'; set the spec's seed instead")
@@ -225,6 +247,15 @@ class ExperimentSpec:
 
     def describe(self) -> str:
         return f"{self.kind}[{self.config}] {describe_point(self)}"
+
+
+#: ``(name, types, wording)`` of the scalar fields, which ``validate``
+#: type-checks (the mapping fields are checked as JSON objects).
+_SCALAR_FIELDS = tuple(
+    (f.name, *_SCALAR_TYPES[f.type])
+    for f in fields(ExperimentSpec)
+    if not f.type.startswith("Dict[")
+)
 
 
 def _axis_values(name: str, values: Any) -> List[Any]:

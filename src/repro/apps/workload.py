@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Sequence, Tuple
 
 from repro.apps.registry import create_workload
+from repro.common.params import PROCESSOR_MHZ
 from repro.node.machine import Machine
 
 #: Cycle budget of a workload run whose spec pins no ``max_cycles``.
@@ -43,7 +44,7 @@ class WorkloadResult:
     def microseconds(self) -> float:
         # The result is only meaningful relative to another configuration,
         # but microseconds are convenient for eyeballing.
-        return self.cycles / 200.0
+        return self.cycles / PROCESSOR_MHZ
 
 
 class Workload(abc.ABC):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.common.addrmap import AddressMap
-from repro.common.params import MachineParams
+from repro.common.params import MachineParams, occupancy as table2_occupancy
 from repro.common.types import (
     AGENT_MEMORY,
     AGENT_PROCESSOR,
@@ -308,7 +308,7 @@ class NodeInterconnect:
             occ_key = (op, timing_bus, txn.initiator_kind, txn.supplier_kind, txn.data_from_memory)
             occupancy = self._occupancy_cache.get(occ_key)
             if occupancy is None:
-                occupancy = self.params.occupancy(
+                occupancy = table2_occupancy(
                     op,
                     timing_bus,
                     txn.initiator_kind,

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.coherence.bus import NodeInterconnect
 from repro.coherence.protocols import ProtocolSpec, protocol_spec
 from repro.common.addrmap import AddressMap
-from repro.common.params import MachineParams
+from repro.common.params import CACHE_HIT_CYCLES, PROCESSOR_MISS_EXTRA_CYCLES, MachineParams
 from repro.common.types import (
     AGENT_MEMORY,
     AGENT_PROCESSOR,
@@ -184,9 +184,11 @@ class CoherentCache:
         self._write_miss_op = engine.write_miss_op
         self._snoop_table = engine.snoop_table
         self._snarf_state = engine.snarf_state
-        # Hot-path constants (one attribute load instead of a params chase).
-        self._hit_cycles = params.cache_hit_cycles
-        self._miss_tail_cycles = self._miss_extra_cycles() + params.cache_hit_cycles
+        # What a miss costs beyond its bus occupancy: only a processor cache
+        # sees the extra miss latency (device caches pipeline their accesses).
+        self._miss_tail_cycles = CACHE_HIT_CYCLES + (
+            PROCESSOR_MISS_EXTRA_CYCLES if self.agent_kind is AGENT_PROCESSOR else 0
+        )
         self._counts = self.stats.raw
         #: Optional hook invoked (synchronously) after this cache snoops a
         #: transaction from another agent.  CNI devices use it to implement
@@ -256,7 +258,7 @@ class CoherentCache:
             entry = self._sets[index] = _BlockEntry()
         if entry.tag == tag and entry.state is not STATE_INVALID:
             self._counts["read_hits"] += 1
-            yield self._hit_cycles
+            yield CACHE_HIT_CYCLES
             return
         self._counts["read_misses"] += 1
         yield from self._evict_if_needed(entry, index)
@@ -286,7 +288,7 @@ class CoherentCache:
                 if next_state is not entry.state:
                     entry.state = next_state
                     self._counts["state_transitions"] += 1
-                yield self._hit_cycles
+                yield CACHE_HIT_CYCLES
                 return
             # Valid but not silently writable: upgrade (invalidate others).
             # The guard re-validates our copy at bus-grant time — if a
@@ -303,7 +305,7 @@ class CoherentCache:
                 if next_state is not entry.state:
                     entry.state = next_state
                     self._counts["state_transitions"] += 1
-                yield self._hit_cycles
+                yield CACHE_HIT_CYCLES
                 return
             self._counts["upgrade_races"] += 1
         else:
@@ -316,12 +318,6 @@ class CoherentCache:
         entry.state = self._write_miss_fill(txn)
         self._counts["state_transitions"] += 1
         yield self._miss_tail_cycles
-
-    def _miss_extra_cycles(self) -> int:
-        """Latency a miss sees beyond the bus occupancy (processor caches only)."""
-        if self.agent_kind is AGENT_PROCESSOR:
-            return self.params.processor_miss_extra_cycles
-        return 0
 
     def write_block_full(self, block_addr: int):
         """Obtain write permission for a block that will be written in full.
@@ -342,7 +338,7 @@ class CoherentCache:
                 if next_state is not entry.state:
                     entry.state = next_state
                     self._counts["state_transitions"] += 1
-                yield self._hit_cycles
+                yield CACHE_HIT_CYCLES
                 return
             self._counts["write_upgrades"] += 1
             txn = yield from self.interconnect.transaction(
@@ -354,7 +350,7 @@ class CoherentCache:
                 if next_state is not entry.state:
                     entry.state = next_state
                     self._counts["state_transitions"] += 1
-                yield self._hit_cycles
+                yield CACHE_HIT_CYCLES
                 return
             self._counts["upgrade_races"] += 1
         else:
@@ -366,7 +362,7 @@ class CoherentCache:
         entry.tag = tag
         entry.state = self._upgrade_fill(txn)
         self._counts["state_transitions"] += 1
-        yield self._hit_cycles
+        yield CACHE_HIT_CYCLES
 
     def flush_block(self, block_addr: int):
         """Write a dirty block back to its home and drop it (explicit flush)."""

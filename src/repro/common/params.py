@@ -1,13 +1,25 @@
 """Machine parameters for the simulated system.
 
-All timing constants come from Section 4.1 and Table 2 of the paper:
+The paper fixes its machine (Section 4.1) and varies only the network
+interface and the bus it sits on.  This module keeps the two kinds of
+number apart:
 
-* 16 nodes, 200 MHz dual-issue SPARC processors,
-* 100 MHz multiplexed coherent memory bus, 50 MHz multiplexed coherent I/O
-  bus, both with a single outstanding transaction,
-* 256 KB direct-mapped processor cache with 64-byte blocks,
-* fixed 256-byte network messages with a 12-byte header, 100-cycle network
-  latency, and a 4-message per-destination hardware sliding window.
+* **Fixed constants** (module-level and read-only; no spec sets them): the
+  200 MHz dual-issue SPARC processor clock (:data:`PROCESSOR_MHZ`), the
+  Table 2 bus occupancies of the 100 MHz coherent memory bus, the 50 MHz
+  coherent I/O bus and the cache bus (the ``*_CYCLES`` tables keyed by
+  :class:`~repro.common.types.BusKind`, read through :func:`occupancy`),
+  and the processor-side costs of the paper's timing model: cache hit,
+  memory barrier, per-word and per-block copy overhead, and the extra
+  latency a processor miss or an uncached load sees.
+* **Experiment axes** (the fields of :class:`MachineParams`, which a spec
+  overrides through ``ExperimentSpec.params``): machine size and network
+  (16 nodes, fixed 256-byte network messages with a 12-byte header,
+  100-cycle network latency, a 4-message per-destination hardware sliding
+  window), the cache geometry (256 KB direct-mapped processor cache with
+  64-byte blocks), the interconnect fabric, the coherence protocol, fault
+  injection, reliable messaging and spin elision.  The defaults are the
+  paper's machine.
 
 Table 2 occupancies are expressed in *processor cycles* and, for the I/O
 bus, already include the corresponding memory-bus occupancy.
@@ -15,10 +27,11 @@ bus, already include the corresponding memory-bus occupancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
+from typing import Optional
 
-from repro.common.types import AgentKind, BusKind, BusOp
+from repro.common.types import BUS_CACHE, BUS_IO, BUS_MEMORY, AgentKind, BusKind, BusOp
 
 
 class ParameterError(ValueError):
@@ -36,15 +49,98 @@ NI_UNCACHED_BASE = 0x9000_0000    # uncached NI status / control / FIFO register
 NI_UNCACHED_SIZE = 0x0010_0000
 
 
+# ----------------------------------------------------------------------
+# The paper's fixed machine (Section 4.1, Table 2)
+# ----------------------------------------------------------------------
+#: Processor clock: cycles per microsecond.
+PROCESSOR_MHZ = 200
+#: Processor cache hit latency (cycles).
+CACHE_HIT_CYCLES = 1
+#: Uncached accesses are performed 8 bytes (one double word) at a time.
+UNCACHED_ACCESS_BYTES = 8
+#: Memory barrier cost (flush the store buffer before the NI sees a store).
+MEMORY_BARRIER_CYCLES = 6
+#: Processor overhead per 8-byte word moved through uncached device
+#: registers (user-buffer load/store, address generation, loop control).
+UNCACHED_WORD_PROCESSING_CYCLES = 6
+#: Processor cycles to copy one cache block between a user buffer and a
+#: CDR/CQ block (8 double-word loads plus 8 stores on a dual-issue core).
+BLOCK_COPY_CYCLES = 20
+#: Extra latency a *processor* cache miss sees beyond the bus occupancy
+#: (arbitration, snoop resolution, critical-word delivery).  The paper's
+#: 230 ns cache-to-cache transfer corresponds to roughly this much on top
+#: of the 42-cycle bus occupancy.  Device caches pipeline their accesses
+#: and are not charged this latency.
+PROCESSOR_MISS_EXTRA_CYCLES = 25
+
+# Table 2 occupancies (processor cycles), per bus.
+UNCACHED_LOAD_CYCLES = MappingProxyType({BUS_CACHE: 4, BUS_MEMORY: 28, BUS_IO: 48})
+UNCACHED_STORE_CYCLES = MappingProxyType({BUS_CACHE: 4, BUS_MEMORY: 12, BUS_IO: 32})
+CACHE_TO_CACHE_FROM_CNI_CYCLES = MappingProxyType({BUS_MEMORY: 42, BUS_IO: 76})
+CACHE_TO_CACHE_TO_CNI_CYCLES = MappingProxyType({BUS_MEMORY: 42, BUS_IO: 62})
+MEMORY_TO_CACHE_CYCLES = MappingProxyType({BUS_MEMORY: 42, BUS_IO: 76})
+#: Address-only invalidation / upgrade transactions (not listed in
+#: Table 2; modelled as a short address-phase-only transaction).
+INVALIDATION_CYCLES = MappingProxyType({BUS_CACHE: 4, BUS_MEMORY: 10, BUS_IO: 30})
+#: Writeback of a dirty 64-byte block to its home.
+WRITEBACK_CYCLES = MappingProxyType({BUS_CACHE: 42, BUS_MEMORY: 42, BUS_IO: 62})
+#: Processor-to-processor cache-to-cache transfer (used only for the
+#: bandwidth normalization constant of Figure 7).
+CACHE_TO_CACHE_PROC_CYCLES = MappingProxyType({BUS_CACHE: 42, BUS_MEMORY: 42, BUS_IO: 76})
+#: Extra latency an uncached *load* sees beyond its bus occupancy: the
+#: processor stalls for arbitration plus the device's response, which the
+#: Table-2 occupancy alone does not cover.  Uncached stores retire
+#: through the store buffer and see no extra stall.
+UNCACHED_LOAD_EXTRA_CYCLES = MappingProxyType({BUS_CACHE: 2, BUS_MEMORY: 15, BUS_IO: 25})
+
+
+def cycles_to_us(cycles: float) -> float:
+    """Simulated processor cycles in microseconds."""
+    return cycles / PROCESSOR_MHZ
+
+
+def occupancy(
+    op: BusOp,
+    bus: BusKind,
+    initiator_kind: AgentKind,
+    supplier_kind: Optional[AgentKind] = None,
+    data_from_memory: bool = False,
+) -> int:
+    """Table-2 bus occupancy in processor cycles for one transaction.
+
+    The supplier/initiator kinds select the proper Table-2 row for
+    cache-to-cache transfers (processor<->CNI direction matters on the
+    I/O bus).
+    """
+    if op is BusOp.UNCACHED_READ:
+        return UNCACHED_LOAD_CYCLES[bus]
+    if op is BusOp.UNCACHED_WRITE:
+        return UNCACHED_STORE_CYCLES[bus]
+    if op is BusOp.UPGRADE:
+        return INVALIDATION_CYCLES[bus]
+    if op is BusOp.WRITEBACK:
+        return WRITEBACK_CYCLES[bus]
+    if op in (BusOp.READ_SHARED, BusOp.READ_EXCLUSIVE):
+        if data_from_memory or supplier_kind is AgentKind.MEMORY or supplier_kind is None:
+            return MEMORY_TO_CACHE_CYCLES.get(bus, MEMORY_TO_CACHE_CYCLES[BusKind.MEMORY])
+        if supplier_kind is AgentKind.NI_DEVICE:
+            # CNI supplies data to the processor (or bridge).
+            return CACHE_TO_CACHE_FROM_CNI_CYCLES[bus]
+        if initiator_kind is AgentKind.NI_DEVICE:
+            # Processor cache supplies data to the CNI.
+            return CACHE_TO_CACHE_TO_CNI_CYCLES[bus]
+        # processor <-> processor (only used by the normalization model)
+        return CACHE_TO_CACHE_PROC_CYCLES[bus]
+    raise ParameterError(f"no occupancy rule for {op!r} on {bus!r}")
+
+
 @dataclass(frozen=True)
 class MachineParams:
-    """Tunable description of the simulated machine."""
+    """The machine's experiment axes; defaults are the paper's machine."""
 
-    # Processor and caches
-    processor_mhz: int = 200
+    # Caches
     cache_block_bytes: int = 64
     processor_cache_bytes: int = 256 * 1024
-    cache_hit_cycles: int = 1
 
     # Network (Section 4.1)
     num_nodes: int = 16
@@ -76,63 +172,6 @@ class MachineParams:
     #: Link/port bandwidth used for serialization by the topology-aware
     #: fabrics (a 256+12-byte message at 8 B/cycle streams for 34 cycles).
     fabric_link_bytes_per_cycle: int = 8
-
-    # Uncached accesses are performed 8 bytes (one double word) at a time.
-    uncached_access_bytes: int = 8
-
-    # Table 2 occupancies (processor cycles).
-    uncached_load_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.CACHE: 4, BusKind.MEMORY: 28, BusKind.IO: 48}
-    )
-    uncached_store_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.CACHE: 4, BusKind.MEMORY: 12, BusKind.IO: 32}
-    )
-    cache_to_cache_from_cni_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.MEMORY: 42, BusKind.IO: 76}
-    )
-    cache_to_cache_to_cni_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.MEMORY: 42, BusKind.IO: 62}
-    )
-    memory_to_cache_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.MEMORY: 42, BusKind.IO: 76}
-    )
-    #: Address-only invalidation / upgrade transactions (not listed in
-    #: Table 2; modelled as a short address-phase-only transaction).
-    invalidation_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.CACHE: 4, BusKind.MEMORY: 10, BusKind.IO: 30}
-    )
-    #: Writeback of a dirty 64-byte block to its home.
-    writeback_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.CACHE: 42, BusKind.MEMORY: 42, BusKind.IO: 62}
-    )
-    #: Processor-to-processor cache-to-cache transfer (used only for the
-    #: bandwidth normalization constant of Figure 7).
-    cache_to_cache_proc_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.CACHE: 42, BusKind.MEMORY: 42, BusKind.IO: 76}
-    )
-
-    # Memory barrier cost (flush the store buffer before the NI sees a store).
-    memory_barrier_cycles: int = 6
-
-    #: Processor overhead per 8-byte word moved through uncached device
-    #: registers (user-buffer load/store, address generation, loop control).
-    uncached_word_processing_cycles: int = 6
-    #: Processor cycles to copy one cache block between a user buffer and a
-    #: CDR/CQ block (8 double-word loads plus 8 stores on a dual-issue core).
-    block_copy_cycles: int = 20
-    #: Extra latency a *processor* cache miss sees beyond the bus occupancy
-    #: (arbitration, snoop resolution, critical-word delivery).  The paper's
-    #: 230 ns cache-to-cache transfer corresponds to roughly this much on top
-    #: of the 42-cycle bus occupancy.  Device caches pipeline their accesses
-    #: and are not charged this latency.
-    processor_miss_extra_cycles: int = 25
-    #: Extra latency an uncached *load* sees beyond its bus occupancy: the
-    #: processor stalls for arbitration plus the device's response, which the
-    #: Table-2 occupancy alone does not cover.  Uncached stores retire
-    #: through the store buffer and see no extra stall.
-    uncached_load_extra_cycles: Dict[BusKind, int] = field(
-        default_factory=lambda: {BusKind.CACHE: 2, BusKind.MEMORY: 15, BusKind.IO: 25}
-    )
 
     # Fault injection (grammar in :mod:`repro.faults.plan`).  ``""`` — the
     # default — means no faults.  A non-empty name (e.g. ``"lossy1"``,
@@ -170,10 +209,6 @@ class MachineParams:
     # Derived quantities
     # ------------------------------------------------------------------
     @property
-    def cycle_ns(self) -> float:
-        return 1000.0 / self.processor_mhz
-
-    @property
     def network_payload_bytes(self) -> int:
         """User payload capacity of one network message."""
         return self.network_message_bytes - self.network_header_bytes
@@ -186,13 +221,6 @@ class MachineParams:
     def processor_cache_blocks(self) -> int:
         return self.processor_cache_bytes // self.cache_block_bytes
 
-    def cycles_to_us(self, cycles: float) -> float:
-        return cycles * self.cycle_ns / 1000.0
-
-    def bytes_per_cycle_to_mbps(self, bytes_per_cycle: float) -> float:
-        """Convert bytes/processor-cycle to MB/s (decimal megabytes)."""
-        return bytes_per_cycle * self.processor_mhz  # bytes/us == MB/s
-
     def max_local_cq_bandwidth_mbps(self) -> float:
         """Analytic maximum bandwidth of a local CQ between two processors.
 
@@ -203,12 +231,13 @@ class MachineParams:
         read miss with a cache-to-cache supply (receiver).
         """
         per_block = (
-            self.cache_to_cache_proc_cycles[BusKind.MEMORY]
-            + self.processor_miss_extra_cycles
-            + self.invalidation_cycles[BusKind.MEMORY]
-            + self.block_copy_cycles
+            CACHE_TO_CACHE_PROC_CYCLES[BusKind.MEMORY]
+            + PROCESSOR_MISS_EXTRA_CYCLES
+            + INVALIDATION_CYCLES[BusKind.MEMORY]
+            + BLOCK_COPY_CYCLES
         )
-        return self.bytes_per_cycle_to_mbps(self.cache_block_bytes / per_block)
+        # bytes/cycle x cycles/us = bytes/us == MB/s
+        return self.cache_block_bytes / per_block * PROCESSOR_MHZ
 
     # ------------------------------------------------------------------
     # Validation and variants
@@ -275,50 +304,11 @@ class MachineParams:
         """Return a copy with the given fields replaced (and re-validated)."""
         return replace(self, **kwargs).validate()
 
-    # ------------------------------------------------------------------
-    # Table-2 occupancy lookup
-    # ------------------------------------------------------------------
-    def occupancy(
-        self,
-        op: BusOp,
-        bus: BusKind,
-        initiator_kind: AgentKind,
-        supplier_kind: Optional[AgentKind] = None,
-        data_from_memory: bool = False,
-    ) -> int:
-        """Bus occupancy in processor cycles for one transaction.
 
-        The supplier/initiator kinds select the proper Table-2 row for
-        cache-to-cache transfers (processor<->CNI direction matters on the
-        I/O bus).
-        """
-        if op is BusOp.UNCACHED_READ:
-            return self.uncached_load_cycles[bus]
-        if op is BusOp.UNCACHED_WRITE:
-            return self.uncached_store_cycles[bus]
-        if op is BusOp.UPGRADE:
-            return self.invalidation_cycles[bus]
-        if op is BusOp.WRITEBACK:
-            return self.writeback_cycles[bus]
-        if op in (BusOp.READ_SHARED, BusOp.READ_EXCLUSIVE):
-            if data_from_memory or supplier_kind is AgentKind.MEMORY or supplier_kind is None:
-                return self.memory_to_cache_cycles.get(bus, self.memory_to_cache_cycles[BusKind.MEMORY])
-            if supplier_kind is AgentKind.NI_DEVICE:
-                # CNI supplies data to the processor (or bridge).
-                return self.cache_to_cache_from_cni_cycles[bus]
-            if initiator_kind is AgentKind.NI_DEVICE:
-                # Processor cache supplies data to the CNI.
-                return self.cache_to_cache_to_cni_cycles[bus]
-            # processor <-> processor (only used by the normalization model)
-            return self.cache_to_cache_proc_cycles[bus]
-        raise ParameterError(f"no occupancy rule for {op!r} on {bus!r}")
-
-
-#: ``(name, type)`` of the scalar fields, which ``validate`` type-checks.
+#: ``(name, type)`` of every field, which ``validate`` type-checks.  A field
+#: of any other type fails here, at import.
 _SCALAR_FIELDS = tuple(
-    (f.name, {"int": int, "bool": bool, "str": str}[f.type])
-    for f in fields(MachineParams)
-    if f.type in ("int", "bool", "str")
+    (f.name, {"int": int, "bool": bool, "str": str}[f.type]) for f in fields(MachineParams)
 )
 
 DEFAULT_PARAMS = MachineParams().validate()

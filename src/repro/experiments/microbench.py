@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.common.params import PROCESSOR_MHZ
 from repro.node.machine import Machine
 
 
@@ -73,7 +74,7 @@ def measure_latency(spec) -> Dict[str, float]:
             f"expected {spec.iterations} samples, collected {len(samples)}"
         )
     round_trip_cycles = sum(samples) / len(samples)
-    round_trip_us = round_trip_cycles / 200.0  # 200 MHz processor clock
+    round_trip_us = round_trip_cycles / PROCESSOR_MHZ
     return {
         "round_trip_cycles": round_trip_cycles,
         "round_trip_us": round_trip_us,
@@ -128,7 +129,7 @@ def measure_bandwidth(spec) -> Dict[str, float]:
         raise MicrobenchmarkError("bandwidth run did not complete")
     total_cycles = max(1, received["end"] - marks["start"])
     bytes_per_cycle = (spec.message_bytes * spec.messages) / total_cycles
-    bandwidth_mbps = bytes_per_cycle * 200.0  # bytes/us == MB/s at 200 MHz
+    bandwidth_mbps = bytes_per_cycle * PROCESSOR_MHZ  # bytes/us == MB/s
     max_bandwidth_mbps = machine.params.max_local_cq_bandwidth_mbps()
     return {
         "total_cycles": float(total_cycles),

@@ -11,7 +11,13 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.apps import available_workloads
-from repro.common.params import DEFAULT_PARAMS, MachineParams
+from repro.common.params import (
+    CACHE_TO_CACHE_FROM_CNI_CYCLES,
+    CACHE_TO_CACHE_TO_CNI_CYCLES,
+    MEMORY_TO_CACHE_CYCLES,
+    UNCACHED_LOAD_CYCLES,
+    UNCACHED_STORE_CYCLES,
+)
 from repro.common.types import BusKind
 from repro.ni.taxonomy import EVALUATED_DEVICES, available_devices
 
@@ -39,44 +45,24 @@ def table1_device_summary() -> List[Dict[str, str]]:
     return rows
 
 
-def table2_bus_occupancy(params: MachineParams = DEFAULT_PARAMS) -> List[Dict[str, object]]:
+def table2_bus_occupancy() -> List[Dict[str, object]]:
     """Table 2: bus occupancy for NI and memory accesses, processor cycles."""
-    def cell(mapping, bus):
-        return mapping.get(bus, "")
+    def row(operation, table, io=True):
+        return {
+            "operation": operation,
+            "cache_bus": table.get(BusKind.CACHE, ""),
+            "memory_bus": table[BusKind.MEMORY],
+            "io_bus": table[BusKind.IO] if io else "",
+        }
 
-    rows = [
-        {
-            "operation": "Uncached 8-byte load from NI",
-            "cache_bus": cell(params.uncached_load_cycles, BusKind.CACHE),
-            "memory_bus": cell(params.uncached_load_cycles, BusKind.MEMORY),
-            "io_bus": cell(params.uncached_load_cycles, BusKind.IO),
-        },
-        {
-            "operation": "Uncached 8-byte store to NI",
-            "cache_bus": cell(params.uncached_store_cycles, BusKind.CACHE),
-            "memory_bus": cell(params.uncached_store_cycles, BusKind.MEMORY),
-            "io_bus": cell(params.uncached_store_cycles, BusKind.IO),
-        },
-        {
-            "operation": "Cache-to-cache transfer from CNI to processor (64 bytes)",
-            "cache_bus": "",
-            "memory_bus": cell(params.cache_to_cache_from_cni_cycles, BusKind.MEMORY),
-            "io_bus": cell(params.cache_to_cache_from_cni_cycles, BusKind.IO),
-        },
-        {
-            "operation": "Cache-to-cache transfer from processor to CNI (64 bytes)",
-            "cache_bus": "",
-            "memory_bus": cell(params.cache_to_cache_to_cni_cycles, BusKind.MEMORY),
-            "io_bus": cell(params.cache_to_cache_to_cni_cycles, BusKind.IO),
-        },
-        {
-            "operation": "Memory-to-cache transfer (64 bytes)",
-            "cache_bus": "",
-            "memory_bus": cell(params.memory_to_cache_cycles, BusKind.MEMORY),
-            "io_bus": "",
-        },
+    return [
+        row("Uncached 8-byte load from NI", UNCACHED_LOAD_CYCLES),
+        row("Uncached 8-byte store to NI", UNCACHED_STORE_CYCLES),
+        row("Cache-to-cache transfer from CNI to processor (64 bytes)", CACHE_TO_CACHE_FROM_CNI_CYCLES),
+        row("Cache-to-cache transfer from processor to CNI (64 bytes)", CACHE_TO_CACHE_TO_CNI_CYCLES),
+        # The paper lists memory-to-cache transfers on the memory bus only.
+        row("Memory-to-cache transfer (64 bytes)", MEMORY_TO_CACHE_CYCLES, io=False),
     ]
-    return rows
 
 
 def table3_macrobenchmarks() -> List[Dict[str, str]]:

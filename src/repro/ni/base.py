@@ -19,7 +19,12 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.addrmap import AddressMap, RegionAllocator
-from repro.common.params import MachineParams
+from repro.common.params import (
+    MEMORY_BARRIER_CYCLES,
+    UNCACHED_ACCESS_BYTES,
+    UNCACHED_LOAD_EXTRA_CYCLES,
+    MachineParams,
+)
 from repro.common.types import (
     AGENT_NI_DEVICE,
     OP_UNCACHED_READ,
@@ -150,7 +155,7 @@ class AbstractNI:
         self.announced = 0
         fabric.attach(node_id, self._on_network_message, self.window.on_ack)
 
-        self._uncached_load_extra = params.uncached_load_extra_cycles.get(bus_kind, 0)
+        self._uncached_load_extra = UNCACHED_LOAD_EXTRA_CYCLES.get(bus_kind, 0)
 
         # The home agent makes the device answer for its own addresses.
         self.home_agent = DeviceHomeAgent(self, f"{self.name}.home")
@@ -167,7 +172,7 @@ class AbstractNI:
 
     def allocate_uncached_register(self) -> int:
         """Allocate one 8-byte uncached device register address."""
-        return self._uncached_alloc.allocate(self.params.uncached_access_bytes, align_to_block=False)
+        return self._uncached_alloc.allocate(UNCACHED_ACCESS_BYTES, align_to_block=False)
 
     def allocate_dram_blocks(self, num_blocks: int) -> int:
         if self._dram_alloc is None:
@@ -275,10 +280,9 @@ class AbstractNI:
         payload = message.payload_bytes
         words = self._words_cache.get(payload)
         if words is None:
-            width = self.params.uncached_access_bytes
             words = self._words_cache[payload] = (
-                self.params.network_header_bytes + payload + width - 1
-            ) // width
+                self.params.network_header_bytes + payload + UNCACHED_ACCESS_BYTES - 1
+            ) // UNCACHED_ACCESS_BYTES
         return words
 
     def blocks_for(self, message: NetworkMessage) -> int:
@@ -304,7 +308,7 @@ class AbstractNI:
         # raise NIError when none is bound.
         yield from self.interconnect.transaction(
             self._proc_cache or self._processor_agent(),
-            OP_UNCACHED_READ, register, self.params.uncached_access_bytes,
+            OP_UNCACHED_READ, register, UNCACHED_ACCESS_BYTES,
         )
         yield self._uncached_load_extra
 
@@ -313,12 +317,12 @@ class AbstractNI:
         self._counts["uncached_stores"] += 1
         yield from self.interconnect.transaction(
             self._proc_cache or self._processor_agent(),
-            OP_UNCACHED_WRITE, register, self.params.uncached_access_bytes,
+            OP_UNCACHED_WRITE, register, UNCACHED_ACCESS_BYTES,
         )
 
     def memory_barrier(self):
         """Generator: drain the processor store buffer."""
-        yield self.params.memory_barrier_cycles
+        yield MEMORY_BARRIER_CYCLES
 
     def _processor_agent(self):
         """The agent on whose behalf processor-side uncached accesses run."""

@@ -33,6 +33,7 @@ import abc
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
+from repro.common.params import BLOCK_COPY_CYCLES, UNCACHED_WORD_PROCESSING_CYCLES
 from repro.common.types import STATE_INVALID, NetworkMessage
 from repro.ni.base import DEVICE_PROCESSING_CYCLES
 from repro.sim import Signal
@@ -165,7 +166,6 @@ class UncachedSendPort(SendPort):
         self.fifo_messages = fifo_messages
         self.tail_ptr_reg = tail_ptr_reg
         self.fifo: Deque[NetworkMessage] = deque()
-        self._word_cycles = ni.params.uncached_word_processing_cycles
         self.fifo_signal = Signal(ni.sim, name=f"{ni.name}.send-fifo")
 
     def device_idle(self) -> bool:
@@ -184,7 +184,7 @@ class UncachedSendPort(SendPort):
         #    (each word also costs the user-buffer load and loop overhead).
         for _ in range(ni.words_for(message)):
             yield from ni.uncached_store(self.data_reg)
-            yield self._word_cycles
+            yield UNCACHED_WORD_PROCESSING_CYCLES
         # 3. Explicit-pointer devices publish the new tail pointer.
         if self.tail_ptr_reg is not None:
             yield from ni.uncached_store(self.tail_ptr_reg)
@@ -235,7 +235,6 @@ class UncachedRecvPort(RecvPort):
         self.fifo_messages = fifo_messages
         self.head_ptr_reg = head_ptr_reg
         self.fifo: Deque[NetworkMessage] = deque()
-        self._word_cycles = ni.params.uncached_word_processing_cycles
         self.space_signal = Signal(ni.sim, name=f"{ni.name}.recv-space")
 
     def spin_steady(self) -> bool:
@@ -260,7 +259,7 @@ class UncachedRecvPort(RecvPort):
         message = self.fifo.popleft()
         for _ in range(ni.words_for(message)):
             yield from ni.uncached_load(self.data_reg)
-            yield self._word_cycles
+            yield UNCACHED_WORD_PROCESSING_CYCLES
         # 3. Explicit-pointer devices publish the consumed head pointer.
         if self.head_ptr_reg is not None:
             yield from ni.uncached_store(self.head_ptr_reg)
@@ -340,7 +339,7 @@ class CdrSendPort(SendPort):
         slot = self._next_slot
         for addr in self._slot_prefixes[slot][ni.blocks_for(message) - 1]:
             yield from proc.write_block(addr)
-            yield ni.params.block_copy_cycles
+            yield BLOCK_COPY_CYCLES
         message.send_time = ni.sim.now
         self._pending.append((message, slot))
         self._next_slot = (slot + 1) % self.slots
@@ -447,7 +446,7 @@ class CdrRecvPort(RecvPort):
         message, slot = self._exposed[0]
         for addr in self._slot_prefixes[slot][ni.blocks_for(message) - 1]:
             yield from proc.read_block(addr)
-            yield ni.params.block_copy_cycles
+            yield BLOCK_COPY_CYCLES
         # 3. Explicit pop: the three-cycle handshake of Section 2.1.
         yield from ni.uncached_store(self.pop_reg)
         yield from ni.memory_barrier()
@@ -564,7 +563,7 @@ class CqSendPort(SendPort):
         slot = sq.tail_index()
         for addr in sq.entry_block_addrs(slot, ni.blocks_for(message)):
             yield from proc.write_block(addr)
-            yield ni.params.block_copy_cycles
+            yield BLOCK_COPY_CYCLES
         message.send_time = ni.sim.now
         sq.enqueue(message)
         # 3. Bump the private tail pointer (cache hit).
@@ -663,10 +662,10 @@ class CqRecvPort(RecvPort):
             return None
         # 2. Read the rest of the message blocks, copying each into the
         #    user-level buffer.
-        yield ni.params.block_copy_cycles
+        yield BLOCK_COPY_CYCLES
         for addr in rq.entry_block_addrs(slot, ni.blocks_for(message))[1:]:
             yield from proc.read_block(addr)
-            yield ni.params.block_copy_cycles
+            yield BLOCK_COPY_CYCLES
         rq.dequeue()
         # 3. Advance the head pointer (receiver-private block, usually a hit).
         yield from proc.write_block(rq.head_ptr_addr)

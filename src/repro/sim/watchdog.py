@@ -12,7 +12,7 @@ simulation stops making progress:
   partition map, and raises :class:`SimulationHangError`.
 * **busy stall** — events keep executing but a caller-supplied progress
   fingerprint (delivered messages, finished processes, …) has not changed
-  for ``stall_cycles`` simulated cycles (an unelided spin loop, a
+  for :data:`DEFAULT_STALL_CYCLES` simulated cycles (an unelided spin loop, a
   retransmission storm that can never succeed).  Also
   :class:`SimulationHangError`, with the stuck fingerprint in the report.
 
@@ -143,18 +143,12 @@ class Watchdog:
         processes: Sequence[Process],
         *,
         max_cycles: Optional[int] = None,
-        check_interval: int = DEFAULT_CHECK_INTERVAL,
-        stall_cycles: int = DEFAULT_STALL_CYCLES,
         progress: Optional[Callable[[], Tuple]] = None,
         partitions: Optional[Callable[[], Dict[str, tuple]]] = None,
     ):
-        if check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
         self.sim = sim
         self.processes = list(processes)
         self.max_cycles = max_cycles
-        self.check_interval = check_interval
-        self.stall_cycles = stall_cycles
         self.progress = progress
         self.partitions = partitions
 
@@ -170,7 +164,7 @@ class Watchdog:
         stalled_for = 0
         while True:
             chunk_start = sim.now
-            target = chunk_start + self.check_interval
+            target = chunk_start + DEFAULT_CHECK_INTERVAL
             if self.max_cycles is not None:
                 target = min(target, self.max_cycles)
             events_before = sim.event_count
@@ -185,7 +179,7 @@ class Watchdog:
                 fp = (fp, sum(1 for p in self.processes if p.finished))
                 if fp == last_fp:
                     stalled_for += sim.now - chunk_start
-                    if stalled_for >= self.stall_cycles:
+                    if stalled_for >= DEFAULT_STALL_CYCLES:
                         self._raise_stalled(fp)
                 else:
                     stalled_for = 0
@@ -220,10 +214,10 @@ class Watchdog:
             "cycle": self.sim.now,
             "unfinished": names,
             "fingerprint": fingerprint,
-            "stall_cycles": self.stall_cycles,
+            "stall_cycles": DEFAULT_STALL_CYCLES,
         }
         raise SimulationHangError(
-            f"no workload progress for {self.stall_cycles} cycles at cycle "
+            f"no workload progress for {DEFAULT_STALL_CYCLES} cycles at cycle "
             f"{self.sim.now} while events keep executing ({len(names)} "
             "unfinished processes; likely an unelided spin or retry storm)",
             report,

@@ -12,10 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.apps.workload import run_spec, workload_metrics
-
-#: Simulated processor clock in cycles per microsecond (200 MHz, the
-#: paper's machine; same constant the workload layer uses for display).
-CYCLES_PER_US = 200.0
+from repro.common.params import PROCESSOR_MHZ
 
 
 def run_traffic_point(spec) -> Dict[str, float]:
@@ -29,8 +26,8 @@ def run_traffic_point(spec) -> Dict[str, float]:
     metrics["payload_bytes"] = float(net.get("payload_bytes", 0))
     if cycles > 0:
         metrics["messages_per_kcycle"] = 1000.0 * metrics["network_messages"] / cycles
-        # bytes/cycle x 200 cycles/us = bytes/us = MB/s.
-        metrics["delivered_mbps"] = metrics["payload_bytes"] * CYCLES_PER_US / cycles
+        # bytes x cycles/us / cycles = bytes/us = MB/s.
+        metrics["delivered_mbps"] = metrics["payload_bytes"] * PROCESSOR_MHZ / cycles
     for key in ("hops", "contention_cycles"):
         # Grid fabrics only: fault-free ideal/xbar results stay key-stable.
         if key in net:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import pytest
 
 from repro.api import ExperimentSpec
 from repro.apps.workload import run_spec
+from repro.common import params as machine_module
 from repro.common.addrmap import AddressMap
 from repro.common.params import DEFAULT_PARAMS, MachineParams
 from repro.node.machine import Machine
@@ -25,6 +28,26 @@ def addrmap(params) -> AddressMap:
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+#: The paper's fixed machine (Section 4.1, Table 2): module constants of
+#: :mod:`repro.common.params` under these names upper-cased, and no
+#: ``MachineParams`` field, so no spec can override them.
+FIXED_MACHINE_CONSTANTS = (
+    "processor_mhz", "cache_hit_cycles", "uncached_access_bytes", "memory_barrier_cycles",
+    "uncached_word_processing_cycles", "block_copy_cycles", "processor_miss_extra_cycles",
+    "uncached_load_cycles", "uncached_store_cycles", "cache_to_cache_from_cni_cycles",
+    "cache_to_cache_to_cni_cycles", "memory_to_cache_cycles", "invalidation_cycles",
+    "writeback_cycles", "cache_to_cache_proc_cycles", "uncached_load_extra_cycles",
+)
+
+
+def fixed_constant_override(name: str) -> dict:
+    """``params`` naming a fixed constant with its own value, as JSON holds it."""
+    value = getattr(machine_module, name.upper())
+    if isinstance(value, Mapping):
+        value = {bus.value: cycles for bus, cycles in value.items()}
+    return {name: value}
 
 
 def build_machine(ni_name="CNI16Qm", bus="memory", num_nodes=2, snarfing=False, **ni_kwargs):

@@ -5,10 +5,13 @@ behaviour, parallel vs serial result equality, ResultSet JSON round-trips,
 plus Machine.from_spec and the early ni_kwargs validation.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
+
+from conftest import FIXED_MACHINE_CONSTANTS, fixed_constant_override
 
 from repro import Machine
 from repro.api import (
@@ -27,6 +30,8 @@ from repro.api import (
     speedups,
 )
 from repro.api.spec import DEFAULT_WORKLOAD_SEED
+from repro.common.params import DEFAULT_PARAMS, MachineParams
+from repro.common.types import BusKind
 from repro.experiments.run import main as run_main
 from repro.ni.taxonomy import TaxonomyError
 from repro.node.node import NodeConfigError
@@ -34,6 +39,28 @@ from repro.service.store import ResultStore
 
 #: A tiny latency spec used throughout (fast: 3 iterations, 1 warm-up).
 QUICK = dict(kind="latency", message_bytes=8, iterations=3, warmup=1)
+
+#: A legal non-default override of every MachineParams field.
+PARAM_OVERRIDES = [
+    {"cache_block_bytes": 32},
+    {"processor_cache_bytes": 128 * 1024},
+    {"num_nodes": 4},
+    {"network_message_bytes": 512},
+    {"network_header_bytes": 16},
+    {"network_latency_cycles": 50},
+    {"sliding_window": 8},
+    {"fabric": "xbar"},
+    {"fabric_hop_cycles": 4},
+    {"protocol": "mesi"},
+    {"directory_lookup_cycles": 4},
+    {"fabric_link_bytes_per_cycle": 16},
+    {"faults": "lossy1", "reliable_messaging": True},
+    {"fault_seed": 7},
+    {"reliable_messaging": True},
+    {"retransmit_timeout_cycles": 10_000},
+    {"max_retransmits": 4},
+    {"spin_elision": False},
+]
 
 
 def quick_sweep():
@@ -116,13 +143,64 @@ class TestSpec:
 
     @pytest.mark.parametrize(
         "fields, error",
-        [({"kind": ["latency"]}, SpecError), ({"device": ["NI2w"]}, TaxonomyError)],
+        [({"kind": ["latency"]}, SpecError), ({"device": ["NI2w"]}, SpecError)],
         ids=["list-kind", "list-device"],
     )
     def test_non_string_names_raise_value_errors(self, fields, error):
-        # A name that is no string is an unknown name, never a TypeError.
+        # A name that is no string is an ill-typed field, never a TypeError.
         with pytest.raises(error):
             ExperimentSpec(**fields).validate()
+
+    @pytest.mark.parametrize(
+        "name, value, base",
+        [
+            ("message_bytes", 64.0, {}),
+            ("iterations", 3.0, {}),
+            ("iterations", True, {}),
+            ("warmup", 1.5, {}),
+            ("num_nodes", 2.0, {}),
+            ("snarfing", 1, {}),
+            ("max_cycles", 1e9, {}),
+            ("workload", 5, {}),
+            ("bus", BusKind.MEMORY, {}),
+            ("messages", 100.0, {"kind": "bandwidth"}),
+            ("scale", "1", {"kind": "macro", "workload": "gauss"}),
+            ("scale", True, {"kind": "macro", "workload": "gauss"}),
+        ],
+        ids=["float-message-bytes", "float-iterations", "bool-iterations", "float-warmup",
+             "float-num-nodes", "int-snarfing", "float-max-cycles", "int-workload",
+             "enum-bus", "float-messages", "str-scale", "bool-scale"],
+    )
+    def test_ill_typed_scalar_fields_are_spec_errors(self, name, value, base):
+        """Each scalar field takes its exact type (a bool is no int): otherwise
+        the run fails later, or runs the default physics under a spec hash of
+        its own."""
+        with pytest.raises(SpecError, match=f"{name} must be "):
+            ExperimentSpec(**base, **{name: value}).validate()
+
+    def test_param_overrides_cover_every_field(self):
+        overridden = {name for params in PARAM_OVERRIDES for name in params}
+        assert overridden == {f.name for f in dataclasses.fields(MachineParams)}
+
+    @pytest.mark.parametrize("params", PARAM_OVERRIDES, ids=lambda params: next(iter(params)))
+    def test_param_override_survives_a_json_round_trip(self, params):
+        """Serial runs, ``--jobs`` workers and the service each rebuild the
+        spec from its JSON form, so all three must run the same machine."""
+        spec = ExperimentSpec(params=params).validate()
+        copy = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))).validate()
+        assert copy.spec_hash() == spec.spec_hash()
+        assert copy.machine_params() == spec.machine_params()
+        for name, value in params.items():
+            assert getattr(copy.machine_params(), name) == value != getattr(DEFAULT_PARAMS, name)
+
+    @pytest.mark.parametrize("name", FIXED_MACHINE_CONSTANTS)
+    def test_fixed_machine_constant_is_no_param(self, name):
+        with pytest.raises(SpecError, match=f"unknown MachineParams override.*{name}"):
+            ExperimentSpec(params=fixed_constant_override(name)).validate()
+
+    def test_scale_takes_an_int_or_a_float(self):
+        for scale in (1, 0.5):
+            ExperimentSpec(kind="macro", workload="gauss", scale=scale).validate()
 
     def test_resolved_seed_is_the_seed_field(self):
         assert ExperimentSpec(seed=7).resolved_seed() == 7

@@ -5,7 +5,7 @@ import pytest
 from repro.coherence.bus import BusError, NodeInterconnect
 from repro.coherence.cache import CacheError, CoherentCache, MainMemory
 from repro.common.addrmap import AddressMap
-from repro.common.params import DEFAULT_PARAMS
+from repro.common.params import CACHE_HIT_CYCLES, DEFAULT_PARAMS
 from repro.common.types import AgentKind, BusKind, BusOp, CoherenceState
 from repro.sim import Simulator, start_process
 
@@ -200,7 +200,7 @@ class TestTimingCosts:
         run(sim, c0.read_block(ADDR))
         hit_time = sim.now - t1
         assert miss_time > hit_time
-        assert hit_time <= 2 * DEFAULT_PARAMS.cache_hit_cycles
+        assert hit_time <= 2 * CACHE_HIT_CYCLES
 
     def test_memory_bus_occupancy_accumulates(self):
         sim, ic, _, (c0, c1) = make_system()

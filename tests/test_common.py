@@ -1,16 +1,27 @@
 """Tests for machine parameters, address map and shared types."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.common.addrmap import AddressMap, RegionAllocator
-from repro.common.params import DEFAULT_PARAMS, MachineParams, ParameterError
+from repro.common.params import (
+    _SCALAR_FIELDS,
+    DEFAULT_PARAMS,
+    PROCESSOR_MHZ,
+    UNCACHED_LOAD_CYCLES,
+    MachineParams,
+    ParameterError,
+    cycles_to_us,
+    occupancy,
+)
 from repro.common.types import AddressRange, AgentKind, BusKind, BusOp, CoherenceState, NetworkMessage
 
 
 class TestMachineParams:
     def test_defaults_match_paper_section_4_1(self):
         p = DEFAULT_PARAMS
-        assert p.processor_mhz == 200
+        assert PROCESSOR_MHZ == 200
         assert p.num_nodes == 16
         assert p.cache_block_bytes == 64
         assert p.processor_cache_bytes == 256 * 1024
@@ -20,43 +31,50 @@ class TestMachineParams:
         assert p.sliding_window == 4
 
     def test_table2_occupancies(self):
-        p = DEFAULT_PARAMS
-        assert p.occupancy(BusOp.UNCACHED_READ, BusKind.CACHE, AgentKind.PROCESSOR) == 4
-        assert p.occupancy(BusOp.UNCACHED_READ, BusKind.MEMORY, AgentKind.PROCESSOR) == 28
-        assert p.occupancy(BusOp.UNCACHED_READ, BusKind.IO, AgentKind.PROCESSOR) == 48
-        assert p.occupancy(BusOp.UNCACHED_WRITE, BusKind.CACHE, AgentKind.PROCESSOR) == 4
-        assert p.occupancy(BusOp.UNCACHED_WRITE, BusKind.MEMORY, AgentKind.PROCESSOR) == 12
-        assert p.occupancy(BusOp.UNCACHED_WRITE, BusKind.IO, AgentKind.PROCESSOR) == 32
+        assert occupancy(BusOp.UNCACHED_READ, BusKind.CACHE, AgentKind.PROCESSOR) == 4
+        assert occupancy(BusOp.UNCACHED_READ, BusKind.MEMORY, AgentKind.PROCESSOR) == 28
+        assert occupancy(BusOp.UNCACHED_READ, BusKind.IO, AgentKind.PROCESSOR) == 48
+        assert occupancy(BusOp.UNCACHED_WRITE, BusKind.CACHE, AgentKind.PROCESSOR) == 4
+        assert occupancy(BusOp.UNCACHED_WRITE, BusKind.MEMORY, AgentKind.PROCESSOR) == 12
+        assert occupancy(BusOp.UNCACHED_WRITE, BusKind.IO, AgentKind.PROCESSOR) == 32
 
     def test_cache_to_cache_direction_matters_on_io_bus(self):
-        p = DEFAULT_PARAMS
-        from_cni = p.occupancy(
+        from_cni = occupancy(
             BusOp.READ_SHARED, BusKind.IO, AgentKind.PROCESSOR, AgentKind.NI_DEVICE
         )
-        to_cni = p.occupancy(
+        to_cni = occupancy(
             BusOp.READ_SHARED, BusKind.IO, AgentKind.NI_DEVICE, AgentKind.PROCESSOR
         )
         assert from_cni == 76
         assert to_cni == 62
 
     def test_memory_supplies_at_42_cycles(self):
-        p = DEFAULT_PARAMS
-        assert p.occupancy(
+        assert occupancy(
             BusOp.READ_SHARED, BusKind.MEMORY, AgentKind.PROCESSOR, AgentKind.MEMORY,
             data_from_memory=True,
         ) == 42
 
     def test_derived_quantities(self):
         p = DEFAULT_PARAMS
-        assert p.cycle_ns == 5.0
+        assert cycles_to_us(1) * 1000.0 == 5.0  # a 5 ns cycle
         assert p.network_payload_bytes == 244
         assert p.blocks_per_network_message == 4
         assert p.processor_cache_blocks == 4096
-        assert p.cycles_to_us(200) == 1.0
+        assert cycles_to_us(200) == 1.0
 
     def test_max_local_cq_bandwidth_near_paper_value(self):
         # The paper's value is 144 MB/s; ours should be in the same regime.
         assert 100.0 <= DEFAULT_PARAMS.max_local_cq_bandwidth_mbps() <= 200.0
+
+    def test_fixed_machine_tables_are_read_only(self):
+        with pytest.raises(TypeError):
+            UNCACHED_LOAD_CYCLES[BusKind.MEMORY] = 56
+
+    def test_every_field_is_type_checked(self):
+        assert [name for name, _ in _SCALAR_FIELDS] == [
+            f.name for f in fields(MachineParams)
+        ]
+        assert len(fields(MachineParams)) == 18
 
     def test_with_overrides_returns_new_validated_instance(self):
         p = DEFAULT_PARAMS.with_overrides(num_nodes=4)

@@ -30,6 +30,7 @@ import urllib.request
 
 import pytest
 
+from conftest import FIXED_MACHINE_CONSTANTS, fixed_constant_override
 from repro.api import ExperimentSpec, RunResult, SweepRunner, run_point
 from repro.api.runner import _run_point_payload
 from repro.service import (
@@ -622,6 +623,40 @@ class TestHttpService:
         )
         assert status == 400, payload
         assert field in json.loads(payload)["error"]
+        assert service.counters["runs_started"] == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("message_bytes", 64.0),
+            ("iterations", 3.0),
+            ("iterations", True),
+            ("warmup", 1.5),
+            ("num_nodes", 2.0),
+            ("snarfing", 1),
+            ("max_cycles", 1e9),
+            ("scale", "1"),
+        ],
+        ids=["float-message-bytes", "float-iterations", "bool-iterations", "float-warmup",
+             "float-num-nodes", "int-snarfing", "float-max-cycles", "str-scale"],
+    )
+    def test_ill_typed_spec_fields_are_400(self, service, field, value):
+        """A spec field of another type than its own (a bool is no int) fails
+        validation naming the field, before any run starts."""
+        body = json.dumps({**QUICK, field: value}).encode()
+        status, _, payload = _request(service.base_url + "/run", data=body)
+        assert status == 400, payload
+        assert f"{field} must be " in json.loads(payload)["error"]
+        assert service.counters["runs_started"] == 0
+
+    @pytest.mark.parametrize("name", FIXED_MACHINE_CONSTANTS)
+    def test_fixed_machine_constants_are_400(self, service, name):
+        """The paper's fixed machine is no spec parameter: naming one of its
+        constants in ``params`` is an unknown override, even at its own value."""
+        body = json.dumps({**QUICK, "params": fixed_constant_override(name)}).encode()
+        status, _, payload = _request(service.base_url + "/run", data=body)
+        assert status == 400, payload
+        assert name in json.loads(payload)["error"]
         assert service.counters["runs_started"] == 0
 
     @pytest.mark.parametrize(
