@@ -1,42 +1,19 @@
-"""Partition-safety analyzer: lint, conflict detection, determinism.
-
-Three cooperating passes that check the simulator's partition discipline
-(the property the PDES roadmap item depends on):
+"""Simulator-idiom lint and the stat-key registry it checks against.
 
 * :mod:`repro.analysis.lint` — static AST lint of simulator idiom
-  (cross-partition access, module-level mutable state, ``__slots__`` on
-  hot-path classes, wall-clock/RNG in simulated code, stat-key typos),
-* :mod:`repro.analysis.conflicts` — dynamic same-cycle conflict detector
-  producing ``partition_conflict_report.json``,
-* :mod:`repro.analysis.determinism` — schedule-perturbation sanitizer
-  proving stats stay bit-identical when independent same-cycle events are
-  reordered.
+  (module-level mutable state, ``__slots__`` on hot-path classes,
+  wall-clock/RNG in simulated code, enum member loads on the
+  per-transaction path, stat-key typos, unused waivers),
+* :mod:`repro.analysis.statkeys` — the registry of stat keys produced
+  anywhere in ``src/repro``, generated from the same AST pass,
+* :mod:`repro.analysis.ownership` — which modules are kernel clients, the
+  scope of the state and ``__slots__`` rules.
 
 Run ``python -m repro.analysis --help`` (or ``run.py analyze``) for the
-command-line surface; ``python -m repro.analysis --self-test`` checks the
-analyzer against planted defects.
+command-line surface; ``python -m repro.analysis --self-test`` checks that
+every rule catches its planted defect.
 """
 
-from repro.analysis.conflicts import (
-    AnalysisError,
-    ConflictEdge,
-    ConflictReport,
-    ConflictTracker,
-    InstrumentedSimulator,
-    analyze_spec,
-    conflict_fixture,
-    instrument_machine,
-    run_spec_machine,
-)
-from repro.analysis.determinism import (
-    DeterminismResult,
-    OrderShuffleSimulator,
-    TrackedShuffleSimulator,
-    diff_fingerprints,
-    fingerprint_digest,
-    machine_fingerprint,
-    sanitize_spec,
-)
 from repro.analysis.lint import (
     Finding,
     LintReport,
@@ -45,35 +22,15 @@ from repro.analysis.lint import (
     lint_tree,
     register_rule,
 )
-from repro.analysis.partitions import EXTERNAL, PartitionResolver, partition_from_name
 from repro.analysis.statkeys import StatKeyRegistry, generate_registry
 
 __all__ = [
-    "AnalysisError",
-    "ConflictEdge",
-    "ConflictReport",
-    "ConflictTracker",
-    "DeterminismResult",
-    "EXTERNAL",
     "Finding",
-    "InstrumentedSimulator",
     "LintReport",
-    "OrderShuffleSimulator",
-    "PartitionResolver",
     "Rule",
     "StatKeyRegistry",
-    "TrackedShuffleSimulator",
-    "analyze_spec",
-    "conflict_fixture",
-    "diff_fingerprints",
-    "fingerprint_digest",
     "generate_registry",
-    "instrument_machine",
     "lint_source",
     "lint_tree",
-    "machine_fingerprint",
-    "partition_from_name",
     "register_rule",
-    "run_spec_machine",
-    "sanitize_spec",
 ]

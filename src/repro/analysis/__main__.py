@@ -1,19 +1,13 @@
-"""Command-line surface of the partition-safety analyzer.
+"""Command-line surface of the simulator-idiom lint.
 
 Usage::
 
-    python -m repro.analysis lint [--json]
+    python -m repro.analysis lint [--json] [--show-waived]
     python -m repro.analysis statkeys [--json]
-    python -m repro.analysis conflicts [--quick] [--out partition_conflict_report.json]
-    python -m repro.analysis determinism [--quick] [--seeds 11 23 37] [--out PATH]
     python -m repro.analysis --self-test [--verbose]
 
-``conflicts`` and ``determinism`` default to the fig8 macro trio
-(gauss/em3d/appbt) x {CNI4Q, CNI16Q} x {ideal, mesh4x4} at 16 nodes;
-``--quick`` shrinks that to one workload per axis at 4 nodes for CI.
-Both exit non-zero when the partition claim fails (a non-mediation
-conflict edge, or a fingerprint drift under tie-break shuffles), as does
-``lint`` on unwaived findings.  ``run.py analyze ...`` forwards here.
+``lint`` exits non-zero on unwaived findings, and ``--self-test`` when a
+rule misses its planted defect.  ``run.py analyze ...`` forwards here.
 """
 
 from __future__ import annotations
@@ -23,81 +17,13 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis import determinism as determinism_mod
 from repro.analysis import lint as lint_mod
-from repro.analysis.conflicts import ConflictReport, analyze_spec
-from repro.analysis.determinism import sanitize_spec
 from repro.analysis.statkeys import generate_registry
-
-#: The fig8 macrobenchmark trio (paper Section 5).
-MACRO_TRIO = ("gauss", "em3d", "appbt")
-DEFAULT_DEVICES = ("CNI4Q", "CNI16Q")
-DEFAULT_FABRICS = ("ideal", "mesh4x4")
 
 
 def _print(text: str) -> None:
     sys.stdout.write(text)
     sys.stdout.flush()
-
-
-def matrix_specs(
-    workloads=MACRO_TRIO,
-    devices=DEFAULT_DEVICES,
-    fabrics=DEFAULT_FABRICS,
-    num_nodes: int = 16,
-    scale: float = 1.0,
-    seed: int = 12345,
-) -> List:
-    """The analysis matrix as validated macro ExperimentSpecs."""
-    from repro.api.spec import ExperimentSpec
-
-    specs = []
-    for workload in workloads:
-        for device in devices:
-            for fabric in fabrics:
-                params = {} if fabric == "ideal" else {"fabric": fabric}
-                specs.append(
-                    ExperimentSpec(
-                        kind="macro",
-                        device=device,
-                        workload=workload,
-                        num_nodes=num_nodes,
-                        scale=scale,
-                        seed=seed,
-                        params=params,
-                    ).validate()
-                )
-    return specs
-
-
-def _matrix_from_args(args) -> List:
-    if args.quick:
-        return matrix_specs(
-            workloads=tuple(args.workloads or ("gauss",)),
-            devices=tuple(args.devices or ("CNI16Q",)),
-            fabrics=tuple(args.fabrics or ("ideal", "mesh")),
-            num_nodes=args.nodes or 4,
-            scale=args.scale or 0.25,
-            seed=args.seed,
-        )
-    return matrix_specs(
-        workloads=tuple(args.workloads or MACRO_TRIO),
-        devices=tuple(args.devices or DEFAULT_DEVICES),
-        fabrics=tuple(args.fabrics or DEFAULT_FABRICS),
-        num_nodes=args.nodes or 16,
-        scale=args.scale or 1.0,
-        seed=args.seed,
-    )
-
-
-def _add_matrix_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--quick", action="store_true", help="small CI-sized matrix")
-    sub.add_argument("--workloads", nargs="*", help=f"default: {' '.join(MACRO_TRIO)}")
-    sub.add_argument("--devices", nargs="*", help=f"default: {' '.join(DEFAULT_DEVICES)}")
-    sub.add_argument("--fabrics", nargs="*", help=f"default: {' '.join(DEFAULT_FABRICS)}")
-    sub.add_argument("--nodes", type=int, help="nodes per point (default 16, quick 4)")
-    sub.add_argument("--scale", type=float, help="macro scale (default 1.0, quick 0.25)")
-    sub.add_argument("--seed", type=int, default=12345, help="workload seed")
 
 
 def cmd_lint(args) -> int:
@@ -133,69 +59,13 @@ def cmd_statkeys(args) -> int:
     return 0
 
 
-def cmd_conflicts(args) -> int:
-    specs = _matrix_from_args(args)
-    report = ConflictReport()
-    for i, spec in enumerate(specs, 1):
-        fabric = spec.params.get("fabric", "ideal")
-        _print(f"[{i}/{len(specs)}] {spec.describe()} [{fabric}] ... ")
-        tracker, result = analyze_spec(spec)
-        report.add_point(spec, tracker, result.cycles)
-        edges = len(tracker.edges)
-        bad = len(tracker.non_mediation_edges())
-        _print(f"{edges} edges, {bad} non-mediation\n")
-    report.write(args.out)
-    _print(f"(wrote {args.out})\n")
-    if not report.mediation_only:
-        _print("FAIL: conflict edges outside mediation layers\n")
-        return 1
-    _print("ok: all conflict edges go through mediation layers\n")
-    return 0
-
-
-def cmd_determinism(args) -> int:
-    specs = _matrix_from_args(args)
-    results = []
-    failed = 0
-    for i, spec in enumerate(specs, 1):
-        fabric = spec.params.get("fabric", "ideal")
-        _print(f"[{i}/{len(specs)}] {spec.describe()} [{fabric}] ... ")
-        outcome = sanitize_spec(spec, seeds=tuple(args.seeds))
-        results.append(outcome.to_dict())
-        choices = sum(run.shuffle_choices for run in outcome.runs)
-        if outcome.ok:
-            _print(f"bit-identical across {len(outcome.runs)} shuffles ({choices} choices)\n")
-        else:
-            failed += 1
-            _print("DRIFT\n")
-            for run in outcome.runs:
-                for diff in run.diffs[:5]:
-                    _print(f"    seed {run.seed}: {diff}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"schema": "determinism_report/v1", "points": results},
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        _print(f"(wrote {args.out})\n")
-    if failed:
-        _print(f"FAIL: {failed}/{len(specs)} points drifted under tie-break shuffles\n")
-        return 1
-    _print(f"ok: {len(specs)} points bit-identical under tie-break shuffles\n")
-    return 0
-
-
 def run_self_test(verbose: bool = False) -> int:
     failures = lint_mod.self_test(verbose=verbose)
-    failures += determinism_mod.self_test(verbose=verbose)
     if failures:
         for failure in failures:
             _print(f"FAIL: {failure}\n")
         return 1
-    _print("self-test: lint rules, conflict detector and sanitizer all catch their planted defects\n")
+    _print("self-test: every lint rule catches its planted defects\n")
     return 0
 
 
@@ -209,7 +79,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--self-test",
         action="store_true",
-        help="verify the analyzer catches planted defects",
+        help="verify every lint rule catches its planted defect",
     )
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command")
@@ -221,15 +91,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     keys_p = sub.add_parser("statkeys", help="dump the generated stat-key registry")
     keys_p.add_argument("--json", action="store_true")
 
-    conf_p = sub.add_parser("conflicts", help="same-cycle cross-partition conflict detection")
-    _add_matrix_args(conf_p)
-    conf_p.add_argument("--out", default="partition_conflict_report.json")
-
-    det_p = sub.add_parser("determinism", help="schedule-perturbation determinism sanitizer")
-    _add_matrix_args(det_p)
-    det_p.add_argument("--seeds", nargs="*", type=int, default=[11, 23, 37])
-    det_p.add_argument("--out", help="write a JSON determinism report")
-
     args = parser.parse_args(argv)
     if args.self_test:
         return run_self_test(verbose=args.verbose)
@@ -237,10 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_lint(args)
     if args.command == "statkeys":
         return cmd_statkeys(args)
-    if args.command == "conflicts":
-        return cmd_conflicts(args)
-    if args.command == "determinism":
-        return cmd_determinism(args)
     parser.print_help()
     return 2
 

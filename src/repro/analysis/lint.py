@@ -1,16 +1,14 @@
-"""Static cross-partition lint: an ``ast`` rule engine over ``src/repro``.
+"""Static simulator-idiom lint: an ``ast`` rule engine over ``src/repro``.
 
-The rules encode the simulator's partition discipline (see
-:mod:`repro.analysis.ownership` for the domain map):
+The rules encode how the sequential simulator's code must be written.  Two
+of them scope themselves to the kernel clients of
+:mod:`repro.analysis.ownership`; the others name their own paths:
 
-* ``CROSS`` — node-domain code must not reach across partitions: no access
-  to the machine-wide node/messaging lists and no digging into the
-  fabric's endpoint tables outside the mediation layers.
 * ``MUTSTATE`` — no module-level mutable state in kernel clients; two
   machines in one process must never share scheduling or statistics state.
 * ``SLOTS`` — hot-path event/message classes (``*Event``, ``*Message``,
-  ``*Transaction``, ``*Response``) must declare ``__slots__`` (directly or
-  via ``dataclass(slots=True)``).
+  ``*Transaction``, ``*Response``) in kernel clients must declare
+  ``__slots__`` (directly or via ``dataclass(slots=True)``).
 * ``WALLCLOCK`` — no wall-clock (``time.time``/``perf_counter``) or
   ``random`` use where simulated time rules (``sim/``, ``coherence/``,
   ``ni/``); nondeterminism there breaks bit-identical replay.
@@ -40,13 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.ownership import (
-    KERNEL_CLIENT_DOMAINS,
-    SIMULATED_TIME_PREFIXES,
-    SRC_ROOT,
-    domain_for,
-    iter_modules,
-)
+from repro.analysis.ownership import SRC_ROOT, is_kernel_client, iter_modules
 from repro.analysis.statkeys import StatKeyRegistry, consumed_keys, generate_registry
 from repro.common.registry import Registry
 
@@ -118,7 +110,7 @@ class ModuleFile:
     """A parsed module plus the metadata rules scope themselves by."""
 
     relpath: str
-    domain: str
+    kernel_client: bool
     tree: ast.Module
     lines: List[str]
 
@@ -185,45 +177,6 @@ def registered_rules() -> Dict[str, Rule]:
 # ----------------------------------------------------------------------
 # Built-in rules
 # ----------------------------------------------------------------------
-#: Machine-wide collections only assembly/harness code may walk.
-_CROSS_MACHINE_ATTRS = frozenset({"nodes", "messaging"})
-#: Fabric internals only the mediation layer may touch.
-_CROSS_FABRIC_ATTRS = frozenset({"_endpoints", "_ack_handlers"})
-
-
-@register_rule
-class CrossPartitionRule(Rule):
-    id = "CROSS"
-    summary = (
-        "node-partition code must not reach other nodes except through "
-        "the bus/fabric/directory mediation layers"
-    )
-
-    def applies_to(self, module: ModuleFile) -> bool:
-        return module.domain == "node"
-
-    def check(self, module, context):
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr in _CROSS_MACHINE_ATTRS and isinstance(node.value, ast.Attribute):
-                # `x.nodes` / `x.messaging` where x is itself an attribute
-                # chain (e.g. `self.machine.nodes`): walking the machine's
-                # node list from inside a partition.  A bare local like
-                # `graph.nodes` (workload-shaped data) stays legal.
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"access to machine-wide '.{node.attr}' from node-partition code",
-                )
-            elif node.attr in _CROSS_FABRIC_ATTRS:
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"fabric internal '.{node.attr}' touched outside the mediation layer",
-                )
-
-
 _MUTABLE_CALLS = frozenset({
     "dict", "list", "set", "deque", "defaultdict", "Counter", "OrderedDict", "bytearray",
     "Registry",  # a plugin table is module-level state like any dict
@@ -236,7 +189,7 @@ class ModuleMutableStateRule(Rule):
     summary = "no module-level mutable state in kernel clients"
 
     def applies_to(self, module: ModuleFile) -> bool:
-        return module.domain in KERNEL_CLIENT_DOMAINS
+        return module.kernel_client
 
     def _mutable(self, value: ast.AST) -> bool:
         if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
@@ -279,7 +232,7 @@ class SlotsRule(Rule):
     summary = "hot-path event/message classes must declare __slots__"
 
     def applies_to(self, module: ModuleFile) -> bool:
-        return module.domain in ("kernel", "node", "mediation", "coherence")
+        return module.kernel_client
 
     def _has_slots(self, cls: ast.ClassDef) -> bool:
         for stmt in cls.body:
@@ -327,6 +280,8 @@ class SlotsRule(Rule):
 _WALLCLOCK_FUNCS = frozenset(
     {"time", "perf_counter", "monotonic", "time_ns", "perf_counter_ns", "monotonic_ns"}
 )
+#: Where simulated time is the only clock.
+_WALLCLOCK_PREFIXES = ("sim/", "coherence/", "ni/")
 
 
 @register_rule
@@ -335,7 +290,7 @@ class WallClockRule(Rule):
     summary = "no wall-clock or random in simulated-time code (sim/, coherence/, ni/)"
 
     def applies_to(self, module: ModuleFile) -> bool:
-        return module.relpath.startswith(SIMULATED_TIME_PREFIXES)
+        return module.relpath.startswith(_WALLCLOCK_PREFIXES)
 
     def check(self, module, context):
         for node in ast.walk(module.tree):
@@ -545,7 +500,7 @@ def lint_source(
         context = _make_context(root)
     module = ModuleFile(
         relpath=relpath,
-        domain=domain_for(relpath),
+        kernel_client=is_kernel_client(relpath),
         tree=ast.parse(source, filename=relpath),
         lines=source.splitlines(),
     )
@@ -566,7 +521,7 @@ def lint_tree(root: Path = SRC_ROOT) -> LintReport:
                 Finding("SYNTAX", relpath, exc.lineno or 0, 0, f"syntax error: {exc.msg}")
             )
             continue
-        module = ModuleFile(relpath, domain_for(relpath), tree, source.splitlines())
+        module = ModuleFile(relpath, is_kernel_client(relpath), tree, source.splitlines())
         report.findings.extend(_check_module(module, context, rules))
         report.modules_checked += 1
     return report
@@ -577,11 +532,6 @@ def lint_tree(root: Path = SRC_ROOT) -> LintReport:
 # ----------------------------------------------------------------------
 FIXTURES: Dict[str, Tuple[str, str, int]] = {
     # rule id -> (virtual relpath, snippet, offending 1-based line)
-    "CROSS": (
-        "ni/_fixture.py",
-        "def peek_remote(self, i):\n    return self.machine.nodes[i].ni\n",
-        2,
-    ),
     "MUTSTATE": (
         "ni/_fixture.py",
         "from repro.common.registry import Registry\n\n"

@@ -30,6 +30,7 @@ because the kind table raises it from import time on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
@@ -175,8 +176,8 @@ def _check_workload(spec: "ExperimentSpec", what: str, tags: Tuple[str, ...]) ->
     names = [name for tag in tags for name in sorted(workload_names(tag))]
     if spec.workload not in names:
         raise SpecError(f"unknown {what} {spec.workload!r}; choose from {names}")
-    if spec.scale <= 0:
-        raise SpecError("scale must be positive")
+    if not 0 < spec.scale < math.inf:  # NaN fails both comparisons
+        raise SpecError(f"scale must be positive and finite, not {spec.scale}")
 
 
 def _validate_macro(spec: "ExperimentSpec") -> None:

@@ -134,6 +134,10 @@ class ExperimentSpec:
             raise SpecError("workload_kwargs must not hold 'seed'; set the spec's seed instead")
         if self.num_nodes < 2:
             raise SpecError("experiments need at least two nodes")
+        if self.warmup is not None and self.warmup < 0:
+            raise SpecError(f"warmup must be >= 0, not {self.warmup}")
+        if self.max_cycles is not None and self.max_cycles < 1:
+            raise SpecError(f"max_cycles must be >= 1, not {self.max_cycles}")
         # Per-kind checks come from the kind registry (the historic
         # latency/bandwidth/macro rules live on their KindSpecs now, with
         # identical messages); plugin kinds hook in the same way.

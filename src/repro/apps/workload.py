@@ -109,8 +109,8 @@ def run_spec(spec, machine: Optional[Machine] = None) -> Tuple[Machine, Workload
 
     This is the one build-and-run step of every workload kind.  The machine
     comes from :meth:`Machine.from_spec` unless the caller passes in one it
-    built from the same spec and instrumented (trace recording, the
-    conflict analyzer).  The workload runs with ``spec.resolved_seed()``.
+    built from the same spec and instrumented (trace recording).  The
+    workload runs with ``spec.resolved_seed()``.
     """
     if machine is None:
         machine = Machine.from_spec(spec)

@@ -106,12 +106,6 @@ class NodeInterconnect:
                 self._dir_lookup_cycles = params.directory_lookup_cycles
         self.stats = Counter()
         self._counts = self.stats.raw
-        #: Optional observer called once per completed transaction, while
-        #: the buses are still held: ``access_probe(txn, timing_bus)``.
-        #: The partition-safety conflict detector (repro.analysis) installs
-        #: one to record per-cycle bus/directory footprints; the default
-        #: ``None`` keeps the hot path to a single attribute test.
-        self.access_probe = None
 
     # ------------------------------------------------------------------
     # Agent registration
@@ -321,8 +315,6 @@ class NodeInterconnect:
                     # so folding the penalty into the memoised value is safe.
                     occupancy += self._dir_lookup_cycles
                 self._occupancy_cache[occ_key] = occupancy
-            if self.access_probe is not None:
-                self.access_probe(txn, timing_bus)
             counts[_TXN_OP_KEY[op]] += 1
             counts[_TXN_BUS_KEY[timing_bus]] += 1
             counts["txn_total"] += 1

@@ -259,6 +259,8 @@ class MachineParams:
             raise ParameterError("network message must be a whole number of cache blocks")
         if self.num_nodes < 1:
             raise ParameterError("num_nodes must be >= 1")
+        if self.network_latency_cycles < 0:
+            raise ParameterError("network_latency_cycles must be >= 0")
         if self.sliding_window < 1:
             raise ParameterError("sliding_window must be >= 1")
         if self.fabric_hop_cycles < 1:

@@ -13,7 +13,7 @@ Usage::
     python -m repro.experiments.run faults [--quick] [--jobs 4]
     python -m repro.experiments.run traffic [--quick] [--jobs 4]
     python -m repro.experiments.run all [--quick] [--json results.json]
-    python -m repro.experiments.run analyze {lint,statkeys,conflicts,determinism} [...]
+    python -m repro.experiments.run analyze {lint,statkeys} [...]
     python -m repro.experiments.run serve [--port 8042] [--jobs 4] [...]
     python -m repro.experiments.run cache {stats,ls,gc,pin,unpin} [...]
 
@@ -277,7 +277,7 @@ def _progress(completed: int, total: int, result) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "analyze":
-        # Partition-safety analyzer: lint / conflicts / determinism.
+        # Simulator-idiom lint: lint / statkeys / --self-test.
         from repro.analysis.__main__ import main as analysis_main
 
         return analysis_main(argv[1:])

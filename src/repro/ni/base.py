@@ -121,10 +121,6 @@ class AbstractNI:
         self.agent_kind = AGENT_NI_DEVICE
         self.taxonomy_name = taxonomy_name
         self.name = f"node{node_id}.{taxonomy_name}"
-        #: PDES partition this device belongs to (see Machine.partition_map
-        #: and repro.analysis): the NI is node-owned; only the fabric's
-        #: delivery callbacks cross into it from the outside.
-        self.partition = f"node{node_id}"
         self.stats = Counter()
         self._counts = self.stats.raw
         #: words/blocks per payload size, memoised (messages repeat sizes).

@@ -26,18 +26,12 @@ class Machine:
         node_config: Optional[NodeConfig] = None,
         node_configs: Optional[Sequence[NodeConfig]] = None,
         num_nodes: Optional[int] = None,
-        simulator: Optional[Simulator] = None,
     ):
         base_params = params or DEFAULT_PARAMS
         if num_nodes is not None:
             base_params = base_params.with_overrides(num_nodes=num_nodes)
         self.params = base_params.validate()
-        # An injected kernel (e.g. the instrumented/shuffled simulators of
-        # repro.analysis) must be pristine: reusing one that already ran
-        # would splice two machines' event streams together.
-        if simulator is not None and (simulator.now != 0 or simulator.event_count != 0):
-            raise ValueError("injected simulator has already executed events")
-        self.sim = simulator if simulator is not None else Simulator()
+        self.sim = Simulator()
         self.fabric = create_fabric(self.sim, self.params)
 
         if node_configs is not None:
@@ -82,7 +76,6 @@ class Machine:
         snarfing: bool = False,
         params: Optional[MachineParams] = None,
         ni_kwargs: Optional[Dict] = None,
-        simulator: Optional[Simulator] = None,
     ) -> "Machine":
         """Build a homogeneous machine with the given NI on the given bus."""
         bus_kind = bus if isinstance(bus, BusKind) else BusKind(bus)
@@ -92,12 +85,10 @@ class Machine:
             snarfing=snarfing,
             ni_kwargs=dict(ni_kwargs or {}),
         )
-        return cls(
-            params=params, node_config=config, num_nodes=num_nodes, simulator=simulator
-        )
+        return cls(params=params, node_config=config, num_nodes=num_nodes)
 
     @classmethod
-    def from_spec(cls, spec, simulator: Optional[Simulator] = None) -> "Machine":
+    def from_spec(cls, spec) -> "Machine":
         """Build the machine an :class:`repro.api.ExperimentSpec` describes.
 
         This is the counterpart of :meth:`describe`: a declarative spec in,
@@ -118,7 +109,6 @@ class Machine:
             snarfing=spec.snarfing,
             params=machine_params,
             ni_kwargs=dict(spec.ni_kwargs),
-            simulator=simulator,
         )
 
     # ------------------------------------------------------------------
@@ -173,7 +163,7 @@ class Machine:
             processes,
             max_cycles=max_cycles,
             progress=self._progress_fingerprint,
-            partitions=self.partition_map,
+            holders=self._waitable_holders(),
         ).run()
         unfinished = [p.name for p in processes if not p.finished]
         if unfinished:
@@ -205,52 +195,16 @@ class Machine:
             )
         return (net.get("messages_delivered"), net.get("acks_delivered"), user)
 
-    # ------------------------------------------------------------------
-    # Partition ownership (PDES / repro.analysis)
-    # ------------------------------------------------------------------
-    def partition_map(self) -> Dict[str, tuple]:
-        """Ownership map: partition label -> the objects that partition owns.
-
-        This is the machine's own statement of how it decomposes into the
-        per-node logical processes of ROADMAP item 1 (conservative PDES):
-        everything a node's processor, caches, buses, NI and messaging
-        layer touch lives in partition ``node{i}``; the network fabric —
-        the only mediation layer between nodes — is its own partition.
-        The partition-safety analyzer (:mod:`repro.analysis`) resolves
-        every scheduled callback's owner against this map, so any object
-        reachable from a simulation process must appear here.
-        """
-        parts: Dict[str, tuple] = {"fabric": (self.fabric,)}
-        for node, layer in zip(self.nodes, self.messaging):
-            interconnect = node.interconnect
-            owned = [
-                node,
-                node.processor,
-                node.proc_cache,
-                node.memory,
-                node.ni,
-                node.ni.window,
-                node.ni.window.slot_freed,
-                node.ni.home_agent,
-                node.dram_allocator,
-                interconnect,
-                interconnect.membus,
-                layer,
-            ]
-            if interconnect.iobus is not None:
-                owned.append(interconnect.iobus)
-            if interconnect.cachebus is not None:
-                owned.append(interconnect.cachebus)
-            if interconnect.directory is not None:
-                owned.append(interconnect.directory)
-            # Every attached bus agent (device caches, queue ports, bridges)
-            # belongs to the node that owns the interconnect.
-            for agent in interconnect.agents:
-                if agent not in owned:
-                    owned.append(agent)
-            owned += [node.ni.send_port, node.ni.recv_port]
-            parts[f"node{node.node_id}"] = tuple(owned)
-        return parts
+    def _waitable_holders(self) -> List[object]:
+        """Each node's NI, window, send port, receive port and interconnect:
+        between them they own every signal and resource a process parks on."""
+        return [
+            holder
+            for node in self.nodes
+            for holder in (
+                node.ni, node.ni.window, node.ni.send_port, node.ni.recv_port, node.interconnect
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Reporting

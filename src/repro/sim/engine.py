@@ -21,15 +21,13 @@ Execution order is exactly the ``(time, seq)`` order of one global heap
 keyed by schedule order, without a ``seq`` field.  A bucket's list order is
 schedule order, and every entry waiting in a cycle's bucket was scheduled
 in an earlier cycle, so it precedes every zero-delay entry scheduled during
-that cycle, which the lane appends after it.  The plain drain runs the lane
+that cycle, which the lane appends after it.  The drain runs the lane
 in place (a list iterator sees the entries appended while it runs), then
-makes the next cycle's bucket the lane.  It builds no event record; only
-the hooked drain does, one per event (see :meth:`Simulator._pull_batch`).
+makes the next cycle's bucket the lane.  It builds no event record.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Optional
 
@@ -57,18 +55,6 @@ def _as_cycles(value: Any, what: str = "delay") -> int:
     return value
 
 
-class _ScheduledEvent:
-    """One event as the hooked drain's hooks see it (see :meth:`Simulator._pull_batch`)."""
-
-    __slots__ = ("time", "seq", "callback", "args")
-
-    def __init__(self, time: int, seq: int, callback: Callable, args: tuple) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-
-
 class Simulator:
     """Event-driven simulator with integer cycle timestamps.
 
@@ -78,7 +64,7 @@ class Simulator:
     * :meth:`run` to drain the event queue (up to an optional horizon) and
       :meth:`peek` for the time of the next pending event,
     * :attr:`now` for the current simulated time: a plain attribute that
-      only the two drains write (read it, never assign it).
+      only the drain writes (read it, never assign it).
 
     Processes are layered on top in :mod:`repro.sim.process`.
     """
@@ -87,7 +73,7 @@ class Simulator:
         self._lane: list = []  # (callback, args) entries of the cycle `now`
         self._buckets: Dict[int, list] = {}  # future cycle -> its entries
         self._times: list = []  # heap of the cycles in _buckets
-        #: Current simulated time in processor cycles.
+        #: Current simulated time in processor cycles; only the drain writes it.
         self.now = 0
         self._running = False
         self.event_count = 0
@@ -97,16 +83,6 @@ class Simulator:
         # waiting process slept on an arrival signal instead.
         self.elided_events = 0
         self.elided_cycles = 0
-        # Instrumentation seam (repro.analysis).  When _hooked is True the
-        # drain switches to _drain_hooked, which pulls each cycle's events
-        # into per-group batches and routes every execution through the
-        # overridable event_group/pick_next/on_enqueue/on_execute hooks.
-        # The plain path pays exactly one attribute test per drain call.
-        self._hooked = False
-        self._batch: Dict[Any, deque] = {}
-        self._batch_count = 0
-        self._pulled = 0  # records _pull_batch has built: the next one's seq
-        self._current_event: Optional[_ScheduledEvent] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -138,9 +114,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def peek(self) -> Optional[int]:
         """Return the time of the next pending event, or ``None`` if idle."""
-        if self._lane or self._batch_count:
-            # Entries left in the lane, or already pulled into the hooked
-            # drain's batch, are pending at the current cycle.
+        if self._lane:
+            # Entries left in the lane are pending at the current cycle.
             return self.now
         times = self._times
         return times[0] if times else None
@@ -171,9 +146,6 @@ class Simulator:
         saving an attribute store per event on the hottest loop in the
         simulator).
         """
-        if self._hooked:
-            self._drain_hooked(until)
-            return
         lane = self._lane
         times = self._times
         buckets = self._buckets
@@ -198,124 +170,3 @@ class Simulator:
         finally:
             del lane[:ran]
             self.event_count += executed + ran
-
-    # ------------------------------------------------------------------
-    # Instrumented execution (repro.analysis)
-    # ------------------------------------------------------------------
-    def enable_hooks(self) -> None:
-        """Switch the drain to the hooked path (see the hook methods below).
-
-        Subclasses that override :meth:`event_group` / :meth:`pick_next` /
-        :meth:`on_enqueue` / :meth:`on_execute` call this once after
-        construction; the plain hot path is untouched until then.
-        """
-        self._hooked = True
-
-    def event_group(self, event: _ScheduledEvent) -> Any:
-        """Hook: the batch group an event belongs to (default: one group).
-
-        The hooked drain keeps one FIFO deque per group for the current
-        cycle; :meth:`pick_next` chooses among the group heads.
-        """
-        return None
-
-    def pick_next(self) -> _ScheduledEvent:
-        """Hook: pop the next event of the current cycle's batch.
-
-        The default reproduces the canonical global ``(time, seq)`` order:
-        among all group heads, the smallest ``seq`` runs first.  Called only
-        when ``_batch_count > 0``; implementations must pop and return one
-        event from one of the ``_batch`` deques.
-        """
-        best_dq = None
-        best_seq = None
-        for dq in self._batch.values():
-            if dq:
-                seq = dq[0].seq
-                if best_seq is None or seq < best_seq:
-                    best_seq = seq
-                    best_dq = dq
-        return best_dq.popleft()
-
-    def on_enqueue(self, event: _ScheduledEvent, parent: Optional[_ScheduledEvent]) -> None:
-        """Hook: ``event`` joined the current cycle's batch.
-
-        ``parent`` is the event whose callback scheduled it (``None`` for
-        events that were already pending when the cycle began, or that were
-        scheduled from outside the drain).
-        """
-
-    def on_execute(self, event: _ScheduledEvent) -> None:
-        """Hook: ``event`` is about to run (``self.now`` already advanced)."""
-
-    def _pull_batch(self) -> None:
-        """Move the lane's entries into the group deques as event records.
-
-        Called when a cycle opens and again after every executed callback,
-        so same-cycle events scheduled *during* execution are attributed to
-        the event that scheduled them (``self._current_event``) — the
-        intra-cycle causality the conflict detector needs.  Each record is
-        built here, once, and is never reused, since hook implementations
-        key side tables by record identity.  Its ``seq`` counts pulls: the
-        lane is in schedule order and is pulled in that order, so ``seq``
-        order is the canonical order.
-        """
-        lane = self._lane
-        if not lane:
-            return
-        now = self.now
-        seq = self._pulled
-        batch = self._batch
-        parent = self._current_event
-        for callback, args in lane:
-            event = _ScheduledEvent(now, seq, callback, args)
-            seq += 1
-            self.on_enqueue(event, parent)
-            group = self.event_group(event)
-            dq = batch.get(group)
-            if dq is None:
-                dq = batch[group] = deque()
-            dq.append(event)
-        self._pulled = seq
-        self._batch_count += len(lane)
-        lane.clear()
-
-    def _drain_hooked(self, until: Optional[int]) -> None:
-        """Instrumented twin of :meth:`_drain`.
-
-        Differences from the plain path: events are pulled into per-group
-        batches as records (see :meth:`_pull_batch`), and execution order
-        within a cycle is delegated to :meth:`pick_next`.  A cycle's batch
-        is drained before the horizon is checked again, so only a raising
-        callback leaves events in it; they stay pending (see :meth:`peek`)
-        and the next drain runs them first.
-        """
-        times = self._times
-        executed = 0
-        try:
-            while True:
-                if not self._batch_count:
-                    if not self._lane:
-                        if not times:
-                            break
-                        t = times[0]
-                        if until is not None and t > until:
-                            self.now = until
-                            break
-                        heappop(times)
-                        self.now = t
-                        self._lane = self._buckets.pop(t)
-                    self._pull_batch()
-                event = self.pick_next()
-                self._batch_count -= 1
-                executed += 1
-                self._current_event = event
-                self.on_execute(event)
-                event.callback(*event.args)
-                # Pull before clearing: same-cycle events scheduled by this
-                # callback are children of the event that just ran.
-                self._pull_batch()
-                self._current_event = None
-        finally:
-            self._current_event = None
-            self.event_count += executed

@@ -8,8 +8,9 @@ simulation stops making progress:
 * **quiescent-but-not-done** — the event queues drained but workload
   processes are still unfinished (a deadlock: everyone parked on a signal
   or resource that will never fire or free).  The watchdog dumps a wait-for
-  graph of the parked processes built by introspecting the machine's
-  partition map, and raises :class:`SimulationHangError`.
+  graph of the parked processes, read from the signals and resources of
+  the objects the caller says own them, and raises
+  :class:`SimulationHangError`.
 * **busy stall** — events keep executing but a caller-supplied progress
   fingerprint (delivered messages, finished processes, …) has not changed
   for :data:`DEFAULT_STALL_CYCLES` simulated cycles (an unelided spin loop, a
@@ -70,35 +71,33 @@ def _wait_holders(obj: object) -> Iterable[object]:
                 yield value
 
 
-def wait_for_graph(
-    processes: Sequence[Process],
-    partitions: Optional[Dict[str, tuple]] = None,
-) -> List[str]:
+def wait_for_graph(processes: Sequence[Process], holders: Sequence[object]) -> List[str]:
     """Describe what each unfinished process is parked on.
 
-    ``partitions`` is an ownership map (label -> owned objects, e.g.
-    ``Machine.partition_map()``); the waitables are discovered from the
-    waited-on side (signal waiter lists and resource queues), so
-    building the graph costs nothing on the simulation hot path.
+    ``holders`` are the objects that own the waitables: each one that is
+    itself a :class:`Signal` or :class:`Resource`, or holds one as a direct
+    attribute, is searched.  The waitables are discovered from the
+    waited-on side (signal waiter lists and resource queues), so building
+    the graph costs nothing on the simulation hot path.  Every waitable's
+    name says its owner, e.g. ``signal 'node1.CNI16Qm.arrival'``.
     """
     parked: Dict[int, List[str]] = {}
     by_id: Dict[int, Process] = {}
     seen: set = set()
-    for label, objs in (partitions or {}).items():
-        for obj in objs:
-            for holder in _wait_holders(obj):
-                if id(holder) in seen:
-                    continue
-                seen.add(id(holder))
-                if isinstance(holder, Signal):
-                    waiters = list(holder._waiters)
-                    what = f"signal {holder.name!r}"
-                else:
-                    waiters = list(holder._wait_queue)
-                    what = f"resource {holder.name!r}"
-                for proc in waiters:
-                    parked.setdefault(id(proc), []).append(f"{what} [{label}]")
-                    by_id[id(proc)] = proc
+    for obj in holders:
+        for holder in _wait_holders(obj):
+            if id(holder) in seen:
+                continue
+            seen.add(id(holder))
+            if isinstance(holder, Signal):
+                waiters = list(holder._waiters)
+                what = f"signal {holder.name!r}"
+            else:
+                waiters = list(holder._wait_queue)
+                what = f"resource {holder.name!r}"
+            for proc in waiters:
+                parked.setdefault(id(proc), []).append(what)
+                by_id[id(proc)] = proc
     lines = []
     for proc in processes:
         if proc.finished:
@@ -132,9 +131,10 @@ class Watchdog:
     progress:
         Zero-arg callable returning a comparable fingerprint of workload
         progress.  ``None`` disables busy-stall detection.
-    partitions:
-        Zero-arg callable returning an ownership map for the wait-for
-        graph (evaluated only when a quiescent hang is diagnosed).
+    holders:
+        The objects that own the signals and resources processes park on,
+        searched for the wait-for graph when a quiescent hang is diagnosed
+        (see :func:`wait_for_graph`).
     """
 
     def __init__(
@@ -144,13 +144,13 @@ class Watchdog:
         *,
         max_cycles: Optional[int] = None,
         progress: Optional[Callable[[], Tuple]] = None,
-        partitions: Optional[Callable[[], Dict[str, tuple]]] = None,
+        holders: Sequence[object] = (),
     ):
         self.sim = sim
         self.processes = list(processes)
         self.max_cycles = max_cycles
         self.progress = progress
-        self.partitions = partitions
+        self.holders = holders
 
     # ------------------------------------------------------------------
     def run(self) -> int:
@@ -191,8 +191,7 @@ class Watchdog:
 
     # ------------------------------------------------------------------
     def _raise_quiescent(self, unfinished: Sequence[Process]) -> None:
-        partitions = self.partitions() if self.partitions is not None else None
-        graph = wait_for_graph(self.processes, partitions)
+        graph = wait_for_graph(self.processes, self.holders)
         names = [p.name for p in unfinished]
         report = {
             "kind": "quiescent",

@@ -166,15 +166,21 @@ class TestSpec:
             ("messages", 100.0, {"kind": "bandwidth"}),
             ("scale", "1", {"kind": "macro", "workload": "gauss"}),
             ("scale", True, {"kind": "macro", "workload": "gauss"}),
+            ("warmup", -1, {}),
+            ("max_cycles", -5, {}),
+            ("max_cycles", 0, {}),
+            ("scale", float("nan"), {"kind": "macro", "workload": "gauss"}),
+            ("scale", float("inf"), {"kind": "macro", "workload": "gauss"}),
         ],
         ids=["float-message-bytes", "float-iterations", "bool-iterations", "float-warmup",
              "float-num-nodes", "int-snarfing", "float-max-cycles", "int-workload",
-             "enum-bus", "float-messages", "str-scale", "bool-scale"],
+             "enum-bus", "float-messages", "str-scale", "bool-scale", "negative-warmup",
+             "negative-max-cycles", "zero-max-cycles", "nan-scale", "inf-scale"],
     )
     def test_ill_typed_scalar_fields_are_spec_errors(self, name, value, base):
-        """Each scalar field takes its exact type (a bool is no int): otherwise
-        the run fails later, or runs the default physics under a spec hash of
-        its own."""
+        """Each scalar field takes its exact type (a bool is no int) and a
+        value in its range: otherwise the run fails later, or runs the default
+        physics under a spec hash of its own."""
         with pytest.raises(SpecError, match=f"{name} must be "):
             ExperimentSpec(**base, **{name: value}).validate()
 

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.common.addrmap import AddressMap, RegionAllocator
+from repro.common.addrmap import RegionAllocator
 from repro.common.params import (
     _SCALAR_FIELDS,
     DEFAULT_PARAMS,
@@ -90,6 +90,7 @@ class TestMachineParams:
             {"network_message_bytes": 100},
             {"num_nodes": 0},
             {"sliding_window": 0},
+            {"network_latency_cycles": -1},
         ],
     )
     def test_invalid_parameters_rejected(self, overrides):

@@ -21,6 +21,7 @@ from repro.apps.registry import workload_names
 from repro.apps.workload import run_spec
 from repro.common.params import MachineParams, ParameterError
 from repro.common.types import NetworkMessage
+from repro.experiments import MEMORY_BUS_DEVICES
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -35,9 +36,9 @@ from repro.node.machine import Machine
 from repro.sim import SimulationHangError, Simulator, WorkloadHangError
 
 
-def build_machine(device="CNI4Q", num_nodes=8, **params):
+def build_machine(device="CNI4Q", num_nodes=8, bus="memory", **params):
     return Machine.build(
-        device, "memory", num_nodes=num_nodes,
+        device, bus, num_nodes=num_nodes,
         params=MachineParams(num_nodes=num_nodes, **params).validate(),
     )
 
@@ -215,7 +216,6 @@ class TestFaultsInsideTheFabric:
             reliable_messaging=True,
         )
         assert type(machine.fabric) is fabric_class(kind)
-        assert machine.partition_map()["fabric"] == (machine.fabric,)
         faults = machine.fabric.faults
         assert isinstance(faults, FaultInjector)
         assert (faults.plan, faults.seed) == (resolve_plan("lossy1"), 2)
@@ -248,20 +248,35 @@ class TestFaultsInsideTheFabric:
 # ---------------------------------------------------------------------------
 # Watchdog
 # ---------------------------------------------------------------------------
+#: The paper's five memory-bus devices, and three of them on the I/O bus.
+WAIT_FOR_CONFIGS = [(device, "memory") for device in MEMORY_BUS_DEVICES] + [
+    (device, "io") for device in ("NI2w", "CNI16Q", "CNI512Q")
+]
+
+
 class TestWatchdog:
     def test_hang_is_diagnostic_not_a_macrobenchmark(self):
         assert "hang" in workload_names("diagnostic")
         assert "hang" not in workload_names("macro")
 
-    def test_quiescent_deadlock_yields_wait_for_graph(self):
-        machine = build_machine(num_nodes=4)
+    @pytest.mark.parametrize(
+        "device, bus", WAIT_FOR_CONFIGS, ids=[f"{d}-{b}" for d, b in WAIT_FOR_CONFIGS]
+    )
+    def test_quiescent_deadlock_yields_wait_for_graph(self, device, bus):
+        machine = build_machine(device, num_nodes=4, bus=bus)
         workload = create_workload("hang", mode="quiesce")
         with pytest.raises(SimulationHangError) as excinfo:
             workload.run(machine, max_cycles=50_000_000)
         report = excinfo.value.report
         assert report["kind"] == "quiescent"
         assert report["unfinished"]
-        assert any("signal" in line for line in report["wait_for"])
+        # The walk over each node's NI, window, ports and interconnect finds
+        # every waitable: each blocked workload names its own node's arrival
+        # signal, and no process is parked where the walk does not look.
+        for name in report["unfinished"]:
+            node = name.removeprefix("workload-cpu")
+            assert f"{name} -> signal 'node{node}.{device}.arrival'" in report["wait_for"]
+        assert not [line for line in report["wait_for"] if "untracked" in line]
         # Subclass relationship keeps every legacy hang handler working.
         assert isinstance(excinfo.value, WorkloadHangError)
 

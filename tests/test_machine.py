@@ -5,7 +5,7 @@ import pytest
 from conftest import build_machine
 from repro.common.types import BusKind, CoherenceState
 from repro.node.machine import Machine, WorkloadHangError
-from repro.node.node import Node, NodeConfig
+from repro.node.node import NodeConfig
 
 
 class TestMachineConstruction:

@@ -51,6 +51,10 @@ QUICK = dict(
 )
 
 
+#: Overrides that make QUICK a macro spec, whose ``scale`` is checked.
+MACRO = dict(kind="macro", workload="gauss", device="CNI16Q", num_nodes=4)
+
+
 def quick_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**{**QUICK, **overrides})
 
@@ -609,12 +613,15 @@ class TestHttpService:
             ({"spin_elision": "no"}, "spin_elision"),
             ({"sliding_window": True}, "sliding_window"),
             ({"fabric": 4}, "fabric"),
+            ({"network_latency_cycles": -1}, "network_latency_cycles"),
         ],
-        ids=["float-seed", "float-latency", "str-flag", "bool-count", "int-name"],
+        ids=["float-seed", "float-latency", "str-flag", "bool-count", "int-name",
+             "negative-latency"],
     )
     def test_ill_typed_machine_params_are_400(self, service, params, field):
         """A value of another type than its MachineParams field's (a bool is
-        no int) fails validation naming the field, before any run starts."""
+        no int), or out of its range, fails validation naming the field,
+        before any run starts."""
         spec = quick_spec(params=params)
         with pytest.raises(ParameterError, match=field):
             spec.validate()
@@ -626,24 +633,32 @@ class TestHttpService:
         assert service.counters["runs_started"] == 0
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, base",
         [
-            ("message_bytes", 64.0),
-            ("iterations", 3.0),
-            ("iterations", True),
-            ("warmup", 1.5),
-            ("num_nodes", 2.0),
-            ("snarfing", 1),
-            ("max_cycles", 1e9),
-            ("scale", "1"),
+            ("message_bytes", 64.0, {}),
+            ("iterations", 3.0, {}),
+            ("iterations", True, {}),
+            ("warmup", 1.5, {}),
+            ("num_nodes", 2.0, {}),
+            ("snarfing", 1, {}),
+            ("max_cycles", 1e9, {}),
+            ("scale", "1", {}),
+            ("warmup", -1, {}),
+            ("max_cycles", -5, {}),
+            ("max_cycles", 0, {}),
+            ("scale", float("nan"), MACRO),
+            ("scale", float("inf"), MACRO),
         ],
         ids=["float-message-bytes", "float-iterations", "bool-iterations", "float-warmup",
-             "float-num-nodes", "int-snarfing", "float-max-cycles", "str-scale"],
+             "float-num-nodes", "int-snarfing", "float-max-cycles", "str-scale",
+             "negative-warmup", "negative-max-cycles", "zero-max-cycles", "nan-scale",
+             "inf-scale"],
     )
-    def test_ill_typed_spec_fields_are_400(self, service, field, value):
-        """A spec field of another type than its own (a bool is no int) fails
-        validation naming the field, before any run starts."""
-        body = json.dumps({**QUICK, field: value}).encode()
+    def test_ill_typed_spec_fields_are_400(self, service, field, value, base):
+        """A spec field of another type than its own (a bool is no int), or
+        out of its range, fails validation naming the field, before any run
+        starts.  ``NaN`` and ``Infinity`` arrive as JSON literals."""
+        body = json.dumps({**QUICK, **base, field: value}).encode()
         status, _, payload = _request(service.base_url + "/run", data=body)
         assert status == 400, payload
         assert f"{field} must be " in json.loads(payload)["error"]

@@ -133,13 +133,10 @@ class TestRunLimits:
         sim.run(until=6)
         assert sim.peek() == 9
 
-    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
-    def test_run_until_runs_events_at_the_horizon(self, hooked):
+    def test_run_until_runs_events_at_the_horizon(self):
         # run(until=t) executes exactly the events with time <= t; the
-        # watchdog's chunked driving relies on it on both drains.
+        # watchdog's chunked driving relies on it.
         sim = Simulator()
-        if hooked:
-            sim.enable_hooks()
         seen = []
         sim.schedule_call(10, seen.append, ("early",))
         sim.schedule_call(50, seen.append, ("edge",))
@@ -150,14 +147,11 @@ class TestRunLimits:
         sim.run()
         assert seen == ["early", "edge", "late"]
 
-    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
-    def test_raising_callback_leaves_later_events_pending(self, hooked):
-        # The raising event is counted; its same-cycle sibling (already in
-        # the hooked drain's batch, which peek must report) and the child it
-        # scheduled before raising stay pending for the next run.
+    def test_raising_callback_leaves_later_events_pending(self):
+        # The raising event is counted; its same-cycle sibling (left in the
+        # lane, which peek must report) and the child it scheduled before
+        # raising stay pending for the next run.
         sim = Simulator()
-        if hooked:
-            sim.enable_hooks()
         order = []
 
         def boom():
@@ -175,13 +169,10 @@ class TestRunLimits:
         assert order == ["boom", "sibling", "child", "later"]
         assert sim.event_count == 4
 
-    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
-    def test_run_until_before_now_is_rejected(self, hooked):
+    def test_run_until_before_now_is_rejected(self):
         # Simulated time never moves backwards: a horizon behind the clock is
         # refused and leaves the clock and the queue as they were.
         sim = Simulator()
-        if hooked:
-            sim.enable_hooks()
         seen = []
         sim.schedule_call(100, seen.append, ("late",))
         assert sim.run(until=50) == 50
@@ -345,55 +336,18 @@ _chunks = st.lists(
 
 
 class TestRandomizedOrder:
-    """Both drains keep the reference kernel's order under random schedules:
+    """The drain keeps the reference kernel's order under random schedules:
     zero and small delays, from outside the drain and from callbacks,
     ``run(until=...)`` chunks and at most one raising callback."""
 
-    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
     @settings(max_examples=150, deadline=None)
     @given(chunks=_chunks, boom=st.none() | st.integers(min_value=0, max_value=20))
-    def test_matches_one_global_heap(self, hooked, chunks, boom):
-        sim = Simulator()
-        if hooked:
-            sim.enable_hooks()
-        assert _drive(sim, chunks, boom) == _drive(_ReferenceKernel(), chunks, boom)
+    def test_matches_one_global_heap(self, chunks, boom):
+        assert _drive(Simulator(), chunks, boom) == _drive(_ReferenceKernel(), chunks, boom)
 
 
 class TestRunProfile:
-    """Kernel bookkeeping across runs: hooked-drain records and ``event_count``."""
-
-    def test_hooked_drain_runs_one_fresh_record_per_event(self):
-        # Hooks key side tables by record identity, so every event the hooked
-        # drain runs is its own record; it carries its cycle as ``time``, and
-        # under the default pick_next its ``seq`` rises in execution order.
-        class Recorder(Simulator):
-            def __init__(self):
-                super().__init__()
-                self.runs = []
-                self.enable_hooks()
-
-            def on_execute(self, event):
-                self.runs.append((event, self.now))
-
-        sim = Recorder()
-
-        def parent(depth):
-            sim.schedule_call(0, _noop)
-            if depth:
-                sim.schedule_call(depth % 3, parent, (depth - 1,))
-
-        for i in range(40):
-            sim.schedule_call(i % 4, parent, (i % 5,))
-        sim.run(until=2)
-        sim.schedule_call(0, _noop)
-        sim.run()
-        records = [event for event, _ in sim.runs]
-        # parent(d) runs 2 * (d + 1) events; depths 0-4 start 8 times each.
-        assert len(records) == sim.event_count == 8 * (2 + 4 + 6 + 8 + 10) + 1
-        assert len({id(event) for event in records}) == len(records)
-        assert all(event.time == now for event, now in sim.runs)
-        seqs = [event.seq for event in records]
-        assert seqs == sorted(set(seqs))
+    """Kernel bookkeeping across runs: ``event_count``."""
 
     def test_profile_composes_across_runs(self):
         sim = Simulator()
