@@ -8,6 +8,7 @@ from repro.analysis import lint as lint_mod
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.lint import (
     FIXTURES,
+    LintContext,
     LintError,
     Rule,
     lint_source,
@@ -48,6 +49,35 @@ def test_lint_self_test_passes():
 def test_fault_injector_lints_as_part_of_the_fabric():
     assert is_kernel_client("faults/fabric.py") and is_kernel_client("network/fabric.py")
     assert not is_kernel_client("faults/plan.py")
+
+
+#: Trips MUTSTATE (line 1) and SLOTS (line 4) wherever they apply.
+_KERNEL_CLIENT_DEFECTS = "_PENDING = {}\n\n\nclass WakeEvent:\n    pass\n"
+_KERNEL_CLIENTS = (
+    "sim/_fixture.py", "common/_fixture.py", "coherence/_fixture.py",
+    "network/_fixture.py", "node/_fixture.py", "node/machine.py", "ni/_fixture.py",
+    "msglayer/_fixture.py", "faults/fabric.py",
+)
+_HARNESS = (
+    "api/_fixture.py", "apps/_fixture.py", "experiments/_fixture.py",
+    "service/_fixture.py", "traffic/_fixture.py", "faults/plan.py",
+    "analysis/_fixture.py",
+)
+
+
+@pytest.fixture(scope="module")
+def lint_context():
+    # Built once: collecting the stat-key registry scans the whole tree.
+    return LintContext(stat_registry=generate_registry())
+
+
+@pytest.mark.parametrize("relpath", _KERNEL_CLIENTS + _HARNESS)
+def test_mutstate_and_slots_check_kernel_clients_only(relpath, lint_context):
+    kernel_client = relpath in _KERNEL_CLIENTS
+    assert is_kernel_client(relpath) is kernel_client
+    findings = lint_source(_KERNEL_CLIENT_DEFECTS, relpath, context=lint_context)
+    fired = {(f.rule, f.line) for f in findings if f.rule in ("MUTSTATE", "SLOTS")}
+    assert fired == ({("MUTSTATE", 1), ("SLOTS", 4)} if kernel_client else set())
 
 
 def test_mutstate_rule_exempts_dunder_exports():

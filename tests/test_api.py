@@ -184,6 +184,23 @@ class TestSpec:
         with pytest.raises(SpecError, match=f"{name} must be "):
             ExperimentSpec(**base, **{name: value}).validate()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"warmup": 0},
+            {"max_cycles": 1},
+            {"kind": "macro", "workload": "gauss", "scale": 1e-9},
+            {"params": {"network_latency_cycles": 0}},
+        ],
+        ids=["zero-warmup", "one-max-cycles", "tiny-scale", "zero-latency"],
+    )
+    def test_range_checks_admit_the_bound_of_each_range(self, fields):
+        """The range checks reject only what a run cannot take: no warmup
+        (CI's chaos smoke posts ``warmup=0``), one cycle, any positive scale
+        and a zero-latency network all validate."""
+        spec = ExperimentSpec(**fields)
+        assert spec.validate() is spec
+
     def test_param_overrides_cover_every_field(self):
         overridden = {name for params in PARAM_OVERRIDES for name in params}
         assert overridden == {f.name for f in dataclasses.fields(MachineParams)}

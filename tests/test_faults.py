@@ -33,7 +33,15 @@ from repro.faults import (
 )
 from repro.network.registry import create_fabric, fabric_class
 from repro.node.machine import Machine
-from repro.sim import SimulationHangError, Simulator, WorkloadHangError
+from repro.sim import (
+    Resource,
+    Signal,
+    SimulationHangError,
+    Simulator,
+    WorkloadHangError,
+    start_process,
+    wait_for_graph,
+)
 
 
 def build_machine(device="CNI4Q", num_nodes=8, bus="memory", **params):
@@ -259,26 +267,70 @@ class TestWatchdog:
         assert "hang" in workload_names("diagnostic")
         assert "hang" not in workload_names("macro")
 
-    @pytest.mark.parametrize(
-        "device, bus", WAIT_FOR_CONFIGS, ids=[f"{d}-{b}" for d, b in WAIT_FOR_CONFIGS]
-    )
-    def test_quiescent_deadlock_yields_wait_for_graph(self, device, bus):
+    @staticmethod
+    def _quiescent_hang(device="CNI4Q", bus="memory"):
         machine = build_machine(device, num_nodes=4, bus=bus)
         workload = create_workload("hang", mode="quiesce")
         with pytest.raises(SimulationHangError) as excinfo:
             workload.run(machine, max_cycles=50_000_000)
-        report = excinfo.value.report
+        return excinfo.value
+
+    def test_quiescent_deadlock_yields_wait_for_graph(self):
+        error = self._quiescent_hang()
+        report = error.report
         assert report["kind"] == "quiescent"
         assert report["unfinished"]
+        assert any("signal" in line for line in report["wait_for"])
+        # Subclass relationship keeps every legacy hang handler working.
+        assert isinstance(error, WorkloadHangError)
+
+    @pytest.mark.parametrize(
+        "device, bus", WAIT_FOR_CONFIGS, ids=[f"{d}-{b}" for d, b in WAIT_FOR_CONFIGS]
+    )
+    def test_wait_for_graph_names_each_blocked_arrival_signal(self, device, bus):
         # The walk over each node's NI, window, ports and interconnect finds
         # every waitable: each blocked workload names its own node's arrival
         # signal, and no process is parked where the walk does not look.
+        report = self._quiescent_hang(device, bus).report
+        assert report["unfinished"]
         for name in report["unfinished"]:
             node = name.removeprefix("workload-cpu")
             assert f"{name} -> signal 'node{node}.{device}.arrival'" in report["wait_for"]
         assert not [line for line in report["wait_for"] if "untracked" in line]
-        # Subclass relationship keeps every legacy hang handler working.
-        assert isinstance(excinfo.value, WorkloadHangError)
+
+    def test_wait_for_graph_reads_only_the_holders_it_is_given(self):
+        """A waitable found in no holder reads as untracked, a parked process
+        outside the workload list is a background line after the stuck ones,
+        a finished workload is left out, and a holder reached twice is
+        searched once."""
+        sim = Simulator()
+
+        class Port:
+            def __init__(self):
+                self.ready = Signal(sim, name="node0.port.ready")
+                self.lock = Resource(sim, name="node0.port.lock")
+
+        port = Port()
+        stray = Signal(sim, name="stray")
+
+        def wait_on(*waitables):
+            for waitable in waitables:
+                yield waitable
+
+        workloads = [
+            start_process(sim, wait_on(port.lock, port.ready), name="workload-a"),
+            start_process(sim, wait_on(port.lock), name="workload-b"),
+            start_process(sim, wait_on(stray), name="workload-c"),
+            start_process(sim, wait_on(), name="workload-d"),
+        ]
+        start_process(sim, wait_on(port.ready), name="poller")
+        sim.run()
+        assert wait_for_graph(workloads, holders=[port, port.ready, port]) == [
+            "workload-a -> signal 'node0.port.ready'",
+            "workload-b -> resource 'node0.port.lock'",
+            "workload-c -> parked on an untracked waitable",
+            "poller -> signal 'node0.port.ready' (background)",
+        ]
 
     def test_spinning_stall_is_detected(self):
         machine = build_machine(num_nodes=4, spin_elision=False)

@@ -19,8 +19,10 @@ shrinking.  These tests pin that equivalence at three levels:
   lead is too short for the poll body (memory-bus NI2w on a mesh), an
   uncached poller stays awake while its own send port (CDR or coherent
   queue, as in examples/custom_protocol.py's ``HybridNI``) has a pull to
-  make, no guard is built under reliable messaging, and ``max_cycles``
-  expiring mid-sleep still raises :class:`WorkloadHangError` in both modes.
+  make, no guard is built under reliable messaging, a delivery notice
+  holds the destination's guard unsteady until the message is visible, and
+  ``max_cycles`` expiring mid-sleep still raises :class:`WorkloadHangError`
+  in both modes.
 """
 
 import importlib.util
@@ -463,6 +465,25 @@ def test_reliable_messaging_builds_no_uncached_poll_guard(device):
         assert ml._recv_spin_guard is None
         assert ml._send_spin_guard is None
     assert machine.fabric._notices == {}
+
+
+def test_delivery_notice_unsteadies_the_uncached_poll_guard_until_visible():
+    """A notice the fabric sends at injection counts the message as announced
+    to its destination alone and fires that node's arrival signal, so the
+    destination's uncached-poll guard reads its poll as not steady until the
+    receive port makes the message visible."""
+    machine = Machine.build("NI2w", "memory", num_nodes=2)
+    ni0, ni1 = (node.ni for node in machine.nodes)
+    guard = machine.messaging[1]._recv_spin_guard
+    assert guard.steady() is True
+    fires = ni1.arrival_signal.fire_count
+    machine.fabric._notices[1]()
+    assert (ni0.announced, ni1.announced) == (0, 1)
+    assert ni1.arrival_signal.fire_count == fires + 1
+    assert guard.steady() is False
+    ni1._note_visible()
+    assert ni1.announced == 0
+    assert guard.steady() is True
 
 
 # ----------------------------------------------------------------------
